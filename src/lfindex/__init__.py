@@ -1,6 +1,6 @@
 """Lock-free learned ordered index.
 
-A linearizable ordered map over unsigned 64-bit keys.  Lookups route
+A linearizable ordered map over unsigned 63-bit keys, [0, 2**63 - 1].  Lookups route
 through a shallow hierarchy of immutable-keyed model nodes, each predicting
 positions with a linear approximation of its key set's rank function; new
 keys accumulate in lock-free sorted bins that freeze and retrain into fresh

@@ -29,7 +29,8 @@ from .harness import (
     run_workload,
 )
 from .index import IndexConfig, LearnedIndex
-from .models import fit_linear, fit_linear_published, predict, search_nonroot, search_root, segment_root
+from .models import (fit_linear, fit_linear_published, predict, root_table, search_nonroot,
+                     search_root, segment_root)
 from .rangescan import scan
 from .verify import (
     HistoryRecorder,
@@ -113,7 +114,7 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
     for source in ("uniform", "lognormal"):
         keys = generate_dataset(DatasetSpec(source=source, size=size, seed=7)).tolist()
         segs = segment_root(keys, 32.0)
-        starts = [s.start_key for s in segs]
+        table = root_table(segs, len(keys))
         # every key's true rank within the stated window of its segment's
         # prediction, both before and after rounding
         for si, seg in enumerate(segs):
@@ -139,7 +140,7 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
         for p in probes:
             i = bisect_left(keys, p)
             want = (i, True) if i < len(keys) and keys[i] == p else (i - 1, False)
-            got_root = search_root(keys, segs, starts, p)
+            got_root = search_root(keys, table, p)
             got_flat = search_nonroot(keys, model, p)
             if got_root != want or got_flat != want:
                 problems.append(f"{source}: probe {p}: root {got_root}, flat {got_flat}, bisect {want}")
@@ -401,11 +402,11 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
     chain_ts: dict[int, list] = {}
     chain_val: dict[int, list] = {}
     for k in keys:
-        r = index.seek(k)
-        if r.status is SeekStatus.FOUND:
-            ver = r.node.versions[r.slot].load()
+        node, slot, status = index.seek(k)
+        if status is SeekStatus.FOUND:
+            ver = node.versions[slot].load()
         else:
-            kn = search_bin(r.node.children[r.slot].load(), k)
+            kn = search_bin(node.children[slot].load(), k)
             ver = kn.version.load() if kn is not None else None
         rev = []
         while ver is not None:

@@ -188,9 +188,9 @@ def search_bin(bin_: Any, key: int) -> Optional[KNode]:
     return _olb_find(_child_of(bin_, key), key)
 
 
-def _olb_scan(olb: OneLevelBin, lo: int, hi: int, ts: int, out: list,
+def _olb_scan(node: Optional[KNode], lo: int, hi: int, ts: int, out: list,
               clock: GlobalClock, limit: Optional[int]) -> None:
-    node = olb.head.load().target
+    # ``node`` is the first node of the list to scan
     while node is not None and node.item < lo:
         node = node.next.load().target
     while node is not None and node.item <= hi:
@@ -208,14 +208,16 @@ def scan_bin(bin_: Any, lo: int, hi: int, ts: int, out: list,
 
     Ignores freeze bits; skips keys deleted at ts or younger than ts."""
     if bin_.is_one_level:
-        _olb_scan(bin_, lo, hi, ts, out, clock, limit)
+        _olb_scan(bin_.head.load().target, lo, hi, ts, out, clock, limit)
         return
     a = bisect_left(bin_.keys, lo)   # child owning lo
     b = bisect_left(bin_.keys, hi)   # child owning hi
     for child in bin_.children[a:b + 1]:
         if limit is not None and len(out) >= limit:
             return
-        _olb_scan(child, lo, hi, ts, out, clock, limit)
+        first = child.head.load().target
+        if first is not None:
+            _olb_scan(first, lo, hi, ts, out, clock, limit)
 
 
 def freeze_bin(bin_: Any) -> None:

@@ -18,7 +18,7 @@ import threading
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
-KEY_MAX = 2**64 - 1  # keys are unsigned 64-bit
+KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
 UNSET_TS = -1
 
 _STRIPES = 128
@@ -186,7 +186,8 @@ def init_ts(version: VersionedValue, clock: GlobalClock) -> None:
 def read_value_latest(head_ref: AtomicRef, clock: GlobalClock) -> Any:
     """Latest payload of a version chain; assigns the head's ts if unset."""
     ver = head_ref.load()
-    init_ts(ver, clock)
+    if ver.ts == UNSET_TS:
+        ver.try_init_ts(clock.read())
     return ver.val
 
 
@@ -198,7 +199,8 @@ def read_value_at(head_ref: AtomicRef, ts: int, clock: GlobalClock) -> Any:
     TOMBSTONE when the whole chain is newer than ``ts``.
     """
     ver = head_ref.load()
-    init_ts(ver, clock)
+    if ver.ts == UNSET_TS:
+        ver.try_init_ts(clock.read())
     while ver is not None and ver.ts > ts:
         ver = ver.vnext
         # non-head versions were stamped before being displaced
@@ -232,8 +234,3 @@ class SeekStatus(Enum):
     NOT_FOUND = "not-found"  # routing child slot is empty: key nowhere
     MAYBE = "maybe"          # routing slot holds a bin that may contain it
 
-
-class SeekResult(NamedTuple):
-    node: Any       # the model node where the walk stopped
-    slot: int       # key index if FOUND else child index
-    status: SeekStatus

@@ -1,10 +1,11 @@
 """Benchmark harness: key datasets, workload op streams, throughput reports.
 
-Datasets are uint64 numpy arrays, sorted and deduplicated, from synthetic
-distributions or a binary key file (little-endian u64 count followed by
-that many little-endian u64 keys).  Workloads pre-generate per-thread op
-and key streams from seeded generators so runs are reproducible; all
-threads share one hotspot window chosen from the run seed.
+Datasets are uint64 numpy arrays of keys in [0, 2**63 - 1], sorted and
+deduplicated, from synthetic distributions or a binary key file
+(little-endian u64 count followed by that many little-endian u64 keys).
+Workloads pre-generate per-thread op and key streams from seeded
+generators so runs are reproducible; all threads share one hotspot window
+chosen from the run seed.
 """
 
 from __future__ import annotations
@@ -61,17 +62,25 @@ def generate_dataset(spec: DatasetSpec) -> np.ndarray:
                 raise ValueError("bad uniform bounds")
             raw = rng.integers(spec.lo, spec.hi, spec.size, dtype=np.uint64)
         elif spec.source == "normal":
-            x = rng.normal(spec.loc, spec.scale, spec.size)
-            raw = np.clip(x, 0, float(2**63)).astype(np.uint64)
+            raw = _clamp_to_keys(rng.normal(spec.loc, spec.scale, spec.size))
         elif spec.source == "lognormal":
             x = rng.lognormal(spec.mu, spec.sigma, spec.size) * spec.multiplier
-            raw = np.clip(x, 0, float(2**63)).astype(np.uint64)
+            raw = _clamp_to_keys(x)
         else:
             raise ValueError(f"unknown dataset source {spec.source!r}")
     return np.unique(raw)
 
 
 _SOURCE_TAG = {"uniform": 1, "normal": 2, "lognormal": 3}
+
+
+def _clamp_to_keys(x: np.ndarray) -> np.ndarray:
+    """Float draws as keys in [0, KEY_MAX].
+
+    The upper clamp happens in uint64: float64 has no 2**63 - 1, it rounds
+    to 2**63, so a float clip would let one key past the domain."""
+    raw = np.clip(x, 0, float(2**63)).astype(np.uint64)
+    return np.minimum(raw, np.uint64(KEY_MAX))
 
 
 def _read_keyfile(path) -> np.ndarray:
@@ -87,7 +96,10 @@ def _read_keyfile(path) -> np.ndarray:
         raise DatasetFormatError(
             f"{path}: header says {count} keys ({8 * count} bytes), "
             f"found {len(data)} bytes")
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
+    keys = np.frombuffer(data, dtype="<u8").astype(np.uint64)
+    if count and int(keys.max()) > KEY_MAX:
+        raise DatasetFormatError(f"{path}: key {int(keys.max())} above {KEY_MAX}")
+    return keys
 
 
 def write_keyfile(keys, path) -> None:

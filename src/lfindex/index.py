@@ -27,7 +27,6 @@ from .core import (
     KEY_MAX,
     AtomicRef,
     GlobalClock,
-    SeekResult,
     SeekStatus,
     VersionedValue,
     read_value_latest,
@@ -49,11 +48,17 @@ from .bins import (
 from .models import (
     DEFAULT_EPS_TARGET,
     fit_linear,
+    root_table,
     search_nonroot,
     search_root,
     segment_root,
 )
 from .rangescan import range_search
+
+# bound once: an Enum member read through its class costs a lookup per use
+_FOUND = SeekStatus.FOUND
+_NOT_FOUND = SeekStatus.NOT_FOUND
+_MAYBE = SeekStatus.MAYBE
 
 
 @dataclass(frozen=True)
@@ -75,24 +80,24 @@ class IndexConfig:
 class ModelNode:
     """Immutable keys + model, one version chain per key, m+1 child slots.
 
-    The root carries a piecewise model (``segments``); non-root nodes carry
-    a single ``model`` and are searched by galloping, needing no bound.
+    The root carries a piecewise model (``segments``, flattened once into
+    ``table`` for ``search_root``); non-root nodes carry a single ``model``
+    and are searched by galloping, needing no bound.
     """
 
-    __slots__ = ("keys", "model", "segments", "segment_starts", "versions", "children")
+    __slots__ = ("keys", "model", "segments", "table", "versions", "children")
 
-    def __init__(self, keys, versions, children, model=None, segments=None,
-                 segment_starts=None):
+    def __init__(self, keys, versions, children, model=None, segments=None):
         self.keys = keys
         self.versions = versions    # list[AtomicRef] -> version chain heads
         self.children = children    # list[AtomicRef] -> None | bin | ModelNode
         self.model = model
         self.segments = segments
-        self.segment_starts = segment_starts
+        self.table = None if segments is None else root_table(segments, len(keys))
 
     def locate(self, key: int) -> tuple[int, bool]:
-        if self.segments is not None:
-            return search_root(self.keys, self.segments, self.segment_starts, key)
+        if self.table is not None:
+            return search_root(self.keys, self.table, key)
         return search_nonroot(self.keys, self.model, key)
 
 
@@ -103,7 +108,7 @@ def _retrained_node(keys: list[int], versions: list[AtomicRef]) -> ModelNode:
 
 
 class LearnedIndex:
-    """Linearizable lock-free ordered map over u64 keys and int payloads."""
+    """Linearizable lock-free ordered map over 63-bit keys and int payloads."""
 
     def __init__(self, root: ModelNode, clock: GlobalClock, config: IndexConfig):
         self.root = root
@@ -129,52 +134,50 @@ class LearnedIndex:
             if v is None:
                 raise ValueError("payload must not be None")
             if k <= prev or k > KEY_MAX:  # prev starts at -1, so this also rejects negatives
-                raise ValueError("pairs must be sorted with unique u64 keys")
+                raise ValueError("pairs must be sorted with unique 63-bit keys")
             keys.append(k)
             payloads.append(v)
             prev = k
         segments = segment_root(keys, cfg.eps_target)
-        starts = [s.start_key for s in segments]
         versions = [AtomicRef(VersionedValue(v, 0)) for v in payloads]
         children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-        root = ModelNode(keys, versions, children,
-                         segments=segments, segment_starts=starts)
+        root = ModelNode(keys, versions, children, segments=segments)
         return cls(root, GlobalClock(0), cfg)
 
-    def seek(self, key: int) -> SeekResult:
-        """Walk model nodes toward ``key``.
+    def seek(self, key: int) -> tuple[ModelNode, int, SeekStatus]:
+        """Walk model nodes toward ``key``; returns (node, slot, status).
 
         FOUND: (node, key index) where the key lives in a model node.
         NOT_FOUND: (node, child slot) where the routing slot is empty, so
         the key is nowhere in the index right now.
         MAYBE: (node, child slot) whose bin may hold the key."""
         node = self.root
+        ix, found = search_root(node.keys, node.table, key)
         while True:
-            ix, found = node.locate(key)
             if found:
-                return SeekResult(node, ix, SeekStatus.FOUND)
+                return node, ix, _FOUND
             slot = ix + 1
             child = node.children[slot].load()
             if child is None:
-                return SeekResult(node, slot, SeekStatus.NOT_FOUND)
-            if isinstance(child, ModelNode):
-                node = child
-                continue
-            return SeekResult(node, slot, SeekStatus.MAYBE)
+                return node, slot, _NOT_FOUND
+            if not isinstance(child, ModelNode):
+                return node, slot, _MAYBE
+            node = child
+            ix, found = search_nonroot(node.keys, node.model, key)
 
     def insert(self, key: int, value: int) -> bool:
         """True if the map changed (new key, or new value for the key)."""
         if value is None:
             raise ValueError("payload must not be None")
         if not 0 <= key <= KEY_MAX:
-            raise ValueError("key outside the u64 domain")
+            raise ValueError("key outside the 63-bit domain")
         clock = self.clock
         cfg = self.config
         while True:
             node, slot, status = self.seek(key)
-            if status is SeekStatus.FOUND:
+            if status is _FOUND:
                 return write_value(node.versions[slot], value, clock)
-            if status is SeekStatus.NOT_FOUND:
+            if status is _NOT_FOUND:
                 fresh = bin_new(key, value, clock, cfg.olb_threshold)
                 if self._install(node, slot, None, fresh):
                     return True
@@ -195,16 +198,16 @@ class LearnedIndex:
     def delete(self, key: int) -> bool:
         """True if the key was present (its latest payload now Absent)."""
         if not 0 <= key <= KEY_MAX:
-            raise ValueError("key outside the u64 domain")
+            raise ValueError("key outside the 63-bit domain")
         clock = self.clock
         while True:
             node, slot, status = self.seek(key)
-            if status is SeekStatus.FOUND:
+            if status is _FOUND:
                 head = node.versions[slot]
                 if read_value_latest(head, clock) is None:
                     return False
                 return write_value(head, None, clock)
-            if status is SeekStatus.NOT_FOUND:
+            if status is _NOT_FOUND:
                 return False
             bin_ = node.children[slot].load()
             if bin_ is None or isinstance(bin_, ModelNode):
@@ -219,13 +222,13 @@ class LearnedIndex:
         """Latest payload, or None when absent.  Never helps, never blocks;
         its only write is a timestamp assignment on an unstamped head."""
         if not 0 <= key <= KEY_MAX:
-            raise ValueError("key outside the u64 domain")
+            raise ValueError("key outside the 63-bit domain")
         clock = self.clock
         while True:
             node, slot, status = self.seek(key)
-            if status is SeekStatus.FOUND:
+            if status is _FOUND:
                 return read_value_latest(node.versions[slot], clock)
-            if status is SeekStatus.NOT_FOUND:
+            if status is _NOT_FOUND:
                 return None
             bin_ = node.children[slot].load()
             if bin_ is None or isinstance(bin_, ModelNode):

@@ -2,7 +2,7 @@
 
 A model approximates the rank of a key within one sorted key array:
 rank ~= a*key + b, with eps the measured worst-case absolute error over the
-fitted keys.  Fits accumulate their moment sums as exact Python ints (u64
+fitted keys.  Fits accumulate their moment sums as exact Python ints (63-bit
 keys squared overflow float64's mantissa badly enough to corrupt slopes on
 narrow high-magnitude clusters) and convert to float64 once, as ratios.
 eps is then measured with the *same* float expression ``predict`` evaluates,
@@ -192,32 +192,44 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
     return segments
 
 
-def search_root(keys: Sequence[int], segments: Sequence[Segment],
-                starts: Sequence[int], key: int) -> tuple[int, bool]:
+def root_table(segments: Sequence[Segment], n: int) -> tuple[list, ...]:
+    """Per-segment values ``search_root`` reads, as parallel lists.
+
+    For ``segments`` over an ``n``-key array: start keys, first and last key
+    index, slope, intercept + 0.5 (the round-half-up offset, added once
+    here instead of per probe) and probe window floor(eps) + 1.
+    """
+    firsts = [s.start_index for s in segments]
+    lasts = [f - 1 for f in firsts[1:]] + [n - 1] if segments else []
+    return ([s.start_key for s in segments], firsts, lasts,
+            [s.model.a for s in segments],
+            [s.model.b + 0.5 for s in segments],
+            [int(s.model.eps) + 1 for s in segments])
+
+
+def search_root(keys: Sequence[int], table: tuple[list, ...],
+                key: int) -> tuple[int, bool]:
     """Locate ``key`` in the root key array via its piecewise model.
 
-    ``starts`` are the segment start keys (for bisecting to the right
-    segment).  Returns (index, True) on an exact hit, else (index of the
-    greatest key < ``key``, False), -1 when below all keys.  The probe
-    window is [pred - (floor(eps)+1), pred + floor(eps)+1] clamped to the
-    segment slice, widened to the slice edge when the key falls outside it.
+    ``table`` is ``root_table`` over the root's segments; bisecting its
+    start keys picks the segment.  Returns (index, True) on an exact hit,
+    else (index of the greatest key < ``key``, False), -1 when below all
+    keys.  The probe window is [pred - window, pred + window] clamped to
+    the segment slice, widened to the slice edge when the key falls
+    outside it.
     """
-    n = len(keys)
-    if n == 0:
-        return -1, False
+    starts, firsts, lasts, slopes, intercepts, windows = table
     si = bisect_right(starts, key) - 1
     if si < 0:
         return -1, False
-    seg = segments[si]
-    lo = seg.start_index
-    hi = (segments[si + 1].start_index if si + 1 < len(segments) else n) - 1
-    m = seg.model
-    p = lo + math.floor(m.a * key + m.b + 0.5)
+    lo = firsts[si]
+    hi = lasts[si]
+    p = lo + math.floor(slopes[si] * key + intercepts[si])
     if p < lo:
         p = lo
     elif p > hi:
         p = hi
-    w = int(m.eps) + 1
+    w = windows[si]
     wlo = p - w
     if wlo < lo:
         wlo = lo

@@ -27,7 +27,7 @@ def range_search(index, key: int, width: int,
     if width < 0:
         raise ValueError("range width must be >= 0")
     if not 0 <= key <= KEY_MAX:
-        raise ValueError("key outside the u64 domain")
+        raise ValueError("key outside the 63-bit domain")
     if max_results is not None and max_results < 0:
         raise ValueError("max_results must be >= 0 or None")
     ts = index.clock.read_and_bump()
@@ -56,20 +56,22 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
     for i in range(a, b):
         if limit is not None and len(out) >= limit:
             return
-        _scan_child(children[i].load(), lo, hi, ts, out, clock, limit)
-        if limit is not None and len(out) >= limit:
-            return
+        child = children[i].load()
+        if child is not None:
+            _scan_child(child, lo, hi, ts, out, clock, limit)
+            if limit is not None and len(out) >= limit:
+                return
         val = read_value_at(versions[i], ts, clock)
         if val is not None and val is not TOMBSTONE:
             out.append((keys[i], val))
     if limit is not None and len(out) >= limit:
         return
-    _scan_child(children[b].load(), lo, hi, ts, out, clock, limit)
+    child = children[b].load()
+    if child is not None:
+        _scan_child(child, lo, hi, ts, out, clock, limit)
 
 
 def _scan_child(child, lo, hi, ts, out, clock, limit) -> None:
-    if child is None:
-        return
     if isinstance(child, (OneLevelBin, TwoLevelBin)):
         scan_bin(child, lo, hi, ts, out, clock, limit)
     else:

@@ -64,6 +64,15 @@ class TestGenerateDataset:
         stat = scipy.stats.kstest(keys, ref.cdf).statistic
         assert stat < 0.01, f"KS distance {stat}"
 
+    @pytest.mark.parametrize("spec", [
+        DatasetSpec(source="normal", size=1_000, seed=5, loc=float(2**64), scale=float(2**40)),
+        DatasetSpec(source="lognormal", size=1_000, seed=5, multiplier=float(2**70)),
+    ])
+    def test_float_draws_clamp_to_the_top_key(self, spec):
+        # float64 rounds 2**63 - 1 up to 2**63, so the clamp must not be a float
+        keys = generate_dataset(spec)
+        assert int(keys.max()) == 2**63 - 1
+
 
 class TestKeyfile:
     def test_round_trip(self, tmp_path):
@@ -90,6 +99,15 @@ class TestKeyfile:
         path = tmp_path / "bad.bin"
         path.write_bytes((10).to_bytes(8, "little") + (1).to_bytes(8, "little") * 3)
         with pytest.raises(DatasetFormatError, match="header says 10"):
+            generate_dataset(DatasetSpec(source="file", path=str(path)))
+
+    def test_key_past_the_domain_rejected(self, tmp_path):
+        path = tmp_path / "keys.bin"
+        write_keyfile([5, 2**63 - 1], path)
+        top = generate_dataset(DatasetSpec(source="file", path=str(path)))
+        assert int(top.max()) == 2**63 - 1
+        write_keyfile([5, 2**63], path)
+        with pytest.raises(DatasetFormatError, match="above"):
             generate_dataset(DatasetSpec(source="file", path=str(path)))
 
     def test_format_error_is_a_value_error(self):

@@ -118,7 +118,33 @@ class TestSeek:
         with pytest.raises(ValueError):
             index.delete(-5)
         with pytest.raises(ValueError):
+            index.delete(KEY_MAX + 1)
+        with pytest.raises(ValueError):
             index.search(KEY_MAX + 1)
+        with pytest.raises(ValueError):
+            index.range(KEY_MAX + 1, 0)
+
+
+class TestKeyDomain:
+    """Keys are 63-bit; tests elsewhere probe the edges through KEY_MAX."""
+
+    def test_key_max_is_the_63_bit_top(self):
+        assert KEY_MAX == 2**63 - 1
+
+    def test_top_key_accepted_by_every_operation(self):
+        top = 2**63 - 1
+        index = LearnedIndex.build([(5, 1), (top, 2)])
+        assert index.search(top) == 2
+        assert index.range(top, 2**64) == [(top, 2)]
+        assert index.delete(top) is True
+        assert index.insert(top, 3) is True
+        assert index.search(top) == 3
+        fresh = LearnedIndex.build([(5, 1)])
+        assert fresh.insert(top, 4) is True     # lands in a bin
+        assert fresh.search(top) == 4
+        assert fresh.range(top - 1, 1) == [(top, 4)]
+        assert fresh.delete(top) is True
+        assert audit_structure(fresh).ok
 
 
 class TestInsert:

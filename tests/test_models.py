@@ -2,7 +2,7 @@
 
 import math
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex.core import set_cas_hook
+from lfindex.harness import DatasetSpec, generate_dataset
 from lfindex.models import (
     Model,
     fit_linear,
     fit_linear_published,
     predict,
+    root_table,
     search_nonroot,
     search_root,
     segment_root,
@@ -184,46 +186,88 @@ class TestPredict:
             assert i - window <= predict(m, k) <= i + window
 
 
+def edge_probes(keys, segs):
+    """Keys at and around each segment's edges: its start key and start
+    +- 1, its last key and last + 1, and two keys in the gap before the
+    next segment (or above the last key)."""
+    probes = set()
+    for si, seg in enumerate(segs):
+        last = keys[segs[si + 1].start_index - 1] if si + 1 < len(segs) else keys[-1]
+        nxt = segs[si + 1].start_key if si + 1 < len(segs) else last + 2**20
+        probes.update((seg.start_key - 1, seg.start_key, seg.start_key + 1,
+                       last, last + 1, (last + nxt) // 2, nxt - 1))
+    return sorted(p for p in probes if p >= 0)
+
+
+def prediction_side(keys, segs, key):
+    """Where the routing segment's raw prediction for ``key`` falls
+    relative to that segment's slice: "below", "inside" or "above"."""
+    si = bisect_right([s.start_key for s in segs], key) - 1
+    if si < 0:
+        return "no segment"
+    seg = segs[si]
+    end = segs[si + 1].start_index if si + 1 < len(segs) else len(keys)
+    p = seg.start_index + predict(seg.model, key)
+    if p < seg.start_index:
+        return "below"
+    return "above" if p >= end else "inside"
+
+
 class TestSearchRoot:
     def build(self, keys, eps=8.0):
-        segs = segment_root(keys, eps)
-        return segs, [s.start_key for s in segs]
+        return root_table(segment_root(keys, eps), len(keys))
 
     def test_present_keys_found_at_exact_index(self):
         keys = list(range(10, 2010, 10))
-        segs, starts = self.build(keys)
+        table = self.build(keys)
         for i in (0, 7, 100, len(keys) - 1):
-            assert search_root(keys, segs, starts, keys[i]) == (i, True)
+            assert search_root(keys, table, keys[i]) == (i, True)
 
     def test_key_below_everything(self):
         keys = [100, 200, 300]
-        segs, starts = self.build(keys)
-        assert search_root(keys, segs, starts, 5) == (-1, False)
+        table = self.build(keys)
+        assert search_root(keys, table, 5) == (-1, False)
 
     def test_key_above_everything(self):
         keys = [100, 200, 300]
-        segs, starts = self.build(keys)
-        assert search_root(keys, segs, starts, 999) == (2, False)
+        table = self.build(keys)
+        assert search_root(keys, table, 999) == (2, False)
 
     def test_empty_array(self):
-        assert search_root([], [], [], 42) == (-1, False)
+        table = self.build([])
+        for p in (0, 42, 2**63 - 1):
+            assert search_root([], table, p) == (-1, False)
 
     def test_agrees_with_binary_search_on_random_probes(self):
         rng = np.random.default_rng(31)
         keys = sorted(set(rng.integers(0, 2**48, 5_000).tolist()))
-        segs, starts = self.build(keys, 4.0)
+        table = self.build(keys, 4.0)
         probes = np.concatenate([
             rng.choice(np.asarray(keys), 1_000),
             rng.integers(0, 2**48, 1_000),
         ]).tolist()
         for p in probes:
-            assert search_root(keys, segs, starts, p) == oracle_search(keys, p)
+            assert search_root(keys, table, p) == oracle_search(keys, p)
+
+    @pytest.mark.parametrize("source", ["uniform", "lognormal"])
+    def test_segment_edges_agree_with_binary_search(self, source):
+        keys = generate_dataset(DatasetSpec(source=source, size=5_000, seed=3)).tolist()
+        segs = segment_root(keys, 2.0)
+        table = root_table(segs, len(keys))
+        probes = edge_probes(keys, segs)
+        # the edges include predictions clamped at both ends of a slice
+        sides = {prediction_side(keys, segs, p) for p in probes}
+        assert {"below", "above"} <= sides
+        for p in probes:
+            assert search_root(keys, table, p) == oracle_search(keys, p)
 
     @given(sorted_keys, st.integers(0, 2**63))
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence_property(self, keys, probe):
-        segs, starts = self.build(keys, 2.0)
-        assert search_root(keys, segs, starts, probe) == oracle_search(keys, probe)
+        segs = segment_root(keys, 2.0)
+        table = root_table(segs, len(keys))
+        for p in [probe, *edge_probes(keys, segs)]:
+            assert search_root(keys, table, p) == oracle_search(keys, p)
 
 
 class TestSearchNonroot:
