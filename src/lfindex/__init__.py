@@ -30,7 +30,7 @@ from .harness import (
     write_keyfile,
 )
 from .index import IndexConfig, LearnedIndex
-from .models import Model, Segment, fit_linear, fit_linear_published, segment_root
+from .models import Model, Segment, fit_linear, segment_root
 from .verify import (
     AuditReport,
     HistoryEvent,
@@ -61,7 +61,6 @@ __all__ = [
     "audit_structure",
     "check_linearizable",
     "fit_linear",
-    "fit_linear_published",
     "generate_dataset",
     "make_workload",
     "prepare_index",

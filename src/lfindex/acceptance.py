@@ -8,6 +8,8 @@ tolerances never change.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import random
 import struct
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bins import freeze_bin, insert_bin, delete_bin, search_bin, UNDER_MAKE_MODEL
-from .core import SeekStatus, set_cas_hook
+from .bins import (collect_frozen, freeze_bin, insert_bin, delete_bin, search_bin,
+                   UNDER_MAKE_MODEL)
+from .core import KEY_MAX, SeekStatus, set_cas_hook
 from .harness import (
     DatasetSpec,
     generate_dataset,
@@ -28,9 +31,8 @@ from .harness import (
     prepare_index,
     run_workload,
 )
-from .index import IndexConfig, LearnedIndex
-from .models import (fit_linear, fit_linear_published, predict, root_table, search_nonroot,
-                     search_root, segment_root)
+from .index import IndexConfig, LearnedIndex, ModelNode
+from .models import fit_linear, root_table, search_nonroot, search_root, segment_root
 from .rangescan import scan
 from .verify import (
     HistoryRecorder,
@@ -58,6 +60,18 @@ class CriterionResult:
 def _result(number, name, passed, detail, t0, skipped=False) -> CriterionResult:
     return CriterionResult(number, name, passed, detail,
                            time.perf_counter() - t0, skipped)
+
+
+def _stall_hook(seed: int, rate: float):
+    """A CAS hook that sleeps briefly in a ``rate`` share of the atomic
+    sections: the sleep widens the windows where genuinely overlapping
+    operations can interleave."""
+    rnd = random.Random(seed)
+
+    def stall(_cell, _ok):
+        if rnd.random() < rate:
+            time.sleep(2e-5)
+    return stall
 
 
 def criterion_1_sequential_conformance(quick: bool = False) -> CriterionResult:
@@ -115,18 +129,19 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
         keys = generate_dataset(DatasetSpec(source=source, size=size, seed=7)).tolist()
         segs = segment_root(keys, 32.0)
         table = root_table(segs, len(keys))
+        _, _, _, slopes, intercepts, windows = table
         # every key's true rank within the stated window of its segment's
-        # prediction, both before and after rounding
+        # prediction: the raw line, and the rounded one search_root uses
         for si, seg in enumerate(segs):
             end = segs[si + 1].start_index if si + 1 < len(segs) else len(keys)
             a, b, eps = seg.model
-            win = int(eps) + 1
             for local, i in enumerate(range(seg.start_index, end)):
                 x = a * keys[i] + b
                 if abs(x - local) > eps:
                     problems.append(f"{source}: raw residual {abs(x - local)} > eps {eps}")
                     break
-                if abs(predict(seg.model, keys[i]) - local) > win:
+                rounded = math.floor(slopes[si] * keys[i] + intercepts[si])
+                if abs(rounded - local) > windows[si]:
                     problems.append(f"{source}: rounded prediction misses the eps window")
                     break
             if problems:
@@ -155,20 +170,70 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
 
 
 def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
-    """Concurrent published fits are bit-identical to the sequential fit."""
+    """N threads race ``help_make_model`` on one full two-level bin; exactly
+    one ModelNode is installed, it reuses the bin's keys and version chains,
+    and its model is bit-identical to the sequential fit."""
     t0 = time.perf_counter()
-    size = 20_000 if quick else 100_000
-    keys = generate_dataset(DatasetSpec(source="uniform", size=size, seed=42)).tolist()
-    base = fit_linear(keys)
-    base_bits = struct.pack("<ddd", *base)
-    bad = []
-    for helpers in (1, 8, 32):
-        got = fit_linear_published(keys, helpers)
-        if struct.pack("<ddd", *got) != base_bits:
-            bad.append(f"{helpers} helpers: {got} != {base}")
-    ok = not bad
-    detail = (f"fits with 1/8/32 helpers bit-identical over {len(keys)} keys"
-              if ok else "; ".join(bad))
+    trials = 10 if quick else 30
+    cfg = IndexConfig()
+    rng = random.Random(42)
+    # a race runs about a thousand CASes (freezing every link), so a lower
+    # stall rate than criterion 5's still interleaves the helpers
+    stall = _stall_hook(43, 0.05)
+
+    def race(helpers: int):
+        index = LearnedIndex.build([(0, 0), (KEY_MAX, 0)], cfg)
+        for k in rng.sample(range(1, KEY_MAX), cfg.tlb_threshold):
+            index.insert(k, k)
+        node, slot, _ = index.seek(1)
+        bin_ = node.children[slot].load()
+        installs = []
+        index.transition_log = lambda _parent, _slot, _old, new: installs.append(new)
+        barrier = threading.Barrier(helpers)
+
+        def help_out():
+            barrier.wait()
+            index.help_make_model(node, slot, bin_)
+
+        threads = [threading.Thread(target=help_out) for _ in range(helpers)]
+        set_cas_hook(stall)
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        set_cas_hook(None)
+        if any(th.is_alive() for th in threads):
+            return "a helper was still running after 60 s"
+        fresh = node.children[slot].load()
+        keys, versions = collect_frozen(bin_, index.clock)
+        if installs != [fresh] or not isinstance(fresh, ModelNode):
+            return f"{len(installs)} installs, slot holds {type(fresh).__name__}"
+        if len(keys) != cfg.tlb_threshold or fresh.keys != keys:
+            return "installed keys differ from the frozen bin's"
+        if any(a is not b for a, b in zip(fresh.versions, versions)):
+            return "version chains were copied, not reused"
+        want = fit_linear(keys)
+        if struct.pack("<ddd", *fresh.model) != struct.pack("<ddd", *want):
+            return f"model {fresh.model} != sequential fit {want}"
+        report = audit_structure(index)
+        return None if report.ok else f"audit findings: {report.findings[:2]}"
+
+    problem = None
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for helpers, trial in itertools.product((1, 8, 32), range(trials)):
+            problem = race(helpers)
+            if problem:
+                problem = f"{helpers} helpers, trial {trial}: {problem}"
+                break
+    finally:
+        set_cas_hook(None)
+        sys.setswitchinterval(old)
+    ok = problem is None
+    detail = (f"{trials} races each of 1/8/32 helpers on a {cfg.tlb_threshold}-key bin: "
+              f"one install, chains reused, model bit-identical to the sequential fit"
+              if ok else problem)
     return _result(3, "fit-determinism", ok, detail, t0)
 
 
@@ -290,13 +355,7 @@ def criterion_5_linearizability(quick: bool = False) -> CriterionResult:
     t0 = time.perf_counter()
     n_hist = 1_000 if quick else 10_000
     rnd = random.Random(777)
-    hook_rnd = random.Random(31)
-
-    def stall(_cell, _ok):
-        # fired inside the atomic sections: a short sleep there widens
-        # the windows where genuinely overlapping ops can interleave
-        if hook_rnd.random() < 0.4:
-            time.sleep(2e-5)
+    stall = _stall_hook(31, 0.4)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

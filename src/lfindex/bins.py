@@ -311,5 +311,5 @@ def olb_to_tlb(olb: OneLevelBin, clock: GlobalClock,
         pos += take
         if i < fanout - 1:
             # an empty tail child inherits the running last key
-            seps.append(keys[pos - 1] if pos > 0 else keys[0])
+            seps.append(keys[pos - 1])  # pos > 0: n > 0 gives child 0 a key
     return TwoLevelBin(seps, children, n, threshold)

@@ -17,7 +17,6 @@ import sys
 
 from .acceptance import run_criteria
 from .harness import (
-    CSV_HEADER,
     DatasetSpec,
     WorkloadSpec,
     WORKLOAD_PRESETS,
@@ -25,6 +24,7 @@ from .harness import (
     make_workload,
     prepare_index,
     run_workload,
+    write_reports,
 )
 from .index import IndexConfig
 from .verify import check_linearizable, format_event, read_history
@@ -70,13 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--size", type=int, default=1_000_000,
                    help="number of keys to generate")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--olb-threshold", type=int, default=64,
+    defaults = IndexConfig()
+    b.add_argument("--olb-threshold", type=int, default=defaults.olb_threshold,
                    help="one-level bin size that triggers a rebuild")
-    b.add_argument("--tlb-threshold", type=int, default=1024,
+    b.add_argument("--tlb-threshold", type=int, default=defaults.tlb_threshold,
                    help="two-level bin size that triggers retraining")
-    b.add_argument("--fanout", type=int, default=8,
+    b.add_argument("--fanout", type=int, default=defaults.tlb_fanout,
                    help="children per two-level bin")
-    b.add_argument("--eps", type=float, default=32.0,
+    b.add_argument("--eps", type=float, default=defaults.eps_target,
                    help="root segmentation error bound")
     b.add_argument("--out", default=None, metavar="PATH",
                    help="write the CSV here instead of stdout")
@@ -134,13 +135,12 @@ def _cmd_bench(ns, parser) -> int:
         parser.error(str(exc))  # exits 2 with usage
 
     report = run_workload(index, keys, spec, label=ns.workload)
-    lines = CSV_HEADER + "\n" + report.to_csv_row() + "\n"
     if ns.out:
         with open(ns.out, "w") as f:
-            f.write(lines)
+            write_reports([report], f)
         print(f"wrote {ns.out}: {report.total_ops} ops, {report.mops:.3f} Mops/s")
     else:
-        sys.stdout.write(lines)
+        write_reports([report], sys.stdout)
     return 0
 
 

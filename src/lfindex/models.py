@@ -1,12 +1,12 @@
-"""Linear rank models: fitting, segmentation, prediction, bounded search.
+"""Linear rank models: fitting, segmentation, bounded search.
 
 A model approximates the rank of a key within one sorted key array:
 rank ~= a*key + b, with eps the measured worst-case absolute error over the
 fitted keys.  Fits accumulate their moment sums as exact Python ints (63-bit
 keys squared overflow float64's mantissa badly enough to corrupt slopes on
 narrow high-magnitude clusters) and convert to float64 once, as ratios.
-eps is then measured with the *same* float expression ``predict`` evaluates,
-so the error bound holds by construction despite the rounded coefficients.
+eps is then measured over the rounded float coefficients themselves, so the
+error bound holds by construction despite the rounding.
 
 The fit is a pure function of the key array, which makes the concurrent
 publish trivial to reason about: every helper computes the identical model,
@@ -16,13 +16,10 @@ so whichever CAS wins publishes the same bits.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .core import AtomicRef
 
 DEFAULT_EPS_TARGET = 32.0
 
@@ -41,105 +38,10 @@ class Segment(NamedTuple):
     model: Model
 
 
-def fit_linear(keys: Sequence[int]) -> Model:
-    """Least-squares line through (key, rank) for ranks 0..n-1.
-
-    Degenerate inputs: a single key fits exactly with the zero model; zero
-    key variance (all keys equal) falls back to the zero model with eps
-    covering every rank.
-    """
+def _prefix_sums(keys: Sequence[int]) -> tuple:
+    # exact running sums of k, k*k and i*k as Python ints, plus float64
+    # keys and ranks for the vectorised residual
     n = len(keys)
-    if n == 0:
-        raise ValueError("cannot fit an empty key array")
-    if n == 1:
-        return Model(0.0, 0.0, 0.0)
-    sx = 0
-    sxx = 0
-    sxy = 0
-    for i, k in enumerate(keys):
-        sx += k
-        sxx += k * k
-        sxy += i * k
-    sy = n * (n - 1) // 2
-    den = n * sxx - sx * sx
-    if den == 0:
-        return Model(0.0, 0.0, float(n - 1))
-    num = n * sxy - sx * sy
-    a = num / den
-    b = (sy * den - num * sx) / (n * den)
-    eps = 0.0
-    for i, k in enumerate(keys):
-        r = abs(a * k + b - i)
-        if r > eps:
-            eps = r
-    return Model(a, b, eps)
-
-
-def fit_linear_published(keys: Sequence[int], helpers: int = 1) -> Model:
-    """Fit with ``helpers`` concurrent threads racing to publish the result.
-
-    Each helper computes the fit privately and tries one CAS on a shared
-    slot; everyone returns whatever got published.  Because the fit is
-    deterministic the outcome is bit-identical regardless of the winner.
-    """
-    if helpers < 1:
-        raise ValueError("need at least one helper")
-    slot = AtomicRef(None)
-    if helpers == 1:
-        slot.compare_and_swap(None, fit_linear(keys))
-        return slot.load()
-
-    def run():
-        m = fit_linear(keys)
-        slot.compare_and_swap(None, m)
-
-    workers = [threading.Thread(target=run) for _ in range(helpers)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    return slot.load()
-
-
-def predict(model: Model, key: int) -> int:
-    """Predicted rank, rounded half-up.  Callers clamp to their bounds."""
-    return math.floor(model.a * key + model.b + 0.5)
-
-
-def _fit_range(px, pxx, pxy, s: int, e: int) -> tuple[float, float]:
-    # least squares over keys[s:e] against local ranks 0..m-1,
-    # from exact prefix sums
-    m = e - s
-    if m == 1:
-        return 0.0, 0.0
-    sx = px[e] - px[s]
-    sxx = pxx[e] - pxx[s]
-    sxy = (pxy[e] - pxy[s]) - s * sx
-    sy = m * (m - 1) // 2
-    den = m * sxx - sx * sx
-    if den == 0:
-        return 0.0, 0.0
-    num = m * sxy - sx * sy
-    a = num / den
-    b = (sy * den - num * sx) / (m * den)
-    return a, b
-
-
-def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) -> list[Segment]:
-    """Greedy left-to-right split into maximal eps_target-respecting pieces.
-
-    Each segment is the longest prefix of the remaining keys whose own
-    least-squares fit stays within eps_target; found by doubling probe plus
-    binary search on the prefix length.  Segment fits match ``fit_linear``
-    over the same slice bit for bit (identical exact sums, identical float
-    expressions), and each emitted model carries its measured eps.
-    """
-    if not eps_target > 0:
-        raise ValueError("eps_target must be positive")
-    n = len(keys)
-    if n == 0:
-        return []
-
     px = [0] * (n + 1)
     pxx = [0] * (n + 1)
     pxy = [0] * (n + 1)
@@ -151,43 +53,86 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
         px[i + 1] = ax
         pxx[i + 1] = axx
         pxy[i + 1] = axy
-    keys_f = np.asarray(keys, dtype=np.float64)
-    ranks_f = np.arange(n, dtype=np.float64)  # local ranks reuse the prefix
+    return (px, pxx, pxy, np.asarray(keys, dtype=np.float64),
+            np.arange(n, dtype=np.float64))
 
-    def fit_eps(s: int, L: int) -> tuple[float, float, float]:
-        a, b = _fit_range(px, pxx, pxy, s, s + L)
-        d = a * keys_f[s:s + L] + b - ranks_f[:L]
-        return a, b, float(np.max(np.abs(d)))
+
+def _fit(px, pxx, pxy, keys_f, ranks_f, s: int, e: int) -> Model:
+    """Least-squares line through keys[s:e] against local ranks 0..m-1,
+    from exact prefix sums.
+
+    Zero key variance (a single key, or all keys equal) gives the zero
+    line, whose eps then covers every local rank.
+    """
+    m = e - s
+    sx = px[e] - px[s]
+    sxx = pxx[e] - pxx[s]
+    sxy = (pxy[e] - pxy[s]) - s * sx
+    sy = m * (m - 1) // 2
+    den = m * sxx - sx * sx
+    if den == 0:
+        a = b = 0.0
+    else:
+        num = m * sxy - sx * sy
+        a = num / den
+        b = (sy * den - num * sx) / (m * den)
+    d = a * keys_f[s:e] + b - ranks_f[:m]
+    return Model(a, b, float(np.max(np.abs(d))))
+
+
+def fit_linear(keys: Sequence[int]) -> Model:
+    """Least-squares line through (key, rank) for ranks 0..n-1."""
+    n = len(keys)
+    if n == 0:
+        raise ValueError("cannot fit an empty key array")
+    return _fit(*_prefix_sums(keys), 0, n)
+
+
+def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) -> list[Segment]:
+    """Greedy left-to-right split into maximal eps_target-respecting pieces.
+
+    Each segment is the longest prefix of the remaining keys whose own
+    least-squares fit stays within eps_target; found by doubling probe plus
+    binary search on the prefix length.  Every probe is the same ``_fit``
+    that ``fit_linear`` runs, so a segment's model equals ``fit_linear``
+    over its slice bit for bit.
+    """
+    if not eps_target > 0:
+        raise ValueError("eps_target must be positive")
+    n = len(keys)
+    if n == 0:
+        return []
+    sums = _prefix_sums(keys)
 
     segments: list[Segment] = []
     s = 0
     while s < n:
         limit = n - s
         good = 1
-        best = (0.0, 0.0, 0.0)  # one key always fits exactly
+        best = Model(0.0, 0.0, 0.0)  # one key always fits exactly
         bad = None
         L = 2
         while bad is None and L < limit:
-            c = fit_eps(s, L)
-            if c[2] <= eps_target:
+            c = _fit(*sums, s, s + L)
+            if c.eps <= eps_target:
                 good, best = L, c
                 L <<= 1
             else:
                 bad = L
         if bad is None and limit > good:
-            c = fit_eps(s, limit)
-            if c[2] <= eps_target:
+            c = _fit(*sums, s, n)
+            if c.eps <= eps_target:
                 good, best = limit, c
             else:
                 bad = limit
         while bad is not None and bad - good > 1:
             mid = (good + bad) // 2
-            c = fit_eps(s, mid)
-            if c[2] <= eps_target:
+            c = _fit(*sums, s, s + mid)
+            if c.eps <= eps_target:
                 good, best = mid, c
             else:
                 bad = mid
-        segments.append(Segment(keys[s], s, Model(*best)))
+        segments.append(Segment(keys[s], s, best))
         s += good
     return segments
 

@@ -98,10 +98,6 @@ class SequentialOracle:
         return list(self._history.get(key, ()))
 
 
-def oracle_apply(oracle: SequentialOracle, op: str, args: tuple) -> Any:
-    return getattr(oracle, op)(*args)
-
-
 @dataclass(frozen=True)
 class HistoryEvent:
     thread: str

@@ -1,15 +1,17 @@
 """The index proper: build, seek, point ops, and bin-to-node helping."""
 
 import random
+import struct
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin, insert_bin
+from lfindex.bins import OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin, insert_bin
 from lfindex.core import KEY_MAX, SeekStatus, set_cas_hook
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
+from lfindex.models import fit_linear
 from lfindex.verify import SequentialOracle, audit_structure
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
@@ -259,35 +261,47 @@ class TestHelpMakeModel:
             assert index.search(k) == k
 
     def test_eight_helpers_install_exactly_one_replacement(self):
+        # both retrain steps: a full one-level bin becomes a two-level bin,
+        # and a full two-level bin becomes a model node
         hook_rnd = random.Random(14)
         set_cas_hook(lambda c, ok: time.sleep(1e-5) if hook_rnd.random() < 0.1 else None)
         try:
-            for trial in range(20):
-                index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
-                installs = []
-                index.transition_log = (
-                    lambda parent, slot, old, new: installs.append((slot, type(new).__name__)))
-                for k in (10, 20, 30, 40):
-                    index.insert(k, k)
-                node, slot, status = index.seek(10)
-                bin_ = node.children[slot].load()
-                barrier = threading.Barrier(8)
+            for keys, kind in (([10, 20, 30, 40], TwoLevelBin),
+                               ([10, 20, 30, 40, 50, 60], ModelNode)):
+                for trial in range(20):
+                    index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
+                    for k in keys:
+                        index.insert(k, k)
+                    node, slot, status = index.seek(10)
+                    bin_ = node.children[slot].load()
+                    installs = []
+                    index.transition_log = (
+                        lambda parent, slot, old, new: installs.append((slot, new)))
+                    barrier = threading.Barrier(8)
 
-                def help_out():
-                    barrier.wait()
-                    index.help_make_model(node, slot, bin_)
+                    def help_out():
+                        barrier.wait()
+                        index.help_make_model(node, slot, bin_)
 
-                threads = [threading.Thread(target=help_out) for _ in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                tlb_installs = [i for i in installs if i == (slot, "TwoLevelBin")]
-                assert len(tlb_installs) == 1, f"trial {trial}: {installs}"
-                for k in (10, 20, 30, 40):
-                    assert index.search(k) == k
-                report = audit_structure(index)
-                assert report.ok, report.findings[:3]
+                    threads = [threading.Thread(target=help_out) for _ in range(8)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=30)
+                    assert not any(t.is_alive() for t in threads)
+                    fresh = node.children[slot].load()
+                    assert installs == [(slot, fresh)], f"trial {trial}: {installs}"
+                    assert isinstance(fresh, kind)
+                    if kind is ModelNode:
+                        got_keys, versions = collect_frozen(bin_, index.clock)
+                        assert fresh.keys == got_keys == keys
+                        assert all(a is b for a, b in zip(fresh.versions, versions, strict=True))
+                        assert (struct.pack("<ddd", *fresh.model)
+                                == struct.pack("<ddd", *fit_linear(keys)))
+                    for k in keys:
+                        assert index.search(k) == k
+                    report = audit_structure(index)
+                    assert report.ok, report.findings[:3]
         finally:
             set_cas_hook(None)
 

@@ -1,7 +1,6 @@
 """Linear fits, root segmentation, and model-guided searches."""
 
 import math
-import struct
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -9,13 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.core import set_cas_hook
 from lfindex.harness import DatasetSpec, generate_dataset
 from lfindex.models import (
     Model,
+    Segment,
     fit_linear,
-    fit_linear_published,
-    predict,
     root_table,
     search_nonroot,
     search_root,
@@ -40,6 +37,18 @@ def exact_least_squares(keys):
     a = Fraction(n * sxy - sx * sy, den)
     b = (Fraction(sy, n) - a * Fraction(sx, n))
     return float(a), float(b)
+
+
+def table_prediction(table, si, key):
+    """Segment ``si``'s rounded local prediction for ``key``, as
+    ``search_root`` evaluates it from ``root_table``."""
+    _, _, _, slopes, intercepts, _ = table
+    return math.floor(slopes[si] * key + intercepts[si])
+
+
+def single_model_prediction(model, key):
+    """``table_prediction`` for a lone model covering the whole array."""
+    return table_prediction(root_table([Segment(0, 0, model)], 1), 0, key)
 
 
 def oracle_search(keys, key):
@@ -90,34 +99,7 @@ class TestFitLinear:
         m = fit_linear(keys)
         window = int(m.eps) + 1
         for i, k in enumerate(keys):
-            assert abs(predict(m, k) - i) <= window
-
-
-class TestFitPublished:
-    def test_single_helper_equals_sequential(self):
-        keys = list(range(0, 700, 7))
-        assert fit_linear_published(keys, 1) == fit_linear(keys)
-
-    def test_many_helpers_bit_identical(self):
-        rng = np.random.default_rng(8)
-        keys = sorted(set(rng.integers(0, 2**62, 5_000).tolist()))
-        want = struct.pack("<ddd", *fit_linear(keys))
-        for helpers in (2, 8, 32):
-            got = fit_linear_published(keys, helpers)
-            assert struct.pack("<ddd", *got) == want
-
-    def test_exactly_one_publish_wins(self):
-        events = []
-        set_cas_hook(lambda cell, ok: events.append(ok))
-        try:
-            fit_linear_published(list(range(100)), 8)
-        finally:
-            set_cas_hook(None)
-        assert events.count(True) == 1
-
-    def test_helpers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fit_linear_published([1, 2], 0)
+            assert abs(single_model_prediction(m, k) - i) <= window
 
 
 class TestSegmentRoot:
@@ -172,18 +154,27 @@ class TestSegmentRoot:
 
 class TestPredict:
     def test_exact_line(self):
-        assert predict(Model(0.1, -1.0, 0.0), 20) == 1
+        assert single_model_prediction(Model(0.1, -1.0, 0.0), 20) == 1
 
     def test_degenerate_model_predicts_zero(self):
-        assert predict(Model(0.0, 0.0, 0.0), 123456) == 0
+        assert single_model_prediction(Model(0.0, 0.0, 0.0), 123456) == 0
+        for keys in ([7], [5, 5, 5]):  # a single key, and equal keys
+            m = fit_linear(keys)
+            window = int(m.eps) + 1
+            for i, k in enumerate(keys):
+                assert single_model_prediction(m, k) == 0
+                assert i <= window
 
     def test_containment_on_a_fitted_array(self):
         rng = np.random.default_rng(21)
         keys = sorted(set(rng.integers(0, 2**50, 1_000).tolist()))
-        m = fit_linear(keys)
-        window = int(m.eps) + 1
-        for i, k in enumerate(keys):
-            assert i - window <= predict(m, k) <= i + window
+        segs = segment_root(keys, 8.0)
+        table = root_table(segs, len(keys))
+        bounds = [s.start_index for s in segs] + [len(keys)]
+        for si, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            window = table[5][si]
+            for local, k in enumerate(keys[lo:hi]):
+                assert local - window <= table_prediction(table, si, k) <= local + window
 
 
 def edge_probes(keys, segs):
@@ -199,18 +190,17 @@ def edge_probes(keys, segs):
     return sorted(p for p in probes if p >= 0)
 
 
-def prediction_side(keys, segs, key):
-    """Where the routing segment's raw prediction for ``key`` falls
+def prediction_side(table, key):
+    """Where the routing segment's rounded prediction for ``key`` falls
     relative to that segment's slice: "below", "inside" or "above"."""
-    si = bisect_right([s.start_key for s in segs], key) - 1
+    starts, firsts, lasts = table[:3]
+    si = bisect_right(starts, key) - 1
     if si < 0:
         return "no segment"
-    seg = segs[si]
-    end = segs[si + 1].start_index if si + 1 < len(segs) else len(keys)
-    p = seg.start_index + predict(seg.model, key)
-    if p < seg.start_index:
+    p = firsts[si] + table_prediction(table, si, key)
+    if p < firsts[si]:
         return "below"
-    return "above" if p >= end else "inside"
+    return "above" if p > lasts[si] else "inside"
 
 
 class TestSearchRoot:
@@ -256,7 +246,7 @@ class TestSearchRoot:
         table = root_table(segs, len(keys))
         probes = edge_probes(keys, segs)
         # the edges include predictions clamped at both ends of a slice
-        sides = {prediction_side(keys, segs, p) for p in probes}
+        sides = {prediction_side(table, p) for p in probes}
         assert {"below", "above"} <= sides
         for p in probes:
             assert search_root(keys, table, p) == oracle_search(keys, p)
