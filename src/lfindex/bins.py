@@ -6,6 +6,10 @@ over a fixed array of child lists behind immutable separators.  Keys are
 never physically removed: deletion writes an Absent version, so the only
 stolen link bit is the freeze flag.
 
+This module is mechanism only: lists, splices, freeze, collect and split.
+When a bin is full, and how wide a split is, is decided by the index from
+its IndexConfig.
+
 Mutators that observe a frozen link back off with UNDER_MAKE_MODEL so the
 caller can help retrain; readers ignore freeze bits entirely.  Freezing is
 idempotent and proceeds head to tail, so a successful splice is always at or
@@ -25,14 +29,9 @@ from .core import (
     VersionedValue,
     init_ts,
     read_value_at,
-    read_value_latest,
     write_value,
     TOMBSTONE,
 )
-
-DEFAULT_OLB_THRESHOLD = 64
-DEFAULT_TLB_FANOUT = 8
-DEFAULT_TLB_THRESHOLD = 1024
 
 
 class _UnderMakeModel:
@@ -62,41 +61,38 @@ class KNode:
 
 
 class OneLevelBin:
-    __slots__ = ("head", "size", "threshold")
+    __slots__ = ("head", "size")
     is_one_level = True
 
-    def __init__(self, threshold: int = DEFAULT_OLB_THRESHOLD):
+    def __init__(self):
         self.head = AtomicRef(MarkedLink(None, False))
         self.size = AtomicInt(0)    # distinct keys spliced, not value updates
-        self.threshold = threshold
 
 
 class TwoLevelBin:
     """F child lists behind F-1 immutable separators.
 
     Child i owns keys in (keys[i-1], keys[i]]; the last child is unbounded
-    above.  size totals distinct keys across all children.
+    above.  Each child counts its own splices; size totals them.
     """
 
-    __slots__ = ("keys", "children", "size", "threshold")
+    __slots__ = ("keys", "children", "size")
     is_one_level = False
 
-    def __init__(self, keys: list[int], children: list[OneLevelBin],
-                 size: int, threshold: int = DEFAULT_TLB_THRESHOLD):
+    def __init__(self, keys: list[int], children: list[OneLevelBin], size: int):
         assert len(children) == len(keys) + 1
         self.keys = keys
         self.children = children
         self.size = AtomicInt(size)
-        self.threshold = threshold
 
 
-def bin_new(key: int, value: int, clock: GlobalClock,
-            threshold: int = DEFAULT_OLB_THRESHOLD) -> OneLevelBin:
-    """Fresh one-level bin holding a single stamped (key, value) pair."""
-    ver = VersionedValue(value)
-    init_ts(ver, clock)
-    node = KNode(key, AtomicRef(ver), AtomicRef(MarkedLink(None, False)))
-    olb = OneLevelBin(threshold)
+def bin_new(key: int, value: int) -> OneLevelBin:
+    """Fresh one-level bin holding a single (key, value) pair.
+
+    The version is left unstamped: whoever publishes the bin stamps it after
+    the publishing CAS, as every other writer does."""
+    node = KNode(key, AtomicRef(VersionedValue(value)), AtomicRef(MarkedLink(None, False)))
+    olb = OneLevelBin()
     olb.head = AtomicRef(MarkedLink(node, False))
     olb.size = AtomicInt(1)
     return olb
@@ -143,8 +139,6 @@ def _olb_delete(olb: OneLevelBin, key: int, clock: GlobalClock):
         if node is None or node.item > key:
             return False
         if node.item == key:
-            if read_value_latest(node.version, clock) is None:
-                return False
             return write_value(node.version, None, clock)
         ref = node.next
 
@@ -158,34 +152,38 @@ def _olb_find(olb: OneLevelBin, key: int) -> Optional[KNode]:
     return None
 
 
-def _child_of(tlb: TwoLevelBin, key: int) -> OneLevelBin:
-    return tlb.children[bisect_left(tlb.keys, key)]
+def _list_for(bin_: Any, key: int) -> OneLevelBin:
+    """The list that owns ``key``: a one-level bin itself, or the child of a
+    two-level bin picked by its separators."""
+    if bin_.is_one_level:
+        return bin_
+    return bin_.children[bisect_left(bin_.keys, key)]
+
+
+def _lists(bin_: Any):
+    """Every list of a bin, in key order."""
+    return (bin_,) if bin_.is_one_level else bin_.children
 
 
 def insert_bin(bin_: Any, key: int, value: int, clock: GlobalClock):
     """Insert or update; True/False per the map contract, UNDER_MAKE_MODEL
-    if a freeze was observed.  Two-level size counts splices once, at the top.
+    if a freeze was observed.  A splice counts in its list's size and, in a
+    two-level bin, in the bin's total as well.
     """
-    if bin_.is_one_level:
-        result, _ = _olb_insert(bin_, key, value, clock)
-        return result
-    result, spliced = _olb_insert(_child_of(bin_, key), key, value, clock)
-    if spliced:
+    lst = _list_for(bin_, key)
+    result, spliced = _olb_insert(lst, key, value, clock)
+    if spliced and lst is not bin_:
         bin_.size.fetch_add(1)
     return result
 
 
 def delete_bin(bin_: Any, key: int, clock: GlobalClock):
-    if bin_.is_one_level:
-        return _olb_delete(bin_, key, clock)
-    return _olb_delete(_child_of(bin_, key), key, clock)
+    return _olb_delete(_list_for(bin_, key), key, clock)
 
 
 def search_bin(bin_: Any, key: int) -> Optional[KNode]:
     """Find the node for ``key`` if spliced, frozen or not.  Read-only."""
-    if bin_.is_one_level:
-        return _olb_find(bin_, key)
-    return _olb_find(_child_of(bin_, key), key)
+    return _olb_find(_list_for(bin_, key), key)
 
 
 def _olb_scan(node: Optional[KNode], lo: int, hi: int, ts: int, out: list,
@@ -224,11 +222,8 @@ def freeze_bin(bin_: Any) -> None:
     """Set the freeze bit on every link, head to tail.  Idempotent; safe to
     race with other freezers and with splices (a winning splice lands ahead
     of the frontier and gets frozen too)."""
-    if bin_.is_one_level:
-        _freeze_olb(bin_)
-    else:
-        for child in bin_.children:
-            _freeze_olb(child)
+    for lst in _lists(bin_):
+        _freeze_olb(lst)
 
 
 def _freeze_olb(olb: OneLevelBin) -> None:
@@ -252,11 +247,8 @@ def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[Atomi
     unstamped."""
     keys: list[int] = []
     versions: list[AtomicRef] = []
-    if bin_.is_one_level:
-        _collect_olb(bin_, keys, versions, clock)
-    else:
-        for child in bin_.children:
-            _collect_olb(child, keys, versions, clock)
+    for lst in _lists(bin_):
+        _collect_olb(lst, keys, versions, clock)
     return keys, versions
 
 
@@ -274,9 +266,8 @@ def _collect_olb(olb: OneLevelBin, keys: list, versions: list,
         node = link.target
 
 
-def _olb_from_sorted(keys: list[int], versions: list[AtomicRef],
-                     threshold: int) -> OneLevelBin:
-    olb = OneLevelBin(threshold)
+def _olb_from_sorted(keys: list[int], versions: list[AtomicRef]) -> OneLevelBin:
+    olb = OneLevelBin()
     link = MarkedLink(None, False)
     for item, ver in zip(reversed(keys), reversed(versions)):
         node = KNode(item, ver, AtomicRef(link))
@@ -286,17 +277,16 @@ def _olb_from_sorted(keys: list[int], versions: list[AtomicRef],
     return olb
 
 
-def olb_to_tlb(olb: OneLevelBin, clock: GlobalClock,
-               fanout: int = DEFAULT_TLB_FANOUT,
-               threshold: int = DEFAULT_TLB_THRESHOLD) -> TwoLevelBin:
-    """Split a frozen one-level bin into a fresh two-level bin.
+def olb_to_tlb(keys: list[int], versions: list[AtomicRef],
+               fanout: int) -> TwoLevelBin:
+    """A fresh two-level bin over the collected keys and version chains of a
+    frozen one-level bin.
 
     Keys are dealt out ceil-first (the first n mod F children get one
     extra), separators are each child's last key.  Child lists are rebuilt
     with fresh nodes and unfrozen links but REUSE the version-chain heads,
     so writers still holding the old bin update the same chains the new bin
     reads."""
-    keys, versions = collect_frozen(olb, clock)
     n = len(keys)
     assert n > 0, "cannot split an empty bin"
     q, r = divmod(n, fanout)
@@ -306,10 +296,9 @@ def olb_to_tlb(olb: OneLevelBin, clock: GlobalClock,
     for i in range(fanout):
         take = q + 1 if i < r else q
         children.append(_olb_from_sorted(keys[pos:pos + take],
-                                         versions[pos:pos + take],
-                                         olb.threshold))
+                                         versions[pos:pos + take]))
         pos += take
         if i < fanout - 1:
             # an empty tail child inherits the running last key
             seps.append(keys[pos - 1])  # pos > 0: n > 0 gives child 0 a key
-    return TwoLevelBin(seps, children, n, threshold)
+    return TwoLevelBin(seps, children, n)

@@ -29,13 +29,11 @@ from .core import (
     GlobalClock,
     SeekStatus,
     VersionedValue,
+    init_ts,
     read_value_latest,
     write_value,
 )
 from .bins import (
-    DEFAULT_OLB_THRESHOLD,
-    DEFAULT_TLB_FANOUT,
-    DEFAULT_TLB_THRESHOLD,
     UNDER_MAKE_MODEL,
     bin_new,
     collect_frozen,
@@ -63,10 +61,14 @@ _MAYBE = SeekStatus.MAYBE
 
 @dataclass(frozen=True)
 class IndexConfig:
+    """The bin lifecycle: a one-level bin holding ``olb_threshold`` keys is
+    split into ``tlb_fanout`` lists, and a two-level bin holding
+    ``tlb_threshold`` keys is retrained into a model node."""
+
     eps_target: float = DEFAULT_EPS_TARGET
-    olb_threshold: int = DEFAULT_OLB_THRESHOLD
-    tlb_fanout: int = DEFAULT_TLB_FANOUT
-    tlb_threshold: int = DEFAULT_TLB_THRESHOLD
+    olb_threshold: int = 64
+    tlb_fanout: int = 8
+    tlb_threshold: int = 1024
 
     def __post_init__(self):
         if not self.eps_target > 0:
@@ -99,12 +101,6 @@ class ModelNode:
         if self.table is not None:
             return search_root(self.keys, self.table, key)
         return search_nonroot(self.keys, self.model, key)
-
-
-def _retrained_node(keys: list[int], versions: list[AtomicRef]) -> ModelNode:
-    model = fit_linear(keys)
-    children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-    return ModelNode(keys, versions, children, model=model)
 
 
 class LearnedIndex:
@@ -178,15 +174,19 @@ class LearnedIndex:
             if status is _FOUND:
                 return write_value(node.versions[slot], value, clock)
             if status is _NOT_FOUND:
-                fresh = bin_new(key, value, clock, cfg.olb_threshold)
+                fresh = bin_new(key, value)
+                # read while the bin is private: once installed, a concurrent
+                # splice may put a smaller key ahead of this one
+                ver = fresh.head.load().target.version.load()
                 if self._install(node, slot, None, fresh):
+                    init_ts(ver, clock)  # stamped only once published
                     return True
                 continue  # lost to a concurrent first insert; retry
-            ref = node.children[slot]
-            bin_ = ref.load()
+            bin_ = node.children[slot].load()
             if bin_ is None or isinstance(bin_, ModelNode):
                 continue  # slot advanced underneath us
-            if bin_.size.load() >= bin_.threshold:
+            full = cfg.olb_threshold if bin_.is_one_level else cfg.tlb_threshold
+            if bin_.size.load() >= full:
                 self.help_make_model(node, slot, bin_)
                 continue
             res = insert_bin(bin_, key, value, clock)
@@ -203,10 +203,7 @@ class LearnedIndex:
         while True:
             node, slot, status = self.seek(key)
             if status is _FOUND:
-                head = node.versions[slot]
-                if read_value_latest(head, clock) is None:
-                    return False
-                return write_value(head, None, clock)
+                return write_value(node.versions[slot], None, clock)
             if status is _NOT_FOUND:
                 return False
             bin_ = node.children[slot].load()
@@ -247,18 +244,18 @@ class LearnedIndex:
     def help_make_model(self, parent: ModelNode, slot: int, bin_: Any) -> None:
         """Drive one lifecycle step for a full or frozen bin, then stop.
 
-        Freeze is idempotent; collection and construction happen on private
-        data; the single publish CAS decides the winner and losers simply
-        discard their build.  No retry: if the CAS fails the transition
-        already happened."""
-        cfg = self.config
+        Freeze, collect, build, install: freeze is idempotent; collection and
+        construction happen on private data; the single publish CAS decides
+        the winner and losers simply discard their build.  No retry: if the
+        CAS fails the transition already happened.  A one-level bin becomes
+        a two-level bin, a two-level bin a model node."""
         freeze_bin(bin_)
+        keys, versions = collect_frozen(bin_, self.clock)
         if bin_.is_one_level:
-            replacement = olb_to_tlb(bin_, self.clock,
-                                     cfg.tlb_fanout, cfg.tlb_threshold)
+            replacement = olb_to_tlb(keys, versions, self.config.tlb_fanout)
         else:
-            keys, versions = collect_frozen(bin_, self.clock)
-            replacement = _retrained_node(keys, versions)
+            children = [AtomicRef(None) for _ in range(len(keys) + 1)]
+            replacement = ModelNode(keys, versions, children, model=fit_linear(keys))
         self._install(parent, slot, bin_, replacement)
 
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:

@@ -25,6 +25,7 @@ from lfindex.core import (
     AtomicRef,
     GlobalClock,
     MarkedLink,
+    UNSET_TS,
     VersionedValue,
     read_value_latest,
     set_cas_hook,
@@ -34,10 +35,10 @@ from lfindex.core import (
 BIG_TS = 2**62
 
 
-def make_olb(pairs, clock, threshold=64):
+def make_olb(pairs, clock):
     it = iter(pairs)
     k, v = next(it)
-    olb = bin_new(k, v, clock, threshold)
+    olb = bin_new(k, v)
     for k, v in it:
         assert insert_bin(olb, k, v, clock) is True
     return olb
@@ -55,7 +56,7 @@ def list_keys(olb):
 class TestBinNew:
     def test_single_pair(self):
         clock = GlobalClock(0)
-        olb = bin_new(5, 100, clock)
+        olb = bin_new(5, 100)
         assert list_keys(olb) == [5]
         assert olb.size.load() == 1
         found = search_bin(olb, 5)
@@ -64,14 +65,14 @@ class TestBinNew:
 
     def test_key_zero(self):
         clock = GlobalClock(0)
-        olb = bin_new(0, 1, clock)
+        olb = bin_new(0, 1)
         assert list_keys(olb) == [0]
         assert search_bin(olb, 0) is not None
 
-    def test_version_is_stamped(self):
-        clock = GlobalClock(3)
-        olb = bin_new(9, 9, clock)
-        assert search_bin(olb, 9).version.load().ts == 3
+    def test_version_is_unstamped(self):
+        # the index stamps it after the CAS that publishes the bin
+        olb = bin_new(9, 9)
+        assert search_bin(olb, 9).version.load().ts == UNSET_TS
 
 
 class TestInsertBin:
@@ -154,7 +155,7 @@ class TestSearchBin:
         clock = GlobalClock(0)
         left = make_olb([(3, 30), (7, 70)], clock)
         right = make_olb([(12, 120)], clock)
-        tlb = TwoLevelBin([10], [left, right], 3, 1024)
+        tlb = TwoLevelBin([10], [left, right], 3)
         assert search_bin(tlb, 12).item == 12
         assert search_bin(tlb, 7).item == 7
         assert search_bin(tlb, 10) is None
@@ -184,7 +185,7 @@ class TestScanBin:
         old = VersionedValue(111, 4)
         head = AtomicRef(VersionedValue(222, 6, old))
         node = KNode(5, head, AtomicRef(MarkedLink(None, False)))
-        olb = OneLevelBin(64)
+        olb = OneLevelBin()
         olb.head = AtomicRef(MarkedLink(node, False))
         olb.size = AtomicInt(1)
         out = []
@@ -297,7 +298,7 @@ class TestCollectFrozen:
         clock = GlobalClock(0)
         left = make_olb([(1, 10), (4, 40)], clock)
         right = make_olb([(9, 90)], clock)
-        tlb = TwoLevelBin([4], [left, right], 3, 1024)
+        tlb = TwoLevelBin([4], [left, right], 3)
         freeze_bin(tlb)
         keys, versions = collect_frozen(tlb, clock)
         assert keys == [1, 4, 9]
@@ -318,7 +319,7 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(i, i) for i in range(8)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(olb, clock, fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
         sizes = [len(list_keys(c)) for c in tlb.children]
         assert sizes == [2, 2, 2, 2]
         assert tlb.size.load() == 8
@@ -327,7 +328,7 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(i, i) for i in range(5)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(olb, clock, fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
         sizes = [len(list_keys(c)) for c in tlb.children]
         assert sizes == [2, 1, 1, 1]
 
@@ -335,7 +336,7 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(i, i) for i in range(10, 90, 10)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(olb, clock, fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
         assert tlb.keys == [20, 40, 60]
         for k in range(10, 90, 10):
             assert search_bin(tlb, k).item == k
@@ -345,7 +346,7 @@ class TestOlbToTlb:
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
         old_node = search_bin(olb, 3)
-        tlb = olb_to_tlb(olb, clock, fanout=2)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
         # a write through the retired list's head is visible in the new bin
         assert write_value(old_node.version, 999, clock)
         assert read_value_latest(search_bin(tlb, 3).version, clock) == 999
@@ -354,7 +355,7 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(5, 50)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(olb, clock, fanout=2)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
         assert search_bin(tlb, 5).item == 5
         assert tlb.size.load() == 1
 
@@ -362,7 +363,7 @@ class TestOlbToTlb:
 class TestConcurrentBinOps:
     def test_disjoint_inserts_all_land(self):
         clock = GlobalClock(0)
-        olb = make_olb([(0, 0)], clock, threshold=10**9)
+        olb = make_olb([(0, 0)], clock)
         shares = [list(range(1 + t, 400, 4)) for t in range(4)]
         hook_rnd = random.Random(9)
         set_cas_hook(lambda c, ok: time.sleep(1e-5) if hook_rnd.random() < 0.02 else None)
@@ -396,7 +397,7 @@ def test_random_single_thread_ops_stay_sorted_and_match_a_dict(ops):
         if olb is None:
             if not is_insert:
                 continue
-            olb = bin_new(k, v, clock, 10**9)
+            olb = bin_new(k, v)
             live[k] = v
             everything.add(k)
             continue

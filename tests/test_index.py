@@ -8,11 +8,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin, insert_bin
-from lfindex.core import KEY_MAX, SeekStatus, set_cas_hook
+import lfindex.index as index_mod
+from lfindex import rangescan
+from lfindex.bins import (OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin,
+                          insert_bin, search_bin)
+from lfindex.core import KEY_MAX, UNSET_TS, SeekStatus, set_cas_hook
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import fit_linear
-from lfindex.verify import SequentialOracle, audit_structure
+from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
+                            audit_structure, check_linearizable)
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
 
@@ -183,21 +187,88 @@ class TestInsert:
         for k in keys:
             assert index.search(k) == k
 
-    def test_full_lifecycle_in_one_slot(self):
-        index = LearnedIndex.build([(0, 0), (10_000, 0)], SMALL)
+    @pytest.mark.parametrize("cfg", [SMALL, IndexConfig()], ids=["small", "default"])
+    def test_full_lifecycle_in_one_slot(self, cfg):
+        # the transition points are the config's: a new bin at the first
+        # insert, a split at olb_threshold + 1, a retrain at tlb_threshold + 1
+        index = LearnedIndex.build([(0, 0), (10_000, 0)], cfg)
         seen = []
+        done = [0]
         index.transition_log = lambda parent, slot, old, new: seen.append(
-            (type(old).__name__ if old is not None else "empty", type(new).__name__))
-        for k in range(100, 130):
+            (done[0] + 1, type(old).__name__ if old is not None else "empty",
+             type(new).__name__, new))
+        keys = range(100, 100 + 5 * cfg.tlb_threshold)
+        for k in keys:
             index.insert(k, k)
-        assert ("empty", "OneLevelBin") in seen
-        assert ("OneLevelBin", "TwoLevelBin") in seen
-        assert ("TwoLevelBin", "ModelNode") in seen
+            done[0] += 1
+        steps = [step[:3] for step in seen[:3]]
+        assert steps == [(1, "empty", "OneLevelBin"),
+                         (cfg.olb_threshold + 1, "OneLevelBin", "TwoLevelBin"),
+                         (cfg.tlb_threshold + 1, "TwoLevelBin", "ModelNode")]
+        assert len(seen[1][3].children) == cfg.tlb_fanout
         legal = {("empty", "OneLevelBin"), ("OneLevelBin", "TwoLevelBin"),
                  ("TwoLevelBin", "ModelNode")}
-        assert set(seen) <= legal
-        for k in range(100, 130):
+        assert {step[1:3] for step in seen} <= legal
+        for k in keys:
             assert index.search(k) == k
+
+
+class TestFirstInsertStamp:
+    """A fresh bin's version is stamped only after the CAS that installs it."""
+
+    def test_snapshot_taken_before_the_install_excludes_the_key(self, monkeypatch):
+        # insert(15) is preempted between building its bin and installing it;
+        # meanwhile a scan takes its snapshot time, insert(10) completes and
+        # search(15) reports the key absent.  Stamped before the install, the
+        # key would fall inside the scan's snapshot and break linearizability.
+        index = LearnedIndex.build([(10, 100), (20, 200)])
+        rec = HistoryRecorder(index)
+        took_ts, go = threading.Event(), threading.Event()
+        real_scan = rangescan.scan
+
+        def paused_scan(*args):
+            took_ts.set()
+            assert go.wait(10)
+            return real_scan(*args)
+
+        monkeypatch.setattr(rangescan, "scan", paused_scan)
+        scanner = threading.Thread(target=rec.run, args=("s", "range", 0, 100))
+        real_bin_new = index_mod.bin_new
+
+        def preempted_bin_new(*args):
+            fresh = real_bin_new(*args)
+            scanner.start()
+            assert took_ts.wait(10)
+            rec.run("b", "insert", 10, 111)
+            rec.run("b", "search", 15)
+            return fresh
+
+        monkeypatch.setattr(index_mod, "bin_new", preempted_bin_new)
+        assert rec.run("a", "insert", 15, 150) is True
+        go.set()
+        scanner.join(timeout=10)
+        assert not scanner.is_alive()
+        # the checker starts from an empty map: the bulk load goes first
+        loaded = [HistoryEvent("b", "insert", (10, 100), True, -4, -3),
+                  HistoryEvent("b", "insert", (20, 200), True, -2, -1)]
+        result = check_linearizable(loaded + rec.history())
+        assert result.ok, result.failing_prefix
+
+    def test_the_inserted_key_is_stamped_not_the_bins_first(self):
+        # a splice that lands ahead of the fresh key between the install and
+        # the stamp must not take the stamp meant for the fresh key
+        index = LearnedIndex.build([(0, 0), (100, 0)])
+
+        def splice_below(parent, slot, old, new):
+            if old is None:
+                assert insert_bin(new, 40, 4, index.clock) is True
+
+        index.transition_log = splice_below
+        assert index.insert(50, 5) is True
+        node, slot, _ = index.seek(50)
+        bin_ = node.children[slot].load()
+        assert bin_.head.load().target.item == 40
+        assert search_bin(bin_, 50).version.load().ts != UNSET_TS
 
 
 class TestDelete:
@@ -363,8 +434,17 @@ class TestLockFreedomProxy:
         # the hook fires inside the per-cell critical section, so the event
         # order per cell is exact: a failure means someone already advanced
         # the cell, which is the lock-freedom progress argument
+        # a seeded stall inside the critical section makes the threads
+        # collide on every run, not only when the scheduler happens to
         events = []
-        set_cas_hook(lambda cell, ok: events.append((id(cell), ok)))
+        hook_rnd = random.Random(15)
+
+        def record(cell, ok):
+            events.append((id(cell), ok))
+            if hook_rnd.random() < 0.05:
+                time.sleep(1e-5)
+
+        set_cas_hook(record)
         try:
             index = LearnedIndex.build([(0, 0), (10**6, 0)], SMALL)
             shares = [list(range(100 + t, 3_000, 4)) for t in range(4)]
