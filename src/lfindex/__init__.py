@@ -18,7 +18,7 @@ Quick start::
     index.delete(20)        # True
 """
 
-from .core import TOMBSTONE, SeekStatus, set_cas_hook
+from .core import TOMBSTONE, set_cas_hook
 from .harness import (
     DatasetSpec,
     WorkloadSpec,
@@ -53,7 +53,6 @@ __all__ = [
     "LearnedIndex",
     "Model",
     "Segment",
-    "SeekStatus",
     "SequentialOracle",
     "TOMBSTONE",
     "WORKLOAD_PRESETS",

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bins import (collect_frozen, freeze_bin, insert_bin, delete_bin, search_bin,
-                   UNDER_MAKE_MODEL)
-from .core import KEY_MAX, SeekStatus, set_cas_hook
+from .bins import (OneLevelBin, collect_frozen, freeze_bin, insert_bin, delete_bin,
+                   search_bin, UNDER_MAKE_MODEL)
+from .core import KEY_MAX, set_cas_hook
 from .harness import (
     DatasetSpec,
     generate_dataset,
@@ -31,7 +31,7 @@ from .harness import (
     prepare_index,
     run_workload,
 )
-from .index import IndexConfig, LearnedIndex, ModelNode
+from .index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from .models import fit_linear, root_table, search_nonroot, search_root, segment_root
 from .rangescan import scan
 from .verify import (
@@ -185,8 +185,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         index = LearnedIndex.build([(0, 0), (KEY_MAX, 0)], cfg)
         for k in rng.sample(range(1, KEY_MAX), cfg.tlb_threshold):
             index.insert(k, k)
-        node, slot, _ = index.seek(1)
-        bin_ = node.children[slot].load()
+        node, slot, bin_ = index.seek(1)
         installs = []
         index.transition_log = lambda _parent, _slot, _old, new: installs.append(new)
         barrier = threading.Barrier(helpers)
@@ -461,11 +460,11 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
     chain_ts: dict[int, list] = {}
     chain_val: dict[int, list] = {}
     for k in keys:
-        node, slot, status = index.seek(k)
-        if status is SeekStatus.FOUND:
-            ver = node.versions[slot].load()
+        node, i, child = index.seek(k)
+        if child is FOUND:
+            ver = node.versions[i].load()
         else:
-            kn = search_bin(node.children[slot].load(), k)
+            kn = search_bin(child, k)
             ver = kn.version.load() if kn is not None else None
         rev = []
         while ver is not None:
@@ -567,12 +566,11 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
         index.insert(k, k * 10)
     index.delete(14)
 
-    node, slot, status = index.seek(12)
+    node, slot, bin_ = index.seek(12)
     problems = []
-    if status is not SeekStatus.MAYBE:
-        problems.append(f"expected a bin slot, got {status}")
+    if not isinstance(bin_, OneLevelBin):
+        problems.append(f"expected a one-level bin, got {bin_!r}")
     else:
-        bin_ = node.children[slot].load()
         freeze_bin(bin_)
         if index.search(12) != 120 or index.search(16) != 160:
             problems.append("search through a frozen bin returned wrong values")

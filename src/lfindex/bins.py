@@ -64,9 +64,9 @@ class OneLevelBin:
     __slots__ = ("head", "size")
     is_one_level = True
 
-    def __init__(self):
-        self.head = AtomicRef(MarkedLink(None, False))
-        self.size = AtomicInt(0)    # distinct keys spliced, not value updates
+    def __init__(self, first: Optional[KNode], size: int):
+        self.head = AtomicRef(MarkedLink(first, False))
+        self.size = AtomicInt(size)  # distinct keys spliced, not value updates
 
 
 class TwoLevelBin:
@@ -86,16 +86,14 @@ class TwoLevelBin:
         self.size = AtomicInt(size)
 
 
-def bin_new(key: int, value: int) -> OneLevelBin:
-    """Fresh one-level bin holding a single (key, value) pair.
+def bin_new(key: int, value: int) -> tuple[OneLevelBin, VersionedValue]:
+    """Fresh one-level bin holding a single (key, value) pair, and its version.
 
     The version is left unstamped: whoever publishes the bin stamps it after
     the publishing CAS, as every other writer does."""
-    node = KNode(key, AtomicRef(VersionedValue(value)), AtomicRef(MarkedLink(None, False)))
-    olb = OneLevelBin()
-    olb.head = AtomicRef(MarkedLink(node, False))
-    olb.size = AtomicInt(1)
-    return olb
+    ver = VersionedValue(value)
+    node = KNode(key, AtomicRef(ver), AtomicRef(MarkedLink(None, False)))
+    return OneLevelBin(node, 1), ver
 
 
 def _olb_insert(olb: OneLevelBin, key: int, value: int, clock: GlobalClock):
@@ -267,14 +265,10 @@ def _collect_olb(olb: OneLevelBin, keys: list, versions: list,
 
 
 def _olb_from_sorted(keys: list[int], versions: list[AtomicRef]) -> OneLevelBin:
-    olb = OneLevelBin()
-    link = MarkedLink(None, False)
+    node = None
     for item, ver in zip(reversed(keys), reversed(versions)):
-        node = KNode(item, ver, AtomicRef(link))
-        link = MarkedLink(node, False)
-    olb.head = AtomicRef(link)
-    olb.size = AtomicInt(len(keys))
-    return olb
+        node = KNode(item, ver, AtomicRef(MarkedLink(node, False)))
+    return OneLevelBin(node, len(keys))
 
 
 def olb_to_tlb(keys: list[int], versions: list[AtomicRef],

@@ -15,7 +15,6 @@ timestamped reads surface as the distinct ``TOMBSTONE`` sentinel.
 from __future__ import annotations
 
 import threading
-from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional
 
 KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
@@ -227,10 +226,4 @@ def write_value(head_ref: AtomicRef, new_val: Any, clock: GlobalClock) -> bool:
         if head_ref.compare_and_swap(cur, nxt):
             init_ts(nxt, clock)
             return True
-
-
-class SeekStatus(Enum):
-    FOUND = "found"          # key present in a model node at the given slot
-    NOT_FOUND = "not-found"  # routing child slot is empty: key nowhere
-    MAYBE = "maybe"          # routing slot holds a bin that may contain it
 

@@ -63,11 +63,9 @@ def generate_dataset(spec: DatasetSpec) -> np.ndarray:
             raw = rng.integers(spec.lo, spec.hi, spec.size, dtype=np.uint64)
         elif spec.source == "normal":
             raw = _clamp_to_keys(rng.normal(spec.loc, spec.scale, spec.size))
-        elif spec.source == "lognormal":
+        else:  # lognormal
             x = rng.lognormal(spec.mu, spec.sigma, spec.size) * spec.multiplier
             raw = _clamp_to_keys(x)
-        else:
-            raise ValueError(f"unknown dataset source {spec.source!r}")
     return np.unique(raw)
 
 
@@ -142,6 +140,12 @@ class WorkloadSpec:
             raise ValueError("threads must be >= 1")
         if self.duration is None and not self.total_ops:
             raise ValueError("need total_ops or duration")
+        if self.total_ops is not None and self.total_ops < 0:
+            raise ValueError("total_ops must be >= 0")
+        if self.duration is not None and not self.duration > 0:
+            raise ValueError("duration must be positive")
+        if self.range_width < 0:
+            raise ValueError("range_width must be >= 0")
         if self.key_dist not in ("uniform", "zipfian"):
             raise ValueError(f"unknown key_dist {self.key_dist!r}")
 
@@ -257,6 +261,7 @@ def run_workload(index: LearnedIndex, keys: np.ndarray,
 
     nthreads = spec.threads
     counts = [(0, 0, 0, 0)] * nthreads
+    errors: list[Exception] = []
     barrier = threading.Barrier(nthreads + 1)
 
     def worker(t: int, budget: Optional[int]) -> None:
@@ -294,21 +299,33 @@ def run_workload(index: LearnedIndex, keys: np.ndarray,
                 local[c] += 1
         counts[t] = tuple(local)
 
+    def run(t: int, budget: Optional[int]) -> None:
+        try:
+            worker(t, budget)
+        except Exception as exc:  # re-raised after the joins
+            errors.append(exc)
+            barrier.abort()  # one that fails before the start strands no one
+
     if spec.duration is not None:
         budgets = [None] * nthreads
     else:
         per = spec.total_ops // nthreads
         budgets = [per] * nthreads
         budgets[0] += spec.total_ops - per * nthreads
-    threads = [threading.Thread(target=worker, args=(t, budgets[t]))
+    threads = [threading.Thread(target=run, args=(t, budgets[t]))
                for t in range(nthreads)]
     for th in threads:
         th.start()
-    barrier.wait()
+    try:
+        barrier.wait()
+    except threading.BrokenBarrierError:
+        pass  # a worker failed before the start; raised below
     start = time.perf_counter()
     for th in threads:
         th.join()
     elapsed = time.perf_counter() - start
+    if errors:
+        raise errors[0]
 
     total = tuple(sum(c[i] for c in counts) for i in range(4))
     return WorkloadReport(label, spec, total, elapsed)

@@ -12,10 +12,12 @@ Structure invariants the operations below maintain:
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
 
-Every operation is a retry loop around ``seek``: a slot observed mid-
-transition (frozen bin, or a bin replaced under us) sends the operation
-back through seek, which terminates because slots only move forward
-through a finite lifecycle.
+Every operation acts on the child that ``seek`` loaded; no operation reads
+a child slot a second time.  Insert and delete are retry loops around seek:
+a full or frozen bin, or a lost install, sends them back through seek,
+which terminates because slots only move forward through a finite
+lifecycle.  Search reads once and never retries: a bin it is handed is read
+as it is, frozen or not.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .core import (
     KEY_MAX,
     AtomicRef,
     GlobalClock,
-    SeekStatus,
     VersionedValue,
     init_ts,
     read_value_latest,
@@ -53,10 +54,16 @@ from .models import (
 )
 from .rangescan import range_search
 
-# bound once: an Enum member read through its class costs a lookup per use
-_FOUND = SeekStatus.FOUND
-_NOT_FOUND = SeekStatus.NOT_FOUND
-_MAYBE = SeekStatus.MAYBE
+
+class _Found:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "FOUND"
+
+
+#: ``seek``'s child when the key lives in the model node itself.
+FOUND = _Found()
 
 
 @dataclass(frozen=True)
@@ -140,24 +147,22 @@ class LearnedIndex:
         root = ModelNode(keys, versions, children, segments=segments)
         return cls(root, GlobalClock(0), cfg)
 
-    def seek(self, key: int) -> tuple[ModelNode, int, SeekStatus]:
-        """Walk model nodes toward ``key``; returns (node, slot, status).
+    def seek(self, key: int) -> tuple[ModelNode, int, Any]:
+        """Walk model nodes toward ``key``; returns (node, i, child).
 
-        FOUND: (node, key index) where the key lives in a model node.
-        NOT_FOUND: (node, child slot) where the routing slot is empty, so
-        the key is nowhere in the index right now.
-        MAYBE: (node, child slot) whose bin may hold the key."""
+        ``child`` is FOUND when ``key == node.keys[i]``.  Otherwise ``i`` is
+        the routing child slot and ``child`` is what seek loaded there:
+        None, so the key is nowhere in the index right now, or a bin that
+        may hold it."""
         node = self.root
         ix, found = search_root(node.keys, node.table, key)
         while True:
             if found:
-                return node, ix, _FOUND
+                return node, ix, FOUND
             slot = ix + 1
             child = node.children[slot].load()
-            if child is None:
-                return node, slot, _NOT_FOUND
             if not isinstance(child, ModelNode):
-                return node, slot, _MAYBE
+                return node, slot, child
             node = child
             ix, found = search_nonroot(node.keys, node.model, key)
 
@@ -170,28 +175,22 @@ class LearnedIndex:
         clock = self.clock
         cfg = self.config
         while True:
-            node, slot, status = self.seek(key)
-            if status is _FOUND:
-                return write_value(node.versions[slot], value, clock)
-            if status is _NOT_FOUND:
-                fresh = bin_new(key, value)
-                # read while the bin is private: once installed, a concurrent
-                # splice may put a smaller key ahead of this one
-                ver = fresh.head.load().target.version.load()
-                if self._install(node, slot, None, fresh):
+            node, i, child = self.seek(key)
+            if child is FOUND:
+                return write_value(node.versions[i], value, clock)
+            if child is None:
+                fresh, ver = bin_new(key, value)
+                if self._install(node, i, None, fresh):
                     init_ts(ver, clock)  # stamped only once published
                     return True
                 continue  # lost to a concurrent first insert; retry
-            bin_ = node.children[slot].load()
-            if bin_ is None or isinstance(bin_, ModelNode):
-                continue  # slot advanced underneath us
-            full = cfg.olb_threshold if bin_.is_one_level else cfg.tlb_threshold
-            if bin_.size.load() >= full:
-                self.help_make_model(node, slot, bin_)
+            full = cfg.olb_threshold if child.is_one_level else cfg.tlb_threshold
+            if child.size.load() >= full:
+                self.help_make_model(node, i, child)
                 continue
-            res = insert_bin(bin_, key, value, clock)
+            res = insert_bin(child, key, value, clock)
             if res is UNDER_MAKE_MODEL:
-                self.help_make_model(node, slot, bin_)
+                self.help_make_model(node, i, child)
                 continue
             return res
 
@@ -201,39 +200,32 @@ class LearnedIndex:
             raise ValueError("key outside the 63-bit domain")
         clock = self.clock
         while True:
-            node, slot, status = self.seek(key)
-            if status is _FOUND:
-                return write_value(node.versions[slot], None, clock)
-            if status is _NOT_FOUND:
+            node, i, child = self.seek(key)
+            if child is FOUND:
+                return write_value(node.versions[i], None, clock)
+            if child is None:
                 return False
-            bin_ = node.children[slot].load()
-            if bin_ is None or isinstance(bin_, ModelNode):
-                continue
-            res = delete_bin(bin_, key, clock)
+            res = delete_bin(child, key, clock)
             if res is UNDER_MAKE_MODEL:
-                self.help_make_model(node, slot, bin_)
+                self.help_make_model(node, i, child)
                 continue
             return res
 
     def search(self, key: int) -> Optional[int]:
-        """Latest payload, or None when absent.  Never helps, never blocks;
-        its only write is a timestamp assignment on an unstamped head."""
+        """Latest payload, or None when absent.  Never helps, never blocks,
+        never retries; its only write is a timestamp assignment on an
+        unstamped head."""
         if not 0 <= key <= KEY_MAX:
             raise ValueError("key outside the 63-bit domain")
-        clock = self.clock
-        while True:
-            node, slot, status = self.seek(key)
-            if status is _FOUND:
-                return read_value_latest(node.versions[slot], clock)
-            if status is _NOT_FOUND:
-                return None
-            bin_ = node.children[slot].load()
-            if bin_ is None or isinstance(bin_, ModelNode):
-                continue
-            knode = search_bin(bin_, key)
-            if knode is None:
-                return None
-            return read_value_latest(knode.version, clock)
+        node, i, child = self.seek(key)
+        if child is FOUND:
+            return read_value_latest(node.versions[i], self.clock)
+        if child is None:
+            return None
+        knode = search_bin(child, key)
+        if knode is None:
+            return None
+        return read_value_latest(knode.version, self.clock)
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:

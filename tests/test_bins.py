@@ -21,7 +21,6 @@ from lfindex.bins import (
     search_bin,
 )
 from lfindex.core import (
-    AtomicInt,
     AtomicRef,
     GlobalClock,
     MarkedLink,
@@ -38,7 +37,7 @@ BIG_TS = 2**62
 def make_olb(pairs, clock):
     it = iter(pairs)
     k, v = next(it)
-    olb = bin_new(k, v)
+    olb, _ = bin_new(k, v)
     for k, v in it:
         assert insert_bin(olb, k, v, clock) is True
     return olb
@@ -56,23 +55,25 @@ def list_keys(olb):
 class TestBinNew:
     def test_single_pair(self):
         clock = GlobalClock(0)
-        olb = bin_new(5, 100)
+        olb, ver = bin_new(5, 100)
         assert list_keys(olb) == [5]
         assert olb.size.load() == 1
         found = search_bin(olb, 5)
         assert found is not None
+        assert found.version.load() is ver
         assert read_value_latest(found.version, clock) == 100
 
     def test_key_zero(self):
         clock = GlobalClock(0)
-        olb = bin_new(0, 1)
+        olb, _ = bin_new(0, 1)
         assert list_keys(olb) == [0]
         assert search_bin(olb, 0) is not None
 
     def test_version_is_unstamped(self):
         # the index stamps it after the CAS that publishes the bin
-        olb = bin_new(9, 9)
-        assert search_bin(olb, 9).version.load().ts == UNSET_TS
+        olb, ver = bin_new(9, 9)
+        assert search_bin(olb, 9).version.load() is ver
+        assert ver.ts == UNSET_TS
 
 
 class TestInsertBin:
@@ -185,9 +186,7 @@ class TestScanBin:
         old = VersionedValue(111, 4)
         head = AtomicRef(VersionedValue(222, 6, old))
         node = KNode(5, head, AtomicRef(MarkedLink(None, False)))
-        olb = OneLevelBin()
-        olb.head = AtomicRef(MarkedLink(node, False))
-        olb.size = AtomicInt(1)
+        olb = OneLevelBin(node, 1)
         out = []
         scan_bin(olb, 0, 10, 5, out, clock)
         assert out == [(5, 111)]
@@ -397,7 +396,7 @@ def test_random_single_thread_ops_stay_sorted_and_match_a_dict(ops):
         if olb is None:
             if not is_insert:
                 continue
-            olb = bin_new(k, v)
+            olb, _ = bin_new(k, v)
             live[k] = v
             everything.add(k)
             continue

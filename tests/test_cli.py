@@ -53,6 +53,13 @@ class TestBench:
             main(FAST_BENCH + ["--workload", "custom", "--mix", "0.5,0.4,0.2"])
         assert exc.value.code == 2
 
+    def test_negative_range_width(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(FAST_BENCH + ["--workload", "read-heavy", "--range-frac", "0.1",
+                               "--range-width", "-3"])
+        assert exc.value.code == 2
+        assert "range_width" in capsys.readouterr().err
+
     def test_unknown_dataset_kind(self):
         with pytest.raises(SystemExit) as exc:
             main(FAST_BENCH + ["--workload", "read-heavy", "--dataset", "weibull"])

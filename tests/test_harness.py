@@ -126,6 +126,9 @@ class TestWorkloadSpec:
         dict(threads=0),
         dict(total_ops=None),
         dict(total_ops=0),
+        dict(total_ops=-5),
+        dict(total_ops=None, duration=-1.0),
+        dict(range_width=-3),
         dict(key_dist="pareto"),
     ])
     def test_rejects(self, kwargs):
@@ -286,6 +289,28 @@ class TestRunWorkload:
         report = run_workload(index, keys, spec)
         assert report.total_ops > 0
         assert 0.3 <= report.elapsed < 1.5
+
+    @pytest.mark.parametrize("fault, error", [
+        ("search raises", RuntimeError),       # mid-run
+        ("no range method", AttributeError),   # before the start barrier
+    ])
+    def test_a_worker_exception_is_raised(self, fault, error):
+        # the exception surfaces: no report of zero counts, no hang
+        keys = generate_dataset(DatasetSpec(size=500, seed=5))
+        index, _ = prepare_index(keys, 250)
+
+        def search(k):
+            raise RuntimeError("search failed")
+
+        broken = SimpleNamespace(search=index.search, insert=index.insert,
+                                 delete=index.delete, range=index.range)
+        if fault == "search raises":
+            broken.search = search
+        else:
+            del broken.range
+        spec = WorkloadSpec(mix=(1.0, 0.0, 0.0), total_ops=1_000, threads=2, seed=1)
+        with pytest.raises(error):
+            run_workload(broken, keys, spec)
 
     def test_empty_dataset_rejected(self):
         index, _ = prepare_index(np.array([], dtype=np.uint64), 0)

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import sys
 import threading
 import time
 
@@ -12,8 +13,8 @@ import lfindex.index as index_mod
 from lfindex import rangescan
 from lfindex.bins import (OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin,
                           insert_bin, search_bin)
-from lfindex.core import KEY_MAX, UNSET_TS, SeekStatus, set_cas_hook
-from lfindex.index import IndexConfig, LearnedIndex, ModelNode
+from lfindex.core import KEY_MAX, UNSET_TS, set_cas_hook
+from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import fit_linear
 from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
                             audit_structure, check_linearizable)
@@ -22,10 +23,9 @@ SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
 
 
 def slot_type(index, key):
-    node, slot, status = index.seek(key)
-    if status is SeekStatus.FOUND:
+    _, _, child = index.seek(key)
+    if child is FOUND:
         return "model-key"
-    child = node.children[slot].load()
     if child is None:
         return "empty"
     if isinstance(child, OneLevelBin):
@@ -86,22 +86,23 @@ class TestBuild:
 class TestSeek:
     def test_found_in_root(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
-        node, slot, status = index.seek(10)
-        assert status is SeekStatus.FOUND
-        assert node is index.root and slot == 0
+        node, i, child = index.seek(10)
+        assert child is FOUND
+        assert node is index.root and i == 0
 
     def test_empty_slot(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
-        node, slot, status = index.seek(15)
-        assert status is SeekStatus.NOT_FOUND
+        node, slot, child = index.seek(15)
+        assert child is None
         assert node is index.root and slot == 1
 
     def test_bin_slot(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
         index.insert(15, 150)
-        node, slot, status = index.seek(16)
-        assert status is SeekStatus.MAYBE
+        node, slot, child = index.seek(16)
+        assert isinstance(child, OneLevelBin)
         assert slot == 1
+        assert child is node.children[slot].load()
 
     def test_descends_into_retrained_nodes(self):
         index = LearnedIndex.build([(0, 0), (1000, 1)], SMALL)
@@ -109,9 +110,9 @@ class TestSeek:
         for k in keys:
             index.insert(k, k)
         # enough inserts for slot 1 to have become a model node
-        node, slot, status = index.seek(keys[0])
-        assert status is SeekStatus.FOUND
-        assert node is not index.root
+        node, i, child = index.seek(keys[0])
+        assert child is FOUND
+        assert node is not index.root and node.keys[i] == keys[0]
         for k in keys:
             assert index.search(k) == k
 
@@ -213,6 +214,54 @@ class TestInsert:
             assert index.search(k) == k
 
 
+    def test_racing_first_inserts_install_one_bin(self):
+        # eight first inserts into one empty slot: one install wins, the
+        # losers retry through seek and splice into the winner's bin
+        hook_rnd = random.Random(16)
+        lost = [0]
+        keys = list(range(100, 900, 100))
+        old_interval = sys.getswitchinterval()
+        for trial in range(50):
+            index = LearnedIndex.build([(0, 0), (1000, 0)])
+            slot_cell = index.root.children[1]
+
+            def stall(cell, ok):
+                if cell is slot_cell and not ok:
+                    lost[0] += 1
+                if hook_rnd.random() < 0.3:
+                    time.sleep(1e-5)
+
+            installs = []
+            index.transition_log = lambda parent, slot, old, new: installs.append((old, new))
+            results = [None] * len(keys)
+            barrier = threading.Barrier(len(keys))
+
+            def run(j):
+                barrier.wait(10)
+                results[j] = index.insert(keys[j], keys[j])
+
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(len(keys))]
+            sys.setswitchinterval(1e-6)
+            set_cas_hook(stall)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                set_cas_hook(None)
+                sys.setswitchinterval(old_interval)
+            assert not any(t.is_alive() for t in threads)
+            assert len(installs) == 1, f"trial {trial}: {installs}"
+            assert installs[0][0] is None and isinstance(installs[0][1], OneLevelBin)
+            assert results == [True] * len(keys)
+            for k in keys:
+                assert index.search(k) == k
+            report = audit_structure(index)
+            assert report.ok, report.findings[:3]
+        assert lost[0] > 0  # some trial took the lost-install retry
+
+
 class TestFirstInsertStamp:
     """A fresh bin's version is stamped only after the CAS that installs it."""
 
@@ -265,8 +314,7 @@ class TestFirstInsertStamp:
 
         index.transition_log = splice_below
         assert index.insert(50, 5) is True
-        node, slot, _ = index.seek(50)
-        bin_ = node.children[slot].load()
+        _, _, bin_ = index.seek(50)
         assert bin_.head.load().target.item == 40
         assert search_bin(bin_, 50).version.load().ts != UNSET_TS
 
@@ -302,9 +350,7 @@ class TestHelpMakeModel:
         index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
         for k in (10, 20, 30):
             index.insert(k, k)
-        node, slot, status = index.seek(10)
-        assert status is SeekStatus.MAYBE
-        bin_ = node.children[slot].load()
+        node, slot, bin_ = index.seek(10)
         assert isinstance(bin_, OneLevelBin)
         index.help_make_model(node, slot, bin_)
         replaced = node.children[slot].load()
@@ -318,8 +364,7 @@ class TestHelpMakeModel:
         keys = random.Random(1).sample(range(100, 10_000), 1024)
         for k in keys:
             index.insert(k, k)
-        node, slot, status = index.seek(keys[0])
-        bin_ = node.children[slot].load()
+        node, slot, bin_ = index.seek(keys[0])
         assert isinstance(bin_, TwoLevelBin)
         assert bin_.size.load() == 1024
         index.help_make_model(node, slot, bin_)
@@ -343,8 +388,7 @@ class TestHelpMakeModel:
                     index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
                     for k in keys:
                         index.insert(k, k)
-                    node, slot, status = index.seek(10)
-                    bin_ = node.children[slot].load()
+                    node, slot, bin_ = index.seek(10)
                     installs = []
                     index.transition_log = (
                         lambda parent, slot, old, new: installs.append((slot, new)))
@@ -380,8 +424,7 @@ class TestHelpMakeModel:
         index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
         for k in (10, 20, 30):
             index.insert(k, k)
-        node, slot, _ = index.seek(10)
-        bin_ = node.children[slot].load()
+        node, slot, bin_ = index.seek(10)
         freeze_bin(bin_)
         for k in (10, 20, 30):
             assert index.search(k) == k

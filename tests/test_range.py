@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import freeze_bin
-from lfindex.core import KEY_MAX, SeekStatus
+from lfindex.bins import OneLevelBin, freeze_bin
+from lfindex.core import KEY_MAX
 from lfindex.index import IndexConfig, LearnedIndex
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
@@ -61,9 +61,9 @@ class TestVisibility:
         index = LearnedIndex.build([(0, 0), (100, 9)], SMALL)
         for k in (10, 20, 30):
             index.insert(k, k)
-        node, slot, status = index.seek(10)
-        assert status is SeekStatus.MAYBE
-        freeze_bin(node.children[slot].load())
+        _, _, bin_ = index.seek(10)
+        assert isinstance(bin_, OneLevelBin)
+        freeze_bin(bin_)
         assert index.range(0, 100) == [(0, 0), (10, 10), (20, 20), (30, 30), (100, 9)]
 
     def test_scan_crosses_retrained_nodes(self):
