@@ -183,7 +183,14 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
 
     def race(helpers: int):
         index = LearnedIndex.build([(0, 0), (KEY_MAX, 0)], cfg)
-        for k in rng.sample(range(1, KEY_MAX), cfg.tlb_threshold):
+        keys = rng.sample(range(1, KEY_MAX), cfg.tlb_threshold)
+        # the first olb_threshold keys set the separators: take them evenly
+        # from the sorted sample, so every list ends with the same share and
+        # none reaches list_threshold before the bin's total is full
+        step = cfg.tlb_threshold // cfg.olb_threshold
+        first = sorted(keys)[step - 1::step]
+        chosen = set(first)
+        for k in first + [k for k in keys if k not in chosen]:
             index.insert(k, k)
         node, slot, bin_ = index.seek(1)
         installs = []

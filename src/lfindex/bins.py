@@ -163,6 +163,11 @@ def _lists(bin_: Any):
     return (bin_,) if bin_.is_one_level else bin_.children
 
 
+def list_size(bin_: Any, key: int) -> int:
+    """Keys spliced into the list that owns ``key``."""
+    return _list_for(bin_, key).size.load()
+
+
 def insert_bin(bin_: Any, key: int, value: int, clock: GlobalClock):
     """Insert or update; True/False per the map contract, UNDER_MAKE_MODEL
     if a freeze was observed.  A splice counts in its list's size and, in a

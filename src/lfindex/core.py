@@ -108,6 +108,32 @@ class MarkedLink(NamedTuple):
     frozen: bool
 
 
+class Inner:
+    """Base of what a model-node child slot holds other than None or a bin:
+    a model node, or a frozen slot.  A walker tells the two groups apart
+    with one isinstance test."""
+
+    __slots__ = ()
+
+
+class Frozen(Inner):
+    """A model-node child slot frozen by a compaction job.
+
+    ``content`` is what the slot held when it froze (None, a bin or a model
+    node); the slot never changes again.  ``job`` is ``(parent, slot,
+    keys)``: the compaction installs in ``parent.children[slot]`` over the
+    model node whose keys list is ``keys``.  The job names that node by its
+    keys list rather than by the node itself, so a replaced subtree holds
+    no reference back to its root and reference counting frees it.
+    """
+
+    __slots__ = ("content", "job")
+
+    def __init__(self, content: Any, job: tuple):
+        self.content = content
+        self.job = job
+
+
 class VersionedValue:
     """One version in a per-key chain: payload, write timestamp, older tail.
 

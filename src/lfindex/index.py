@@ -3,32 +3,52 @@
 Structure invariants the operations below maintain:
 
 - A model node's keys and model are immutable after construction; only its
-  child slots change, and each slot moves monotonically through
+  child slots change.  A slot moves forward through
   empty -> one-level bin -> two-level bin -> model node, each step a single
-  CAS.  The root is never replaced.
+  CAS; any slot may instead be frozen (wrapped, content and all, in an
+  immutable ``Frozen``), after which it never changes again; and a slot
+  holding a model node may move to a new model node by a compaction
+  install.  The root is never replaced.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
 - Retrains never move version chains: replacement structures reuse the
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
 
+A two-level bin is retrained into a model node when it holds
+``tlb_threshold`` keys or when the list a key routes to holds
+``list_threshold`` keys.  Each retrain hangs its node in the bin's slot, so
+ascending inserts would grow a chain of nested nodes; compaction bounds the
+depth.  After a retrain, the highest non-root node on the new node's path
+whose on-path descendants hold at least ``COMPACT_RATIO`` times its own key
+count is rebuilt, with its whole subtree, as one model node: one in-order
+walk freezes every slot and bin of the subtree and collects the keys and
+chain heads, one node is fitted over them, and one CAS installs it in the
+parent's slot.  Any thread that meets a frozen slot can finish the job,
+and every helper builds the same node.
+
 Every operation acts on the child that ``seek`` loaded; no operation reads
-a child slot a second time.  Insert and delete are retry loops around seek:
-a full or frozen bin, or a lost install, sends them back through seek,
-which terminates because slots only move forward through a finite
-lifecycle.  Search reads once and never retries: a bin it is handed is read
-as it is, frozen or not.
+a child slot a second time.  ``seek`` reads through frozen slots, so a
+frozen subtree still answers reads, and its chains still take overwrites.
+Insert and delete are retry loops around seek: a full or frozen bin, or a
+lost install, sends them back through seek.  An install CAS that finds its
+slot frozen first helps that compaction to its end, so every retry follows
+a step that some thread completed.  Search reads once and never retries: a
+bin it is handed is read as it is, frozen or not.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     KEY_MAX,
     AtomicRef,
+    Frozen,
     GlobalClock,
+    Inner,
     VersionedValue,
     init_ts,
     read_value_latest,
@@ -41,6 +61,7 @@ from .bins import (
     delete_bin,
     freeze_bin,
     insert_bin,
+    list_size,
     olb_to_tlb,
     search_bin,
 )
@@ -65,12 +86,17 @@ class _Found:
 #: ``seek``'s child when the key lives in the model node itself.
 FOUND = _Found()
 
+#: A non-root node is compacted once the model nodes below it on a new
+#: node's path hold this many times its own keys.
+COMPACT_RATIO = 1
+
 
 @dataclass(frozen=True)
 class IndexConfig:
     """The bin lifecycle: a one-level bin holding ``olb_threshold`` keys is
     split into ``tlb_fanout`` lists, and a two-level bin holding
-    ``tlb_threshold`` keys is retrained into a model node."""
+    ``tlb_threshold`` keys, or whose list for an inserted key holds
+    ``list_threshold`` keys, is retrained into a model node."""
 
     eps_target: float = DEFAULT_EPS_TARGET
     olb_threshold: int = 64
@@ -85,8 +111,14 @@ class IndexConfig:
         if self.tlb_fanout < 2:
             raise ValueError("fanout must be >= 2")
 
+    @property
+    def list_threshold(self) -> int:
+        """Keys in one list of a two-level bin that make the bin full: twice
+        the mean list of a full bin, so key order cannot make lists long."""
+        return 2 * self.tlb_threshold // self.tlb_fanout
 
-class ModelNode:
+
+class ModelNode(Inner):
     """Immutable keys + model, one version chain per key, m+1 child slots.
 
     The root carries a piecewise model (``segments``, flattened once into
@@ -151,9 +183,9 @@ class LearnedIndex:
         """Walk model nodes toward ``key``; returns (node, i, child).
 
         ``child`` is FOUND when ``key == node.keys[i]``.  Otherwise ``i`` is
-        the routing child slot and ``child`` is what seek loaded there:
-        None, so the key is nowhere in the index right now, or a bin that
-        may hold it."""
+        the routing child slot and ``child`` is what seek loaded there, or
+        the content of that slot if it was frozen: None, so the key is
+        nowhere in the index right now, or a bin that may hold it."""
         node = self.root
         ix, found = search_root(node.keys, node.table, key)
         while True:
@@ -161,8 +193,12 @@ class LearnedIndex:
                 return node, ix, FOUND
             slot = ix + 1
             child = node.children[slot].load()
-            if not isinstance(child, ModelNode):
+            if not isinstance(child, Inner):
                 return node, slot, child
+            if child.__class__ is Frozen:  # a compaction is under way here
+                child = child.content
+                if not isinstance(child, ModelNode):
+                    return node, slot, child
             node = child
             ix, found = search_nonroot(node.keys, node.model, key)
 
@@ -183,9 +219,13 @@ class LearnedIndex:
                 if self._install(node, i, None, fresh):
                     init_ts(ver, clock)  # stamped only once published
                     return True
-                continue  # lost to a concurrent first insert; retry
-            full = cfg.olb_threshold if child.is_one_level else cfg.tlb_threshold
-            if child.size.load() >= full:
+                continue  # lost to a concurrent first insert or a freeze; retry
+            if child.is_one_level:
+                full = child.size.load() >= cfg.olb_threshold
+            else:
+                full = (child.size.load() >= cfg.tlb_threshold
+                        or list_size(child, key) >= cfg.list_threshold)
+            if full:
                 self.help_make_model(node, i, child)
                 continue
             res = insert_bin(child, key, value, clock)
@@ -239,20 +279,112 @@ class LearnedIndex:
         Freeze, collect, build, install: freeze is idempotent; collection and
         construction happen on private data; the single publish CAS decides
         the winner and losers simply discard their build.  No retry: if the
-        CAS fails the transition already happened.  A one-level bin becomes
-        a two-level bin, a two-level bin a model node."""
+        CAS fails the transition already happened, or a compaction froze the
+        slot and has been helped to its end.  A one-level bin becomes a
+        two-level bin, a two-level bin a model node; the thread whose model
+        node goes in then compacts above it if the path calls for it."""
         freeze_bin(bin_)
         keys, versions = collect_frozen(bin_, self.clock)
         if bin_.is_one_level:
-            replacement = olb_to_tlb(keys, versions, self.config.tlb_fanout)
-        else:
-            children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-            replacement = ModelNode(keys, versions, children, model=fit_linear(keys))
-        self._install(parent, slot, bin_, replacement)
+            self._install(parent, slot, bin_,
+                          olb_to_tlb(keys, versions, self.config.tlb_fanout))
+            return
+        fresh = _node_over(keys, versions)
+        if self._install(parent, slot, bin_, fresh):
+            self._compact_above(fresh)
+
+    def _compact_above(self, new: ModelNode) -> None:
+        """Compact the highest non-root node on ``new``'s path whose on-path
+        descendants hold at least COMPACT_RATIO times its keys, if any."""
+        key = new.keys[0]
+        path = []  # (parent, slot, node) for each non-root node down to new
+        node = self.root
+        while node is not new:
+            slot = bisect_left(node.keys, key)
+            child = node.children[slot].load()
+            if child.__class__ is not ModelNode:
+                return  # frozen or replaced since: a compaction got here first
+            path.append((node, slot, child))
+            node = child
+        below = 0
+        target = None
+        for step in reversed(path):
+            size = len(step[2].keys)
+            if below >= COMPACT_RATIO * size:
+                target = step
+            below += size
+        if target is not None:
+            self.help_compact(*target)
+
+    def help_compact(self, parent: ModelNode, slot: int, node: ModelNode) -> None:
+        """Replace ``node``, the non-root model node in ``parent``'s child
+        ``slot``, and its whole subtree with one model node.
+
+        One in-order walk over the subtree, with an explicit stack, freezes
+        each slot and then reads what it froze: a nested node is walked, a
+        bin is frozen and its keys and chain heads collected (deleted keys
+        too), and each node key follows its left slot.  A slot never changes
+        once frozen and a frozen bin never changes, so every helper collects
+        the same keys, fits the same node, and the first install wins."""
+        job = (parent, slot, node.keys)
+        empty = Frozen(None, job)  # immutable, so every empty slot shares it
+        keys: list[int] = []
+        versions: list[AtomicRef] = []
+        stack = []  # (node, i): slot i of node is done, key i comes next
+        n, i = node, 0
+        while True:
+            ref = n.children[i]
+            cur = ref.load()
+            while cur.__class__ is not Frozen:
+                frozen = empty if cur is None else Frozen(cur, job)
+                cur = frozen if ref.compare_and_swap(cur, frozen) else ref.load()
+            content = cur.content
+            if isinstance(content, ModelNode):
+                stack.append((n, i))
+                n, i = content, 0
+                continue
+            if content is not None:
+                freeze_bin(content)
+                bin_keys, bin_versions = collect_frozen(content, self.clock)
+                keys += bin_keys
+                versions += bin_versions
+            while i == len(n.keys):  # n's last slot is done
+                if not stack:
+                    self._install(parent, slot, node, _node_over(keys, versions))
+                    return
+                n, i = stack.pop()
+            keys.append(n.keys[i])
+            versions.append(n.versions[i])
+            i += 1
+
+    def _help_frozen(self, frozen: Frozen) -> None:
+        """Finish the compaction that froze a slot, or the outer one that
+        froze the slot it installs in; nothing if it is already done."""
+        while True:
+            parent, slot, keys = frozen.job
+            cur = parent.children[slot].load()
+            if cur.__class__ is Frozen:
+                frozen = cur
+                continue
+            if cur.__class__ is ModelNode and cur.keys is keys:
+                self.help_compact(parent, slot, cur)
+            return
 
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
-        ok = parent.children[slot].compare_and_swap(expected, new)
-        log = self.transition_log
-        if ok and log is not None:
-            log(parent, slot, expected, new)
-        return ok
+        cell = parent.children[slot]
+        if cell.compare_and_swap(expected, new):
+            log = self.transition_log
+            if log is not None:
+                log(parent, slot, expected, new)
+            return True
+        cur = cell.load()
+        if cur.__class__ is Frozen:  # lost to a compaction: finish it first
+            self._help_frozen(cur)
+        return False
+
+
+def _node_over(keys: list[int], versions: list[AtomicRef]) -> ModelNode:
+    """A non-root model node over collected keys and chain heads, with fresh
+    empty child slots."""
+    children = [AtomicRef(None) for _ in range(len(keys) + 1)]
+    return ModelNode(keys, versions, children, model=fit_linear(keys))

@@ -2,9 +2,10 @@
 
 A scan takes one logical timestamp up front (read-and-bump, so later
 writers stamp strictly after it), then walks the structure in key order
-reading each version chain as of that time.  Bins are read through
-whatever reference the walk loaded, frozen or not: replaced bins share
-their version chains with their replacement, so the payloads agree.
+reading each version chain as of that time.  Bins and frozen slots are
+read through whatever reference the walk loaded: replaced bins and
+compacted subtrees share their version chains with their replacement, so
+the payloads agree.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import KEY_MAX, TOMBSTONE, GlobalClock, read_value_at
-from .bins import OneLevelBin, TwoLevelBin, scan_bin
+from .core import KEY_MAX, TOMBSTONE, Frozen, GlobalClock, Inner, read_value_at
+from .bins import scan_bin
 
 
 def range_search(index, key: int, width: int,
@@ -43,36 +44,50 @@ def range_search(index, key: int, width: int,
 
 def scan(node, lo: int, hi: int, ts: int, out: list,
          clock: GlobalClock, limit: Optional[int] = None) -> None:
-    """In-order walk of a model node restricted to [lo, hi].
+    """In-order walk of a model node's subtree restricted to [lo, hi].
 
-    Children interleave with keys (child i sits below key i), so appending
-    child scans between key reads yields globally ascending output.  Each
-    child slot is loaded exactly once."""
-    keys = node.keys
-    a = bisect_left(keys, lo)
-    b = bisect_right(keys, hi)
-    children = node.children
-    versions = node.versions
-    for i in range(a, b):
-        if limit is not None and len(out) >= limit:
-            return
-        child = children[i].load()
-        if child is not None:
-            _scan_child(child, lo, hi, ts, out, clock, limit)
+    Children interleave with keys (child i sits below key i), so scanning
+    child i between keys i-1 and i yields globally ascending output.  A
+    nested model node pauses its parent on an explicit stack of (node, key
+    index, last slot) frames, so nothing recurses however deep the tree.
+    Frozen slots are read through.  Each child slot is loaded exactly once."""
+    stack = []
+    i = bisect_left(node.keys, lo)
+    b = bisect_right(node.keys, hi)
+    while True:
+        keys = node.keys
+        children = node.children
+        versions = node.versions
+        for j in range(i, b + 1):  # child slot j, then key j
             if limit is not None and len(out) >= limit:
                 return
-        val = read_value_at(versions[i], ts, clock)
-        if val is not None and val is not TOMBSTONE:
-            out.append((keys[i], val))
-    if limit is not None and len(out) >= limit:
-        return
-    child = children[b].load()
-    if child is not None:
-        _scan_child(child, lo, hi, ts, out, clock, limit)
-
-
-def _scan_child(child, lo, hi, ts, out, clock, limit) -> None:
-    if isinstance(child, (OneLevelBin, TwoLevelBin)):
-        scan_bin(child, lo, hi, ts, out, clock, limit)
-    else:
-        scan(child, lo, hi, ts, out, clock, limit)
+            child = children[j].load()
+            if child is not None:
+                if not isinstance(child, Inner):
+                    scan_bin(child, lo, hi, ts, out, clock, limit)
+                else:
+                    if child.__class__ is Frozen:
+                        child = child.content
+                    if isinstance(child, Inner):
+                        stack.append((node, j, b))
+                        node = child
+                        i = bisect_left(node.keys, lo)
+                        b = bisect_right(node.keys, hi)
+                        break
+                    if child is not None:
+                        scan_bin(child, lo, hi, ts, out, clock, limit)
+                if limit is not None and len(out) >= limit:
+                    return
+            if j < b:
+                val = read_value_at(versions[j], ts, clock)
+                if val is not None and val is not TOMBSTONE:
+                    out.append((keys[j], val))
+        else:
+            if not stack:
+                return
+            node, j, b = stack.pop()  # child j is done: key j comes next
+            if j < b:
+                val = read_value_at(node.versions[j], ts, clock)
+                if val is not None and val is not TOMBSTONE:
+                    out.append((node.keys[j], val))
+            i = j + 1

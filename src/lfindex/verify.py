@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import KEY_MAX, UNSET_TS
+from .core import KEY_MAX, UNSET_TS, Frozen
 from .bins import OneLevelBin, TwoLevelBin
 
 CHECK_MAX_THREADS = 4
@@ -331,9 +331,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     global key uniqueness (one home path per key), version chains stamped
     except possibly at the head with non-increasing timestamps, root model
     error within each segment's recorded eps, bin size counters equal to
-    their list lengths, freeze bits forming a head-to-tail prefix, and
+    their list lengths, freeze bits forming a head-to-tail prefix, no frozen
+    model-node slot (every compaction finishes before its op returns), and
     (optionally) that seek/search actually reach every key with the payload
-    the walk extracted."""
+    the walk extracted.  The walk keeps an explicit stack of model nodes,
+    so it does not recurse however deep the tree is."""
     findings: list[Finding] = []
     payloads: dict[int, Optional[int]] = {}
 
@@ -448,7 +450,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
                          f"{where}: segment {si} error {err} > eps {eps} at index {i}")
                     break
 
-    def walk_node(node, lo, hi, where: str) -> None:
+    stack = [(index.root, None, None, "root")]
+    while stack:
+        node, lo, hi, where = stack.pop()
         keys = node.keys
         if node.segments is not None:
             check_root_model(node, where)
@@ -463,9 +467,12 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         if len(node.children) != len(keys) + 1:
             note("child-count",
                  f"{where}: {len(node.children)} child slots for {len(keys)} keys")
-            return
+            continue
         for i, ref in enumerate(node.children):
             child = ref.load()
+            if isinstance(child, Frozen):
+                note("frozen-slot", f"{where}.{i}: slot still frozen by a compaction")
+                child = child.content
             if child is None:
                 continue
             clo = keys[i - 1] if i > 0 else lo
@@ -474,9 +481,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             if isinstance(child, (OneLevelBin, TwoLevelBin)):
                 walk_bin(child, clo, chi, cw)
             else:
-                walk_node(child, clo, chi, cw)
-
-    walk_node(index.root, None, None, "root")
+                stack.append((child, clo, chi, cw))
 
     if check_seek and not findings:
         for k, expected in payloads.items():

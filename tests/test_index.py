@@ -1,5 +1,6 @@
 """The index proper: build, seek, point ops, and bin-to-node helping."""
 
+import math
 import random
 import struct
 import sys
@@ -20,6 +21,35 @@ from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
                             audit_structure, check_linearizable)
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
+
+
+def model_nodes(index):
+    """(node, depth) for every model node, the root at depth 1."""
+    out, stack = [], [(index.root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((node, depth))
+        for ref in node.children:
+            child = ref.load()
+            if isinstance(child, ModelNode):
+                stack.append((child, depth + 1))
+    return out
+
+
+def list_lengths(index):
+    """The length of every list of every bin."""
+    out = []
+    for node, _ in model_nodes(index):
+        for ref in node.children:
+            child = ref.load()
+            if child is None or isinstance(child, ModelNode):
+                continue
+            for lst in (child,) if child.is_one_level else child.children:
+                n, kn = 0, lst.head.load().target
+                while kn is not None:
+                    n, kn = n + 1, kn.next.load().target
+                out.append(n)
+    return out
 
 
 def slot_type(index, key):
@@ -191,7 +221,11 @@ class TestInsert:
     @pytest.mark.parametrize("cfg", [SMALL, IndexConfig()], ids=["small", "default"])
     def test_full_lifecycle_in_one_slot(self, cfg):
         # the transition points are the config's: a new bin at the first
-        # insert, a split at olb_threshold + 1, a retrain at tlb_threshold + 1
+        # insert, a split at olb_threshold + 1, and a retrain once the bin
+        # holds tlb_threshold keys or its last list, which takes every
+        # ascending key after the split, holds list_threshold
+        after_split = cfg.olb_threshold - cfg.olb_threshold // cfg.tlb_fanout
+        retrain_at = min(cfg.tlb_threshold, after_split + cfg.list_threshold) + 1
         index = LearnedIndex.build([(0, 0), (10_000, 0)], cfg)
         seen = []
         done = [0]
@@ -205,14 +239,24 @@ class TestInsert:
         steps = [step[:3] for step in seen[:3]]
         assert steps == [(1, "empty", "OneLevelBin"),
                          (cfg.olb_threshold + 1, "OneLevelBin", "TwoLevelBin"),
-                         (cfg.tlb_threshold + 1, "TwoLevelBin", "ModelNode")]
+                         (retrain_at, "TwoLevelBin", "ModelNode")]
         assert len(seen[1][3].children) == cfg.tlb_fanout
         legal = {("empty", "OneLevelBin"), ("OneLevelBin", "TwoLevelBin"),
-                 ("TwoLevelBin", "ModelNode")}
+                 ("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
         assert {step[1:3] for step in seen} <= legal
         for k in keys:
             assert index.search(k) == k
 
+    def test_ascending_inserts_keep_every_list_bounded(self):
+        # ascending keys all route to a two-level bin's last list; the
+        # per-list trigger retrains the bin before that list passes the bound
+        cfg = IndexConfig()
+        index = LearnedIndex.build([(0, 0), (10_000, 0)], cfg)
+        for k in range(100, 3_100):
+            assert index.insert(k, k) is True
+        lengths = list_lengths(index)
+        assert lengths and max(lengths) <= cfg.list_threshold
+        assert all(index.search(k) == k for k in range(100, 3_100))
 
     def test_racing_first_inserts_install_one_bin(self):
         # eight first inserts into one empty slot: one install wins, the
@@ -518,3 +562,113 @@ class TestLockFreedomProxy:
         for t, share in enumerate(shares):
             for k in share:
                 assert index.search(k) == k
+
+
+TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+
+
+class TestCompaction:
+    """Subtree compaction keeps model-node depth O(log n) under any order."""
+
+    def test_deep_append_stays_shallow(self):
+        # without compaction every retrain nests one node deeper: 20k
+        # ascending keys at this config made a chain about 2.5k nodes deep
+        n = 20_000
+        index = LearnedIndex.build([(0, 0)], TINY)
+        oracle = SequentialOracle.from_pairs([(0, 0)])
+        for k in range(1, n + 1):
+            assert index.insert(k, k) is True
+            oracle.insert(k, k)
+        depth = max(d for _, d in model_nodes(index))
+        assert depth <= 2 + math.log2(n)
+        assert index.range(0, KEY_MAX) == oracle.range(0, KEY_MAX)
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == oracle.live_map()
+
+    def test_racing_ascending_inserts_lose_no_key_to_compaction(self):
+        # eight threads append interleaved ascending keys, so retrains,
+        # compactions and inserts into the subtree being frozen overlap
+        hook_rnd = random.Random(17)
+        lost = [0]
+        old_interval = sys.getswitchinterval()
+        for trial in range(20):
+            index = LearnedIndex.build([(0, 0)], TINY)
+            compactions = []
+            index.transition_log = lambda parent, slot, old, new: (
+                compactions.append(new) if isinstance(old, ModelNode) else None)
+            real_install = index._install
+
+            def install(parent, slot, expected, new):
+                ok = real_install(parent, slot, expected, new)
+                if not ok and isinstance(expected, ModelNode):
+                    lost[0] += 1  # a helper lost the compaction install CAS
+                return ok
+
+            index._install = install
+            shares = [list(range(1 + t, 2_401, 8)) for t in range(8)]
+            results = [None] * len(shares)
+            barrier = threading.Barrier(len(shares))
+
+            def run(j):
+                barrier.wait(10)
+                results[j] = [index.insert(k, k) for k in shares[j]]
+
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(len(shares))]
+            sys.setswitchinterval(1e-5)
+            set_cas_hook(lambda c, ok: time.sleep(1e-5) if hook_rnd.random() < 0.02 else None)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                set_cas_hook(None)
+                sys.setswitchinterval(old_interval)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r == [True] * len(s) for r, s in zip(results, shares))
+            assert compactions, f"trial {trial}: no compaction installed"
+            report = audit_structure(index)
+            assert report.ok, report.findings[:3]
+            assert report.live_map() == {k: k for k in range(2_401)}
+        assert lost[0] > 0  # some helper lost a compaction install
+
+    def test_paused_scan_reads_its_snapshot_across_a_compaction(self, monkeypatch):
+        # a scan pauses at the first bin inside the root's nested subtree;
+        # meanwhile keys after that bin are overwritten, inserted and
+        # deleted, and the whole subtree is compacted.  The rest of the scan
+        # reads frozen slots and must still return the state at its time.
+        index = LearnedIndex.build([(0, 0)], TINY)
+        oracle = SequentialOracle.from_pairs([(0, 0)])
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+            oracle.insert(k, k)
+        node = index.root.children[1].load()
+        assert isinstance(node, ModelNode)
+        assert any(d > 2 for _, d in model_nodes(index))  # nested below node
+        expected = oracle.range(0, 1000)
+        paused, go = threading.Event(), threading.Event()
+        real_scan_bin = rangescan.scan_bin
+
+        def paused_scan_bin(*args):
+            if not paused.is_set():
+                paused.set()
+                assert go.wait(10)
+            return real_scan_bin(*args)
+
+        monkeypatch.setattr(rangescan, "scan_bin", paused_scan_bin)
+        got = []
+        scanner = threading.Thread(target=lambda: got.extend(index.range(0, 1000)))
+        scanner.start()
+        assert paused.wait(10)
+        assert index.insert(398, -1) is True      # the last key, in the deepest node
+        assert index.insert(299, 299) is True     # a fresh key after the pause point
+        assert index.delete(150) is True
+        index.help_compact(index.root, 1, node)
+        assert index.root.children[1].load() is not node
+        go.set()
+        scanner.join(timeout=10)
+        assert not scanner.is_alive()
+        assert got == expected
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]

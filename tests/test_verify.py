@@ -6,8 +6,9 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.core import KEY_MAX, VersionedValue
-from lfindex.index import IndexConfig, LearnedIndex
+from lfindex.core import KEY_MAX, AtomicRef, Frozen, VersionedValue
+from lfindex.index import IndexConfig, LearnedIndex, ModelNode
+from lfindex.models import fit_linear
 from lfindex.models import Model, Segment
 from lfindex.verify import (
     CHECK_MAX_KEYS,
@@ -380,3 +381,30 @@ class TestAuditStructure:
         report = audit_structure(_SearchLiar(index))
         assert {f.kind for f in report.findings} == {"unreachable-key"}
         assert audit_structure(_SearchLiar(index), check_seek=False).ok
+
+    def test_detects_a_frozen_slot(self):
+        # every compaction finishes before its op returns, so a quiescent
+        # index has no frozen slot; the walk still reads through one
+        index = LearnedIndex.build([(10, 1), (20, 2)])
+        index.insert(15, 150)
+        olb = index.root.children[1].load()
+        index.root.children[1].store(Frozen(olb, (index.root, 1, [])))
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"frozen-slot"}
+        assert report.live_map() == {10: 1, 15: 150, 20: 2}
+
+    def test_deep_nesting_is_walked_without_recursion(self):
+        # a hand-built chain of nested one-key nodes, deeper than the
+        # interpreter's recursion limit
+        index = LearnedIndex.build([(0, 0)])
+        depth = 1_200
+        parent = index.root
+        for k in range(1, depth + 1):
+            node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
+                             [AtomicRef(None), AtomicRef(None)], model=fit_linear([k]))
+            parent.children[-1].store(node)
+            parent = node
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == {k: k for k in range(depth + 1)}
+        assert index.range(0, KEY_MAX) == [(k, k) for k in range(depth + 1)]
