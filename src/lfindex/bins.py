@@ -14,6 +14,16 @@ Mutators that observe a frozen link back off with UNDER_MAKE_MODEL so the
 caller can help retrain; readers ignore freeze bits entirely.  Freezing is
 idempotent and proceeds head to tail, so a successful splice is always at or
 ahead of the freeze frontier and will be collected.
+
+Walk start: nodes are never unlinked, so any node of a list below the key
+is a valid start for a walk to that key.  Each list keeps a ``hint``, the
+node of its last splice, and an insert starts there when the hint is below
+its key, so ascending inserts splice in O(1) loads.  The walk checks the
+freeze bit on every link it loads, wherever it starts.  Every mutation of a
+list funnels through a CAS, as everywhere in the index; the hint alone is a
+plain slot store, because it is advisory: any node of the list, or None, is
+a correct value, so a stale or racing store costs at most a longer walk.
+Scans, finds and deletes start at the head.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from typing import Any, Optional
 from .core import (
     AtomicInt,
     AtomicRef,
+    END,
+    FROZEN_END,
     GlobalClock,
     MarkedLink,
     VersionedValue,
@@ -60,13 +72,20 @@ class KNode:
         return f"KNode({self.item})"
 
 
+def _link_to(node: Optional[KNode]) -> MarkedLink:
+    """An unfrozen link to ``node``; the shared END for the list tail."""
+    return END if node is None else MarkedLink(node, False)
+
+
 class OneLevelBin:
-    __slots__ = ("head", "size")
+    __slots__ = ("head", "size", "hint")
     is_one_level = True
 
-    def __init__(self, first: Optional[KNode], size: int):
-        self.head = AtomicRef(MarkedLink(first, False))
+    def __init__(self, first: Optional[KNode], size: int,
+                 hint: Optional[KNode] = None):
+        self.head = AtomicRef(_link_to(first))
         self.size = AtomicInt(size)  # distinct keys spliced, not value updates
+        self.hint = hint  # advisory walk start: a node of this list, or None
 
 
 class TwoLevelBin:
@@ -92,18 +111,20 @@ def bin_new(key: int, value: int) -> tuple[OneLevelBin, VersionedValue]:
     The version is left unstamped: whoever publishes the bin stamps it after
     the publishing CAS, as every other writer does."""
     ver = VersionedValue(value)
-    node = KNode(key, AtomicRef(ver), AtomicRef(MarkedLink(None, False)))
-    return OneLevelBin(node, 1), ver
+    node = KNode(key, AtomicRef(ver), AtomicRef(END))
+    return OneLevelBin(node, 1, node), ver
 
 
 def _olb_insert(olb: OneLevelBin, key: int, value: int, clock: GlobalClock):
     """Returns (result, spliced): result True/False/UNDER_MAKE_MODEL.
 
-    Walks to the insertion point re-checking the freeze bit on every link;
-    a lost CAS re-reads the same predecessor link and keeps walking, so a
-    storm of inserts makes progress without restarting from the head.
+    Starts after the list's hint when the hint is below ``key``, else at the
+    head, and walks to the insertion point re-checking the freeze bit on
+    every link; a lost CAS re-reads the same predecessor link and keeps
+    walking, so a storm of inserts makes progress without restarting.
     """
-    prev_ref = olb.head
+    hint = olb.hint
+    prev_ref = hint.next if hint is not None and hint.item < key else olb.head
     link = prev_ref.load()
     while True:
         if link.frozen:
@@ -116,8 +137,9 @@ def _olb_insert(olb: OneLevelBin, key: int, value: int, clock: GlobalClock):
         if node is not None and node.item == key:
             return write_value(node.version, value, clock), False
         fresh = VersionedValue(value)
-        knode = KNode(key, AtomicRef(fresh), AtomicRef(MarkedLink(node, False)))
+        knode = KNode(key, AtomicRef(fresh), AtomicRef(_link_to(node)))
         if prev_ref.compare_and_swap(link, MarkedLink(knode, False)):
+            olb.hint = knode
             # stamp before reporting success: an unstamped splice could be
             # assigned a too-new time by a later scan and vanish from
             # snapshots that must include it
@@ -233,10 +255,11 @@ def _freeze_olb(olb: OneLevelBin) -> None:
     ref = olb.head
     while True:
         link = ref.load()
-        if not link.frozen:
-            if not ref.compare_and_swap(link, MarkedLink(link.target, True)):
-                continue  # a splice or another freezer won; re-read this link
         node = link.target
+        if not link.frozen:
+            frozen = FROZEN_END if node is None else MarkedLink(node, True)
+            if not ref.compare_and_swap(link, frozen):
+                continue  # a splice or another freezer won; re-read this link
         if node is None:
             return
         ref = node.next
@@ -270,10 +293,13 @@ def _collect_olb(olb: OneLevelBin, keys: list, versions: list,
 
 
 def _olb_from_sorted(keys: list[int], versions: list[AtomicRef]) -> OneLevelBin:
-    node = None
+    """A fresh unfrozen list over the keys, its tail as the hint."""
+    node = tail = None
     for item, ver in zip(reversed(keys), reversed(versions)):
-        node = KNode(item, ver, AtomicRef(MarkedLink(node, False)))
-    return OneLevelBin(node, len(keys))
+        node = KNode(item, ver, AtomicRef(_link_to(node)))
+        if tail is None:
+            tail = node
+    return OneLevelBin(node, len(keys), tail)
 
 
 def olb_to_tlb(keys: list[int], versions: list[AtomicRef],

@@ -1,7 +1,8 @@
 """Shared primitives: atomic cells, marked links, versioned values, the clock.
 
 Every mutation anywhere in the index funnels through a single-word
-compare-and-swap on one of the cell types below.  CPython has no native CAS,
+compare-and-swap on one of the cell types below.  (The one plain store is
+advisory, a bin list's walk hint; see ``bins``.)  CPython has no native CAS,
 so the cells emulate it with a small stripe of module-level locks: each
 critical section is a constant-time compare+store, never nested, and never
 calls back into user code.  Plain attribute loads are atomic under the GIL
@@ -44,6 +45,12 @@ class AtomicRef:
     the swap.  Combined with immutable link/version objects and refcounted
     reclamation this rules out ABA: a stale expected object cannot reappear
     as the current value.
+
+    The shared end links END and FROZEN_END are the exception that needs
+    an argument: one object sits in many cells at once.  They stay ABA-safe
+    because a cell never returns to a value it held: a list link only gains
+    nodes, and its freeze is terminal, so once a cell leaves END it never
+    holds END again.
     """
 
     __slots__ = ("value",)
@@ -106,6 +113,12 @@ class MarkedLink(NamedTuple):
 
     target: Any
     frozen: bool
+
+
+#: The end-of-list links, shared by every list tail (ABA argument in
+#: AtomicRef).
+END = MarkedLink(None, False)
+FROZEN_END = MarkedLink(None, True)
 
 
 class Inner:

@@ -331,10 +331,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     global key uniqueness (one home path per key), version chains stamped
     except possibly at the head with non-increasing timestamps, root model
     error within each segment's recorded eps, bin size counters equal to
-    their list lengths, freeze bits forming a head-to-tail prefix, no frozen
-    model-node slot (every compaction finishes before its op returns), and
-    (optionally) that seek/search actually reach every key with the payload
-    the walk extracted.  The walk keeps an explicit stack of model nodes,
+    their list lengths, freeze bits forming a head-to-tail prefix, each
+    list's hint None or a node of that list, no frozen model-node slot
+    (every compaction finishes before its op returns), and (optionally)
+    that seek/search actually reach every key with the payload the walk
+    extracted.  The walk keeps an explicit stack of model nodes,
     so it does not recurse however deep the tree is."""
     findings: list[Finding] = []
     payloads: dict[int, Optional[int]] = {}
@@ -377,6 +378,8 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         count = 0
         prev_key = None
         seen_unfrozen = False
+        hint = olb.hint
+        hint_seen = hint is None
         link = olb.head.load()
         while True:
             if link.frozen and seen_unfrozen:
@@ -386,6 +389,8 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             node = link.target
             if node is None:
                 break
+            if node is hint:
+                hint_seen = True
             k = node.item
             if prev_key is not None and k <= prev_key:
                 note("key-order", f"{where}: {k} after {prev_key}")
@@ -395,6 +400,8 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             prev_key = k
             count += 1
             link = node.next.load()
+        if not hint_seen:
+            note("list-hint", f"{where}: hint {hint!r} is not a node of the list")
         return count
 
     def walk_bin(bin_, lo, hi, where: str) -> None:

@@ -1,11 +1,13 @@
 """Lock-free sorted bins: splice, freeze, collect, and reshape."""
 
 import random
+import sys
 import threading
 import time
 
 from hypothesis import given, settings, strategies as st
 
+from lfindex import bins as bins_mod
 from lfindex.bins import (
     KNode,
     UNDER_MAKE_MODEL,
@@ -281,6 +283,126 @@ class TestFreeze:
                     assert key not in keys
         finally:
             set_cas_hook(None)
+
+
+class CountingRef(AtomicRef):
+    """An AtomicRef that counts its loads; assigned as a cell's class."""
+
+    __slots__ = ()
+    loads = 0
+
+    def load(self):
+        CountingRef.loads += 1
+        return self.value
+
+
+def count_link_loads(olb):
+    """Make every link cell of ``olb`` count its loads; reset the count."""
+    olb.head.__class__ = CountingRef
+    node = olb.head.load().target
+    while node is not None:
+        node.next.__class__ = CountingRef
+        node = node.next.load().target
+    CountingRef.loads = 0
+
+
+class TestWalkStart:
+    def test_hint_follows_the_last_splice(self):
+        clock = GlobalClock(0)
+        olb, _ = bin_new(5, 50)
+        assert olb.hint is olb.head.load().target
+        insert_bin(olb, 9, 90, clock)
+        assert olb.hint.item == 9
+        insert_bin(olb, 2, 20, clock)   # below the hint: walks from the head
+        assert olb.hint.item == 2
+        insert_bin(olb, 9, 91, clock)   # an update splices nothing
+        assert olb.hint.item == 2
+        insert_bin(olb, 7, 70, clock)   # above the hint: walks on from it
+        assert list_keys(olb) == [2, 5, 7, 9]
+
+    def test_ascending_insert_loads_constant_links(self):
+        clock = GlobalClock(0)
+        olb = make_olb([(k, k) for k in range(200)], clock)
+        count_link_loads(olb)
+        assert insert_bin(olb, 1_000, 1, clock) is True
+        assert CountingRef.loads <= 2
+        assert list_keys(olb) == list(range(200)) + [1_000]
+
+    def test_split_lists_start_at_their_tails(self):
+        clock = GlobalClock(0)
+        olb = make_olb([(k, k) for k in range(0, 1_600, 2)], clock)
+        freeze_bin(olb)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        last = tlb.children[-1]
+        assert last.hint.item == 1_598
+        count_link_loads(last)
+        assert insert_bin(tlb, 1_600, 1, clock) is True
+        assert CountingRef.loads <= 2
+        empty = olb_to_tlb([7], [AtomicRef(VersionedValue(7, 0))], fanout=2)
+        assert empty.children[-1].hint is None
+
+    def test_racing_ascending_splices_and_freeze(self, monkeypatch):
+        # three threads splice interleaved ascending keys, each starting at
+        # the hint, while a fourth freezes the list: a splice that returned
+        # True is collected, and a walk that loaded a frozen link bounced
+        met_frozen = threading.local()
+
+        class WatchedRef(AtomicRef):
+            __slots__ = ()
+
+            def load(self):
+                value = self.value
+                if isinstance(value, MarkedLink) and value.frozen:
+                    met_frozen.flag = True
+                return value
+
+        monkeypatch.setattr(bins_mod, "AtomicRef", WatchedRef)
+        rnd = random.Random(11)
+        hook_rnd = random.Random(12)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        set_cas_hook(lambda c, ok: time.sleep(1e-5) if hook_rnd.random() < 0.1 else None)
+        bounced = spliced = 0
+        try:
+            for trial in range(30):
+                clock = GlobalClock(0)
+                olb = make_olb([(0, 0)], clock)
+                results = []
+                delay = rnd.random() * 2e-3
+                barrier = threading.Barrier(4)
+
+                def splice(t):
+                    barrier.wait()
+                    for k in range(1 + t, 121, 3):
+                        met_frozen.flag = False
+                        r = insert_bin(olb, k, k, clock)
+                        results.append((k, r, met_frozen.flag))
+
+                def chill():
+                    barrier.wait()
+                    time.sleep(delay)
+                    freeze_bin(olb)
+
+                threads = [threading.Thread(target=splice, args=(t,)) for t in range(3)]
+                threads.append(threading.Thread(target=chill))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive(), f"trial {trial}: a thread hung"
+                keys, _ = collect_frozen(olb, clock)
+                for k, r, met in results:
+                    want = UNDER_MAKE_MODEL if met else True
+                    assert r is want, f"trial {trial}: key {k} -> {r!r}, met frozen {met}"
+                won = {k for k, r, _ in results if r is True}
+                assert keys == sorted({0} | won), f"trial {trial}: spliced key dropped"
+                assert olb.size.load() == len(keys)
+                bounced += len(results) - len(won)
+                spliced += len(won)
+        finally:
+            set_cas_hook(None)
+            sys.setswitchinterval(old_interval)
+        assert bounced > 0 and spliced > 0
 
 
 class TestCollectFrozen:

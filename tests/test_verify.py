@@ -393,6 +393,17 @@ class TestAuditStructure:
         assert {f.kind for f in report.findings} == {"frozen-slot"}
         assert report.live_map() == {10: 1, 15: 150, 20: 2}
 
+    def test_detects_a_hint_outside_its_list(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        for k in range(10, 60, 10):  # the fifth insert splits the bin
+            index.insert(k, k)
+        tlb = index.root.children[1].load()
+        assert not tlb.is_one_level
+        assert audit_structure(index).ok
+        tlb.children[0].hint = tlb.children[1].head.load().target
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"list-hint"}
+
     def test_deep_nesting_is_walked_without_recursion(self):
         # a hand-built chain of nested one-key nodes, deeper than the
         # interpreter's recursion limit
