@@ -32,7 +32,8 @@ from .harness import (
     run_workload,
 )
 from .index import FOUND, IndexConfig, LearnedIndex, ModelNode
-from .models import fit_linear, root_table, search_nonroot, search_root, segment_root
+from .models import (Segment, fit_linear, root_table, search_nonroot, search_root,
+                     segment_root)
 from .rangescan import scan
 from .verify import (
     HistoryRecorder,
@@ -147,7 +148,7 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
             if problems:
                 break
 
-        model = fit_linear(keys)
+        flat = root_table([Segment(keys[0], 0, fit_linear(keys))], len(keys))
         rng = np.random.default_rng(99)
         present = rng.choice(np.asarray(keys, dtype=np.uint64), n_probes // 2)
         absent = rng.integers(0, 2**63, n_probes - n_probes // 2, dtype=np.uint64)
@@ -156,7 +157,7 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
             i = bisect_left(keys, p)
             want = (i, True) if i < len(keys) and keys[i] == p else (i - 1, False)
             got_root = search_root(keys, table, p)
-            got_flat = search_nonroot(keys, model, p)
+            got_flat = search_nonroot(keys, flat, p)
             if got_root != want or got_flat != want:
                 problems.append(f"{source}: probe {p}: root {got_root}, flat {got_flat}, bisect {want}")
                 break
@@ -219,8 +220,9 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         if any(a is not b for a, b in zip(fresh.versions, versions)):
             return "version chains were copied, not reused"
         want = fit_linear(keys)
-        if struct.pack("<ddd", *fresh.model) != struct.pack("<ddd", *want):
-            return f"model {fresh.model} != sequential fit {want}"
+        got = fresh.segments[0].model
+        if struct.pack("<ddd", *got) != struct.pack("<ddd", *want):
+            return f"model {got} != sequential fit {want}"
         report = audit_structure(index)
         return None if report.ok else f"audit findings: {report.findings[:2]}"
 

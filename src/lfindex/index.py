@@ -67,6 +67,7 @@ from .bins import (
 )
 from .models import (
     DEFAULT_EPS_TARGET,
+    Segment,
     fit_linear,
     root_table,
     search_nonroot,
@@ -110,6 +111,9 @@ class IndexConfig:
             raise ValueError("bin thresholds must be >= 1")
         if self.tlb_fanout < 2:
             raise ValueError("fanout must be >= 2")
+        if 2 * self.tlb_threshold < self.tlb_fanout:
+            raise ValueError("tlb_threshold must be at least half the fanout, "
+                             "or every list would be full before its first key")
 
     @property
     def list_threshold(self) -> int:
@@ -119,27 +123,26 @@ class IndexConfig:
 
 
 class ModelNode(Inner):
-    """Immutable keys + model, one version chain per key, m+1 child slots.
+    """Immutable keys + piecewise model, one version chain per key, m+1
+    child slots.
 
-    The root carries a piecewise model (``segments``, flattened once into
-    ``table`` for ``search_root``); non-root nodes carry a single ``model``
-    and are searched by galloping, needing no bound.
+    Every node carries ``segments``, flattened once into ``table``, and is
+    searched by ``search_root`` within each segment's eps: the root's
+    segments come from ``segment_root``, a node built by ``_node_over`` has
+    one segment over ``fit_linear`` of its keys.
     """
 
-    __slots__ = ("keys", "model", "segments", "table", "versions", "children")
+    __slots__ = ("keys", "segments", "table", "versions", "children")
 
-    def __init__(self, keys, versions, children, model=None, segments=None):
+    def __init__(self, keys, versions, children, segments):
         self.keys = keys
         self.versions = versions    # list[AtomicRef] -> version chain heads
         self.children = children    # list[AtomicRef] -> None | bin | ModelNode
-        self.model = model
         self.segments = segments
-        self.table = None if segments is None else root_table(segments, len(keys))
+        self.table = root_table(segments, len(keys))
 
     def locate(self, key: int) -> tuple[int, bool]:
-        if self.table is not None:
-            return search_root(self.keys, self.table, key)
-        return search_nonroot(self.keys, self.model, key)
+        return search_root(self.keys, self.table, key)
 
 
 class LearnedIndex:
@@ -176,7 +179,7 @@ class LearnedIndex:
         segments = segment_root(keys, cfg.eps_target)
         versions = [AtomicRef(VersionedValue(v, 0)) for v in payloads]
         children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-        root = ModelNode(keys, versions, children, segments=segments)
+        root = ModelNode(keys, versions, children, segments)
         return cls(root, GlobalClock(0), cfg)
 
     def seek(self, key: int) -> tuple[ModelNode, int, Any]:
@@ -200,7 +203,7 @@ class LearnedIndex:
                 if not isinstance(child, ModelNode):
                     return node, slot, child
             node = child
-            ix, found = search_nonroot(node.keys, node.model, key)
+            ix, found = search_nonroot(node.keys, node.table, key)
 
     def insert(self, key: int, value: int) -> bool:
         """True if the map changed (new key, or new value for the key)."""
@@ -384,7 +387,8 @@ class LearnedIndex:
 
 
 def _node_over(keys: list[int], versions: list[AtomicRef]) -> ModelNode:
-    """A non-root model node over collected keys and chain heads, with fresh
-    empty child slots."""
+    """A non-root model node over collected keys and chain heads, with one
+    segment and fresh empty child slots."""
     children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-    return ModelNode(keys, versions, children, model=fit_linear(keys))
+    return ModelNode(keys, versions, children,
+                     [Segment(keys[0], 0, fit_linear(keys))])

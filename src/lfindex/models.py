@@ -2,9 +2,14 @@
 
 A model approximates the rank of a key within one sorted key array:
 rank ~= a*key + b, with eps the measured worst-case absolute error over the
-fitted keys.  Fits accumulate their moment sums as exact Python ints (63-bit
-keys squared overflow float64's mantissa badly enough to corrupt slopes on
-narrow high-magnitude clusters) and convert to float64 once, as ratios.
+fitted keys.  Every model node carries a piecewise model, a list of
+``Segment``s: the root's from ``segment_root``, any other node's one segment
+over ``fit_linear`` of its keys.  ``search_root`` finds a key within eps of
+its segment's prediction, in every node.
+
+Fits accumulate their moment sums as exact Python ints (63-bit keys squared
+overflow float64's mantissa badly enough to corrupt slopes on narrow
+high-magnitude clusters) and convert to float64 once, as ratios.
 eps is then measured over the rounded float coefficients themselves, so the
 error bound holds by construction despite the rounding.
 
@@ -31,7 +36,7 @@ class Model(NamedTuple):
 
 
 class Segment(NamedTuple):
-    """One piece of a piecewise-linear root model."""
+    """One piece of a model node's piecewise-linear model."""
 
     start_key: int
     start_index: int
@@ -140,9 +145,10 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
 def root_table(segments: Sequence[Segment], n: int) -> tuple[list, ...]:
     """Per-segment values ``search_root`` reads, as parallel lists.
 
-    For ``segments`` over an ``n``-key array: start keys, first and last key
-    index, slope, intercept + 0.5 (the round-half-up offset, added once
-    here instead of per probe) and probe window floor(eps) + 1.
+    For a model node's ``segments`` over its ``n``-key array: start keys,
+    first and last key index, slope, intercept + 0.5 (the round-half-up
+    offset, added once here instead of per probe) and probe window
+    floor(eps) + 1.
     """
     firsts = [s.start_index for s in segments]
     lasts = [f - 1 for f in firsts[1:]] + [n - 1] if segments else []
@@ -154,9 +160,9 @@ def root_table(segments: Sequence[Segment], n: int) -> tuple[list, ...]:
 
 def search_root(keys: Sequence[int], table: tuple[list, ...],
                 key: int) -> tuple[int, bool]:
-    """Locate ``key`` in the root key array via its piecewise model.
+    """Locate ``key`` in a model node's key array via its piecewise model.
 
-    ``table`` is ``root_table`` over the root's segments; bisecting its
+    ``table`` is ``root_table`` over the node's segments; bisecting its
     start keys picks the segment.  Returns (index, True) on an exact hit,
     else (index of the greatest key < ``key``, False), -1 when below all
     keys.  The probe window is [pred - window, pred + window] clamped to
@@ -193,48 +199,6 @@ def search_root(keys: Sequence[int], table: tuple[list, ...],
     return i - 1, False
 
 
-def search_nonroot(keys: Sequence[int], model: Model, key: int) -> tuple[int, bool]:
-    """Locate ``key`` via a single model plus galloping around the prediction.
-
-    No error bound needed: from the clamped predicted position, exponential
-    probes bracket the key, then a bounded bisect finishes.  Same return
-    convention as ``search_root``.
-    """
-    n = len(keys)
-    if n == 0:
-        return -1, False
-    p = math.floor(model.a * key + model.b + 0.5)
-    if p < 0:
-        p = 0
-    elif p >= n:
-        p = n - 1
-    kp = keys[p]
-    if kp == key:
-        return p, True
-    if kp < key:
-        lo, step = p, 1
-        while True:
-            hi = lo + step
-            if hi >= n:
-                hi = n
-                break
-            if keys[hi] >= key:
-                break
-            lo = hi
-            step <<= 1
-        i = bisect_left(keys, key, lo + 1, hi)
-    else:
-        hi, step = p, 1
-        while True:
-            lo = hi - step
-            if lo < 0:
-                lo = -1
-                break
-            if keys[lo] < key:
-                break
-            hi = lo
-            step <<= 1
-        i = bisect_left(keys, key, lo + 1, hi)
-    if i < n and keys[i] == key:
-        return i, True
-    return i - 1, False
+#: Non-root nodes are searched the same way; the second name lets a tracer
+#: time their locates apart from the root's.
+search_nonroot = search_root

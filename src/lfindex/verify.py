@@ -329,13 +329,13 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
 
     Checks: strict key order and routing-interval containment everywhere,
     global key uniqueness (one home path per key), version chains stamped
-    except possibly at the head with non-increasing timestamps, root model
-    error within each segment's recorded eps, bin size counters equal to
-    their list lengths, freeze bits forming a head-to-tail prefix, each
-    list's hint None or a node of that list, no frozen model-node slot
-    (every compaction finishes before its op returns), and (optionally)
-    that seek/search actually reach every key with the payload the walk
-    extracted.  The walk keeps an explicit stack of model nodes,
+    except possibly at the head with non-increasing timestamps, every model
+    node's error within each of its segments' recorded eps, bin size
+    counters equal to their list lengths, freeze bits forming a
+    head-to-tail prefix, each list's hint None or a node of that list, no
+    frozen model-node slot (every compaction finishes before its op
+    returns), and (optionally) that seek/search actually reach every key
+    with the payload the walk extracted.  The walk keeps an explicit stack of model nodes,
     so it does not recurse however deep the tree is."""
     findings: list[Finding] = []
     payloads: dict[int, Optional[int]] = {}
@@ -429,11 +429,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             note("size-counter",
                  f"{where}: total size {bin_.size.load()} but {total} keys")
 
-    def check_root_model(node, where: str) -> None:
+    def check_model(node, where: str) -> None:
         segs = node.segments
         keys = node.keys
         if segs is None:
-            note("model-missing", f"{where}: root has no segments")
+            note("model-missing", f"{where}: node has no segments")
             return
         if not keys:
             if segs:
@@ -461,10 +461,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     while stack:
         node, lo, hi, where = stack.pop()
         keys = node.keys
-        if node.segments is not None:
-            check_root_model(node, where)
-        elif node.model is None:
-            note("model-missing", f"{where}: node has no model")
+        check_model(node, where)
         for i, k in enumerate(keys):
             if i > 0 and k <= keys[i - 1]:
                 note("key-order", f"{where}: {k} after {keys[i - 1]}")

@@ -80,6 +80,12 @@ class TestBench:
                   "--dataset", "file:/nonexistent/keys.bin"])
         assert exc.value.code == 2
 
+    def test_bin_thresholds_that_leave_lists_no_room(self):
+        with pytest.raises(SystemExit) as exc:
+            main(FAST_BENCH + ["--workload", "read-heavy",
+                               "--tlb-threshold", "3", "--fanout", "8"])
+        assert exc.value.code == 2
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(FAST_BENCH + ["--workload", "read-heavy", "--frobnicate"])

@@ -111,6 +111,8 @@ class TestBuild:
             IndexConfig(tlb_threshold=0)
         with pytest.raises(ValueError):
             IndexConfig(eps_target=0.0)
+        with pytest.raises(ValueError):  # lists would hold 2 * 3 // 8 = 0 keys
+            IndexConfig(olb_threshold=2, tlb_fanout=8, tlb_threshold=3)
 
 
 class TestSeek:
@@ -455,7 +457,7 @@ class TestHelpMakeModel:
                         got_keys, versions = collect_frozen(bin_, index.clock)
                         assert fresh.keys == got_keys == keys
                         assert all(a is b for a, b in zip(fresh.versions, versions, strict=True))
-                        assert (struct.pack("<ddd", *fresh.model)
+                        assert (struct.pack("<ddd", *fresh.segments[0].model)
                                 == struct.pack("<ddd", *fit_linear(keys)))
                     for k in keys:
                         assert index.search(k) == k

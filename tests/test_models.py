@@ -260,40 +260,47 @@ class TestSearchRoot:
             assert search_root(keys, table, p) == oracle_search(keys, p)
 
 
+def one_segment(keys, model=None):
+    """The table of a non-root node over ``keys``: one segment, by default
+    over ``fit_linear(keys)``."""
+    if model is None:
+        model = fit_linear(keys)
+    return root_table([Segment(keys[0], 0, model)], len(keys))
+
+
 class TestSearchNonroot:
     def test_hit_at_the_predicted_position(self):
         keys = list(range(0, 100, 2))
-        m = fit_linear(keys)
-        assert search_nonroot(keys, m, 40) == (20, True)
+        assert search_nonroot(keys, one_segment(keys), 40) == (20, True)
 
     def test_key_above_everything(self):
         keys = [3, 6, 9]
-        assert search_nonroot(keys, fit_linear(keys), 50) == (2, False)
+        assert search_nonroot(keys, one_segment(keys), 50) == (2, False)
 
     def test_key_below_everything(self):
         keys = [30, 60, 90]
-        assert search_nonroot(keys, fit_linear(keys), 4) == (-1, False)
+        assert search_nonroot(keys, one_segment(keys), 4) == (-1, False)
 
     def test_agrees_with_binary_search_on_random_probes(self):
         rng = np.random.default_rng(41)
         keys = sorted(set(rng.integers(0, 2**52, 5_000).tolist()))
-        m = fit_linear(keys)
+        table = one_segment(keys)
         probes = np.concatenate([
             rng.choice(np.asarray(keys), 1_000),
             rng.integers(0, 2**52, 1_000),
         ]).tolist()
         for p in probes:
-            assert search_nonroot(keys, m, p) == oracle_search(keys, p)
+            assert search_nonroot(keys, table, p) == oracle_search(keys, p)
 
     @given(sorted_keys, st.integers(0, 2**63))
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence_property(self, keys, probe):
-        m = fit_linear(keys)
-        assert search_nonroot(keys, m, probe) == oracle_search(keys, probe)
+        assert search_nonroot(keys, one_segment(keys), probe) == oracle_search(keys, probe)
 
     def test_works_with_a_wild_model(self):
-        # the gallop brackets correctly even when the prediction is junk
+        # a key outside the window falls back to a bisect out to the slice
+        # edge, so the search is right even when the prediction is junk
         keys = [10, 20, 30, 40]
-        wild = Model(123.0, -4567.0, 0.0)
+        wild = one_segment(keys, Model(123.0, -4567.0, 0.0))
         for p in (5, 10, 25, 40, 99):
             assert search_nonroot(keys, wild, p) == oracle_search(keys, p)

@@ -376,6 +376,18 @@ class TestAuditStructure:
         report = audit_structure(index)
         assert "model-error" in {f.kind for f in report.findings}
 
+    def test_detects_overstated_precision_below_the_root(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        for k in range(1, 9):  # squares: no line fits them exactly
+            index.insert(k * k, k)
+        node = index.root.children[1].load()
+        assert isinstance(node, ModelNode)
+        assert audit_structure(index).ok
+        seg = node.segments[0]
+        node.segments = [seg._replace(model=seg.model._replace(eps=1e-12))]
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"model-error"}
+
     def test_detects_lookup_walk_disagreement(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
         report = audit_structure(_SearchLiar(index))
@@ -412,7 +424,8 @@ class TestAuditStructure:
         parent = index.root
         for k in range(1, depth + 1):
             node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
-                             [AtomicRef(None), AtomicRef(None)], model=fit_linear([k]))
+                             [AtomicRef(None), AtomicRef(None)],
+                             segments=[Segment(k, 0, fit_linear([k]))])
             parent.children[-1].store(node)
             parent = node
         report = audit_structure(index)
