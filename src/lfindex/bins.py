@@ -10,20 +10,31 @@ This module is mechanism only: lists, splices, freeze, collect and split.
 When a bin is full, and how wide a split is, is decided by the index from
 its IndexConfig.
 
-Mutators that observe a frozen link back off with UNDER_MAKE_MODEL so the
-caller can help retrain; readers ignore freeze bits entirely.  Freezing is
-idempotent and proceeds head to tail, so a successful splice is always at or
-ahead of the freeze frontier and will be collected.
+The freeze rule, for bins and for the model-node slots a compaction
+freezes alike: a freeze stops splices and installs, never a chain write.
 
-Walk start: nodes are never unlinked, so any node of a list below the key
-is a valid start for a walk to that key.  Each list keeps a ``hint``, the
-node of its last splice, and an insert starts there when the hint is below
-its key, so ascending inserts splice in O(1) loads.  The walk checks the
-freeze bit on every link it loads, wherever it starts.  Every mutation of a
-list funnels through a CAS, as everywhere in the index; the hint alone is a
-plain slot store, because it is advisory: any node of the list, or None, is
-a correct value, so a stale or racing store costs at most a longer walk.
-Scans, finds and deletes start at the head.
+- A list only gains nodes until it is frozen.  Freezing is idempotent and
+  proceeds head to tail, and a splice CASes the very link it loaded, so a
+  splice either lands ahead of the freeze frontier (and is collected) or
+  finds its link frozen and returns UNDER_MAKE_MODEL for the caller to
+  help retrain.  That bounce is the only one.
+- Every OLB->TLB split, retrain and compaction reuses the collected chain
+  heads, so each key has exactly one version chain however many structures
+  have held it.  An overwrite or delete of a key found in a frozen list
+  therefore writes that chain, and every later structure reads it.
+- A find or delete that finds no key is linearized at seek's load of the
+  bin's slot: nodes are never unlinked, so a key in the list then would
+  have been found.
+
+Walk: ``_olb_seek`` is the one walk toward a key, for inserts, finds,
+deletes and the start of a scan.  It ignores freeze bits.  Nodes are never
+unlinked, so any node of a list below the key is a valid start.  Each list
+keeps a ``hint``, the node of its last splice, and a walk starts there when
+the hint is below its key, so ascending inserts splice in O(1) loads.
+Every mutation of a list funnels through a CAS, as everywhere in the
+index; the hint alone is a plain slot store, because it is advisory: any
+node of the list, or None, is a correct value, so a stale or racing store
+costs at most a longer walk.
 """
 
 from __future__ import annotations
@@ -53,8 +64,8 @@ class _UnderMakeModel:
         return "UNDER_MAKE_MODEL"
 
 
-#: Returned by bin mutators iff they observed a frozen link; the bin is
-#: being retrained and the caller should help finish the replacement.
+#: Returned by an insert iff the link it would splice at is frozen; the bin
+#: is being retrained and the caller should help finish the replacement.
 UNDER_MAKE_MODEL = _UnderMakeModel()
 
 
@@ -115,30 +126,43 @@ def bin_new(key: int, value: int) -> tuple[OneLevelBin, VersionedValue]:
     return OneLevelBin(node, 1, node), ver
 
 
+def _olb_seek(olb: OneLevelBin, key: int,
+              ref: Optional[AtomicRef] = None) -> tuple[AtomicRef, MarkedLink]:
+    """The first link at or after the start whose target is None or >= key,
+    and the cell it was loaded from.
+
+    Starts at ``ref``, or after the hint when the hint is below ``key``, or
+    else at the head.  Freeze bits are not checked."""
+    if ref is None:
+        hint = olb.hint
+        ref = hint.next if hint is not None and hint.item < key else olb.head
+    link = ref.load()
+    node = link.target
+    while node is not None and node.item < key:
+        ref = node.next
+        link = ref.load()
+        node = link.target
+    return ref, link
+
+
 def _olb_insert(olb: OneLevelBin, key: int, value: int, clock: GlobalClock):
     """Returns (result, spliced): result True/False/UNDER_MAKE_MODEL.
 
-    Starts after the list's hint when the hint is below ``key``, else at the
-    head, and walks to the insertion point re-checking the freeze bit on
-    every link; a lost CAS re-reads the same predecessor link and keeps
-    walking, so a storm of inserts makes progress without restarting.
+    A key already in the list gets a chain write, frozen or not; a new key
+    is spliced at the link the walk stopped at, unless that link is frozen.
+    A lost CAS walks on from the same predecessor cell, so a storm of
+    inserts makes progress without restarting.
     """
-    hint = olb.hint
-    prev_ref = hint.next if hint is not None and hint.item < key else olb.head
-    link = prev_ref.load()
+    ref, link = _olb_seek(olb, key)
     while True:
-        if link.frozen:
-            return UNDER_MAKE_MODEL, False
         node = link.target
-        if node is not None and node.item < key:
-            prev_ref = node.next
-            link = prev_ref.load()
-            continue
         if node is not None and node.item == key:
             return write_value(node.version, value, clock), False
+        if link.frozen:
+            return UNDER_MAKE_MODEL, False
         fresh = VersionedValue(value)
         knode = KNode(key, AtomicRef(fresh), AtomicRef(_link_to(node)))
-        if prev_ref.compare_and_swap(link, MarkedLink(knode, False)):
+        if ref.compare_and_swap(link, MarkedLink(knode, False)):
             olb.hint = knode
             # stamp before reporting success: an unstamped splice could be
             # assigned a too-new time by a later scan and vanish from
@@ -146,30 +170,7 @@ def _olb_insert(olb: OneLevelBin, key: int, value: int, clock: GlobalClock):
             init_ts(fresh, clock)
             olb.size.fetch_add(1)
             return True, True
-        link = prev_ref.load()
-
-
-def _olb_delete(olb: OneLevelBin, key: int, clock: GlobalClock):
-    ref = olb.head
-    while True:
-        link = ref.load()
-        if link.frozen:
-            return UNDER_MAKE_MODEL
-        node = link.target
-        if node is None or node.item > key:
-            return False
-        if node.item == key:
-            return write_value(node.version, None, clock)
-        ref = node.next
-
-
-def _olb_find(olb: OneLevelBin, key: int) -> Optional[KNode]:
-    node = olb.head.load().target
-    while node is not None and node.item < key:
-        node = node.next.load().target
-    if node is not None and node.item == key:
-        return node
-    return None
+        ref, link = _olb_seek(olb, key, ref)
 
 
 def _list_for(bin_: Any, key: int) -> OneLevelBin:
@@ -192,8 +193,8 @@ def list_size(bin_: Any, key: int) -> int:
 
 def insert_bin(bin_: Any, key: int, value: int, clock: GlobalClock):
     """Insert or update; True/False per the map contract, UNDER_MAKE_MODEL
-    if a freeze was observed.  A splice counts in its list's size and, in a
-    two-level bin, in the bin's total as well.
+    if a new key meets a frozen link.  A splice counts in its list's size
+    and, in a two-level bin, in the bin's total as well.
     """
     lst = _list_for(bin_, key)
     result, spliced = _olb_insert(lst, key, value, clock)
@@ -202,27 +203,17 @@ def insert_bin(bin_: Any, key: int, value: int, clock: GlobalClock):
     return result
 
 
-def delete_bin(bin_: Any, key: int, clock: GlobalClock):
-    return _olb_delete(_list_for(bin_, key), key, clock)
+def delete_bin(bin_: Any, key: int, clock: GlobalClock) -> bool:
+    """True if ``key`` was present; its chain gets an Absent version, frozen
+    or not."""
+    knode = search_bin(bin_, key)
+    return knode is not None and write_value(knode.version, None, clock)
 
 
 def search_bin(bin_: Any, key: int) -> Optional[KNode]:
     """Find the node for ``key`` if spliced, frozen or not.  Read-only."""
-    return _olb_find(_list_for(bin_, key), key)
-
-
-def _olb_scan(node: Optional[KNode], lo: int, hi: int, ts: int, out: list,
-              clock: GlobalClock, limit: Optional[int]) -> None:
-    # ``node`` is the first node of the list to scan
-    while node is not None and node.item < lo:
-        node = node.next.load().target
-    while node is not None and node.item <= hi:
-        if limit is not None and len(out) >= limit:
-            return
-        val = read_value_at(node.version, ts, clock)
-        if val is not None and val is not TOMBSTONE:
-            out.append((node.item, val))
-        node = node.next.load().target
+    node = _olb_seek(_list_for(bin_, key), key)[1].target
+    return node if node is not None and node.item == key else None
 
 
 def scan_bin(bin_: Any, lo: int, hi: int, ts: int, out: list,
@@ -231,16 +222,19 @@ def scan_bin(bin_: Any, lo: int, hi: int, ts: int, out: list,
 
     Ignores freeze bits; skips keys deleted at ts or younger than ts."""
     if bin_.is_one_level:
-        _olb_scan(bin_.head.load().target, lo, hi, ts, out, clock, limit)
-        return
-    a = bisect_left(bin_.keys, lo)   # child owning lo
-    b = bisect_left(bin_.keys, hi)   # child owning hi
-    for child in bin_.children[a:b + 1]:
-        if limit is not None and len(out) >= limit:
-            return
-        first = child.head.load().target
-        if first is not None:
-            _olb_scan(first, lo, hi, ts, out, clock, limit)
+        lists = (bin_,)
+    else:  # the children owning lo through hi
+        seps = bin_.keys
+        lists = bin_.children[bisect_left(seps, lo):bisect_left(seps, hi) + 1]
+    for lst in lists:
+        node = _olb_seek(lst, lo)[1].target
+        while node is not None and node.item <= hi:
+            if limit is not None and len(out) >= limit:
+                return
+            val = read_value_at(node.version, ts, clock)
+            if val is not None and val is not TOMBSTONE:
+                out.append((node.item, val))
+            node = node.next.load().target
 
 
 def freeze_bin(bin_: Any) -> None:

@@ -39,7 +39,7 @@ def _lock_for(obj: object) -> threading.Lock:
 
 
 class AtomicRef:
-    """A reference cell with load / store / CAS as indivisible steps.
+    """A reference cell with load / CAS as indivisible steps.
 
     CAS compares by identity, so logically-equal but distinct objects fail
     the swap.  Combined with immutable link/version objects and refcounted
@@ -60,10 +60,6 @@ class AtomicRef:
 
     def load(self) -> Any:
         return self.value
-
-    def store(self, value: Any) -> None:
-        with _lock_for(self):
-            self.value = value
 
     def compare_and_swap(self, expected: Any, new: Any) -> bool:
         hook = _cas_hook

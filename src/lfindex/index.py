@@ -28,13 +28,14 @@ parent's slot.  Any thread that meets a frozen slot can finish the job,
 and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
-a child slot a second time.  ``seek`` reads through frozen slots, so a
-frozen subtree still answers reads, and its chains still take overwrites.
-Insert and delete are retry loops around seek: a full or frozen bin, or a
-lost install, sends them back through seek.  An install CAS that finds its
-slot frozen first helps that compaction to its end, so every retry follows
-a step that some thread completed.  Search reads once and never retries: a
-bin it is handed is read as it is, frozen or not.
+a child slot a second time.  ``seek`` reads through frozen slots.  A freeze
+stops splices and installs, never a chain write (the argument is in the
+``bins`` docstring), so search and delete are one seek and then one read or
+one write, frozen or not.  Insert is the only retry loop around seek: a
+full bin, a splice that meets a frozen link, or a lost install sends it
+back.  An install CAS that finds its slot frozen first helps that
+compaction to its end, so every retry follows a step that some thread
+completed.
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ class IndexConfig:
             raise ValueError("bin thresholds must be >= 1")
         if self.tlb_fanout < 2:
             raise ValueError("fanout must be >= 2")
+        if self.olb_threshold >= self.tlb_threshold:
+            raise ValueError("olb_threshold must be below tlb_threshold, or a "
+                             "split bin would be full before its first splice")
         if 2 * self.tlb_threshold < self.tlb_fanout:
             raise ValueError("tlb_threshold must be at least half the fanout, "
                              "or every list would be full before its first key")
@@ -238,21 +242,17 @@ class LearnedIndex:
             return res
 
     def delete(self, key: int) -> bool:
-        """True if the key was present (its latest payload now Absent)."""
+        """True if the key was present (its latest payload now Absent).
+        One seek and at most one chain write: a frozen bin or subtree
+        still takes the write (see ``bins``), so it never retries."""
         if not 0 <= key <= KEY_MAX:
             raise ValueError("key outside the 63-bit domain")
-        clock = self.clock
-        while True:
-            node, i, child = self.seek(key)
-            if child is FOUND:
-                return write_value(node.versions[i], None, clock)
-            if child is None:
-                return False
-            res = delete_bin(child, key, clock)
-            if res is UNDER_MAKE_MODEL:
-                self.help_make_model(node, i, child)
-                continue
-            return res
+        node, i, child = self.seek(key)
+        if child is FOUND:
+            return write_value(node.versions[i], None, self.clock)
+        if child is None:
+            return False
+        return delete_bin(child, key, self.clock)
 
     def search(self, key: int) -> Optional[int]:
         """Latest payload, or None when absent.  Never helps, never blocks,

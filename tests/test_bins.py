@@ -105,6 +105,15 @@ class TestInsertBin:
         freeze_bin(olb)
         assert insert_bin(olb, 1, 10, clock) is UNDER_MAKE_MODEL
 
+    def test_frozen_bin_takes_overwrites(self):
+        clock = GlobalClock(0)
+        olb = make_olb([(3, 30), (7, 70)], clock)
+        freeze_bin(olb)
+        assert insert_bin(olb, 7, 71, clock) is True
+        assert insert_bin(olb, 7, 71, clock) is False
+        assert read_value_latest(search_bin(olb, 7).version, clock) == 71
+        assert olb.size.load() == 2
+
     def test_insert_below_head_and_above_tail(self):
         clock = GlobalClock(0)
         olb = make_olb([(50, 1)], clock)
@@ -134,11 +143,16 @@ class TestDeleteBin:
         assert delete_bin(olb, 3, clock) is True
         assert delete_bin(olb, 3, clock) is False
 
-    def test_frozen_bin_bounces(self):
+    def test_frozen_bin_takes_the_write(self):
+        # a freeze stops splices, not chain writes
         clock = GlobalClock(0)
         olb = make_olb([(3, 30)], clock)
         freeze_bin(olb)
-        assert delete_bin(olb, 3, clock) is UNDER_MAKE_MODEL
+        assert delete_bin(olb, 3, clock) is True
+        keys, versions = collect_frozen(olb, clock)
+        assert keys == [3]
+        assert read_value_latest(versions[0], clock) is None
+        assert delete_bin(olb, 4, clock) is False
 
 
 class TestSearchBin:
@@ -215,11 +229,15 @@ class TestScanBin:
 
 class TestFreeze:
     def test_freeze_then_mutate_bounces(self):
+        # a splice bounces; a delete is a chain write and goes through
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
         assert insert_bin(olb, 5, 50, clock) is UNDER_MAKE_MODEL
-        assert delete_bin(olb, 3, clock) is UNDER_MAKE_MODEL
+        assert delete_bin(olb, 3, clock) is True
+        keys, versions = collect_frozen(olb, clock)
+        assert keys == [3, 7]
+        assert read_value_latest(versions[0], clock) is None
 
     def test_freeze_is_idempotent(self):
         clock = GlobalClock(0)
@@ -341,10 +359,29 @@ class TestWalkStart:
         empty = olb_to_tlb([7], [AtomicRef(VersionedValue(7, 0))], fanout=2)
         assert empty.children[-1].hint is None
 
+    def test_reads_above_the_hint_start_there(self):
+        # find, delete and a scan's start share the insert's walk
+        clock = GlobalClock(0)
+        olb = make_olb([(k, k) for k in range(200)], clock)
+        olb.hint = search_bin(olb, 190)  # any node of the list is a valid hint
+        count_link_loads(olb)
+        assert search_bin(olb, 195).item == 195
+        assert search_bin(olb, 500) is None
+        assert delete_bin(olb, 197, clock) is True
+        assert delete_bin(olb, 500, clock) is False
+        out = []
+        scan_bin(olb, 196, 2_000, BIG_TS, out, clock)
+        assert out == [(196, 196), (198, 198), (199, 199)]
+        # each walk loads only the links from the hint's up to its key
+        assert CountingRef.loads == 5 + 10 + 7 + 10 + (6 + 4)
+        assert search_bin(olb, 150).item == 150  # below the hint: from the head
+        assert CountingRef.loads > 150
+
     def test_racing_ascending_splices_and_freeze(self, monkeypatch):
         # three threads splice interleaved ascending keys, each starting at
         # the hint, while a fourth freezes the list: a splice that returned
-        # True is collected, and a walk that loaded a frozen link bounced
+        # True is collected, and an insert bounced iff the last link it
+        # loaded, the one it would CAS, was frozen
         met_frozen = threading.local()
 
         class WatchedRef(AtomicRef):
@@ -352,8 +389,8 @@ class TestWalkStart:
 
             def load(self):
                 value = self.value
-                if isinstance(value, MarkedLink) and value.frozen:
-                    met_frozen.flag = True
+                if isinstance(value, MarkedLink):
+                    met_frozen.flag = value.frozen
                 return value
 
         monkeypatch.setattr(bins_mod, "AtomicRef", WatchedRef)

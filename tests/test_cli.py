@@ -83,7 +83,8 @@ class TestBench:
     def test_bin_thresholds_that_leave_lists_no_room(self):
         with pytest.raises(SystemExit) as exc:
             main(FAST_BENCH + ["--workload", "read-heavy",
-                               "--tlb-threshold", "3", "--fanout", "8"])
+                               "--olb-threshold", "2", "--tlb-threshold", "3",
+                               "--fanout", "8"])
         assert exc.value.code == 2
 
     def test_unknown_flag(self):

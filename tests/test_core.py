@@ -32,12 +32,6 @@ def chain(head_ref):
 
 
 class TestAtomicRef:
-    def test_load_store_roundtrip(self):
-        ref = AtomicRef("x")
-        assert ref.load() == "x"
-        ref.store("y")
-        assert ref.load() == "y"
-
     def test_cas_succeeds_on_identity_match(self):
         obj = object()
         ref = AtomicRef(obj)
@@ -47,7 +41,7 @@ class TestAtomicRef:
 
     def test_cas_fails_on_stale_expected(self):
         ref = AtomicRef(1)
-        ref.store(2)
+        assert ref.compare_and_swap(1, 2)
         assert not ref.compare_and_swap(1, 3)
         assert ref.load() == 2
 

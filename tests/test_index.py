@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lfindex.index as index_mod
-from lfindex import rangescan
+from lfindex import bins as bins_mod, rangescan
 from lfindex.bins import (OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin,
                           insert_bin, search_bin)
 from lfindex.core import KEY_MAX, UNSET_TS, set_cas_hook
@@ -113,6 +113,8 @@ class TestBuild:
             IndexConfig(eps_target=0.0)
         with pytest.raises(ValueError):  # lists would hold 2 * 3 // 8 = 0 keys
             IndexConfig(olb_threshold=2, tlb_fanout=8, tlb_threshold=3)
+        with pytest.raises(ValueError):  # a split bin would already be full
+            IndexConfig(olb_threshold=16, tlb_fanout=8, tlb_threshold=8)
 
 
 class TestSeek:
@@ -260,16 +262,27 @@ class TestInsert:
         assert lengths and max(lengths) <= cfg.list_threshold
         assert all(index.search(k) == k for k in range(100, 3_100))
 
-    def test_racing_first_inserts_install_one_bin(self):
+    def test_racing_first_inserts_install_one_bin(self, monkeypatch):
         # eight first inserts into one empty slot: one install wins, the
-        # losers retry through seek and splice into the winner's bin
+        # losers retry through seek and splice into the winner's bin.  Each
+        # thread waits after building its bin, so all eight saw the slot
+        # empty and exactly seven installs lose in every trial.
         hook_rnd = random.Random(16)
         lost = [0]
         keys = list(range(100, 900, 100))
         old_interval = sys.getswitchinterval()
+        real_bin_new = index_mod.bin_new
         for trial in range(50):
             index = LearnedIndex.build([(0, 0), (1000, 0)])
             slot_cell = index.root.children[1]
+            built = threading.Barrier(len(keys))
+
+            def bin_new(key, value):
+                out = real_bin_new(key, value)
+                built.wait(10)
+                return out
+
+            monkeypatch.setattr(index_mod, "bin_new", bin_new)
 
             def stall(cell, ok):
                 if cell is slot_cell and not ok:
@@ -305,7 +318,7 @@ class TestInsert:
                 assert index.search(k) == k
             report = audit_structure(index)
             assert report.ok, report.findings[:3]
-        assert lost[0] > 0  # some trial took the lost-install retry
+        assert lost[0] == 50 * (len(keys) - 1)  # every loser retried once
 
 
 class TestFirstInsertStamp:
@@ -389,6 +402,40 @@ class TestDelete:
         assert index.delete(50) is True
         assert index.search(50) is None
         assert index.delete(50) is False
+
+    def test_writes_through_a_frozen_bin_need_no_help(self, monkeypatch):
+        # a freeze stops splices, not chain writes: a delete and an
+        # overwrite land in the frozen bin's chains; only a new key helps
+        index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
+        for k in (10, 20, 30):
+            index.insert(k, k)
+        node, slot, bin_ = index.seek(10)
+        assert isinstance(bin_, OneLevelBin)
+        freeze_bin(bin_)
+        helps = []
+        real_help = LearnedIndex.help_make_model
+
+        def counting_help(self, *args):
+            helps.append(args)
+            return real_help(self, *args)
+
+        monkeypatch.setattr(LearnedIndex, "help_make_model", counting_help)
+        log = []
+        index.transition_log = lambda *step: log.append(step)
+        assert index.delete(10) is True
+        assert index.insert(20, 21) is True
+        assert helps == [] and log == []
+        assert node.children[slot].load() is bin_
+        assert index.search(10) is None and index.search(20) == 21
+        assert index.insert(25, 25) is True
+        assert len(helps) == 1 and len(log) == 1
+        assert isinstance(log[0][3], TwoLevelBin)
+        assert index.search(10) is None
+        assert index.search(20) == 21 and index.search(25) == 25
+        assert index.range(0, 1000) == [(0, 0), (20, 21), (25, 25), (30, 30), (1000, 0)]
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == {0: 0, 20: 21, 25: 25, 30: 30, 1000: 0}
 
 
 class TestHelpMakeModel:
@@ -634,6 +681,59 @@ class TestCompaction:
             assert report.ok, report.findings[:3]
             assert report.live_map() == {k: k for k in range(2_401)}
         assert lost[0] > 0  # some helper lost a compaction install
+
+    def test_racing_deletes_land_through_retrains_and_compactions(self, monkeypatch):
+        # four threads delete preloaded keys while four insert new keys
+        # between them, so deletes meet bins and subtrees being frozen and
+        # write their chains there: no delete may be lost to a retrain
+        hook_rnd = random.Random(18)
+        through_frozen = [0]
+        real_delete_bin = index_mod.delete_bin
+
+        def delete_bin(bin_, key, clock):
+            if bins_mod._list_for(bin_, key).head.load().frozen:
+                through_frozen[0] += 1
+            return real_delete_bin(bin_, key, clock)
+
+        monkeypatch.setattr(index_mod, "delete_bin", delete_bin)
+        old_interval = sys.getswitchinterval()
+        for trial in range(20):
+            index = LearnedIndex.build([(0, 0)], TINY)
+            for k in range(2, 1_601, 2):
+                index.insert(k, k)
+            deletes = [list(range(2 + 2 * t, 1_601, 8)) for t in range(4)]
+            inserts = [list(range(1 + 2 * t, 1_601, 8)) for t in range(4)]
+            jobs = [(index.delete, share) for share in deletes]
+            jobs += [(lambda k: index.insert(k, k), share) for share in inserts]
+            results = [None] * len(jobs)
+            barrier = threading.Barrier(len(jobs))
+
+            def run(j):
+                op, share = jobs[j]
+                barrier.wait(10)
+                results[j] = [op(k) for k in share]
+
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(len(jobs))]
+            sys.setswitchinterval(1e-5)
+            set_cas_hook(lambda c, ok: time.sleep(1e-5) if hook_rnd.random() < 0.1 else None)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                set_cas_hook(None)
+                sys.setswitchinterval(old_interval)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r == [True] * len(share) for r, (_, share) in zip(results, jobs))
+            report = audit_structure(index)
+            assert report.ok, report.findings[:3]
+            want = {0: 0} | {k: k for share in inserts for k in share}
+            assert report.live_map() == want, f"trial {trial}"
+            assert index.range(0, KEY_MAX) == sorted(want.items())
+            for share in deletes:
+                assert all(index.search(k) is None for k in share)
+        assert through_frozen[0] > 0  # some delete wrote through a freeze
 
     def test_paused_scan_reads_its_snapshot_across_a_compaction(self, monkeypatch):
         # a scan pauses at the first bin inside the root's nested subtree;

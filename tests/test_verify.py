@@ -338,7 +338,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(10, 1), (20, 2)])
         index.insert(15, 150)
         olb = index.root.children[1].load()
-        index.root.children[0].store(olb)  # same bin reachable twice
+        index.root.children[0].value = olb  # same bin reachable twice
         report = audit_structure(index)
         kinds = {f.kind for f in report.findings}
         assert "interval" in kinds and "duplicate-key" in kinds
@@ -355,7 +355,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(10, 1)])
         ref = index.root.versions[0]
         mid = VersionedValue(7, vnext=ref.load())      # never stamped
-        ref.store(VersionedValue(9, ts=5, vnext=mid))
+        ref.value = VersionedValue(9, ts=5, vnext=mid)
         report = audit_structure(index, check_seek=False)
         assert "unstamped-version" in {f.kind for f in report.findings}
 
@@ -363,7 +363,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(10, 1)])
         ref = index.root.versions[0]
         tail = VersionedValue(7, ts=5, vnext=ref.load())
-        ref.store(VersionedValue(9, ts=2, vnext=tail))  # older stamp on top
+        ref.value = VersionedValue(9, ts=2, vnext=tail)  # older stamp on top
         report = audit_structure(index, check_seek=False)
         assert "timestamp-order" in {f.kind for f in report.findings}
 
@@ -400,7 +400,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(10, 1), (20, 2)])
         index.insert(15, 150)
         olb = index.root.children[1].load()
-        index.root.children[1].store(Frozen(olb, (index.root, 1, [])))
+        index.root.children[1].value = Frozen(olb, (index.root, 1, []))
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"frozen-slot"}
         assert report.live_map() == {10: 1, 15: 150, 20: 2}
@@ -426,7 +426,7 @@ class TestAuditStructure:
             node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
                              [AtomicRef(None), AtomicRef(None)],
                              segments=[Segment(k, 0, fit_linear([k]))])
-            parent.children[-1].store(node)
+            parent.children[-1].value = node
             parent = node
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
