@@ -10,14 +10,17 @@ This module is mechanism only: lists, splices, freeze, collect and split.
 When a bin is full, and how wide a split is, is decided by the index from
 its IndexConfig.
 
-The freeze rule, for bins and for the model-node slots a compaction
-freezes alike: a freeze stops splices and installs, never a chain write.
+The freeze rule, for bins and for the model nodes a compaction freezes
+alike: a freeze stops splices and installs, never a chain write.
 
 - A list only gains nodes until it is frozen.  Freezing is idempotent and
   proceeds head to tail, and a splice CASes the very link it loaded, so a
   splice either lands ahead of the freeze frontier (and is collected) or
   finds its link frozen and returns UNDER_MAKE_MODEL for the caller to
   help retrain.  That bounce is the only one.
+- A model node freezes in one step, and an install in one of its slots
+  is a ``dcss`` that fails once it has: the install lands before the
+  freeze (and is collected) or fails and helps the compaction.
 - Every OLB->TLB split, retrain and compaction reuses the collected chain
   heads, so each key has exactly one version chain however many structures
   have held it.  An overwrite or delete of a key found in a frozen list

@@ -1,12 +1,13 @@
 """Shared primitives: atomic cells, marked links, versioned values, the clock.
 
 Every mutation anywhere in the index funnels through a single-word
-compare-and-swap on one of the cell types below.  (The one plain store is
-advisory, a bin list's walk hint; see ``bins``.)  CPython has no native CAS,
-so the cells emulate it with a small stripe of module-level locks: each
-critical section is a constant-time compare+store, never nested, and never
-calls back into user code.  Plain attribute loads are atomic under the GIL
-and are used for all reads.
+compare-and-swap on one of the cell types below, or through ``dcss`` and
+``freeze``, which write a model node's child cells and its freeze word.
+(The one plain store is advisory, a bin list's walk hint; see ``bins``.)
+CPython has no native CAS, so the primitives emulate it with a small stripe
+of module-level locks: each critical section is a constant-time
+compare+store, never nested, and never calls back into user code.  Plain
+attribute loads are atomic under the GIL and are used for all reads.
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
 by deletions.  A key that was never inserted has no version at all, which
@@ -26,6 +27,7 @@ _CAS_LOCKS = tuple(threading.Lock() for _ in range(_STRIPES))
 
 # Test instrumentation: called as hook(cell, success) from inside the stripe
 # lock, so per-cell event order in the hook equals the true CAS order.
+# ``dcss`` and ``freeze`` report as described on them.
 _cas_hook: Optional[Callable[[object, bool], None]] = None
 
 
@@ -117,30 +119,36 @@ END = MarkedLink(None, False)
 FROZEN_END = MarkedLink(None, True)
 
 
-class Inner:
-    """Base of what a model-node child slot holds other than None or a bin:
-    a model node, or a frozen slot.  A walker tells the two groups apart
-    with one isinstance test."""
+def dcss(owner: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
+    """Store ``new`` in ``cell``, a field of ``owner``, iff ``owner.frozen``
+    is None and ``cell`` holds ``expected``: a double-compare single-swap
+    (Harris, Fraser & Pratt, DISC 2002), under ``owner``'s stripe lock as
+    ``freeze`` is.  The hook sees ``(cell, ok)``, or ``(owner, False)``
+    when the freeze failed it: a failure names what a success changed."""
+    hook = _cas_hook
+    with _lock_for(owner):
+        if owner.frozen is not None:
+            target, ok = owner, False
+        else:
+            target, ok = cell, cell.value is expected
+            if ok:
+                cell.value = new
+        if hook is not None:
+            hook(target, ok)
+    return ok
 
-    __slots__ = ()
 
-
-class Frozen(Inner):
-    """A model-node child slot frozen by a compaction job.
-
-    ``content`` is what the slot held when it froze (None, a bin or a model
-    node); the slot never changes again.  ``job`` is ``(parent, slot,
-    keys)``: the compaction installs in ``parent.children[slot]`` over the
-    model node whose keys list is ``keys``.  The job names that node by its
-    keys list rather than by the node itself, so a replaced subtree holds
-    no reference back to its root and reference counting frees it.
-    """
-
-    __slots__ = ("content", "job")
-
-    def __init__(self, content: Any, job: tuple):
-        self.content = content
-        self.job = job
+def freeze(owner: Any, job: Any) -> None:
+    """Set ``owner.frozen`` to ``job`` unless it is already set.  Terminal:
+    no later ``dcss`` on the owner's cells succeeds.  The hook sees
+    ``(owner, ok)``."""
+    hook = _cas_hook
+    with _lock_for(owner):
+        ok = owner.frozen is None
+        if ok:
+            owner.frozen = job
+        if hook is not None:
+            hook(owner, ok)
 
 
 class VersionedValue:

@@ -2,13 +2,14 @@
 
 Structure invariants the operations below maintain:
 
-- A model node's keys and model are immutable after construction; only its
-  child slots change.  A slot moves forward through
-  empty -> one-level bin -> two-level bin -> model node, each step a single
-  CAS; any slot may instead be frozen (wrapped, content and all, in an
-  immutable ``Frozen``), after which it never changes again; and a slot
-  holding a model node may move to a new model node by a compaction
-  install.  The root is never replaced.
+- A slot holds None, a bin or a model node; a frozen node's slots never
+  change.  A model node's keys and model are immutable after
+  construction; only its child slots and its ``frozen`` word change.  A
+  slot moves forward through empty -> one-level bin -> two-level bin ->
+  model node, and a slot holding a model node may move to a new model node
+  by a compaction install.  ``_install`` makes each move with one
+  ``core.dcss``, which fails once the slot's node is frozen.  The root is
+  never frozen or replaced.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
 - Retrains never move version chains: replacement structures reuse the
@@ -22,20 +23,20 @@ ascending inserts would grow a chain of nested nodes; compaction bounds the
 depth.  After a retrain, the highest non-root node on the new node's path
 whose on-path descendants hold at least ``COMPACT_RATIO`` times its own key
 count is rebuilt, with its whole subtree, as one model node: one in-order
-walk freezes every slot and bin of the subtree and collects the keys and
-chain heads, one node is fitted over them, and one CAS installs it in the
-parent's slot.  Any thread that meets a frozen slot can finish the job,
-and every helper builds the same node.
+walk freezes each model node and bin of the subtree and collects the keys
+and chain heads, one node is fitted over them, and one ``dcss`` installs
+it in the parent's slot.  A frozen node's ``frozen`` word is the job
+``(parent, slot, keys)`` that froze it, so any thread whose install meets
+a frozen node can finish the job, and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
-a child slot a second time.  ``seek`` reads through frozen slots.  A freeze
+a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
 stops splices and installs, never a chain write (the argument is in the
 ``bins`` docstring), so search and delete are one seek and then one read or
 one write, frozen or not.  Insert is the only retry loop around seek: a
 full bin, a splice that meets a frozen link, or a lost install sends it
-back.  An install CAS that finds its slot frozen first helps that
-compaction to its end, so every retry follows a step that some thread
-completed.
+back.  An install that finds its node frozen first helps that compaction
+to its end, so every retry follows a step that some thread completed.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from typing import Any, Callable, Iterable, Optional
 from .core import (
     KEY_MAX,
     AtomicRef,
-    Frozen,
     GlobalClock,
-    Inner,
     VersionedValue,
+    dcss,
+    freeze,
     init_ts,
     read_value_latest,
     write_value,
@@ -126,9 +127,10 @@ class IndexConfig:
         return 2 * self.tlb_threshold // self.tlb_fanout
 
 
-class ModelNode(Inner):
+class ModelNode:
     """Immutable keys + piecewise model, one version chain per key, m+1
-    child slots.
+    child slots, and a freeze word: None, or the compaction job that froze
+    the node.
 
     Every node carries ``segments``, flattened once into ``table``, and is
     searched by ``search_root`` within each segment's eps: the root's
@@ -136,7 +138,7 @@ class ModelNode(Inner):
     one segment over ``fit_linear`` of its keys.
     """
 
-    __slots__ = ("keys", "segments", "table", "versions", "children")
+    __slots__ = ("keys", "segments", "table", "versions", "children", "frozen")
 
     def __init__(self, keys, versions, children, segments):
         self.keys = keys
@@ -144,6 +146,7 @@ class ModelNode(Inner):
         self.children = children    # list[AtomicRef] -> None | bin | ModelNode
         self.segments = segments
         self.table = root_table(segments, len(keys))
+        self.frozen = None
 
     def locate(self, key: int) -> tuple[int, bool]:
         return search_root(self.keys, self.table, key)
@@ -190,9 +193,9 @@ class LearnedIndex:
         """Walk model nodes toward ``key``; returns (node, i, child).
 
         ``child`` is FOUND when ``key == node.keys[i]``.  Otherwise ``i`` is
-        the routing child slot and ``child`` is what seek loaded there, or
-        the content of that slot if it was frozen: None, so the key is
-        nowhere in the index right now, or a bin that may hold it."""
+        the routing child slot and ``child`` is what seek loaded there:
+        None, so the key is nowhere in the index right now, or a bin that
+        may hold it."""
         node = self.root
         ix, found = search_root(node.keys, node.table, key)
         while True:
@@ -200,12 +203,8 @@ class LearnedIndex:
                 return node, ix, FOUND
             slot = ix + 1
             child = node.children[slot].load()
-            if not isinstance(child, Inner):
+            if child.__class__ is not ModelNode:
                 return node, slot, child
-            if child.__class__ is Frozen:  # a compaction is under way here
-                child = child.content
-                if not isinstance(child, ModelNode):
-                    return node, slot, child
             node = child
             ix, found = search_nonroot(node.keys, node.table, key)
 
@@ -280,10 +279,10 @@ class LearnedIndex:
         """Drive one lifecycle step for a full or frozen bin, then stop.
 
         Freeze, collect, build, install: freeze is idempotent; collection and
-        construction happen on private data; the single publish CAS decides
+        construction happen on private data; the single install decides
         the winner and losers simply discard their build.  No retry: if the
-        CAS fails the transition already happened, or a compaction froze the
-        slot and has been helped to its end.  A one-level bin becomes a
+        install fails the transition already happened, or a compaction froze
+        the node and has been helped to its end.  A one-level bin becomes a
         two-level bin, a two-level bin a model node; the thread whose model
         node goes in then compacts above it if the path calls for it."""
         freeze_bin(bin_)
@@ -305,8 +304,8 @@ class LearnedIndex:
         while node is not new:
             slot = bisect_left(node.keys, key)
             child = node.children[slot].load()
-            if child.__class__ is not ModelNode:
-                return  # frozen or replaced since: a compaction got here first
+            if child.__class__ is not ModelNode or node.frozen is not None:
+                return  # replaced or frozen since: a compaction got here first
             path.append((node, slot, child))
             node = child
         below = 0
@@ -324,31 +323,30 @@ class LearnedIndex:
         ``slot``, and its whole subtree with one model node.
 
         One in-order walk over the subtree, with an explicit stack, freezes
-        each slot and then reads what it froze: a nested node is walked, a
-        bin is frozen and its keys and chain heads collected (deleted keys
-        too), and each node key follows its left slot.  A slot never changes
-        once frozen and a frozen bin never changes, so every helper collects
-        the same keys, fits the same node, and the first install wins."""
+        each model node as it enters it and then reads that node's slots,
+        which no longer change: a nested node is walked, a bin is frozen and
+        its keys and chain heads collected (deleted keys too), and each node
+        key follows its left slot.  A frozen node or bin never changes, so
+        every helper collects the same keys, fits the same node, and the
+        first install wins."""
+        # the job names node by its keys list, so a replaced subtree holds
+        # no reference back to its root and reference counting frees it
         job = (parent, slot, node.keys)
-        empty = Frozen(None, job)  # immutable, so every empty slot shares it
         keys: list[int] = []
         versions: list[AtomicRef] = []
         stack = []  # (node, i): slot i of node is done, key i comes next
         n, i = node, 0
+        freeze(n, job)
         while True:
-            ref = n.children[i]
-            cur = ref.load()
-            while cur.__class__ is not Frozen:
-                frozen = empty if cur is None else Frozen(cur, job)
-                cur = frozen if ref.compare_and_swap(cur, frozen) else ref.load()
-            content = cur.content
-            if isinstance(content, ModelNode):
+            child = n.children[i].load()
+            if child.__class__ is ModelNode:
                 stack.append((n, i))
-                n, i = content, 0
+                n, i = child, 0
+                freeze(n, job)
                 continue
-            if content is not None:
-                freeze_bin(content)
-                bin_keys, bin_versions = collect_frozen(content, self.clock)
+            if child is not None:
+                freeze_bin(child)
+                bin_keys, bin_versions = collect_frozen(child, self.clock)
                 keys += bin_keys
                 versions += bin_versions
             while i == len(n.keys):  # n's last slot is done
@@ -360,29 +358,23 @@ class LearnedIndex:
             versions.append(n.versions[i])
             i += 1
 
-    def _help_frozen(self, frozen: Frozen) -> None:
-        """Finish the compaction that froze a slot, or the outer one that
-        froze the slot it installs in; nothing if it is already done."""
-        while True:
-            parent, slot, keys = frozen.job
-            cur = parent.children[slot].load()
-            if cur.__class__ is Frozen:
-                frozen = cur
-                continue
-            if cur.__class__ is ModelNode and cur.keys is keys:
-                self.help_compact(parent, slot, cur)
-            return
-
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
-        cell = parent.children[slot]
-        if cell.compare_and_swap(expected, new):
+        """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the
+        one writer of child slots.  A move lost to a freeze first finishes
+        the outermost compaction under way: a frozen node's job names the
+        parent it installs in, which may be frozen by an outer job."""
+        if dcss(parent, parent.children[slot], expected, new):
             log = self.transition_log
             if log is not None:
                 log(parent, slot, expected, new)
             return True
-        cur = cell.load()
-        if cur.__class__ is Frozen:  # lost to a compaction: finish it first
-            self._help_frozen(cur)
+        if parent.frozen is None:
+            return False  # lost to another move of the same slot
+        while parent.frozen is not None:
+            parent, slot, keys = parent.frozen
+        cur = parent.children[slot].load()
+        if cur.__class__ is ModelNode and cur.keys is keys:  # not installed yet
+            self.help_compact(parent, slot, cur)
         return False
 
 

@@ -2,10 +2,10 @@
 
 A scan takes one logical timestamp up front (read-and-bump, so later
 writers stamp strictly after it), then walks the structure in key order
-reading each version chain as of that time.  Bins and frozen slots are
-read through whatever reference the walk loaded: replaced bins and
-compacted subtrees share their version chains with their replacement, so
-the payloads agree.
+reading each version chain as of that time.  Bins and model nodes, frozen
+or not, are read through whatever reference the walk loaded: replaced bins
+and compacted subtrees share their version chains with their replacement,
+so the payloads agree.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import KEY_MAX, TOMBSTONE, Frozen, GlobalClock, Inner, read_value_at
+from .core import KEY_MAX, TOMBSTONE, GlobalClock, read_value_at
 from .bins import scan_bin
 
 
@@ -50,7 +50,9 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
     child i between keys i-1 and i yields globally ascending output.  A
     nested model node pauses its parent on an explicit stack of (node, key
     index, last slot) frames, so nothing recurses however deep the tree.
-    Frozen slots are read through.  Each child slot is loaded exactly once."""
+    A nested node has ``node``'s class (this module cannot import
+    ``index``).  Each child slot is loaded exactly once."""
+    node_cls = node.__class__
     stack = []
     i = bisect_left(node.keys, lo)
     b = bisect_right(node.keys, hi)
@@ -63,19 +65,13 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
                 return
             child = children[j].load()
             if child is not None:
-                if not isinstance(child, Inner):
-                    scan_bin(child, lo, hi, ts, out, clock, limit)
-                else:
-                    if child.__class__ is Frozen:
-                        child = child.content
-                    if isinstance(child, Inner):
-                        stack.append((node, j, b))
-                        node = child
-                        i = bisect_left(node.keys, lo)
-                        b = bisect_right(node.keys, hi)
-                        break
-                    if child is not None:
-                        scan_bin(child, lo, hi, ts, out, clock, limit)
+                if child.__class__ is node_cls:
+                    stack.append((node, j, b))
+                    node = child
+                    i = bisect_left(node.keys, lo)
+                    b = bisect_right(node.keys, hi)
+                    break
+                scan_bin(child, lo, hi, ts, out, clock, limit)
                 if limit is not None and len(out) >= limit:
                     return
             if j < b:

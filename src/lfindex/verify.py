@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import KEY_MAX, UNSET_TS, Frozen
+from .core import KEY_MAX, UNSET_TS
 from .bins import OneLevelBin, TwoLevelBin
 
 CHECK_MAX_THREADS = 4
@@ -333,10 +333,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     node's error within each of its segments' recorded eps, bin size
     counters equal to their list lengths, freeze bits forming a
     head-to-tail prefix, each list's hint None or a node of that list, no
-    frozen model-node slot (every compaction finishes before its op
-    returns), and (optionally) that seek/search actually reach every key
-    with the payload the walk extracted.  The walk keeps an explicit stack of model nodes,
-    so it does not recurse however deep the tree is."""
+    frozen model node (every compaction finishes before its op returns;
+    the walk still reads through one), and (optionally) that seek/search
+    actually reach every key with the payload the walk extracted.  The
+    walk keeps an explicit stack of model nodes, so it does not recurse
+    however deep the tree is."""
     findings: list[Finding] = []
     payloads: dict[int, Optional[int]] = {}
 
@@ -461,6 +462,8 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     while stack:
         node, lo, hi, where = stack.pop()
         keys = node.keys
+        if node.frozen is not None:
+            note("frozen-node", f"{where}: node still frozen by a compaction")
         check_model(node, where)
         for i, k in enumerate(keys):
             if i > 0 and k <= keys[i - 1]:
@@ -474,9 +477,6 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             continue
         for i, ref in enumerate(node.children):
             child = ref.load()
-            if isinstance(child, Frozen):
-                note("frozen-slot", f"{where}.{i}: slot still frozen by a compaction")
-                child = child.content
             if child is None:
                 continue
             clo = keys[i - 1] if i > 0 else lo

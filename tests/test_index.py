@@ -685,7 +685,10 @@ class TestCompaction:
     def test_racing_deletes_land_through_retrains_and_compactions(self, monkeypatch):
         # four threads delete preloaded keys while four insert new keys
         # between them, so deletes meet bins and subtrees being frozen and
-        # write their chains there: no delete may be lost to a retrain
+        # write their chains there: no delete may be lost to a retrain.
+        # The preload spans every root slot from the start, so bins all
+        # over the key range fill and freeze while the deletes run, not
+        # only the last bin once the inserters reach it.
         hook_rnd = random.Random(18)
         through_frozen = [0]
         real_delete_bin = index_mod.delete_bin
@@ -698,9 +701,10 @@ class TestCompaction:
         monkeypatch.setattr(index_mod, "delete_bin", delete_bin)
         old_interval = sys.getswitchinterval()
         for trial in range(20):
-            index = LearnedIndex.build([(0, 0)], TINY)
+            index = LearnedIndex.build([(k, k) for k in range(0, 1_601, 64)], TINY)
             for k in range(2, 1_601, 2):
-                index.insert(k, k)
+                if k % 64:
+                    index.insert(k, k)
             deletes = [list(range(2 + 2 * t, 1_601, 8)) for t in range(4)]
             inserts = [list(range(1 + 2 * t, 1_601, 8)) for t in range(4)]
             jobs = [(index.delete, share) for share in deletes]
@@ -739,7 +743,7 @@ class TestCompaction:
         # a scan pauses at the first bin inside the root's nested subtree;
         # meanwhile keys after that bin are overwritten, inserted and
         # deleted, and the whole subtree is compacted.  The rest of the scan
-        # reads frozen slots and must still return the state at its time.
+        # reads frozen nodes and must still return the state at its time.
         index = LearnedIndex.build([(0, 0)], TINY)
         oracle = SequentialOracle.from_pairs([(0, 0)])
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
@@ -774,3 +778,91 @@ class TestCompaction:
         assert got == expected
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
+
+    def test_compaction_freezes_each_node_once_not_each_slot(self):
+        # the walk freezes k model nodes, the m links of their bins, and
+        # installs once, however many empty slots the nodes have
+        index = LearnedIndex.build([(0, 0)], TINY)
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+        node = index.root.children[1].load()
+        nodes = links = empty = 0
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            nodes += 1
+            for ref in n.children:
+                child = ref.load()
+                if child is None:
+                    empty += 1
+                elif isinstance(child, ModelNode):
+                    stack.append(child)
+                else:
+                    for lst in (child,) if child.is_one_level else child.children:
+                        links += 1 + lst.size.load()  # the head, then one per key
+        assert nodes > 1 and empty > 0 and links > 0
+        steps = []
+        set_cas_hook(lambda cell, ok: steps.append(ok))
+        try:
+            index.help_compact(index.root, 1, node)
+        finally:
+            set_cas_hook(None)
+        assert len(steps) == nodes + links + 1
+        assert all(steps)
+        assert index.root.children[1].load() is not node
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+
+    def test_insert_into_a_frozen_node_helps_the_compaction(self, monkeypatch):
+        # a compaction pauses at its first bin, after it froze the top node;
+        # an insert routed to an empty slot of that node loses its install,
+        # finishes the compaction itself, and lands in the result
+        index = LearnedIndex.build([(0, 0)], TINY)
+        oracle = SequentialOracle.from_pairs([(0, 0)])
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+            oracle.insert(k, k)
+        node = index.root.children[1].load()
+        assert isinstance(node, ModelNode)
+        slot = next(i for i in range(1, len(node.keys))
+                    if node.children[i].load() is None
+                    and node.keys[i] - node.keys[i - 1] > 1)
+        key = node.keys[slot - 1] + 1
+        assert index.seek(key) == (node, slot, None)
+        paused, go = threading.Event(), threading.Event()
+        real_collect = index_mod.collect_frozen
+
+        def collect_frozen(bin_, clock):
+            if threading.current_thread() is compactor and not paused.is_set():
+                paused.set()
+                go.wait(10)
+            return real_collect(bin_, clock)
+
+        monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
+        compactor = threading.Thread(target=index.help_compact, args=(index.root, 1, node))
+        compactor.start()
+        try:
+            assert paused.wait(10)
+            assert node.frozen is not None
+            lost = []
+            real_install = index._install
+
+            def install(parent, slot, expected, new):
+                ok = real_install(parent, slot, expected, new)
+                if not ok:
+                    lost.append((parent, slot, expected))
+                return ok
+
+            index._install = install
+            assert index.insert(key, key) is True
+            oracle.insert(key, key)
+            assert (node, slot, None) in lost
+            assert index.root.children[1].load() is not node  # helped to its end
+        finally:
+            go.set()
+            compactor.join(timeout=10)
+        assert not compactor.is_alive()
+        assert index.search(key) == key
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == oracle.live_map()

@@ -6,7 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.core import KEY_MAX, AtomicRef, Frozen, VersionedValue
+from lfindex.core import KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import fit_linear
 from lfindex.models import Model, Segment
@@ -394,16 +394,20 @@ class TestAuditStructure:
         assert {f.kind for f in report.findings} == {"unreachable-key"}
         assert audit_structure(_SearchLiar(index), check_seek=False).ok
 
-    def test_detects_a_frozen_slot(self):
+    def test_detects_a_frozen_node(self):
         # every compaction finishes before its op returns, so a quiescent
-        # index has no frozen slot; the walk still reads through one
-        index = LearnedIndex.build([(10, 1), (20, 2)])
-        index.insert(15, 150)
-        olb = index.root.children[1].load()
-        index.root.children[1].value = Frozen(olb, (index.root, 1, []))
+        # index has no frozen node; the walk still reads through one
+        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        for k in range(1, 12):
+            index.insert(k * k, k)
+        node = index.root.children[1].load()
+        assert isinstance(node, ModelNode)
+        assert any(ref.load() is not None for ref in node.children)
+        assert audit_structure(index).ok
+        node.frozen = (index.root, 1, node.keys)
         report = audit_structure(index)
-        assert {f.kind for f in report.findings} == {"frozen-slot"}
-        assert report.live_map() == {10: 1, 15: 150, 20: 2}
+        assert {f.kind for f in report.findings} == {"frozen-node"}
+        assert report.live_map() == {0: 0, 1_000: 0} | {k * k: k for k in range(1, 12)}
 
     def test_detects_a_hint_outside_its_list(self):
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
