@@ -2,8 +2,9 @@
 
 Every mutation anywhere in the index funnels through a single-word
 compare-and-swap on one of the cell types below, or through ``dcss`` and
-``freeze``, which write a model node's child cells and its freeze word.
-(The one plain store is advisory, a bin list's walk hint; see ``bins``.)
+``freeze``, which swap a model node's child cells and set its freeze word.
+``EMPTY``, the one cell all empty slots share, is never written, so it needs
+no ABA argument.  (The one plain store, a bin list's walk hint, is advisory.)
 CPython has no native CAS, so the primitives emulate it with a small stripe
 of module-level locks: each critical section is a constant-time
 compare+store, never nested, and never calls back into user code.  Plain
@@ -114,25 +115,27 @@ class MarkedLink(NamedTuple):
 
 
 #: The end-of-list links, shared by every list tail (ABA argument in
-#: AtomicRef).
+#: AtomicRef), and the cell every empty child slot holds, which nothing writes.
 END = MarkedLink(None, False)
 FROZEN_END = MarkedLink(None, True)
+EMPTY = AtomicRef()
 
 
-def dcss(owner: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
-    """Store ``new`` in ``cell``, a field of ``owner``, iff ``owner.frozen``
-    is None and ``cell`` holds ``expected``: a double-compare single-swap
-    (Harris, Fraser & Pratt, DISC 2002), under ``owner``'s stripe lock as
-    ``freeze`` is.  The hook sees ``(cell, ok)``, or ``(owner, False)``
-    when the freeze failed it: a failure names what a success changed."""
+def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
+    """Put a fresh cell holding ``new`` in ``owner.children[i]`` iff
+    ``owner.frozen`` is None and the slot's cell holds ``expected``: a
+    double-compare single-swap (Harris, Fraser & Pratt, DISC 2002) under
+    the owner's stripe lock, like ``freeze``.  The hook sees the cell put in
+    or found, or a frozen owner: a failure names what a success changed."""
     hook = _cas_hook
     with _lock_for(owner):
         if owner.frozen is not None:
             target, ok = owner, False
         else:
-            target, ok = cell, cell.value is expected
+            target = owner.children[i]
+            ok = target.value is expected
             if ok:
-                cell.value = new
+                target = owner.children[i] = AtomicRef(new)
         if hook is not None:
             hook(target, ok)
     return ok
@@ -140,7 +143,7 @@ def dcss(owner: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
 
 def freeze(owner: Any, job: Any) -> None:
     """Set ``owner.frozen`` to ``job`` unless it is already set.  Terminal:
-    no later ``dcss`` on the owner's cells succeeds.  The hook sees
+    no later ``dcss`` on the owner's slots succeeds.  The hook sees
     ``(owner, ok)``."""
     hook = _cas_hook
     with _lock_for(owner):

@@ -2,32 +2,31 @@
 
 Structure invariants the operations below maintain:
 
-- A slot holds None, a bin or a model node; a frozen node's slots never
-  change.  A model node's keys and model are immutable after
-  construction; only its child slots and its ``frozen`` word change.  A
-  slot moves forward through empty -> one-level bin -> two-level bin ->
-  model node, and a slot holding a model node may move to a new model node
-  by a compaction install.  ``_install`` makes each move with one
-  ``core.dcss``, which fails once the slot's node is frozen.  The root is
-  never frozen or replaced.
+- A slot holds a cell of None, a bin or a model node.  A model node's
+  keys and model are immutable after construction; only its slots and its
+  ``frozen`` word change, and a frozen node's slots never do.  A slot
+  moves forward through empty -> one-level bin -> two-level bin -> model
+  node, and a slot holding a model node may move to a new model node by a
+  compaction install.  ``_install`` makes each move with one ``core.dcss``,
+  which puts a fresh cell in the slot unless the node is frozen, so a cell
+  never changes once published.  The root is never frozen or replaced.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
 - Retrains never move version chains: replacement structures reuse the
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
 
-A two-level bin is retrained into a model node when it holds
-``tlb_threshold`` keys or when the list a key routes to holds
-``list_threshold`` keys.  Each retrain hangs its node in the bin's slot, so
-ascending inserts would grow a chain of nested nodes; compaction bounds the
-depth.  After a retrain, the highest non-root node on the new node's path
-whose on-path descendants hold at least ``COMPACT_RATIO`` times its own key
-count is rebuilt, with its whole subtree, as one model node: one in-order
-walk freezes each model node and bin of the subtree and collects the keys
-and chain heads, one node is fitted over them, and one ``dcss`` installs
-it in the parent's slot.  A frozen node's ``frozen`` word is the job
-``(parent, slot, keys)`` that froze it, so any thread whose install meets
-a frozen node can finish the job, and every helper builds the same node.
+A retrain (``IndexConfig`` says when) hangs its node in the two-level
+bin's slot, so ascending inserts would grow a chain of nested nodes;
+compaction bounds the depth.  After a retrain, the highest non-root node on
+the new node's path whose on-path descendants hold at least
+``COMPACT_RATIO`` times its own key count is rebuilt, with its whole
+subtree, as one model node: one in-order walk freezes each model node and
+bin of the subtree and collects the keys and chain heads, one node is
+fitted over them, and one ``dcss`` installs it in the parent's slot.  A
+frozen node's ``frozen`` word is the job ``(parent, slot, keys)`` that
+froze it, so any thread whose install meets a frozen node can finish the
+job, and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
 a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
@@ -47,6 +46,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     KEY_MAX,
+    EMPTY,
     AtomicRef,
     GlobalClock,
     VersionedValue,
@@ -129,8 +129,8 @@ class IndexConfig:
 
 class ModelNode:
     """Immutable keys + piecewise model, one version chain per key, m+1
-    child slots, and a freeze word: None, or the compaction job that froze
-    the node.
+    child slots, each ``core.EMPTY`` until ``core.dcss`` replaces it, and a
+    freeze word: None, or the compaction job that froze the node.
 
     Every node carries ``segments``, flattened once into ``table``, and is
     searched by ``search_root`` within each segment's eps: the root's
@@ -140,10 +140,10 @@ class ModelNode:
 
     __slots__ = ("keys", "segments", "table", "versions", "children", "frozen")
 
-    def __init__(self, keys, versions, children, segments):
+    def __init__(self, keys, versions, segments):
         self.keys = keys
         self.versions = versions    # list[AtomicRef] -> version chain heads
-        self.children = children    # list[AtomicRef] -> None | bin | ModelNode
+        self.children = [EMPTY] * (len(keys) + 1)  # cells of None | bin | node
         self.segments = segments
         self.table = root_table(segments, len(keys))
         self.frozen = None
@@ -185,8 +185,7 @@ class LearnedIndex:
             prev = k
         segments = segment_root(keys, cfg.eps_target)
         versions = [AtomicRef(VersionedValue(v, 0)) for v in payloads]
-        children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-        root = ModelNode(keys, versions, children, segments)
+        root = ModelNode(keys, versions, segments)
         return cls(root, GlobalClock(0), cfg)
 
     def seek(self, key: int) -> tuple[ModelNode, int, Any]:
@@ -363,7 +362,7 @@ class LearnedIndex:
         one writer of child slots.  A move lost to a freeze first finishes
         the outermost compaction under way: a frozen node's job names the
         parent it installs in, which may be frozen by an outer job."""
-        if dcss(parent, parent.children[slot], expected, new):
+        if dcss(parent, slot, expected, new):
             log = self.transition_log
             if log is not None:
                 log(parent, slot, expected, new)
@@ -380,7 +379,5 @@ class LearnedIndex:
 
 def _node_over(keys: list[int], versions: list[AtomicRef]) -> ModelNode:
     """A non-root model node over collected keys and chain heads, with one
-    segment and fresh empty child slots."""
-    children = [AtomicRef(None) for _ in range(len(keys) + 1)]
-    return ModelNode(keys, versions, children,
-                     [Segment(keys[0], 0, fit_linear(keys))])
+    segment and empty child slots."""
+    return ModelNode(keys, versions, [Segment(keys[0], 0, fit_linear(keys))])

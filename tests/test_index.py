@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lfindex.index as index_mod
-from lfindex import bins as bins_mod, rangescan
+from lfindex import bins as bins_mod, core, rangescan
 from lfindex.bins import (OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin,
                           insert_bin, search_bin)
 from lfindex.core import KEY_MAX, UNSET_TS, set_cas_hook
@@ -274,7 +274,6 @@ class TestInsert:
         real_bin_new = index_mod.bin_new
         for trial in range(50):
             index = LearnedIndex.build([(0, 0), (1000, 0)])
-            slot_cell = index.root.children[1]
             built = threading.Barrier(len(keys))
 
             def bin_new(key, value):
@@ -285,7 +284,8 @@ class TestInsert:
             monkeypatch.setattr(index_mod, "bin_new", bin_new)
 
             def stall(cell, ok):
-                if cell is slot_cell and not ok:
+                # a lost install names the cell it found, the winner's
+                if not ok and cell is index.root.children[1]:
                     lost[0] += 1
                 if hook_rnd.random() < 0.3:
                     time.sleep(1e-5)
@@ -614,6 +614,66 @@ class TestLockFreedomProxy:
 
 
 TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+
+
+class TestSlotDiscipline:
+    """Empty slots share ``core.EMPTY``, which nothing writes; an install
+    puts a fresh cell in its slot and no published cell changes."""
+
+    def test_build_and_first_inserts_swap_cells(self):
+        index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)], SMALL)
+        root = index.root
+        assert all(c is core.EMPTY for c in root.children)
+        index.insert(50, 5)
+        assert [c is core.EMPTY for c in root.children] == [True, False, True, True]
+        assert core.EMPTY.load() is None
+        olb_cell = root.children[1]
+        assert isinstance(olb_cell.load(), OneLevelBin)
+        # cells loaded before an install read their old values after it
+        empty_cell = root.children[2]
+        olb = olb_cell.load()
+        for k in (10, 20, 30, 40, 150):  # slot 1's fifth key splits its bin
+            index.insert(k, k)
+        assert isinstance(root.children[1].load(), TwoLevelBin)
+        assert olb_cell.load() is olb
+        assert isinstance(root.children[2].load(), OneLevelBin)
+        assert empty_cell is core.EMPTY and empty_cell.load() is None
+
+    def test_retrained_and_compacted_nodes_start_empty(self):
+        index = LearnedIndex.build([(0, 0)], TINY)
+        starts = {"retrain": [], "compact": []}
+
+        def log(parent, slot, old, new):
+            if isinstance(new, ModelNode):
+                kind = "compact" if isinstance(old, ModelNode) else "retrain"
+                starts[kind].append(all(c is core.EMPTY for c in new.children))
+
+        index.transition_log = log
+        for k in range(1, 2_000):
+            index.insert(k, k)
+        assert starts["retrain"] and starts["compact"]
+        assert all(starts["retrain"]) and all(starts["compact"])
+
+    def test_a_mixed_run_never_writes_the_shared_cell(self):
+        rnd = random.Random(11)
+        index = LearnedIndex.build([(k, k) for k in range(0, 4_000, 400)], TINY)
+        oracle = SequentialOracle.from_pairs([(k, k) for k in range(0, 4_000, 400)])
+        for _ in range(6_000):
+            k, r = rnd.randrange(4_000), rnd.random()
+            if r < 0.6:
+                v = rnd.randrange(1_000)
+                assert index.insert(k, v) == oracle.insert(k, v)
+            elif r < 0.85:
+                assert index.delete(k) == oracle.delete(k)
+            else:
+                assert index.range(k, 300) == oracle.range(k, 300)
+        assert core.EMPTY.load() is None
+        for node, _ in model_nodes(index):
+            for c in node.children:
+                assert (c.load() is None) == (c is core.EMPTY)
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == oracle.live_map()
 
 
 class TestCompaction:

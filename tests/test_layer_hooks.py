@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import lfindex.index as index_mod
-from lfindex.index import IndexConfig, LearnedIndex
+from lfindex.bins import search_bin
+from lfindex.index import FOUND, IndexConfig, LearnedIndex
+from lfindex.verify import audit_structure
 
 LFBENCH = Path(__file__).resolve().parent.parent / "lfbench"
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
@@ -65,3 +67,35 @@ def layers(monkeypatch):
 def test_benchmark_tracer_wraps_exactly_these(layers):
     spans = {(owner, attr) for owner, attr, _ in layers._SPANS}
     assert spans | {(index_mod, "range_search")} == set(ENTRY_POINTS)
+
+
+def test_structure_reads_match_the_audit_and_seek(layers):
+    # the benchmark's snapshot and probe paths read model-node slots from
+    # outside the package; here they must agree with the audit's walk
+    # (every key it reached) and with seek (each key's home)
+    index = LearnedIndex.build([(0, 0), (1000, 1)], SMALL)
+    drive(index)
+    report = audit_structure(index)
+    assert report.ok, report.findings[:3]
+    keys = sorted(report.payloads)
+    nodes, bins, heads, bin_keys = set(), {}, [], 0
+    for k in keys:
+        node, i, child = index.seek(k)
+        if child is FOUND:
+            nodes.add(id(node))
+            heads.append(node.versions[i])
+        else:
+            bins[id(child)] = child
+            heads.append(search_bin(child, k).version)
+            bin_keys += 1
+    olbs = sum(b.is_one_level for b in bins.values())
+    tombstones = sum(v is None for v in report.payloads.values())
+    snap = {name: value for name, (value, _) in layers.snapshot(index).items()}
+    assert snap["index.model_nodes"] == len(nodes) == 3
+    assert snap["index.depth_max"] == 3
+    assert (snap["bins.olb_count"], snap["bins.tlb_count"]) == (olbs, len(bins) - olbs)
+    assert snap["bins.keys_in_bins_frac"] == bin_keys / len(keys)
+    assert snap["core.tombstone_keys_frac"] == tombstones / len(keys)
+    nonroot, reached = layers._paths(index, keys)
+    assert [id(h) for h in reached] == [id(h) for h in heads]
+    assert {id(n) for n, _ in nonroot} == nodes - {id(index.root)}

@@ -338,7 +338,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(10, 1), (20, 2)])
         index.insert(15, 150)
         olb = index.root.children[1].load()
-        index.root.children[0].value = olb  # same bin reachable twice
+        index.root.children[0] = AtomicRef(olb)  # same bin reachable twice
         report = audit_structure(index)
         kinds = {f.kind for f in report.findings}
         assert "interval" in kinds and "duplicate-key" in kinds
@@ -428,9 +428,8 @@ class TestAuditStructure:
         parent = index.root
         for k in range(1, depth + 1):
             node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
-                             [AtomicRef(None), AtomicRef(None)],
                              segments=[Segment(k, 0, fit_linear([k]))])
-            parent.children[-1].value = node
+            parent.children[-1] = AtomicRef(node)
             parent = node
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
