@@ -15,6 +15,8 @@ Structure invariants the operations below maintain:
 - Retrains never move version chains: replacement structures reuse the
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
+- The index holds no reference cycle; reference counting frees every
+  replaced structure.
 
 A retrain (``IndexConfig`` says when) hangs its node in the two-level
 bin's slot, so ascending inserts would grow a chain of nested nodes;
@@ -40,6 +42,7 @@ to its end, so every retry follows a step that some thread completed.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
@@ -184,7 +187,15 @@ class LearnedIndex:
             payloads.append(v)
             prev = k
         segments = segment_root(keys, cfg.eps_target)
-        versions = [AtomicRef(VersionedValue(v, 0)) for v in payloads]
+        # two tracked objects per key would trigger full collections that
+        # find nothing: the index holds no reference cycle (module docstring)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            versions = [AtomicRef(VersionedValue(v, 0)) for v in payloads]
+        finally:
+            if was_enabled:
+                gc.enable()
         root = ModelNode(keys, versions, segments)
         return cls(root, GlobalClock(0), cfg)
 
@@ -329,7 +340,7 @@ class LearnedIndex:
         every helper collects the same keys, fits the same node, and the
         first install wins."""
         # the job names node by its keys list, so a replaced subtree holds
-        # no reference back to its root and reference counting frees it
+        # no reference back to its root: no cycle (module docstring)
         job = (parent, slot, node.keys)
         keys: list[int] = []
         versions: list[AtomicRef] = []

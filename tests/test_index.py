@@ -1,11 +1,13 @@
 """The index proper: build, seek, point ops, and bin-to-node helping."""
 
+import gc
 import math
 import random
 import struct
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,69 @@ class TestBuild:
             IndexConfig(olb_threshold=2, tlb_fanout=8, tlb_threshold=3)
         with pytest.raises(ValueError):  # a split bin would already be full
             IndexConfig(olb_threshold=16, tlb_fanout=8, tlb_threshold=8)
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the cyclic collector's on/off state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestBuildPausesTheCollector:
+    """``build`` makes its per-key cells with the cyclic collector paused and
+    leaves the collector as it found it on every exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, gc_state, enabled):
+        (gc.enable if enabled else gc.disable)()
+        index = LearnedIndex.build([(k, k) for k in range(1_000)])
+        assert gc.isenabled() is enabled
+        assert index.search(999) == 999
+        with pytest.raises(ValueError):
+            LearnedIndex.build([(2, 1), (1, 1)])
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_a_cell_fails(self, gc_state, monkeypatch, enabled):
+        seen = []
+
+        def failing_version(value, ts):
+            seen.append(gc.isenabled())
+            if len(seen) == 50:
+                raise MemoryError("planted")
+            return core.VersionedValue(value, ts)
+
+        monkeypatch.setattr(index_mod, "VersionedValue", failing_version)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(MemoryError, match="planted"):
+            LearnedIndex.build([(k, k) for k in range(100)])
+        assert gc.isenabled() is enabled
+        assert seen == [False] * 50  # every cell was made with the collector paused
+
+    def test_a_large_build_runs_no_older_generation_collection(self, gc_state):
+        # a point_skewed-size build: 500k keys, 1M cells.  Unpaused, the
+        # cells alone trigger hundreds of young and several full collections.
+        pairs = [(2 * k, k) for k in range(500_000)]
+        runs = Counter()
+
+        def count(phase, info):
+            if phase == "start":
+                runs[info["generation"]] += 1
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            index = LearnedIndex.build(pairs)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(index.root.keys) == 500_000
+        assert runs[1] == runs[2] == 0, runs
 
 
 class TestSeek:
@@ -838,6 +903,31 @@ class TestCompaction:
         assert got == expected
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
+
+    def test_the_index_holds_no_reference_cycle(self, gc_state):
+        # build pauses the cyclic collector, and help_compact drops replaced
+        # subtrees, on the promise that reference counting frees everything
+        gc.disable()
+        gc.collect()
+        kinds = Counter()
+        index = LearnedIndex.build([(0, 0)], TINY)
+        index.transition_log = lambda parent, slot, old, new: kinds.update(
+            [(type(old).__name__, type(new).__name__)])
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+        assert index.range(0, 1000)[:3] == [(0, 0), (2, 2), (3, 3)]
+        assert index.insert(398, -1) is True
+        assert index.delete(150) is True
+        node = index.root.children[1].load()
+        index.help_compact(index.root, 1, node)
+        assert index.root.children[1].load() is not node
+        assert len(index.range(0, 1000)) == 202
+        assert set(kinds) == {("NoneType", "OneLevelBin"), ("OneLevelBin", "TwoLevelBin"),
+                              ("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
+        del node
+        assert gc.collect() == 0  # every replaced structure was already freed
+        del index
+        assert gc.collect() == 0
 
     def test_compaction_freezes_each_node_once_not_each_slot(self):
         # the walk freezes k model nodes, the m links of their bins, and

@@ -3,10 +3,12 @@
 The tracer times each layer by swapping a wrapper in for a name that
 ``index`` looks up at call time.  A refactor that stops calling one of these
 names, or calls it through another reference, leaves its span at zero calls
-without failing anything else; these tests catch that.
+without failing anything else; these tests catch that.  The last test runs
+the benchmark's own self-test, ``lfbench/selftest.py``.
 """
 
 import importlib
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -99,3 +101,12 @@ def test_structure_reads_match_the_audit_and_seek(layers):
     nonroot, reached = layers._paths(index, keys)
     assert [id(h) for h in reached] == [id(h) for h in heads]
     assert {id(n) for n, _ in nonroot} == nodes - {id(index.root)}
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own toy-scale self-test: a change under src/ that
+    # breaks the harness or its structure reads fails here, not only when
+    # the benchmark is next run
+    proc = subprocess.run([sys.executable, "lfbench/selftest.py"], cwd=LFBENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
