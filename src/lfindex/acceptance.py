@@ -178,8 +178,9 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
     trials = 10 if quick else 30
     cfg = IndexConfig()
     rng = random.Random(42)
-    # a race runs about a thousand CASes (freezing every link), so a lower
-    # stall rate than criterion 5's still interleaves the helpers
+    # a helper makes two hooked steps, its freeze and its install; the
+    # short switch interval interleaves the helpers' collects and fits,
+    # and a stall, rarer than in criterion 5, widens a window now and then
     stall = _stall_hook(43, 0.05)
 
     def race(helpers: int):

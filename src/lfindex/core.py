@@ -1,10 +1,12 @@
-"""Shared primitives: atomic cells, marked links, versioned values, the clock.
+"""Shared primitives: atomic cells, list links, versioned values, the clock.
 
 Every mutation anywhere in the index funnels through a single-word
-compare-and-swap on one of the cell types below, or through ``dcss`` and
-``freeze``, which swap a model node's child cells and set its freeze word.
-``EMPTY``, the one cell all empty slots share, is never written, so it needs
-no ABA argument.  (The one plain store, a bin list's walk hint, is advisory.)
+compare-and-swap on one of the cell types below, or through ``dcss``,
+``splice`` and ``freeze``: ``dcss`` swaps a model node's child cells,
+``splice`` stores into a bin's list links, and ``freeze`` sets the freeze
+word of either owner, after which neither store succeeds.  ``EMPTY``, the
+one cell all empty slots share, is never written, so it needs no ABA
+argument.  (The one plain store, a bin list's walk hint, is advisory.)
 CPython has no native CAS, so the primitives emulate it with a small stripe
 of module-level locks: each critical section is a constant-time
 compare+store, never nested, and never calls back into user code.  Plain
@@ -28,7 +30,7 @@ _CAS_LOCKS = tuple(threading.Lock() for _ in range(_STRIPES))
 
 # Test instrumentation: called as hook(cell, success) from inside the stripe
 # lock, so per-cell event order in the hook equals the true CAS order.
-# ``dcss`` and ``freeze`` report as described on them.
+# ``dcss``, ``splice`` and ``freeze`` report as described on them.
 _cas_hook: Optional[Callable[[object, bool], None]] = None
 
 
@@ -49,11 +51,10 @@ class AtomicRef:
     reclamation this rules out ABA: a stale expected object cannot reappear
     as the current value.
 
-    The shared end links END and FROZEN_END are the exception that needs
-    an argument: one object sits in many cells at once.  They stay ABA-safe
-    because a cell never returns to a value it held: a list link only gains
-    nodes, and its freeze is terminal, so once a cell leaves END it never
-    holds END again.
+    The shared end link END is the exception that needs an argument: one
+    object sits in many cells at once.  It stays ABA-safe because a list
+    link only gains nodes, so once a cell leaves END it never holds END
+    again.
     """
 
     __slots__ = ("value",)
@@ -103,21 +104,15 @@ class AtomicInt:
         return old
 
 
-class MarkedLink(NamedTuple):
-    """Immutable (target, frozen) pair; a list link and its freeze bit.
-
-    The pair always travels through an AtomicRef as one unit, so the freeze
-    bit can never be observed or updated separately from the target.
-    """
+class Link(NamedTuple):
+    """An immutable list link: the next node, or None past the tail."""
 
     target: Any
-    frozen: bool
 
 
-#: The end-of-list links, shared by every list tail (ABA argument in
+#: The end-of-list link, shared by every list tail (ABA argument in
 #: AtomicRef), and the cell every empty child slot holds, which nothing writes.
-END = MarkedLink(None, False)
-FROZEN_END = MarkedLink(None, True)
+END = Link(None)
 EMPTY = AtomicRef()
 
 
@@ -141,9 +136,28 @@ def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
     return ok
 
 
+def splice(owner: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
+    """Store ``new`` in ``cell`` iff ``owner.frozen`` is None and the cell
+    holds ``expected``: the guarded store every list link write of a bin
+    makes, under the owner's stripe lock, like ``dcss``.  The hook sees the
+    cell written or found, or a frozen owner."""
+    hook = _cas_hook
+    with _lock_for(owner):
+        if owner.frozen is not None:
+            target, ok = owner, False
+        else:
+            target = cell
+            ok = cell.value is expected
+            if ok:
+                cell.value = new
+        if hook is not None:
+            hook(target, ok)
+    return ok
+
+
 def freeze(owner: Any, job: Any) -> None:
     """Set ``owner.frozen`` to ``job`` unless it is already set.  Terminal:
-    no later ``dcss`` on the owner's slots succeeds.  The hook sees
+    no later ``dcss`` or ``splice`` on the owner succeeds.  The hook sees
     ``(owner, ok)``."""
     hook = _cas_hook
     with _lock_for(owner):

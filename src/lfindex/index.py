@@ -35,7 +35,7 @@ a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
 stops splices and installs, never a chain write (the argument is in the
 ``bins`` docstring), so search and delete are one seek and then one read or
 one write, frozen or not.  Insert is the only retry loop around seek: a
-full bin, a splice that meets a frozen link, or a lost install sends it
+full bin, a splice that fails on a frozen bin, or a lost install sends it
 back.  An install that finds its node frozen first helps that compaction
 to its end, so every retry follows a step that some thread completed.
 """
@@ -43,6 +43,7 @@ to its end, so every retry follows a step that some thread completed.
 from __future__ import annotations
 
 import gc
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
@@ -172,13 +173,15 @@ class LearnedIndex:
         """Bulk-load from sorted unique (key, payload) pairs.
 
         Every loaded version is stamped with time 0; the clock starts at 0.
-        Rejects unsorted/duplicate keys, out-of-domain keys, and Absent
-        payloads."""
+        Keys are stored as ``int`` (numpy integers would wrap in the fit's
+        exact sums).  Rejects unsorted/duplicate keys, out-of-domain keys,
+        and Absent payloads."""
         cfg = config or IndexConfig()
         keys: list[int] = []
         payloads: list[int] = []
         prev = -1
         for k, v in pairs:
+            k = operator.index(k)
             if v is None:
                 raise ValueError("payload must not be None")
             if k <= prev or k > KEY_MAX:  # prev starts at -1, so this also rejects negatives
@@ -222,6 +225,7 @@ class LearnedIndex:
         """True if the map changed (new key, or new value for the key)."""
         if value is None:
             raise ValueError("payload must not be None")
+        key = operator.index(key)  # stored, so an int, as in build
         if not 0 <= key <= KEY_MAX:
             raise ValueError("key outside the 63-bit domain")
         clock = self.clock

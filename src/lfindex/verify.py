@@ -331,13 +331,12 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     global key uniqueness (one home path per key), version chains stamped
     except possibly at the head with non-increasing timestamps, every model
     node's error within each of its segments' recorded eps, bin size
-    counters equal to their list lengths, freeze bits forming a
-    head-to-tail prefix, each list's hint None or a node of that list, no
-    frozen model node (every compaction finishes before its op returns;
-    the walk still reads through one), and (optionally) that seek/search
-    actually reach every key with the payload the walk extracted.  The
-    walk keeps an explicit stack of model nodes, so it does not recurse
-    however deep the tree is."""
+    counters equal to their list lengths, each list's hint None or a node
+    of that list, no frozen bin or model node (every retrain and compaction
+    finishes before its op returns; the walk still reads through one), and
+    (optionally) that seek/search actually reach every key with the payload
+    the walk extracted.  The walk keeps an explicit stack of model nodes, so
+    it does not recurse however deep the tree is."""
     findings: list[Finding] = []
     payloads: dict[int, Optional[int]] = {}
 
@@ -378,18 +377,10 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     def walk_olb(olb: OneLevelBin, lo, hi, where: str) -> int:
         count = 0
         prev_key = None
-        seen_unfrozen = False
         hint = olb.hint
         hint_seen = hint is None
-        link = olb.head.load()
-        while True:
-            if link.frozen and seen_unfrozen:
-                note("freeze-gap", f"{where}: frozen link after an unfrozen one")
-            if not link.frozen:
-                seen_unfrozen = True
-            node = link.target
-            if node is None:
-                break
+        node = olb.head.load().target
+        while node is not None:
             if node is hint:
                 hint_seen = True
             k = node.item
@@ -400,12 +391,14 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             record_key(k, node.version, where)
             prev_key = k
             count += 1
-            link = node.next.load()
+            node = node.next.load().target
         if not hint_seen:
             note("list-hint", f"{where}: hint {hint!r} is not a node of the list")
         return count
 
     def walk_bin(bin_, lo, hi, where: str) -> None:
+        if bin_.frozen is not None:
+            note("frozen-bin", f"{where}: bin still frozen by a retrain")
         if bin_.is_one_level:
             count = walk_olb(bin_, lo, hi, where)
             if bin_.size.load() != count:

@@ -23,9 +23,9 @@ from lfindex.bins import (
     search_bin,
 )
 from lfindex.core import (
+    END,
     AtomicRef,
     GlobalClock,
-    MarkedLink,
     UNSET_TS,
     VersionedValue,
     read_value_latest,
@@ -52,6 +52,14 @@ def list_keys(olb):
         out.append(node.item)
         node = node.next.load().target
     return out
+
+
+def link_objects(olb):
+    """Every link of ``olb``, head first."""
+    links = [olb.head.load()]
+    while links[-1].target is not None:
+        links.append(links[-1].target.next.load())
+    return links
 
 
 class TestBinNew:
@@ -201,7 +209,7 @@ class TestScanBin:
         clock = GlobalClock(0)
         old = VersionedValue(111, 4)
         head = AtomicRef(VersionedValue(222, 6, old))
-        node = KNode(5, head, AtomicRef(MarkedLink(None, False)))
+        node = KNode(5, head, AtomicRef(END))
         olb = OneLevelBin(node, 1)
         out = []
         scan_bin(olb, 0, 10, 5, out, clock)
@@ -239,33 +247,54 @@ class TestFreeze:
         assert keys == [3, 7]
         assert read_value_latest(versions[0], clock) is None
 
+    def test_freeze_is_one_step_for_either_kind_of_bin(self):
+        # the bin's word, set once, however many lists and links it has
+        clock = GlobalClock(0)
+        olb = make_olb([(i, i) for i in range(1, 40)], clock)
+        split = make_olb([(i, i) for i in range(1, 40)], clock)
+        freeze_bin(split)
+        tlb = olb_to_tlb(*collect_frozen(split, clock), fanout=4)
+        for bin_ in (olb, tlb):
+            steps = []
+            set_cas_hook(lambda cell, ok: steps.append((cell, ok)))
+            try:
+                freeze_bin(bin_)
+            finally:
+                set_cas_hook(None)
+            assert steps == [(bin_, True)]
+            assert bin_.frozen is not None
+
     def test_freeze_is_idempotent(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        links_once = [olb.head.load()]
-        node = olb.head.load().target
-        while node is not None:
-            links_once.append(node.next.load())
-            node = node.next.load().target
-        freeze_bin(olb)
-        links_twice = [olb.head.load()]
-        node = olb.head.load().target
-        while node is not None:
-            links_twice.append(node.next.load())
-            node = node.next.load().target
-        assert [l.frozen for l in links_once] == [True] * len(links_once)
-        assert links_once == links_twice
+        word = olb.frozen
+        links_once = link_objects(olb)
+        steps = []
+        set_cas_hook(lambda cell, ok: steps.append((cell, ok)))
+        try:
+            freeze_bin(olb)
+        finally:
+            set_cas_hook(None)
+        assert steps == [(olb, False)]
+        assert olb.frozen is word
+        assert all(a is b for a, b in zip(links_once, link_objects(olb)))
+        assert collect_frozen(olb, clock)[0] == [3, 7]
 
-    def test_freeze_covers_every_link(self):
+    def test_two_level_freeze_stops_splices_into_every_list(self):
+        # the child lists are reachable only through the bin, so its word
+        # guards them all and their own words stay None
         clock = GlobalClock(0)
-        olb = make_olb([(i, i) for i in range(1, 8)], clock)
+        olb = make_olb([(k, k) for k in range(0, 80, 10)], clock)
         freeze_bin(olb)
-        assert olb.head.load().frozen
-        node = olb.head.load().target
-        while node is not None:
-            assert node.next.load().frozen
-            node = node.next.load().target
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        freeze_bin(tlb)
+        for lst, sep in zip(tlb.children, tlb.keys + [100]):
+            assert lst.frozen is None
+            before = list_keys(lst)
+            assert insert_bin(tlb, sep - 1, 1, clock) is UNDER_MAKE_MODEL
+            assert list_keys(lst) == before
+        assert collect_frozen(tlb, clock)[0] == list(range(0, 80, 10))
 
     def test_racing_insert_is_either_in_or_bounced(self):
         # never a silently dropped splice: True implies visible after collect
@@ -380,20 +409,17 @@ class TestWalkStart:
     def test_racing_ascending_splices_and_freeze(self, monkeypatch):
         # three threads splice interleaved ascending keys, each starting at
         # the hint, while a fourth freezes the list: a splice that returned
-        # True is collected, and an insert bounced iff the last link it
-        # loaded, the one it would CAS, was frozen
+        # True is collected, and an insert bounced iff its last splice
+        # failed on the frozen bin
         met_frozen = threading.local()
+        real_splice = bins_mod.splice
 
-        class WatchedRef(AtomicRef):
-            __slots__ = ()
+        def watched_splice(owner, cell, expected, new):
+            ok = real_splice(owner, cell, expected, new)
+            met_frozen.flag = not ok and owner.frozen is not None
+            return ok
 
-            def load(self):
-                value = self.value
-                if isinstance(value, MarkedLink):
-                    met_frozen.flag = value.frozen
-                return value
-
-        monkeypatch.setattr(bins_mod, "AtomicRef", WatchedRef)
+        monkeypatch.setattr(bins_mod, "splice", watched_splice)
         rnd = random.Random(11)
         hook_rnd = random.Random(12)
         old_interval = sys.getswitchinterval()

@@ -10,13 +10,16 @@ from lfindex.core import (
     UNSET_TS,
     AtomicInt,
     AtomicRef,
+    END,
     GlobalClock,
-    MarkedLink,
+    Link,
     VersionedValue,
+    freeze,
     init_ts,
     read_value_at,
     read_value_latest,
     set_cas_hook,
+    splice,
     write_value,
 )
 
@@ -93,19 +96,62 @@ class TestAtomicInt:
         assert n.load() == 4 * per
 
 
-class TestMarkedLink:
-    def test_fields_and_immutability(self):
-        link = MarkedLink("node", False)
+class TestLink:
+    def test_one_immutable_field(self):
+        link = Link("node")
         assert link.target == "node"
-        assert not link.frozen
+        assert Link._fields == ("target",)
         with pytest.raises(AttributeError):
-            link.frozen = True
+            link.target = "other"
 
-    def test_freeze_is_a_new_link(self):
-        link = MarkedLink("node", False)
-        frozen = MarkedLink(link.target, True)
-        assert frozen.target is link.target
-        assert frozen.frozen
+    def test_end_links_nowhere(self):
+        assert END.target is None
+
+
+class Owner:
+    """A record with a freeze word, as bins and model nodes have."""
+
+    frozen = None
+
+
+class TestSplice:
+    def test_stores_iff_the_cell_holds_expected(self):
+        owner, old, new = Owner(), Link("a"), Link("b")
+        cell = AtomicRef(old)
+        assert not splice(owner, cell, Link("a"), new)  # equal is not identical
+        assert cell.load() is old
+        assert splice(owner, cell, old, new)
+        assert cell.load() is new
+        assert not splice(owner, cell, old, Link("c"))
+        assert cell.load() is new
+
+    def test_fails_once_the_owner_is_frozen(self):
+        events = []
+        owner, old = Owner(), Link("a")
+        cell = AtomicRef(old)
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            freeze(owner, True)
+            freeze(owner, "later")  # terminal: the first job stays
+            assert not splice(owner, cell, old, Link("b"))
+        finally:
+            set_cas_hook(None)
+        assert owner.frozen is True
+        assert cell.load() is old
+        # the hook sees the frozen owner, not the cell it would have written
+        assert events == [(owner, True), (owner, False), (owner, False)]
+
+    def test_hook_sees_the_cell_written_or_found(self):
+        events = []
+        owner, old = Owner(), Link("a")
+        cell = AtomicRef(old)
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            splice(owner, cell, old, Link("b"))
+            splice(owner, cell, old, Link("c"))
+        finally:
+            set_cas_hook(None)
+        assert events == [(cell, True), (cell, False)]
 
 
 class TestVersionedReads:

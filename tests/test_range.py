@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from lfindex.bins import OneLevelBin, freeze_bin
 from lfindex.core import KEY_MAX
-from lfindex.index import IndexConfig, LearnedIndex
+from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
+TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
 
 
 class TestBounds:
@@ -39,6 +40,32 @@ class TestBounds:
         index = LearnedIndex.build([(k, k) for k in range(20)])
         assert index.range(0, 19, max_results=3) == [(0, 0), (1, 1), (2, 2)]
         assert index.range(0, 19, max_results=0) == []
+
+    def test_result_cap_over_nested_nodes_and_bins(self):
+        # every cap stops the scan somewhere else: in a one- or two-level
+        # bin, at a nested node's last slot, or at the parent key after it
+        index = LearnedIndex.build([(0, 0)], TINY)
+        for k in list(range(2, 400, 2)) + [3, 151, 301, 5, 7, 9, 11, 13, 303, 305]:
+            index.insert(k, k)
+        for k in (7, 150, 304):
+            index.delete(k)
+        kinds = set()
+        stack = [index.root]
+        while stack:
+            node = stack.pop()
+            for ref in node.children:
+                child = ref.load()
+                if isinstance(child, ModelNode):
+                    kinds.add(2)
+                    stack.append(child)
+                elif child is not None:
+                    kinds.add(child.is_one_level)
+        assert kinds == {True, False, 2}  # both kinds of bins, nested nodes
+        for lo, width in ((0, 1_000), (5, 300)):
+            full = index.range(lo, width)
+            assert len(full) > 100 and (150, 150) not in full
+            for cap in range(len(full) + 1):
+                assert index.range(lo, width, cap) == full[:cap], (lo, cap)
 
     def test_bad_arguments(self):
         index = LearnedIndex.build([(1, 1)])

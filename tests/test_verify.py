@@ -6,6 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfindex.bins import freeze_bin
 from lfindex.core import KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import fit_linear
@@ -408,6 +409,22 @@ class TestAuditStructure:
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"frozen-node"}
         assert report.live_map() == {0: 0, 1_000: 0} | {k * k: k for k in range(1, 12)}
+
+    def test_detects_a_frozen_bin(self):
+        # every retrain finishes before its op returns, so a quiescent
+        # index has no frozen bin; the walk still reads through one
+        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        for k in range(10, 60, 10):  # the fifth insert splits the bin
+            index.insert(k, k)
+        index.insert(1_010, 1)
+        tlb = index.root.children[1].load()
+        assert not tlb.is_one_level and index.root.children[2].load().is_one_level
+        assert audit_structure(index).ok
+        freeze_bin(tlb)
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"frozen-bin"}
+        assert report.live_map() == {0: 0, 1_000: 0, 1_010: 1} | {
+            k: k for k in range(10, 60, 10)}
 
     def test_detects_a_hint_outside_its_list(self):
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
