@@ -178,9 +178,12 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
     trials = 10 if quick else 30
     cfg = IndexConfig()
     rng = random.Random(42)
-    # a helper makes two hooked steps, its freeze and its install; the
-    # short switch interval interleaves the helpers' collects and fits,
-    # and a stall, rarer than in criterion 5, widens a window now and then
+    # a helper makes two hooked steps, its freeze and its install; every
+    # helper stalls in its freeze of the raced bin, under the bin's stripe
+    # lock, so the helpers leave their freezes one by one and collect, fit
+    # and install staggered; the short switch interval interleaves those
+    # steps, and any other hooked step stalls now and then, rarer than in
+    # criterion 5
     stall = _stall_hook(43, 0.05)
 
     def race(helpers: int):
@@ -203,8 +206,14 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
             barrier.wait()
             index.help_make_model(node, slot, bin_)
 
+        def hook(cell, ok):
+            if cell is bin_:
+                time.sleep(2e-5)  # between this helper's freeze and install
+            else:
+                stall(cell, ok)
+
         threads = [threading.Thread(target=help_out) for _ in range(helpers)]
-        set_cas_hook(stall)
+        set_cas_hook(hook)
         for th in threads:
             th.start()
         for th in threads:

@@ -35,14 +35,16 @@ deletes and the start of a scan.  It ignores the freeze word.  Nodes are
 never unlinked, so any node of a list below the key is a valid start.
 Each list keeps a ``hint``, the node of its last splice, and a walk starts
 there when the hint is below its key, so ascending inserts splice in O(1)
-loads.  Every link write is a ``splice`` and every size change a CAS; the
-hint alone is a plain slot store, because it is advisory: any node of the
-list, or None, is a correct value, so a stale or racing store costs at
-most a longer walk.
+loads.  Every write to a published link is a ``splice`` and every size
+change a CAS.  Two stores are plain: the hint, because it is advisory (any
+node of the list, or None, is a correct value, so a stale or racing store
+costs at most a longer walk), and an insert's re-pointing of its own new
+node's next link, which no other thread can reach before the splice.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from typing import Any, Optional
 
@@ -59,6 +61,7 @@ from .core import (
     splice,
     write_value,
     TOMBSTONE,
+    UNSET_TS,
 )
 
 
@@ -164,16 +167,24 @@ def _olb_insert(owner: Any, olb: OneLevelBin, key: int, value: int,
     is spliced at the link the walk stopped at, guarded by ``owner``, the
     bin that owns the list.  A splice that fails on a frozen owner bounces;
     one that loses to another splice walks on from the same cell, so a
-    storm of inserts makes progress without restarting.
+    storm of inserts makes progress without restarting.  The new key's
+    node is made once per call: before each retry only its own next link
+    is re-pointed, a plain store that is safe because no other thread can
+    reach the node until its splice succeeds.
     """
     ref, link = _olb_seek(olb, key)
+    knode = None
     while True:
         node = link.target
         if node is not None and node.item == key:
             return write_value(node.version, value, clock), False
-        fresh = VersionedValue(value)
-        knode = KNode(key, AtomicRef(fresh), AtomicRef(_link_to(node)))
-        if splice(owner, ref, link, Link(knode)):
+        if knode is None:
+            fresh = VersionedValue(value)
+            knode = KNode(key, AtomicRef(fresh), AtomicRef(link))
+            new = Link(knode)
+        else:
+            knode.next.value = link
+        if splice(owner, ref, link, new):
             olb.hint = knode
             # stamp before reporting success: an unstamped splice could be
             # assigned a too-new time by a later scan and vanish from
@@ -229,24 +240,43 @@ def search_bin(bin_: Any, key: int) -> Optional[KNode]:
     return node if node is not None and node.item == key else None
 
 
-def scan_bin(bin_: Any, lo: int, hi: int, ts: int, out: list,
-             clock: GlobalClock, limit: Optional[int] = None) -> None:
+def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
+             out: list, clock: GlobalClock, limit: Optional[int] = None) -> None:
     """Append (key, value-at-ts) pairs with lo <= key <= hi, ascending.
 
-    Ignores the freeze word; skips keys deleted at ts or younger than ts."""
+    A bound of None excludes nothing: with ``lo`` None each list is walked
+    from its head, with ``hi`` None to its end, and with both the whole bin
+    is read, which a range scan does for a bin wholly inside its range.
+    Ignores the freeze word; skips keys deleted at ts or younger than ts.
+    A stamped head no newer than ts is read inline, as in
+    ``rangescan``."""
+    cap = sys.maxsize if limit is None else limit
+    if len(out) >= cap:
+        return
     if bin_.is_one_level:
         lists = (bin_,)
     else:  # the children owning lo through hi
         seps = bin_.keys
-        lists = bin_.children[bisect_left(seps, lo):bisect_left(seps, hi) + 1]
+        first = 0 if lo is None else bisect_left(seps, lo)
+        last = len(seps) if hi is None else bisect_left(seps, hi)
+        lists = bin_.children[first:last + 1]
     for lst in lists:
-        node = _olb_seek(lst, lo)[1].target
-        while node is not None and node.item <= hi:
-            if limit is not None and len(out) >= limit:
+        node = lst.head.load().target if lo is None else _olb_seek(lst, lo)[1].target
+        while node is not None:
+            if hi is not None and node.item > hi:
                 return
-            val = read_value_at(node.version, ts, clock)
-            if val is not None and val is not TOMBSTONE:
+            ref = node.version
+            ver = ref.load()
+            if UNSET_TS < ver.ts <= ts:
+                val = ver.val
+            else:
+                val = read_value_at(ref, ts, clock)
+                if val is TOMBSTONE:
+                    val = None
+            if val is not None:
                 out.append((node.item, val))
+                if len(out) >= cap:
+                    return
             node = node.next.load().target
 
 

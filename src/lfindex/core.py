@@ -6,7 +6,8 @@ compare-and-swap on one of the cell types below, or through ``dcss``,
 ``splice`` stores into a bin's list links, and ``freeze`` sets the freeze
 word of either owner, after which neither store succeeds.  ``EMPTY``, the
 one cell all empty slots share, is never written, so it needs no ABA
-argument.  (The one plain store, a bin list's walk hint, is advisory.)
+argument.  (The plain stores, a bin list's walk hint and an unpublished
+node's next link, are described in ``bins``.)
 CPython has no native CAS, so the primitives emulate it with a small stripe
 of module-level locks: each critical section is a constant-time
 compare+store, never nested, and never calls back into user code.  Plain
@@ -54,7 +55,9 @@ class AtomicRef:
     The shared end link END is the exception that needs an argument: one
     object sits in many cells at once.  It stays ABA-safe because a list
     link only gains nodes, so once a cell leaves END it never holds END
-    again.
+    again.  For the same reason an insert may start its new node's next
+    cell with the very link its splice replaces: every splice stores a link
+    made for its own new node, so no cell takes back an object it held.
     """
 
     __slots__ = ("value",)

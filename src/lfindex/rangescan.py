@@ -6,14 +6,26 @@ reading each version chain as of that time.  Bins and model nodes, frozen
 or not, are read through whatever reference the walk loaded: replaced bins
 and compacted subtrees share their version chains with their replacement,
 so the payloads agree.
+
+Two facts let the walk read most pairs without a call:
+
+- A chain head whose ``ts`` is set and ``<= ts`` is what ``read_value_at``
+  would return at its first step, so the scan reads its payload inline and
+  calls ``read_value_at``, the one chain walk, only for an unstamped head or
+  one written after the scan's clock read.
+- Routing puts every key of child slot j strictly between keys j-1 and j,
+  so when both lie in ``[lo, hi]`` the whole child does: only the first and
+  the last slot of a node's window can hold keys outside it, and a bin or
+  nested node anywhere else is walked with no bound.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import KEY_MAX, TOMBSTONE, GlobalClock, read_value_at
+from .core import EMPTY, KEY_MAX, TOMBSTONE, UNSET_TS, GlobalClock, read_value_at
 from .bins import scan_bin
 
 
@@ -48,42 +60,59 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
 
     Children interleave with keys (child i sits below key i), so scanning
     child i between keys i-1 and i yields globally ascending output.  A
-    nested model node pauses its parent on an explicit stack of (node, key
-    index, last slot) frames, so nothing recurses however deep the tree.
-    A nested node has ``node``'s class (this module cannot import
-    ``index``).  Each child slot is loaded exactly once."""
+    nested model node pauses its parent on an explicit stack of (node, slot,
+    last slot, hi) frames, so nothing recurses however deep the tree; the
+    parent resumes at key ``slot`` and does not visit that slot again.  A
+    nested node has ``node``'s class (this module cannot import ``index``).
+    An empty slot is skipped by identity with ``EMPTY``; any other slot's
+    cell holds a bin or a node and is loaded exactly once.  Inside a node,
+    ``lo`` or ``hi`` is None once it cannot exclude any of its keys."""
+    cap = sys.maxsize if limit is None else limit
+    if len(out) >= cap:
+        return
     node_cls = node.__class__
     stack = []
     i = bisect_left(node.keys, lo)
     b = bisect_right(node.keys, hi)
+    done = -1  # a slot whose nested node has been walked
     while True:
         keys = node.keys
         children = node.children
         versions = node.versions
         for j in range(i, b + 1):  # child slot j, then key j
-            if limit is not None and len(out) >= limit:
-                return
-            child = children[j].load()
-            if child is not None:
+            cell = children[j]
+            if cell is not EMPTY and j != done:
+                child = cell.load()
+                # only the window's first and last slots can reach past it
+                clo = lo if j == i else None
+                chi = hi if j == b else None
                 if child.__class__ is node_cls:
-                    stack.append((node, j, b))
-                    node = child
-                    i = bisect_left(node.keys, lo)
-                    b = bisect_right(node.keys, hi)
+                    stack.append((node, j, b, hi))
+                    node, lo, hi, done = child, clo, chi, -1
+                    i = 0 if lo is None else bisect_left(node.keys, lo)
+                    b = len(node.keys) if hi is None else bisect_right(node.keys, hi)
                     break
-                scan_bin(child, lo, hi, ts, out, clock, limit)
-                if limit is not None and len(out) >= limit:
+                scan_bin(child, clo, chi, ts, out, clock, limit)
+                if len(out) >= cap:
                     return
             if j < b:
-                val = read_value_at(versions[j], ts, clock)
-                if val is not None and val is not TOMBSTONE:
+                ref = versions[j]
+                ver = ref.load()
+                if UNSET_TS < ver.ts <= ts:
+                    val = ver.val
+                else:
+                    val = read_value_at(ref, ts, clock)
+                    if val is TOMBSTONE:
+                        val = None
+                if val is not None:
                     out.append((keys[j], val))
+                    if len(out) >= cap:
+                        return
         else:
             if not stack:
                 return
-            node, j, b = stack.pop()  # child j is done: key j comes next
-            if j < b:
-                val = read_value_at(node.versions[j], ts, clock)
-                if val is not None and val is not TOMBSTONE:
-                    out.append((node.keys[j], val))
-            i = j + 1
+            # no slot after the resumed one is its window's first, so
+            # nothing below lo is left in the node
+            node, i, b, hi = stack.pop()
+            lo = None
+            done = i

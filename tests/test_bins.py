@@ -32,6 +32,8 @@ from lfindex.core import (
     set_cas_hook,
     write_value,
 )
+from lfindex.index import LearnedIndex
+from lfindex.verify import audit_structure
 
 BIG_TS = 2**62
 
@@ -128,6 +130,41 @@ class TestInsertBin:
         assert insert_bin(olb, 10, 2, clock) is True
         assert insert_bin(olb, 90, 3, clock) is True
         assert list_keys(olb) == [10, 50, 90]
+
+    def test_a_lost_splice_retries_with_the_node_it_made_first(self, monkeypatch):
+        # another insert splices 25 into the cell this insert of 20 walked
+        # to, so the first splice fails on an unfrozen bin; the retry
+        # re-points the unpublished node's next link from 30 to 25 and
+        # splices the very node and version made on the first attempt
+        index = LearnedIndex.build([(0, 0), (100, 9)])
+        for k in (10, 30):
+            assert index.insert(k, k) is True
+        _, _, olb = index.seek(20)
+        assert isinstance(olb, OneLevelBin) and olb.frozen is None
+        attempts = []  # (new link, its node's next link, its node's version)
+        real_splice = bins_mod.splice
+
+        def losing_splice(owner, cell, expected, new):
+            knode = new.target
+            if knode.item == 20:
+                attempts.append((new, knode.next.load(), knode.version.load()))
+                if len(attempts) == 1:
+                    assert index.insert(25, 25) is True
+            return real_splice(owner, cell, expected, new)
+
+        monkeypatch.setattr(bins_mod, "splice", losing_splice)
+        assert index.insert(20, 20) is True
+        assert len(attempts) == 2
+        (first, first_next, fresh), (second, second_next, again) = attempts
+        assert second is first and again is fresh
+        assert (first_next.target.item, second_next.target.item) == (30, 25)
+        knode = search_bin(olb, 20)
+        assert knode is first.target and knode.version.load() is fresh
+        assert fresh.val == 20 and fresh.ts != UNSET_TS
+        assert list_keys(olb) == [10, 20, 25, 30]
+        assert olb.size.load() == 4
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
 
 
 class TestDeleteBin:

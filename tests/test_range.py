@@ -1,16 +1,66 @@
 """Snapshot range scans: bounds, saturation, and version visibility."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import OneLevelBin, freeze_bin
-from lfindex.core import KEY_MAX
+from lfindex import bins as bins_mod, rangescan
+from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin
+from lfindex.core import KEY_MAX, UNSET_TS, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
 TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+
+#: Inserted into a TINY index built over key 0, these keys leave nested
+#: model nodes and one- and two-level bins.
+NESTING_KEYS = list(range(2, 400, 2)) + [3, 151, 301, 5, 7, 9, 11, 13, 303, 305]
+
+
+def replay(history, lo, hi, ts):
+    """The pairs a scan of [lo, hi] at ``ts`` must return, from per-key
+    (stamp, value-or-None) histories in write order."""
+    want = []
+    for k in sorted(history):
+        if lo <= k <= hi:
+            visible = None
+            for stamp, val in history[k]:
+                if stamp <= ts:
+                    visible = val
+            if visible is not None:
+                want.append((k, visible))
+    return want
+
+
+def subtree(node):
+    """Every child of ``node``'s subtree other than None, in key order."""
+    out = []
+    for cell in node.children:
+        child = cell.load()
+        if isinstance(child, ModelNode):
+            out.append(child)
+            out.extend(subtree(child))
+        elif child is not None:
+            out.append(child)
+    return out
+
+
+def bins_in_window(node, lo, hi):
+    """The bins a scan of [lo, hi] reaches, in key order: child slot j of a
+    node it enters is visited iff keys[j-1] <= hi and keys[j] >= lo."""
+    keys = node.keys
+    found = []
+    for j, cell in enumerate(node.children):
+        if (j > 0 and keys[j - 1] > hi) or (j < len(keys) and keys[j] < lo):
+            continue
+        child = cell.load()
+        if isinstance(child, ModelNode):
+            found.extend(bins_in_window(child, lo, hi))
+        elif child is not None:
+            found.append(child)
+    return found
 
 
 class TestBounds:
@@ -160,3 +210,149 @@ def test_scan_equals_sorted_live_slice(keys, lo, width):
     got = index.range(lo, width)
     assert got == [(k, k * 2) for k in sorted(keys) if lo <= k <= lo + width]
     assert [k for k, _ in got] == sorted(k for k, _ in got)
+
+
+class TestScanReads:
+    """``rangescan.scan`` reads a stamped head inline and walks interior
+    bins unbounded; both must agree with the chain walk at any time."""
+
+    def test_scans_at_past_times_match_the_replay(self, monkeypatch):
+        # past times make heads too new, so chain walks run on model keys,
+        # interior bins and edge bins, a frozen bin among them; every
+        # result, capped at random, must equal the replay of the history
+        rnd = random.Random(41)
+        index = LearnedIndex.build([(0, 0)], TINY)
+        clock = index.clock
+        history = {0: [(0, 0)]}
+
+        def write(k, v):  # a mutation stamps at the current reading
+            now = clock.read()
+            if index.insert(k, v) if v is not None else index.delete(k):
+                history.setdefault(k, []).append((now, v))
+            if rnd.random() < 0.3:
+                clock.read_and_bump()
+
+        for k in NESTING_KEYS:
+            write(k, k)
+        for _ in range(1_500):  # mostly overwrites and deletes, a few new keys
+            k = rnd.choice(NESTING_KEYS) if rnd.random() < 0.9 else rnd.randrange(420)
+            write(k, rnd.randrange(5) if rnd.random() < 0.6 else None)
+        for k in range(501, 511, 2):  # five keys split a one-level bin
+            write(k, k)
+        children = subtree(index.root)
+        assert {type(child) for child in children} == {
+            OneLevelBin, TwoLevelBin, ModelNode}
+        # below its threshold, the frozen bin takes overwrites of its own
+        # keys without a retrain, and deletes never retrain
+        frozen = next(c for c in children
+                      if isinstance(c, OneLevelBin) and c.size.load() < TINY.olb_threshold)
+        freeze_bin(frozen)
+        node = frozen.head.load().target
+        own = []
+        while node is not None:
+            own.append(node.item)
+            node = node.next.load().target
+        model_keys = [k for c in children if isinstance(c, ModelNode) for k in c.keys]
+        for _ in range(300):
+            k = rnd.choice(own) if rnd.random() < 0.5 else rnd.choice(model_keys)
+            write(k, rnd.randrange(5) if rnd.random() < 0.6 else None)
+        for _ in range(200):
+            write(rnd.randrange(420), None)
+        assert index.seek(own[0])[2] is frozen
+
+        calls = Counter()
+        where = ["model key"]
+        real_read, real_scan_bin = rangescan.read_value_at, rangescan.scan_bin
+
+        def counted_read(ref, ts, clk):
+            calls[where[0]] += 1
+            return real_read(ref, ts, clk)
+
+        def tagged_scan_bin(bin_, lo, hi, *rest):
+            where[0] = "interior bin" if lo is None and hi is None else "edge bin"
+            calls["frozen bin visits"] += bin_ is frozen
+            try:
+                return real_scan_bin(bin_, lo, hi, *rest)
+            finally:
+                where[0] = "model key"
+
+        monkeypatch.setattr(rangescan, "read_value_at", counted_read)
+        monkeypatch.setattr(bins_mod, "read_value_at", counted_read)
+        monkeypatch.setattr(rangescan, "scan_bin", tagged_scan_bin)
+        now = clock.read()
+        for _ in range(400):
+            lo = rnd.randrange(420)
+            hi = lo + rnd.randrange(250)
+            ts = rnd.randrange(now + 1)
+            want = replay(history, lo, hi, ts)
+            cap = None if rnd.random() < 0.3 else rnd.randrange(len(want) + 2)
+            out = []
+            rangescan.scan(index.root, lo, hi, ts, out, clock, cap)
+            assert out == want[:cap], (lo, hi, ts, cap)
+        assert set(calls) == {"model key", "interior bin", "edge bin", "frozen bin visits"}
+        assert all(calls.values()), calls
+
+        # a head published but not yet stamped, on a model key and in an
+        # interior bin of a whole-range scan: a past scan walks both chains,
+        # stamps the heads now and skips them, and a scan at now sees them
+        node, j = next((c, j) for c in children if isinstance(c, ModelNode)
+                       for j in range(len(c.keys))
+                       if isinstance(c.children[j].load(), OneLevelBin))
+        knode = node.children[j].load().head.load().target
+        keys = [node.keys[j], knode.item]
+        heads = [node.versions[j], knode.version]
+        clock.read_and_bump()
+        now = clock.read()
+        for ref, v in zip(heads, (71, 72)):
+            ref.value = VersionedValue(v, UNSET_TS, ref.load())
+        before = calls.copy()
+        out = []
+        rangescan.scan(index.root, 0, 1_000, now - 1, out, clock)
+        assert out == replay(history, 0, 1_000, now - 1)
+        assert calls["model key"] > before["model key"]
+        assert calls["interior bin"] > before["interior bin"]
+        for ref, k, v in zip(heads, keys, (71, 72)):
+            assert ref.load().ts == now
+            history[k].append((now, v))
+        out = []
+        rangescan.scan(index.root, 0, 1_000, now, out, clock)
+        assert out == replay(history, 0, 1_000, now)
+        assert (keys[0], 71) in out and (keys[1], 72) in out
+
+    def test_a_stamped_scan_reads_inline_and_visits_each_bin_once(self, monkeypatch):
+        # on a quiescent index every head is stamped, so no scan walks a
+        # chain, and every bin in the window goes through the module's
+        # scan_bin name, which the paused-scan test patches
+        index = LearnedIndex.build([(0, 0)], TINY)
+        live = {0: 0}
+        for k in NESTING_KEYS:
+            index.insert(k, k)
+            live[k] = k
+        for k in (7, 150, 304):
+            index.delete(k)
+            del live[k]
+        chain_walks = []
+        visits = []
+        real_read, real_scan_bin = rangescan.read_value_at, rangescan.scan_bin
+
+        def counted_read(*args):
+            chain_walks.append(args)
+            return real_read(*args)
+
+        def counted_scan_bin(bin_, lo, hi, *rest):
+            visits.append((bin_, lo, hi))
+            return real_scan_bin(bin_, lo, hi, *rest)
+
+        monkeypatch.setattr(rangescan, "read_value_at", counted_read)
+        monkeypatch.setattr(bins_mod, "read_value_at", counted_read)
+        monkeypatch.setattr(rangescan, "scan_bin", counted_scan_bin)
+        interior = 0
+        for lo, hi in ((0, 1_000), (5, 305), (151, 152), (140, 160), (399, 400), (500, 600)):
+            visits.clear()
+            out = []
+            rangescan.scan(index.root, lo, hi, index.clock.read(), out, index.clock)
+            assert out == [(k, v) for k, v in sorted(live.items()) if lo <= k <= hi]
+            assert [v[0] for v in visits] == bins_in_window(index.root, lo, hi), (lo, hi)
+            interior += sum(v[1] is None and v[2] is None for v in visits)
+        assert chain_walks == []
+        assert interior > 0
