@@ -35,11 +35,8 @@ deletes and the start of a scan.  It ignores the freeze word.  Nodes are
 never unlinked, so any node of a list below the key is a valid start.
 Each list keeps a ``hint``, the node of its last splice, and a walk starts
 there when the hint is below its key, so ascending inserts splice in O(1)
-loads.  Every write to a published link is a ``splice`` and every size
-change a CAS.  Two stores are plain: the hint, because it is advisory (any
-node of the list, or None, is a correct value, so a stale or racing store
-costs at most a longer walk), and an insert's re-pointing of its own new
-node's next link, which no other thread can reach before the splice.
+loads.  After construction every write to a list, its links, its hint
+and its counts, is inside that list's ``core.splice``.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from bisect import bisect_left
 from typing import Any, Optional
 
 from .core import (
-    AtomicInt,
     AtomicRef,
     END,
     GlobalClock,
@@ -106,8 +102,8 @@ class OneLevelBin:
     def __init__(self, first: Optional[KNode], size: int,
                  hint: Optional[KNode] = None):
         self.head = AtomicRef(_link_to(first))
-        self.size = AtomicInt(size)  # distinct keys spliced, not value updates
-        self.hint = hint  # advisory walk start: a node of this list, or None
+        self.size = size  # distinct keys spliced, not value updates
+        self.hint = hint  # walk start: a node of this list, or None
         self.frozen = None
 
 
@@ -126,7 +122,7 @@ class TwoLevelBin:
         assert len(children) == len(keys) + 1
         self.keys = keys
         self.children = children
-        self.size = AtomicInt(size)
+        self.size = size
         self.frozen = None
 
 
@@ -161,39 +157,33 @@ def _olb_seek(olb: OneLevelBin, key: int,
 
 def _olb_insert(owner: Any, olb: OneLevelBin, key: int, value: int,
                 clock: GlobalClock):
-    """Returns (result, spliced): result True/False/UNDER_MAKE_MODEL.
+    """True/False per the map contract, or UNDER_MAKE_MODEL.
 
     A key already in ``olb`` gets a chain write, frozen or not; a new key
     is spliced at the link the walk stopped at, guarded by ``owner``, the
     bin that owns the list.  A splice that fails on a frozen owner bounces;
     one that loses to another splice walks on from the same cell, so a
     storm of inserts makes progress without restarting.  The new key's
-    node is made once per call: before each retry only its own next link
-    is re-pointed, a plain store that is safe because no other thread can
-    reach the node until its splice succeeds.
+    node is made once per call, its next cell empty until a splice
+    succeeds.
     """
     ref, link = _olb_seek(olb, key)
-    knode = None
+    new = None
     while True:
         node = link.target
         if node is not None and node.item == key:
-            return write_value(node.version, value, clock), False
-        if knode is None:
+            return write_value(node.version, value, clock)
+        if new is None:
             fresh = VersionedValue(value)
-            knode = KNode(key, AtomicRef(fresh), AtomicRef(link))
-            new = Link(knode)
-        else:
-            knode.next.value = link
-        if splice(owner, ref, link, new):
-            olb.hint = knode
+            new = Link(KNode(key, AtomicRef(fresh), AtomicRef()))
+        if splice(owner, olb, ref, link, new):
             # stamp before reporting success: an unstamped splice could be
             # assigned a too-new time by a later scan and vanish from
             # snapshots that must include it
             init_ts(fresh, clock)
-            olb.size.fetch_add(1)
-            return True, True
+            return True
         if owner.frozen is not None:
-            return UNDER_MAKE_MODEL, False
+            return UNDER_MAKE_MODEL
         ref, link = _olb_seek(olb, key, ref)
 
 
@@ -212,19 +202,13 @@ def _lists(bin_: Any):
 
 def list_size(bin_: Any, key: int) -> int:
     """Keys spliced into the list that owns ``key``."""
-    return _list_for(bin_, key).size.load()
+    return _list_for(bin_, key).size
 
 
 def insert_bin(bin_: Any, key: int, value: int, clock: GlobalClock):
     """Insert or update; True/False per the map contract, UNDER_MAKE_MODEL
-    if a new key meets a frozen bin.  A splice counts in its list's size
-    and, in a two-level bin, in the bin's total as well.
-    """
-    lst = _list_for(bin_, key)
-    result, spliced = _olb_insert(bin_, lst, key, value, clock)
-    if spliced and lst is not bin_:
-        bin_.size.fetch_add(1)
-    return result
+    if a new key meets a frozen bin."""
+    return _olb_insert(bin_, _list_for(bin_, key), key, value, clock)
 
 
 def delete_bin(bin_: Any, key: int, clock: GlobalClock) -> bool:

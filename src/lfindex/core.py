@@ -3,14 +3,13 @@
 Every mutation anywhere in the index funnels through a single-word
 compare-and-swap on one of the cell types below, or through ``dcss``,
 ``splice`` and ``freeze``: ``dcss`` swaps a model node's child cells,
-``splice`` stores into a bin's list links, and ``freeze`` sets the freeze
-word of either owner, after which neither store succeeds.  ``EMPTY``, the
+``splice`` puts a new key into a bin's list, and ``freeze`` sets the
+freeze word of either owner, after which neither succeeds.  ``EMPTY``, the
 one cell all empty slots share, is never written, so it needs no ABA
-argument.  (The plain stores, a bin list's walk hint and an unpublished
-node's next link, are described in ``bins``.)
+argument.
 CPython has no native CAS, so the primitives emulate it with a small stripe
 of module-level locks: each critical section is a constant-time
-compare+store, never nested, and never calls back into user code.  Plain
+compare and its stores, never nested, and never calls back into user code.  Plain
 attribute loads are atomic under the GIL and are used for all reads.
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
@@ -52,12 +51,10 @@ class AtomicRef:
     reclamation this rules out ABA: a stale expected object cannot reappear
     as the current value.
 
-    The shared end link END is the exception that needs an argument: one
-    object sits in many cells at once.  It stays ABA-safe because a list
-    link only gains nodes, so once a cell leaves END it never holds END
-    again.  For the same reason an insert may start its new node's next
-    cell with the very link its splice replaces: every splice stores a link
-    made for its own new node, so no cell takes back an object it held.
+    Two cells hold objects that are not fresh, and each needs an argument.
+    The shared end link END sits in many cells at once, but a list only
+    gains nodes, so once a cell leaves END it never holds END again.  The
+    clock's cell holds ints, but the clock only rises (``GlobalClock``).
     """
 
     __slots__ = ("value",)
@@ -77,34 +74,6 @@ class AtomicRef:
             if hook is not None:
                 hook(self, ok)
         return ok
-
-
-class AtomicInt:
-    """An integer cell with load / CAS / fetch_add as indivisible steps."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0):
-        self.value = value
-
-    def load(self) -> int:
-        return self.value
-
-    def compare_and_swap(self, expected: int, new: int) -> bool:
-        hook = _cas_hook
-        with _lock_for(self):
-            ok = self.value == expected
-            if ok:
-                self.value = new
-            if hook is not None:
-                hook(self, ok)
-        return ok
-
-    def fetch_add(self, delta: int = 1) -> int:
-        with _lock_for(self):
-            old = self.value
-            self.value = old + delta
-        return old
 
 
 class Link(NamedTuple):
@@ -139,11 +108,14 @@ def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
     return ok
 
 
-def splice(owner: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
-    """Store ``new`` in ``cell`` iff ``owner.frozen`` is None and the cell
-    holds ``expected``: the guarded store every list link write of a bin
-    makes, under the owner's stripe lock, like ``dcss``.  The hook sees the
-    cell written or found, or a frozen owner."""
+def splice(owner: Any, lst: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
+    """Put the node ``new`` links to into the list ``lst`` of the bin
+    ``owner`` iff ``owner.frozen`` is None and ``cell`` holds ``expected``:
+    under the owner's stripe lock, like ``dcss``, point the node's next
+    link at ``expected``, store ``new`` in the cell, make the node the
+    list's hint and count it in ``lst.size`` and, for a child list, in
+    ``owner.size``.  A failure writes nothing.  The hook sees the cell
+    written or found, or a frozen owner."""
     hook = _cas_hook
     with _lock_for(owner):
         if owner.frozen is not None:
@@ -152,7 +124,13 @@ def splice(owner: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
             target = cell
             ok = cell.value is expected
             if ok:
+                node = new.target
+                node.next.value = expected
                 cell.value = new
+                lst.hint = node
+                lst.size += 1
+                if lst is not owner:
+                    owner.size += 1
         if hook is not None:
             hook(target, ok)
     return ok
@@ -201,12 +179,16 @@ class VersionedValue:
 
 
 class GlobalClock:
-    """Logical time shared by the whole index; starts at 0."""
+    """Logical time shared by the whole index; starts at 0.
+
+    ``now`` is an ``AtomicRef`` holding an int.  Its identity CAS is sound
+    because the clock only rises: the cell never takes back an int object
+    it once held, so a bump from a stale read fails."""
 
     __slots__ = ("now",)
 
     def __init__(self, start: int = 0):
-        self.now = AtomicInt(start)
+        self.now = AtomicRef(start)
 
     def read(self) -> int:
         return self.now.load()

@@ -157,7 +157,11 @@ class ModelNode:
 
 
 class LearnedIndex:
-    """Linearizable lock-free ordered map over 63-bit keys and int payloads."""
+    """Linearizable lock-free ordered map over 63-bit keys and int payloads.
+
+    Every op takes its key, and ``range`` its width, through
+    ``operator.index``: a numpy integer acts as the int it equals, and a
+    float raises TypeError."""
 
     def __init__(self, root: ModelNode, clock: GlobalClock, config: IndexConfig):
         self.root = root
@@ -225,7 +229,7 @@ class LearnedIndex:
         """True if the map changed (new key, or new value for the key)."""
         if value is None:
             raise ValueError("payload must not be None")
-        key = operator.index(key)  # stored, so an int, as in build
+        key = operator.index(key)
         if not 0 <= key <= KEY_MAX:
             raise ValueError("key outside the 63-bit domain")
         clock = self.clock
@@ -241,9 +245,9 @@ class LearnedIndex:
                     return True
                 continue  # lost to a concurrent first insert or a freeze; retry
             if child.is_one_level:
-                full = child.size.load() >= cfg.olb_threshold
+                full = child.size >= cfg.olb_threshold
             else:
-                full = (child.size.load() >= cfg.tlb_threshold
+                full = (child.size >= cfg.tlb_threshold
                         or list_size(child, key) >= cfg.list_threshold)
             if full:
                 self.help_make_model(node, i, child)
@@ -258,6 +262,7 @@ class LearnedIndex:
         """True if the key was present (its latest payload now Absent).
         One seek and at most one chain write: a frozen bin or subtree
         still takes the write (see ``bins``), so it never retries."""
+        key = operator.index(key)
         if not 0 <= key <= KEY_MAX:
             raise ValueError("key outside the 63-bit domain")
         node, i, child = self.seek(key)
@@ -271,6 +276,7 @@ class LearnedIndex:
         """Latest payload, or None when absent.  Never helps, never blocks,
         never retries; its only write is a timestamp assignment on an
         unstamped head."""
+        key = operator.index(key)
         if not 0 <= key <= KEY_MAX:
             raise ValueError("key outside the 63-bit domain")
         node, i, child = self.seek(key)

@@ -21,6 +21,7 @@ Two facts let the walk read most pairs without a call:
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from typing import Optional
@@ -37,6 +38,8 @@ def range_search(index, key: int, width: int,
     caps the result length (None = unbounded); the scan stops early once
     the cap is hit, keeping the ascending prefix.
     """
+    key = operator.index(key)
+    width = operator.index(width)
     if width < 0:
         raise ValueError("range width must be >= 0")
     if not 0 <= key <= KEY_MAX:

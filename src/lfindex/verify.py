@@ -401,9 +401,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             note("frozen-bin", f"{where}: bin still frozen by a retrain")
         if bin_.is_one_level:
             count = walk_olb(bin_, lo, hi, where)
-            if bin_.size.load() != count:
+            if bin_.size != count:
                 note("size-counter",
-                     f"{where}: size {bin_.size.load()} but {count} keys")
+                     f"{where}: size {bin_.size} but {count} keys")
             return
         seps = bin_.keys
         for i in range(1, len(seps)):
@@ -415,13 +415,13 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             # child i owns keys up to and including separator i
             chi_excl = seps[i] + 1 if i < len(seps) else hi
             c = walk_olb(child, clo, chi_excl, f"{where}/child{i}")
-            if child.size.load() != c:
+            if child.size != c:
                 note("size-counter",
-                     f"{where}/child{i}: size {child.size.load()} but {c} keys")
+                     f"{where}/child{i}: size {child.size} but {c} keys")
             total += c
-        if bin_.size.load() != total:
+        if bin_.size != total:
             note("size-counter",
-                 f"{where}: total size {bin_.size.load()} but {total} keys")
+                 f"{where}: total size {bin_.size} but {total} keys")
 
     def check_model(node, where: str) -> None:
         segs = node.segments

@@ -26,6 +26,7 @@ from lfindex.core import (
     END,
     AtomicRef,
     GlobalClock,
+    Link,
     UNSET_TS,
     VersionedValue,
     read_value_latest,
@@ -69,7 +70,7 @@ class TestBinNew:
         clock = GlobalClock(0)
         olb, ver = bin_new(5, 100)
         assert list_keys(olb) == [5]
-        assert olb.size.load() == 1
+        assert olb.size == 1
         found = search_bin(olb, 5)
         assert found is not None
         assert found.version.load() is ver
@@ -94,20 +95,20 @@ class TestInsertBin:
         olb = make_olb([(3, 30), (7, 70)], clock)
         assert insert_bin(olb, 5, 50, clock) is True
         assert list_keys(olb) == [3, 5, 7]
-        assert olb.size.load() == 3
+        assert olb.size == 3
 
     def test_equal_value_update_returns_false(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         assert insert_bin(olb, 7, 70, clock) is False
-        assert olb.size.load() == 2
+        assert olb.size == 2
 
     def test_changed_value_update_returns_true(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30)], clock)
         assert insert_bin(olb, 3, 99, clock) is True
         assert read_value_latest(search_bin(olb, 3).version, clock) == 99
-        assert olb.size.load() == 1  # update, not a splice
+        assert olb.size == 1  # update, not a splice
 
     def test_frozen_bin_bounces(self):
         clock = GlobalClock(0)
@@ -122,7 +123,7 @@ class TestInsertBin:
         assert insert_bin(olb, 7, 71, clock) is True
         assert insert_bin(olb, 7, 71, clock) is False
         assert read_value_latest(search_bin(olb, 7).version, clock) == 71
-        assert olb.size.load() == 2
+        assert olb.size == 2
 
     def test_insert_below_head_and_above_tail(self):
         clock = GlobalClock(0)
@@ -134,23 +135,23 @@ class TestInsertBin:
     def test_a_lost_splice_retries_with_the_node_it_made_first(self, monkeypatch):
         # another insert splices 25 into the cell this insert of 20 walked
         # to, so the first splice fails on an unfrozen bin; the retry
-        # re-points the unpublished node's next link from 30 to 25 and
-        # splices the very node and version made on the first attempt
+        # expects the link to 25 instead of 30 and splices the very node
+        # and version made on the first attempt
         index = LearnedIndex.build([(0, 0), (100, 9)])
         for k in (10, 30):
             assert index.insert(k, k) is True
         _, _, olb = index.seek(20)
         assert isinstance(olb, OneLevelBin) and olb.frozen is None
-        attempts = []  # (new link, its node's next link, its node's version)
+        attempts = []  # (new link, the link it expects, its node's version)
         real_splice = bins_mod.splice
 
-        def losing_splice(owner, cell, expected, new):
+        def losing_splice(owner, lst, cell, expected, new):
             knode = new.target
             if knode.item == 20:
-                attempts.append((new, knode.next.load(), knode.version.load()))
+                attempts.append((new, expected, knode.version.load()))
                 if len(attempts) == 1:
                     assert index.insert(25, 25) is True
-            return real_splice(owner, cell, expected, new)
+            return real_splice(owner, lst, cell, expected, new)
 
         monkeypatch.setattr(bins_mod, "splice", losing_splice)
         assert index.insert(20, 20) is True
@@ -160,9 +161,11 @@ class TestInsertBin:
         assert (first_next.target.item, second_next.target.item) == (30, 25)
         knode = search_bin(olb, 20)
         assert knode is first.target and knode.version.load() is fresh
+        # its next link is the very link its successful splice replaced
+        assert knode.next.load() is second_next
         assert fresh.val == 20 and fresh.ts != UNSET_TS
         assert list_keys(olb) == [10, 20, 25, 30]
-        assert olb.size.load() == 4
+        assert olb.size == 4
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
 
@@ -451,8 +454,8 @@ class TestWalkStart:
         met_frozen = threading.local()
         real_splice = bins_mod.splice
 
-        def watched_splice(owner, cell, expected, new):
-            ok = real_splice(owner, cell, expected, new)
+        def watched_splice(owner, lst, cell, expected, new):
+            ok = real_splice(owner, lst, cell, expected, new)
             met_frozen.flag = not ok and owner.frozen is not None
             return ok
 
@@ -496,7 +499,7 @@ class TestWalkStart:
                     assert r is want, f"trial {trial}: key {k} -> {r!r}, met frozen {met}"
                 won = {k for k, r, _ in results if r is True}
                 assert keys == sorted({0} | won), f"trial {trial}: spliced key dropped"
-                assert olb.size.load() == len(keys)
+                assert olb.size == len(keys)
                 bounced += len(results) - len(won)
                 spliced += len(won)
         finally:
@@ -543,7 +546,7 @@ class TestOlbToTlb:
         tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
         sizes = [len(list_keys(c)) for c in tlb.children]
         assert sizes == [2, 2, 2, 2]
-        assert tlb.size.load() == 8
+        assert tlb.size == 8
 
     def test_remainder_goes_to_the_front(self):
         clock = GlobalClock(0)
@@ -578,7 +581,7 @@ class TestOlbToTlb:
         freeze_bin(olb)
         tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
         assert search_bin(tlb, 5).item == 5
-        assert tlb.size.load() == 1
+        assert tlb.size == 1
 
 
 class TestConcurrentBinOps:
@@ -603,7 +606,65 @@ class TestConcurrentBinOps:
         got = list_keys(olb)
         assert got == sorted(got)
         assert got == [0] + sorted(k for s in shares for k in s)
-        assert olb.size.load() == len(got)
+        assert olb.size == len(got)
+
+    def test_counts_and_hints_are_exact_at_every_splice(self):
+        # racing inserts into one two-level bin; an observer inside each
+        # successful splice's lock walks the bin: every write to a list is
+        # in its splice, so the counts and hints are exact at that instant
+        clock = GlobalClock(0)
+        olb = make_olb([(k, k) for k in range(0, 800, 100)], clock)
+        freeze_bin(olb)
+        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        stall_rnd = random.Random(21)
+        bad = []
+        checked = [0]
+
+        def observe(cell, ok):
+            if ok and isinstance(cell.value, Link):  # a list cell, not a chain
+                checked[0] += 1
+                total = 0
+                for i, lst in enumerate(tlb.children):
+                    nodes = []
+                    node = lst.head.load().target
+                    while node is not None:
+                        nodes.append(node)
+                        node = node.next.load().target
+                    if lst.size != len(nodes):
+                        bad.append(f"child {i}: size {lst.size}, {len(nodes)} keys")
+                    if not any(lst.hint is n for n in nodes):
+                        bad.append(f"child {i}: hint {lst.hint!r} not in the list")
+                    total += lst.size
+                if tlb.size != total:
+                    bad.append(f"bin size {tlb.size}, lists hold {total}")
+            if stall_rnd.random() < 0.1:
+                time.sleep(1e-5)
+
+        shares = [list(range(1 + t, 800, 4)) for t in range(4)]
+        for share in shares:
+            random.Random(share[0]).shuffle(share)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        set_cas_hook(observe)
+        try:
+            def run(keys):
+                for k in keys:
+                    if k % 100:
+                        assert insert_bin(tlb, k, k, clock) is True
+
+            threads = [threading.Thread(target=run, args=(s,)) for s in shares]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive(), "an inserting thread hung"
+        finally:
+            set_cas_hook(None)
+            sys.setswitchinterval(old_interval)
+        assert not bad, bad[:3]
+        assert checked[0] == 800 - 8
+        assert tlb.size == 800
+        assert [k for lst in tlb.children for k in list_keys(lst)] == list(range(800))
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30), st.integers(0, 3)),
@@ -634,7 +695,7 @@ def test_random_single_thread_ops_stay_sorted_and_match_a_dict(ops):
     if olb is None:
         return
     assert list_keys(olb) == sorted(everything)
-    assert olb.size.load() == len(everything)
+    assert olb.size == len(everything)
     out = []
     scan_bin(olb, 0, 100, BIG_TS, out, clock)
     assert out == sorted(live.items())

@@ -1,6 +1,7 @@
 """Atomic cells, version chains, and the logical clock."""
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from lfindex.core import (
     TOMBSTONE,
     UNSET_TS,
-    AtomicInt,
     AtomicRef,
     END,
     GlobalClock,
@@ -68,34 +68,6 @@ class TestAtomicRef:
         assert events == [(ref, True), (ref, False)]
 
 
-class TestAtomicInt:
-    def test_cas_and_load(self):
-        n = AtomicInt(5)
-        assert n.compare_and_swap(5, 6)
-        assert not n.compare_and_swap(5, 7)
-        assert n.load() == 6
-
-    def test_fetch_add_returns_previous(self):
-        n = AtomicInt(10)
-        assert n.fetch_add(3) == 10
-        assert n.load() == 13
-
-    def test_concurrent_fetch_add_loses_nothing(self):
-        n = AtomicInt(0)
-        per = 10_000
-
-        def bump():
-            for _ in range(per):
-                n.fetch_add(1)
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert n.load() == 4 * per
-
-
 class TestLink:
     def test_one_immutable_field(self):
         link = Link("node")
@@ -109,37 +81,51 @@ class TestLink:
 
 
 class Owner:
-    """A record with a freeze word, as bins and model nodes have."""
+    """A list with a freeze word, a walk hint and a count, as a bin is."""
 
-    frozen = None
+    def __init__(self, size=0):
+        self.frozen = None
+        self.hint = None
+        self.size = size
+
+
+def fresh_link(item):
+    """A link to a new node whose next cell is empty, as an insert makes."""
+    return Link(SimpleNamespace(item=item, next=AtomicRef()))
 
 
 class TestSplice:
     def test_stores_iff_the_cell_holds_expected(self):
-        owner, old, new = Owner(), Link("a"), Link("b")
+        owner, old, new = Owner(), Link("a"), fresh_link("b")
         cell = AtomicRef(old)
-        assert not splice(owner, cell, Link("a"), new)  # equal is not identical
+        assert not splice(owner, owner, cell, Link("a"), new)  # equal is not identical
         assert cell.load() is old
-        assert splice(owner, cell, old, new)
+        # a lost splice writes nothing: no link, no hint, no count
+        assert new.target.next.load() is None
+        assert (owner.hint, owner.size) == (None, 0)
+        assert splice(owner, owner, cell, old, new)
         assert cell.load() is new
-        assert not splice(owner, cell, old, Link("c"))
+        assert not splice(owner, owner, cell, old, fresh_link("c"))
         assert cell.load() is new
 
     def test_fails_once_the_owner_is_frozen(self):
         events = []
-        owner, old = Owner(), Link("a")
-        cell = AtomicRef(old)
+        tlb, child, old = Owner(5), Owner(2), Link("a")
+        cell, new = AtomicRef(old), fresh_link("b")
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            freeze(owner, True)
-            freeze(owner, "later")  # terminal: the first job stays
-            assert not splice(owner, cell, old, Link("b"))
+            freeze(tlb, True)
+            freeze(tlb, "later")  # terminal: the first job stays
+            assert not splice(tlb, child, cell, old, new)
         finally:
             set_cas_hook(None)
-        assert owner.frozen is True
-        assert cell.load() is old
+        assert tlb.frozen is True
+        # a refused splice writes nothing either
+        assert cell.load() is old and new.target.next.load() is None
+        assert (child.hint, tlb.hint) == (None, None)
+        assert (child.size, tlb.size) == (2, 5)
         # the hook sees the frozen owner, not the cell it would have written
-        assert events == [(owner, True), (owner, False), (owner, False)]
+        assert events == [(tlb, True), (tlb, False), (tlb, False)]
 
     def test_hook_sees_the_cell_written_or_found(self):
         events = []
@@ -147,11 +133,28 @@ class TestSplice:
         cell = AtomicRef(old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            splice(owner, cell, old, Link("b"))
-            splice(owner, cell, old, Link("c"))
+            splice(owner, owner, cell, old, fresh_link("b"))
+            splice(owner, owner, cell, old, fresh_link("c"))
         finally:
             set_cas_hook(None)
         assert events == [(cell, True), (cell, False)]
+
+    def test_a_success_links_hints_and_counts(self):
+        # a one-level bin is its own list: one count
+        olb, old, new = Owner(3), Link("a"), fresh_link("b")
+        cell = AtomicRef(old)
+        assert splice(olb, olb, cell, old, new)
+        assert new.target.next.load() is old
+        assert olb.hint is new.target
+        assert olb.size == 4
+        # a child list counts in its own size and in its bin's total
+        tlb, child = Owner(5), Owner(2)
+        new = fresh_link("c")
+        cell = AtomicRef(old)
+        assert splice(tlb, child, cell, old, new)
+        assert new.target.next.load() is old
+        assert child.hint is new.target and tlb.hint is None
+        assert (child.size, tlb.size) == (3, 6)
 
 
 class TestVersionedReads:
@@ -277,6 +280,39 @@ class TestGlobalClock:
         clock = GlobalClock(5)
         assert clock.read() == 5
         assert clock.read() == 5
+
+    def test_an_unraced_bump_returns_its_read_and_adds_one(self):
+        clock = GlobalClock(41)
+        events = []
+        set_cas_hook(lambda cell, ok: events.append((cell, ok)))
+        try:
+            assert clock.read_and_bump() == 41
+        finally:
+            set_cas_hook(None)
+        assert clock.read() == 42
+        assert events == [(clock.now, True)]
+
+    def test_a_raced_bump_fails_once_and_keeps_the_racers_time(self):
+        class RacedRef(AtomicRef):
+            """A clock cell that another thread bumps right after a load."""
+
+            __slots__ = ()
+
+            def load(self):
+                t = self.value
+                self.value = t + 1
+                return t
+
+        clock = GlobalClock()
+        clock.now = RacedRef(7)
+        events = []
+        set_cas_hook(lambda cell, ok: events.append((cell, ok)))
+        try:
+            assert clock.read_and_bump() == 7
+        finally:
+            set_cas_hook(None)
+        assert clock.now.value == 8  # the racer's bump, no retry on top
+        assert events == [(clock.now, False)]
 
     def test_concurrent_bumps_stay_bounded_and_monotone(self):
         clock = GlobalClock(0)

@@ -268,6 +268,34 @@ class TestKeyDomain:
         assert fresh.delete(top) is True
         assert audit_structure(fresh).ok
 
+    def test_float_keys_are_refused_by_every_operation(self):
+        index = LearnedIndex.build([(4, 1), (9, 2)])
+        with pytest.raises(TypeError):
+            index.search(4.0)
+        with pytest.raises(TypeError):
+            index.delete(4.0)
+        with pytest.raises(TypeError):
+            index.insert(4.0, 3)
+        with pytest.raises(TypeError):
+            index.range(4.0, 1)
+        with pytest.raises(TypeError):
+            index.range(4, 1.0)
+        assert index.search(4) == 1
+        assert index.range(0, 10) == [(4, 1), (9, 2)]
+
+    def test_numpy_keys_act_as_the_ints_they_equal(self):
+        top = 2**63 - 1
+        index = LearnedIndex.build([(5, 1), (top, 2)])
+        assert index.search(np.uint64(5)) == 1
+        got = index.range(np.uint64(5), 2**64)  # saturates at the top key
+        assert got == [(5, 1), (top, 2)]
+        assert all(type(k) is int for k, _ in got)
+        assert index.range(5, np.uint64(2**64 - 1)) == got
+        assert index.insert(np.int64(6), 3) is True
+        assert index.delete(np.uint64(6)) is True
+        assert index.search(np.int32(6)) is None
+        assert audit_structure(index).ok
+
 
 class TestInsert:
     def test_fresh_key_creates_a_bin(self):
@@ -540,7 +568,7 @@ class TestHelpMakeModel:
             index.insert(k, k)
         node, slot, bin_ = index.seek(keys[0])
         assert isinstance(bin_, TwoLevelBin)
-        assert bin_.size.load() == 1024
+        assert bin_.size == 1024
         index.help_make_model(node, slot, bin_)
         fresh = node.children[slot].load()
         assert isinstance(fresh, ModelNode)

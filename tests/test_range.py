@@ -245,7 +245,7 @@ class TestScanReads:
         # below its threshold, the frozen bin takes overwrites of its own
         # keys without a retrain, and deletes never retrain
         frozen = next(c for c in children
-                      if isinstance(c, OneLevelBin) and c.size.load() < TINY.olb_threshold)
+                      if isinstance(c, OneLevelBin) and c.size < TINY.olb_threshold)
         freeze_bin(frozen)
         node = frozen.head.load().target
         own = []

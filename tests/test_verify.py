@@ -348,7 +348,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(0, 0), (100, 0)])
         index.insert(50, 5)
         olb = index.root.children[1].load()
-        olb.size.fetch_add(1)
+        olb.size += 1
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"size-counter"}
 
