@@ -18,7 +18,7 @@ Quick start::
     index.delete(20)        # True
 """
 
-from .core import TOMBSTONE, set_cas_hook
+from .core import set_cas_hook
 from .harness import (
     DatasetSpec,
     WorkloadSpec,
@@ -54,7 +54,6 @@ __all__ = [
     "Model",
     "Segment",
     "SequentialOracle",
-    "TOMBSTONE",
     "WORKLOAD_PRESETS",
     "WorkloadSpec",
     "audit_structure",

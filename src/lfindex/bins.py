@@ -5,7 +5,8 @@ bin fans the key space out over a fixed array of child lists behind
 immutable separators.  Keys are never physically removed: deletion writes
 an Absent version, so a link is only its target.
 
-This module is mechanism only: lists, splices, freeze, collect and split.
+This module is mechanism only: lists, splices, freeze, collect, split and
+scan.
 When a bin is full, and how wide a split is, is decided by the index from
 its IndexConfig.
 
@@ -41,7 +42,6 @@ and its counts, is inside that list's ``core.splice``.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from typing import Any, Optional
 
@@ -52,11 +52,9 @@ from .core import (
     Link,
     VersionedValue,
     freeze,
-    init_ts,
     read_value_at,
     splice,
     write_value,
-    TOMBSTONE,
     UNSET_TS,
 )
 
@@ -180,7 +178,7 @@ def _olb_insert(owner: Any, olb: OneLevelBin, key: int, value: int,
             # stamp before reporting success: an unstamped splice could be
             # assigned a too-new time by a later scan and vanish from
             # snapshots that must include it
-            init_ts(fresh, clock)
+            fresh.stamp(clock)
             return True
         if owner.frozen is not None:
             return UNDER_MAKE_MODEL
@@ -225,18 +223,15 @@ def search_bin(bin_: Any, key: int) -> Optional[KNode]:
 
 
 def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
-             out: list, clock: GlobalClock, limit: Optional[int] = None) -> None:
+             out: list, clock: GlobalClock) -> None:
     """Append (key, value-at-ts) pairs with lo <= key <= hi, ascending.
 
     A bound of None excludes nothing: with ``lo`` None each list is walked
     from its head, with ``hi`` None to its end, and with both the whole bin
     is read, which a range scan does for a bin wholly inside its range.
     Ignores the freeze word; skips keys deleted at ts or younger than ts.
-    A stamped head no newer than ts is read inline, as in
-    ``rangescan``."""
-    cap = sys.maxsize if limit is None else limit
-    if len(out) >= cap:
-        return
+    A stamped head no newer than ts is read inline, as in ``rangescan``,
+    which also applies any result cap."""
     if bin_.is_one_level:
         lists = (bin_,)
     else:  # the children owning lo through hi
@@ -255,12 +250,8 @@ def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
                 val = ver.val
             else:
                 val = read_value_at(ref, ts, clock)
-                if val is TOMBSTONE:
-                    val = None
             if val is not None:
                 out.append((node.item, val))
-                if len(out) >= cap:
-                    return
             node = node.next.load().target
 
 
@@ -284,7 +275,7 @@ def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[Atomi
         while node is not None:
             keys.append(node.item)
             versions.append(node.version)
-            init_ts(node.version.load(), clock)
+            node.version.load().stamp(clock)
             node = node.next.load().target
     return keys, versions
 

@@ -2,9 +2,10 @@
 
 Every mutation anywhere in the index funnels through a single-word
 compare-and-swap on one of the cell types below, or through ``dcss``,
-``splice`` and ``freeze``: ``dcss`` swaps a model node's child cells,
-``splice`` puts a new key into a bin's list, and ``freeze`` sets the
-freeze word of either owner, after which neither succeeds.  ``EMPTY``, the
+``splice``, ``freeze`` and ``VersionedValue.stamp``: ``dcss`` swaps a
+model node's child cells, ``splice`` puts a new key into a bin's list,
+``freeze`` sets the freeze word of either owner, after which neither
+succeeds, and ``stamp`` sets a version's timestamp once.  ``EMPTY``, the
 one cell all empty slots share, is never written, so it needs no ABA
 argument.
 CPython has no native CAS, so the primitives emulate it with a small stripe
@@ -13,8 +14,9 @@ compare and its stores, never nested, and never calls back into user code.  Plai
 attribute loads are atomic under the GIL and are used for all reads.
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
-by deletions.  A key that was never inserted has no version at all, which
-timestamped reads surface as the distinct ``TOMBSTONE`` sentinel.
+by deletions.  A read as of a time answers the payload of the newest version
+no newer than that time, or None: deleted then and not yet written read
+alike.
 """
 
 from __future__ import annotations
@@ -152,9 +154,9 @@ def freeze(owner: Any, job: Any) -> None:
 class VersionedValue:
     """One version in a per-key chain: payload, write timestamp, older tail.
 
-    ``ts`` starts unset (-1) and is assigned exactly once via ``try_init_ts``;
+    ``ts`` starts unset (-1) and is set exactly once, by ``stamp``;
     ``val`` and ``vnext`` never change after construction.  Only the chain
-    head may have an unset ts: writers assign the displaced head's ts before
+    head may have an unset ts: writers stamp the displaced head before
     publishing a new one on top of it.
     """
 
@@ -165,14 +167,18 @@ class VersionedValue:
         self.ts = ts
         self.vnext = vnext
 
-    def try_init_ts(self, t: int) -> bool:
-        # CAS ts: UNSET -> t.  Equality compare is fine: ts is only ever
-        # written through this method after construction.
+    def stamp(self, clock: GlobalClock) -> None:
+        """Set ``ts`` from a fresh clock read unless it is already set.
+
+        The clock is read before the stripe lock is taken, so the critical
+        section is one compare and one store; on a lost race the winner's
+        (also fresh) read stands.  Idempotent."""
+        if self.ts != UNSET_TS:
+            return
+        t = clock.read()
         with _lock_for(self):
             if self.ts == UNSET_TS:
                 self.ts = t
-                return True
-            return False
 
     def __repr__(self):
         return f"VersionedValue(val={self.val!r}, ts={self.ts})"
@@ -204,34 +210,11 @@ class GlobalClock:
         return t
 
 
-class _Tombstone:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "TOMBSTONE"
-
-
-#: Returned by timestamped reads when no version existed at the query time.
-#: Distinct from None, which is the Absent payload written by deletions.
-TOMBSTONE = _Tombstone()
-
-
-def init_ts(version: VersionedValue, clock: GlobalClock) -> None:
-    """Assign ``version.ts`` from a fresh clock read if still unset.
-
-    The clock is read immediately before the single CAS attempt; on a lost
-    race the winner's (also fresh) read stands.  Idempotent.
-    """
-    if version.ts != UNSET_TS:
-        return
-    version.try_init_ts(clock.read())
-
-
 def read_value_latest(head_ref: AtomicRef, clock: GlobalClock) -> Any:
-    """Latest payload of a version chain; assigns the head's ts if unset."""
+    """Latest payload of a version chain; stamps the head if unset."""
     ver = head_ref.load()
     if ver.ts == UNSET_TS:
-        ver.try_init_ts(clock.read())
+        ver.stamp(clock)
     return ver.val
 
 
@@ -239,19 +222,18 @@ def read_value_at(head_ref: AtomicRef, ts: int, clock: GlobalClock) -> Any:
     """Payload as of logical time ``ts``.
 
     Walks past versions written after ``ts``; returns the payload of the
-    newest version with assigned time <= ts (None means deleted-at-ts), or
-    TOMBSTONE when the whole chain is newer than ``ts``.
+    newest version stamped at or before ``ts``, or None when that version
+    is a delete or the whole chain is newer than ``ts``.  Stamps the head
+    if unset.
     """
     ver = head_ref.load()
     if ver.ts == UNSET_TS:
-        ver.try_init_ts(clock.read())
+        ver.stamp(clock)
     while ver is not None and ver.ts > ts:
         ver = ver.vnext
         # non-head versions were stamped before being displaced
         assert ver is None or ver.ts != UNSET_TS
-    if ver is None:
-        return TOMBSTONE
-    return ver.val
+    return None if ver is None else ver.val
 
 
 def write_value(head_ref: AtomicRef, new_val: Any, clock: GlobalClock) -> bool:
@@ -264,11 +246,11 @@ def write_value(head_ref: AtomicRef, new_val: Any, clock: GlobalClock) -> bool:
     """
     while True:
         cur = head_ref.load()
-        init_ts(cur, clock)
+        cur.stamp(clock)
         if cur.val == new_val:
             return False
         nxt = VersionedValue(new_val, UNSET_TS, cur)
         if head_ref.compare_and_swap(cur, nxt):
-            init_ts(nxt, clock)
+            nxt.stamp(clock)
             return True
 

@@ -56,7 +56,6 @@ from .core import (
     VersionedValue,
     dcss,
     freeze,
-    init_ts,
     read_value_latest,
     write_value,
 )
@@ -241,7 +240,7 @@ class LearnedIndex:
             if child is None:
                 fresh, ver = bin_new(key, value)
                 if self._install(node, i, None, fresh):
-                    init_ts(ver, clock)  # stamped only once published
+                    ver.stamp(clock)  # stamped only once published
                     return True
                 continue  # lost to a concurrent first insert or a freeze; retry
             if child.is_one_level:

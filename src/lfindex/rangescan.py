@@ -17,6 +17,10 @@ Two facts let the walk read most pairs without a call:
   so when both lie in ``[lo, hi]`` the whole child does: only the first and
   the last slot of a node's window can hold keys outside it, and a bin or
   nested node anywhere else is walked with no bound.
+
+A chain walk answers the payload at ``ts`` or None, and None is skipped,
+whether the key was deleted then or had no version yet.  ``scan`` alone
+applies the result cap.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import EMPTY, KEY_MAX, TOMBSTONE, UNSET_TS, GlobalClock, read_value_at
+from .core import EMPTY, KEY_MAX, UNSET_TS, GlobalClock, read_value_at
 from .bins import scan_bin
 
 
@@ -36,7 +40,8 @@ def range_search(index, key: int, width: int,
 
     The interval saturates at the top of the key domain.  ``max_results``
     caps the result length (None = unbounded); the scan stops early once
-    the cap is hit, keeping the ascending prefix.
+    the cap is hit, keeping the ascending prefix.  The key, the width and
+    the cap are taken through ``operator.index``.
     """
     key = operator.index(key)
     width = operator.index(width)
@@ -44,15 +49,15 @@ def range_search(index, key: int, width: int,
         raise ValueError("range width must be >= 0")
     if not 0 <= key <= KEY_MAX:
         raise ValueError("key outside the 63-bit domain")
-    if max_results is not None and max_results < 0:
-        raise ValueError("max_results must be >= 0 or None")
+    if max_results is not None:
+        max_results = operator.index(max_results)
+        if max_results < 0:
+            raise ValueError("max_results must be >= 0 or None")
     ts = index.clock.read_and_bump()
     hi = key + width
     if hi > KEY_MAX:
         hi = KEY_MAX
     out: list[tuple[int, int]] = []
-    if max_results == 0:
-        return out
     scan(index.root, key, hi, ts, out, index.clock, max_results)
     return out
 
@@ -69,7 +74,11 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
     nested node has ``node``'s class (this module cannot import ``index``).
     An empty slot is skipped by identity with ``EMPTY``; any other slot's
     cell holds a bin or a node and is loaded exactly once.  Inside a node,
-    ``lo`` or ``hi`` is None once it cannot exclude any of its keys."""
+    ``lo`` or ``hi`` is None once it cannot exclude any of its keys.
+
+    ``limit`` caps ``out``, and this is the one place a cap is applied: a
+    bin is read to its end and the pairs past the cap are cut, so the walk
+    reads at most one bin beyond it."""
     cap = sys.maxsize if limit is None else limit
     if len(out) >= cap:
         return
@@ -95,8 +104,9 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
                     i = 0 if lo is None else bisect_left(node.keys, lo)
                     b = len(node.keys) if hi is None else bisect_right(node.keys, hi)
                     break
-                scan_bin(child, clo, chi, ts, out, clock, limit)
-                if len(out) >= cap:
+                scan_bin(child, clo, chi, ts, out, clock)
+                if len(out) >= cap:  # a bin reads to its end
+                    del out[cap:]
                     return
             if j < b:
                 ref = versions[j]
@@ -105,8 +115,6 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
                     val = ver.val
                 else:
                     val = read_value_at(ref, ts, clock)
-                    if val is TOMBSTONE:
-                        val = None
                 if val is not None:
                     out.append((keys[j], val))
                     if len(out) >= cap:

@@ -14,7 +14,8 @@ Three independent ways to catch a wrong index:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right, insort
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -27,75 +28,62 @@ CHECK_MAX_KEYS = 8
 
 
 class SequentialOracle:
-    """Reference map semantics with full per-key version history.
+    """Reference map semantics.
 
     insert returns True iff the mapping changed (new key, revived key, or
     different payload); delete returns True iff the key was live; search
     returns the live payload or None; range returns live pairs in
-    [key, key+width], ascending, optionally capped.
+    [key, key+width], ascending, optionally capped at ``max_results``,
+    which is taken through ``operator.index`` and must not be negative.
     """
 
     def __init__(self):
         self._live: dict[int, int] = {}
-        self._history: dict[int, list[tuple[Optional[int], int]]] = {}
         self._sorted: list[int] = []  # every key ever inserted, sorted
-        self._seq = 0
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SequentialOracle":
         o = cls()
         for k, v in pairs:
             o._live[k] = v
-            o._history[k] = [(v, 0)]
             o._sorted.append(k)
-        o._seq = 1
         return o
-
-    def _push(self, key: int, payload: Optional[int]) -> None:
-        self._seq += 1
-        if key not in self._history:
-            self._history[key] = []
-            insort(self._sorted, key)
-        self._history[key].append((payload, self._seq))
-        if payload is None:
-            self._live.pop(key, None)
-        else:
-            self._live[key] = payload
 
     def insert(self, key: int, value: int) -> bool:
         if self._live.get(key) == value:
             return False
-        self._push(key, value)
+        i = bisect_left(self._sorted, key)
+        if i == len(self._sorted) or self._sorted[i] != key:
+            self._sorted.insert(i, key)
+        self._live[key] = value
         return True
 
     def delete(self, key: int) -> bool:
-        if key not in self._live:
-            return False
-        self._push(key, None)
-        return True
+        return self._live.pop(key, None) is not None
 
     def search(self, key: int) -> Optional[int]:
         return self._live.get(key)
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:
+        if max_results is not None:
+            max_results = operator.index(max_results)
+            if max_results < 0:
+                raise ValueError("max_results must be >= 0 or None")
         hi = min(key + width, KEY_MAX)
         out = []
         a = bisect_left(self._sorted, key)
         b = bisect_right(self._sorted, hi)
         for k in self._sorted[a:b]:
+            if len(out) == max_results:
+                break
             v = self._live.get(k)
             if v is not None:
                 out.append((k, v))
-                if max_results is not None and len(out) >= max_results:
-                    break
         return out
 
     def live_map(self) -> dict[int, int]:
         return dict(self._live)
-
-    def history(self, key: int) -> list[tuple[Optional[int], int]]:
-        return list(self._history.get(key, ()))
 
 
 @dataclass(frozen=True)

@@ -267,13 +267,6 @@ class TestScanBin:
         scan_bin(olb, 0, 9, 5, out, clock)
         assert out == []
 
-    def test_respects_the_result_cap(self):
-        clock = GlobalClock(0)
-        olb = make_olb([(i, i) for i in range(1, 9)], clock)
-        out = []
-        scan_bin(olb, 0, 100, BIG_TS, out, clock, limit=3)
-        assert out == [(1, 1), (2, 2), (3, 3)]
-
 
 class TestFreeze:
     def test_freeze_then_mutate_bounces(self):

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfindex import core
 from lfindex.core import (
-    TOMBSTONE,
     UNSET_TS,
     AtomicRef,
     END,
@@ -15,7 +15,6 @@ from lfindex.core import (
     Link,
     VersionedValue,
     freeze,
-    init_ts,
     read_value_at,
     read_value_latest,
     set_cas_hook,
@@ -188,15 +187,45 @@ class TestVersionedReads:
         assert read_value_at(head, 2, clock) is None
 
     def test_at_returns_tombstone_before_first_version(self):
+        # no version yet reads as None, as a delete does
         clock = GlobalClock(9)
         head = AtomicRef(VersionedValue(9, 5))
-        assert read_value_at(head, 4, clock) is TOMBSTONE
+        assert read_value_at(head, 4, clock) is None
 
     def test_at_stamps_an_unstamped_head(self):
         clock = GlobalClock(7)
         head = AtomicRef(VersionedValue(3))
         assert read_value_at(head, 100, clock) == 3
         assert head.load().ts == 7
+
+
+class TestStamp:
+    def test_sets_an_unset_ts_once_from_the_clock(self):
+        clock = GlobalClock(5)
+        ver = VersionedValue(1)
+        ver.stamp(clock)
+        assert ver.ts == 5
+        clock.read_and_bump()
+        ver.stamp(clock)
+        assert ver.ts == 5
+        built = VersionedValue(2, 0)
+        built.stamp(clock)
+        assert built.ts == 0
+
+    def test_reads_the_clock_outside_the_stripe_lock(self):
+        ver = VersionedValue(1)
+        lock = core._lock_for(ver)
+        held = []
+
+        class Clock:
+            def read(self):
+                held.append(lock.locked())
+                return 3
+
+        ver.stamp(Clock())
+        assert held == [False] and ver.ts == 3
+        ver.stamp(Clock())  # a set ts returns before the clock is read
+        assert held == [False]
 
 
 class TestWriteValue:
@@ -334,14 +363,3 @@ class TestGlobalClock:
         assert final >= max(max(s) for s in seen)
         for s in seen:
             assert s == sorted(s)  # per-thread reads never go backward
-
-
-class TestTombstone:
-    def test_distinct_from_every_payload_and_absent(self):
-        assert TOMBSTONE is not None
-        assert TOMBSTONE != 0
-        assert TOMBSTONE != ""
-        assert not isinstance(TOMBSTONE, int)
-
-    def test_repr_is_stable(self):
-        assert "tombstone" in repr(TOMBSTONE).lower()

@@ -1,0 +1,176 @@
+"""The write discipline of ``lfindex``, checked on its source with ``ast``.
+
+Every safety argument in ``core``, ``bins`` and ``index`` rests on one
+rule: a store to a field that threads share sits inside one guarded step,
+or inside the builder of an object no other thread can reach yet.  The
+table below states, once, which function may store which shared field and
+why.  A second check holds the stripe locks to what the ``core`` docstring
+claims: no critical section nests another or calls code outside ``core``,
+save the test hook.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
+
+#: The fields that threads share once an object is published.
+FIELDS = {"next", "head", "hint", "size", "frozen", "children", "value",
+          "ts", "vnext", "now"}
+
+#: function -> (shared fields it may store, why the store is safe)
+WRITERS = {
+    "core.AtomicRef.__init__": (
+        {"value"}, "a new cell is private until a guarded step publishes it"),
+    "core.AtomicRef.compare_and_swap": (
+        {"value"}, "the CAS: one compare and one store under the cell's stripe lock"),
+    "core.dcss": (
+        {"children"}, "the one slot writer: under the owner's lock, only while it is not frozen"),
+    "core.splice": (
+        {"value", "hint", "size"},
+        "links, hints and counts a new key under the bin's lock, only while it is not frozen"),
+    "core.freeze": (
+        {"frozen"}, "the one freeze-word writer: under the owner's lock, once"),
+    "core.VersionedValue.__init__": (
+        {"ts", "vnext"}, "a version is private until a CAS on its chain head publishes it"),
+    "core.VersionedValue.stamp": (
+        {"ts"}, "sets an unset ts once, under the version's lock"),
+    "core.GlobalClock.__init__": (
+        {"now"}, "the clock's cell is made once, with its index"),
+    "bins.KNode.__init__": (
+        {"next"}, "a list node is private until its splice"),
+    "bins.OneLevelBin.__init__": (
+        {"head", "size", "hint", "frozen"},
+        "a list is private until an install or a split publishes it"),
+    "bins.TwoLevelBin.__init__": (
+        {"children", "size", "frozen"}, "a split bin is private until its install"),
+    "index.ModelNode.__init__": (
+        {"children", "frozen"}, "a model node is private until its install or its build returns"),
+}
+
+#: Methods that change a list in place.
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+            "reverse", "__setitem__", "__delitem__"}
+
+
+def _name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+class _Stores(ast.NodeVisitor):
+    """Every store to a shared field, as (function, field, line)."""
+
+    def __init__(self, module):
+        self.scope = [module]
+        self.found = []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def _store(self, field, node):
+        self.found.append((".".join(self.scope), field, node.lineno))
+
+    def visit_Attribute(self, node):
+        if node.attr in FIELDS and isinstance(node.ctx, (ast.Store, ast.Del)):
+            self._store(node.attr, node)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):  # x.children[i] = ..., or an alias's
+        if isinstance(node.ctx, (ast.Store, ast.Del)) and _name(node.value) in FIELDS:
+            self._store(_name(node.value), node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in MUTATORS
+                and isinstance(func.value, ast.Attribute) and func.value.attr in FIELDS):
+            self._store(func.value.attr, node)
+        if (_name(func) in ("setattr", "__setattr__") and len(node.args) >= 2
+                and isinstance(node.args[-2], ast.Constant) and node.args[-2].value in FIELDS):
+            self._store(node.args[-2].value, node)
+        self.generic_visit(node)
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _stores():
+    found = []
+    for module, tree in _modules().items():
+        visitor = _Stores(module)
+        visitor.visit(tree)
+        found += visitor.found
+    return found
+
+
+def _is_lock_block(node):
+    return isinstance(node, ast.With) and any(
+        isinstance(item.context_expr, ast.Call) and _name(item.context_expr.func) == "_lock_for"
+        for item in node.items)
+
+
+def _takes_a_lock(node):
+    return any(_is_lock_block(n) for n in ast.walk(node))
+
+
+def test_the_table_gives_each_writer_a_reason():
+    for function, (fields, reason) in WRITERS.items():
+        assert fields and fields <= FIELDS, function
+        assert reason.strip() and "\n" not in reason, function
+
+
+def test_every_shared_store_sits_in_its_allowed_writer():
+    stores = _stores()
+    stray = [(fn, field, line) for fn, field, line in stores
+             if field not in WRITERS.get(fn, ((), ""))[0]]
+    assert stray == [], "stores to shared fields outside their guarded step or builder"
+    used = {(fn, field) for fn, field, _ in stores}
+    unused = [(fn, field) for fn, (fields, _) in WRITERS.items()
+              for field in fields if (fn, field) not in used]
+    assert unused == [], "table entries that no code uses"
+
+
+def test_only_stamp_sets_a_timestamp_after_construction():
+    writers = {fn for fn, (fields, _) in WRITERS.items() if "ts" in fields}
+    assert writers == {"core.VersionedValue.__init__", "core.VersionedValue.stamp"}
+
+
+def test_critical_sections_are_flat_and_stay_in_core():
+    modules = _modules()
+    for module, tree in modules.items():
+        if module != "core":
+            names = {_name(n) for n in ast.walk(tree)}
+            assert not names & {"_lock_for", "_CAS_LOCKS"}, module
+    core = modules["core"]
+    # core names a critical section may call: functions, and classes whose
+    # constructor takes no lock
+    callable_ = set()
+    for node in core.body:
+        if isinstance(node, ast.FunctionDef) and not _takes_a_lock(node):
+            callable_.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            init = [n for n in node.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            if not any(_takes_a_lock(n) for n in init):
+                callable_.add(node.name)
+    blocks = [n for n in ast.walk(core) if _is_lock_block(n)]
+    assert len(blocks) >= 5  # CAS, dcss, splice, freeze, stamp
+    for block in blocks:
+        for stmt in block.body:
+            for node in ast.walk(stmt):
+                assert not _is_lock_block(node), f"nested lock at line {node.lineno}"
+                if isinstance(node, ast.Call):
+                    # the test hook is the one call that leaves core
+                    name = node.func.id if isinstance(node.func, ast.Name) else None
+                    assert name == "hook" or name in callable_, (
+                        f"line {node.lineno} calls {ast.unparse(node.func)} under a lock")

@@ -296,6 +296,16 @@ class TestKeyDomain:
         assert index.search(np.int32(6)) is None
         assert audit_structure(index).ok
 
+    def test_the_range_cap_is_taken_like_the_key(self):
+        index = LearnedIndex.build([(k, k) for k in range(0, 50, 5)])
+        with pytest.raises(TypeError):
+            index.range(0, 50, 2.5)
+        got = index.range(0, 50, np.int64(3))
+        assert got == index.range(0, 50, 3) == [(0, 0), (5, 5), (10, 10)]
+        assert index.range(0, 50, np.uint64(0)) == []
+        with pytest.raises(ValueError):
+            index.range(0, 50, np.int32(-1))
+
 
 class TestInsert:
     def test_fresh_key_creates_a_bin(self):

@@ -10,6 +10,7 @@ from lfindex import bins as bins_mod, rangescan
 from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin
 from lfindex.core import KEY_MAX, UNSET_TS, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
+from lfindex.verify import SequentialOracle
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
 TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
@@ -116,6 +117,31 @@ class TestBounds:
             assert len(full) > 100 and (150, 150) not in full
             for cap in range(len(full) + 1):
                 assert index.range(lo, width, cap) == full[:cap], (lo, cap)
+
+    def test_a_cap_inside_a_bin_keeps_the_oracle_prefix(self):
+        # slot 1 holds a one-level bin {10, 11, 12}, slot 2 a two-level
+        # bin with child lists {110, 111} and {112, 113, 114}
+        pairs = [(0, 0), (100, 100), (200, 200)]
+        index = LearnedIndex.build(pairs, SMALL)
+        oracle = SequentialOracle.from_pairs(pairs)
+        for k in (10, 11, 12, 110, 111, 112, 113, 114):
+            assert index.insert(k, k) is oracle.insert(k, k) is True
+        olb, tlb = (index.root.children[j].load() for j in (1, 2))
+        assert olb.is_one_level and olb.size == 3
+        assert not tlb.is_one_level and [c.size for c in tlb.children] == [2, 3]
+        # cap -> the last key it keeps: inside the one-level bin, on its
+        # last key, on a child list's last key, inside the second child
+        # list, on the two-level bin's last key
+        for cap, last in ((2, 10), (4, 12), (7, 111), (8, 112), (10, 114)):
+            got = index.range(0, 300, max_results=cap)
+            assert got == oracle.range(0, 300, cap)
+            assert len(got) == cap and got[-1] == (last, last)
+        # windows that start inside each bin, under every cap
+        for lo in (0, 11, 111, 113):
+            full = oracle.range(lo, 300 - lo)
+            for cap in range(len(full) + 2):
+                assert index.range(lo, 300 - lo, cap) == full[:cap], (lo, cap)
+        assert index.range(0, 300, max_results=0) == [] == oracle.range(0, 300, 0)
 
     def test_bad_arguments(self):
         index = LearnedIndex.build([(1, 1)])

@@ -57,16 +57,20 @@ class TestSequentialOracle:
         assert o.range(2, 4, max_results=2) == [(2, 2), (3, 3)]
         assert o.range(KEY_MAX - 1, KEY_MAX) == []
 
-    def test_history_stamps_increase(self):
-        o = SequentialOracle()
-        o.insert(5, 1)
-        o.insert(5, 2)
-        o.delete(5)
-        versions = o.history(5)
-        assert [p for p, _ in versions] == [1, 2, None]
-        stamps = [t for _, t in versions]
-        assert stamps == sorted(stamps) and len(set(stamps)) == 3
-        assert o.history(404) == []
+    def test_range_cap_matches_the_index(self):
+        pairs = [(k, k) for k in range(10)]
+        o = SequentialOracle.from_pairs(pairs)
+        index = LearnedIndex.build(pairs)
+        for m in (o, index):
+            m.delete(4)
+        for cap in range(12):
+            assert o.range(0, 9, cap) == index.range(0, 9, cap), cap
+        assert o.range(0, 9, 0) == []
+        for m in (o, index):
+            with pytest.raises(ValueError):
+                m.range(0, 9, -1)
+            with pytest.raises(TypeError):
+                m.range(0, 9, 2.5)
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20),
                               st.integers(0, 4)), max_size=120))
