@@ -18,17 +18,17 @@ Structure invariants the operations below maintain:
 - The index holds no reference cycle; reference counting frees every
   replaced structure.
 
-A retrain (``IndexConfig`` says when) hangs its node in the two-level
-bin's slot, so ascending inserts would grow a chain of nested nodes;
-compaction bounds the depth.  After a retrain, the highest non-root node on
-the new node's path whose on-path descendants hold at least
-``COMPACT_RATIO`` times its own key count is rebuilt, with its whole
-subtree, as one model node: one in-order walk freezes each model node and
-bin of the subtree and collects the keys and chain heads, one node is
-fitted over them, and one ``dcss`` installs it in the parent's slot.  A
-frozen node's ``frozen`` word is the job ``(parent, slot, keys)`` that
-froze it, so any thread whose install meets a frozen node can finish the
-job, and every helper builds the same node.
+A retrain (``IndexConfig`` says when) puts a model node in a full
+two-level bin's slot, so ascending inserts would grow a chain of nested
+nodes; compaction bounds the depth.  A retrain is a compaction: before it
+builds anything it takes as its top the highest non-root node on the bin's
+path whose on-path descendants, the bin included, hold at least
+``COMPACT_RATIO`` times its keys, else the bin itself.  ``help_compact``
+collects the top's keys and chain heads in order, freezing each model node
+and bin of a top node's subtree, fits one node, and installs it in the
+top's slot with one ``dcss``.  A frozen node's ``frozen`` word is the job
+``(parent, slot, keys)`` that froze it, so any thread whose install meets
+a frozen node can finish the job, and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
 a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
@@ -137,8 +137,8 @@ class ModelNode:
 
     Every node carries ``segments``, flattened once into ``table``, and is
     searched by ``search_root`` within each segment's eps: the root's
-    segments come from ``segment_root``, a node built by ``_node_over`` has
-    one segment over ``fit_linear`` of its keys.
+    segments come from ``segment_root``, a node built by ``help_compact``
+    has one segment over ``fit_linear`` of its keys.
     """
 
     __slots__ = ("keys", "segments", "table", "versions", "children", "frozen")
@@ -248,14 +248,11 @@ class LearnedIndex:
             else:
                 full = (child.size >= cfg.tlb_threshold
                         or list_size(child, key) >= cfg.list_threshold)
-            if full:
-                self.help_make_model(node, i, child)
-                continue
-            res = insert_bin(child, key, value, clock)
-            if res is UNDER_MAKE_MODEL:
-                self.help_make_model(node, i, child)
-                continue
-            return res
+            if not full:
+                res = insert_bin(child, key, value, clock)
+                if res is not UNDER_MAKE_MODEL:
+                    return res
+            self.help_make_model(node, i, child)
 
     def delete(self, key: int) -> bool:
         """True if the key was present (its latest payload now Absent).
@@ -297,49 +294,43 @@ class LearnedIndex:
     def help_make_model(self, parent: ModelNode, slot: int, bin_: Any) -> None:
         """Drive one lifecycle step for a full or frozen bin, then stop.
 
-        Freeze, collect, build, install: freeze is idempotent; collection and
-        construction happen on private data; the single install decides
-        the winner and losers simply discard their build.  No retry: if the
-        install fails the transition already happened, or a compaction froze
-        the node and has been helped to its end.  A one-level bin becomes a
-        two-level bin, a two-level bin a model node; the thread whose model
-        node goes in then compacts above it if the path calls for it."""
+        The bin is frozen first, idempotently.  A one-level bin is split
+        into a two-level bin; a two-level bin is compacted under the top
+        the module docstring names, picked before anything is built, or
+        alone when its path was replaced or frozen since.  No retry: if the
+        install fails the transition already happened, or a compaction
+        froze the node and has been helped to its end."""
         freeze_bin(bin_)
-        keys, versions = collect_frozen(bin_, self.clock)
         if bin_.is_one_level:
+            keys, versions = collect_frozen(bin_, self.clock)
             self._install(parent, slot, bin_,
                           olb_to_tlb(keys, versions, self.config.tlb_fanout))
             return
-        fresh = _node_over(keys, versions)
-        if self._install(parent, slot, bin_, fresh):
-            self._compact_above(fresh)
-
-    def _compact_above(self, new: ModelNode) -> None:
-        """Compact the highest non-root node on ``new``'s path whose on-path
-        descendants hold at least COMPACT_RATIO times its keys, if any."""
-        key = new.keys[0]
-        path = []  # (parent, slot, node) for each non-root node down to new
+        # a separator is a key of child 0, so it routes to the bin's slot
+        key = bin_.keys[0]
+        path = []  # (parent, slot, node) for each non-root node down to parent
         node = self.root
-        while node is not new:
-            slot = bisect_left(node.keys, key)
-            child = node.children[slot].load()
-            if child.__class__ is not ModelNode or node.frozen is not None:
-                return  # replaced or frozen since: a compaction got here first
-            path.append((node, slot, child))
+        while node is not parent:
+            i = bisect_left(node.keys, key)
+            child = node.children[i].load()
+            if child.__class__ is not ModelNode or child.frozen is not None:
+                path = []  # replaced or frozen since: a compaction got here first
+                break
+            path.append((node, i, child))
             node = child
-        below = 0
-        target = None
+        top = (parent, slot, bin_)
+        below = bin_.size  # final: the bin is frozen
         for step in reversed(path):
             size = len(step[2].keys)
             if below >= COMPACT_RATIO * size:
-                target = step
+                top = step
             below += size
-        if target is not None:
-            self.help_compact(*target)
+        self.help_compact(*top)
 
-    def help_compact(self, parent: ModelNode, slot: int, node: ModelNode) -> None:
-        """Replace ``node``, the non-root model node in ``parent``'s child
-        ``slot``, and its whole subtree with one model node.
+    def help_compact(self, parent: ModelNode, slot: int, top: Any) -> None:
+        """Replace ``top``, ``parent``'s child ``slot``, with one model node
+        over its keys: a frozen two-level bin is collected, and a non-root
+        model node is replaced with its whole subtree.
 
         One in-order walk over the subtree, with an explicit stack, freezes
         each model node as it enters it and then reads that node's slots,
@@ -348,34 +339,37 @@ class LearnedIndex:
         key follows its left slot.  A frozen node or bin never changes, so
         every helper collects the same keys, fits the same node, and the
         first install wins."""
-        # the job names node by its keys list, so a replaced subtree holds
-        # no reference back to its root: no cycle (module docstring)
-        job = (parent, slot, node.keys)
-        keys: list[int] = []
-        versions: list[AtomicRef] = []
-        stack = []  # (node, i): slot i of node is done, key i comes next
-        n, i = node, 0
-        freeze(n, job)
-        while True:
-            child = n.children[i].load()
-            if child.__class__ is ModelNode:
-                stack.append((n, i))
-                n, i = child, 0
-                freeze(n, job)
-                continue
-            if child is not None:
-                freeze_bin(child)
-                bin_keys, bin_versions = collect_frozen(child, self.clock)
-                keys += bin_keys
-                versions += bin_versions
-            while i == len(n.keys):  # n's last slot is done
-                if not stack:
-                    self._install(parent, slot, node, _node_over(keys, versions))
-                    return
-                n, i = stack.pop()
-            keys.append(n.keys[i])
-            versions.append(n.versions[i])
-            i += 1
+        if top.__class__ is not ModelNode:
+            keys, versions = collect_frozen(top, self.clock)
+        else:
+            # the job names top by its keys list, so a replaced subtree
+            # holds no reference back to its root: no cycle (module docstring)
+            job = (parent, slot, top.keys)
+            keys, versions = [], []
+            stack = []  # (node, i): slot i of node is done, key i comes next
+            n, i = top, 0
+            freeze(n, job)
+            while True:
+                child = n.children[i].load()
+                if child.__class__ is ModelNode:
+                    stack.append((n, i))
+                    n, i = child, 0
+                    freeze(n, job)
+                    continue
+                if child is not None:
+                    freeze_bin(child)
+                    bin_keys, bin_versions = collect_frozen(child, self.clock)
+                    keys += bin_keys
+                    versions += bin_versions
+                while i == len(n.keys) and stack:  # n's last slot is done
+                    n, i = stack.pop()
+                if i == len(n.keys):
+                    break
+                keys.append(n.keys[i])
+                versions.append(n.versions[i])
+                i += 1
+        fresh = ModelNode(keys, versions, [Segment(keys[0], 0, fit_linear(keys))])
+        self._install(parent, slot, top, fresh)
 
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
         """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the
@@ -396,8 +390,3 @@ class LearnedIndex:
             self.help_compact(parent, slot, cur)
         return False
 
-
-def _node_over(keys: list[int], versions: list[AtomicRef]) -> ModelNode:
-    """A non-root model node over collected keys and chain heads, with one
-    segment and empty child slots."""
-    return ModelNode(keys, versions, [Segment(keys[0], 0, fit_linear(keys))])

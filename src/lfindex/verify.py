@@ -27,14 +27,24 @@ CHECK_MAX_OPS = 16
 CHECK_MAX_KEYS = 8
 
 
+def _key(key: Any) -> int:
+    """``key`` as the index takes it: through ``operator.index``, and in the
+    63-bit domain or ValueError."""
+    key = operator.index(key)
+    if not 0 <= key <= KEY_MAX:
+        raise ValueError("key outside the 63-bit domain")
+    return key
+
+
 class SequentialOracle:
     """Reference map semantics.
 
     insert returns True iff the mapping changed (new key, revived key, or
     different payload); delete returns True iff the key was live; search
     returns the live payload or None; range returns live pairs in
-    [key, key+width], ascending, optionally capped at ``max_results``,
-    which is taken through ``operator.index`` and must not be negative.
+    [key, key+width], ascending, optionally capped at ``max_results``.
+    Every call, and ``from_pairs``, refuses what ``LearnedIndex`` refuses,
+    with the same exception, and allocates nothing to check an int.
     """
 
     def __init__(self):
@@ -45,11 +55,17 @@ class SequentialOracle:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SequentialOracle":
         o = cls()
         for k, v in pairs:
+            k = _key(k)
+            if v is None or (o._sorted and k <= o._sorted[-1]):
+                raise ValueError("pairs must be sorted, with unique keys and payloads")
             o._live[k] = v
             o._sorted.append(k)
         return o
 
     def insert(self, key: int, value: int) -> bool:
+        if value is None:
+            raise ValueError("payload must not be None")
+        key = _key(key)
         if self._live.get(key) == value:
             return False
         i = bisect_left(self._sorted, key)
@@ -59,13 +75,17 @@ class SequentialOracle:
         return True
 
     def delete(self, key: int) -> bool:
-        return self._live.pop(key, None) is not None
+        return self._live.pop(_key(key), None) is not None
 
     def search(self, key: int) -> Optional[int]:
-        return self._live.get(key)
+        return self._live.get(_key(key))
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:
+        key, width = operator.index(key), operator.index(width)
+        if width < 0:
+            raise ValueError("range width must be >= 0")
+        key = _key(key)
         if max_results is not None:
             max_results = operator.index(max_results)
             if max_results < 0:
@@ -124,21 +144,13 @@ def _apply_op(state: dict, e: HistoryEvent):
         changed = state.get(k) != v
         if e.result is not changed:
             return None
-        if not changed:
-            return state
-        ns = dict(state)
-        ns[k] = v
-        return ns
+        return {**state, k: v} if changed else state
     if e.op == "delete":
         (k,) = e.args
         present = k in state
         if e.result is not present:
             return None
-        if not present:
-            return state
-        ns = dict(state)
-        del ns[k]
-        return ns
+        return {kk: vv for kk, vv in state.items() if kk != k} if present else state
     if e.op == "search":
         (k,) = e.args
         return state if e.result == state.get(k) else None
@@ -414,9 +426,6 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     def check_model(node, where: str) -> None:
         segs = node.segments
         keys = node.keys
-        if segs is None:
-            note("model-missing", f"{where}: node has no segments")
-            return
         if not keys:
             if segs:
                 note("segmentation", f"{where}: segments over empty keys")

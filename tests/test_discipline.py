@@ -4,7 +4,8 @@ Every safety argument in ``core``, ``bins`` and ``index`` rests on one
 rule: a store to a field that threads share sits inside one guarded step,
 or inside the builder of an object no other thread can reach yet.  The
 table below states, once, which function may store which shared field and
-why.  A second check holds the stripe locks to what the ``core`` docstring
+why.  A second table states which functions may take each guarded step.
+A third check holds the stripe locks to what the ``core`` docstring
 claims: no critical section nests another or calls code outside ``core``,
 save the test hook.
 """
@@ -48,6 +49,26 @@ WRITERS = {
         {"children", "frozen"}, "a model node is private until its install or its build returns"),
 }
 
+#: guarded step -> {function that may call it: why it is the one caller}
+CALLERS = {
+    "dcss": {
+        "index.LearnedIndex._install":
+            "the one writer of child slots; a move lost to a freeze helps the compaction",
+    },
+    "splice": {
+        "bins._olb_insert": "the one way a key enters a list, after the walk that finds its place",
+    },
+    "freeze": {
+        "bins.freeze_bin": "a bin's freeze word is True, whoever freezes it",
+        "index.LearnedIndex.help_compact":
+            "a model node's freeze word is the job of the compaction that froze it",
+    },
+    "compare_and_swap": {
+        "core.write_value": "a payload write prepends one version to its key's chain",
+        "core.GlobalClock.read_and_bump": "a scan moves the clock past the time it reads",
+    },
+}
+
 #: Methods that change a list in place.
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
             "reverse", "__setitem__", "__delitem__"}
@@ -61,8 +82,8 @@ def _name(node):
     return None
 
 
-class _Stores(ast.NodeVisitor):
-    """Every store to a shared field, as (function, field, line)."""
+class _Scoped(ast.NodeVisitor):
+    """Tracks the dotted name of the function being visited."""
 
     def __init__(self, module):
         self.scope = [module]
@@ -74,6 +95,20 @@ class _Stores(ast.NodeVisitor):
         self.scope.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+
+class _Calls(_Scoped):
+    """Every call to a guarded step, as (step, function, line)."""
+
+    def visit_Call(self, node):
+        step = _name(node.func)
+        if step in CALLERS:
+            self.found.append((step, ".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+class _Stores(_Scoped):
+    """Every store to a shared field, as (function, field, line)."""
 
     def _store(self, field, node):
         self.found.append((".".join(self.scope), field, node.lineno))
@@ -104,10 +139,10 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _stores():
+def _found(visitor_class):
     found = []
     for module, tree in _modules().items():
-        visitor = _Stores(module)
+        visitor = visitor_class(module)
         visitor.visit(tree)
         found += visitor.found
     return found
@@ -130,13 +165,27 @@ def test_the_table_gives_each_writer_a_reason():
 
 
 def test_every_shared_store_sits_in_its_allowed_writer():
-    stores = _stores()
+    stores = _found(_Stores)
     stray = [(fn, field, line) for fn, field, line in stores
              if field not in WRITERS.get(fn, ((), ""))[0]]
     assert stray == [], "stores to shared fields outside their guarded step or builder"
     used = {(fn, field) for fn, field, _ in stores}
     unused = [(fn, field) for fn, (fields, _) in WRITERS.items()
               for field in fields if (fn, field) not in used]
+    assert unused == [], "table entries that no code uses"
+
+
+def test_each_guarded_step_is_taken_only_by_its_named_callers():
+    for step, callers in CALLERS.items():
+        assert callers, step
+        for function, reason in callers.items():
+            assert reason.strip() and "\n" not in reason, (step, function)
+    calls = _found(_Calls)
+    stray = [(step, fn, line) for step, fn, line in calls if fn not in CALLERS[step]]
+    assert stray == [], "guarded steps taken outside their named callers"
+    used = {(step, fn) for step, fn, _ in calls}
+    unused = [(step, fn) for step, callers in CALLERS.items()
+              for fn in callers if (step, fn) not in used]
     assert unused == [], "table entries that no code uses"
 
 

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import lfindex.index as index_mod
 from lfindex import DatasetSpec, core, generate_dataset, rangescan
-from lfindex.bins import (OneLevelBin, TwoLevelBin, collect_frozen, freeze_bin,
-                          insert_bin, search_bin)
+from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_frozen,
+                          freeze_bin, insert_bin, search_bin)
 from lfindex.core import KEY_MAX, UNSET_TS, set_cas_hook
 from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import fit_linear
@@ -983,6 +983,25 @@ class TestCompaction:
         del index
         assert gc.collect() == 0
 
+    def test_no_insert_installs_more_than_one_model_node(self):
+        # a retrain picks its top before it builds, so it never fits a node
+        # that its own call then compacts away
+        index = LearnedIndex.build([(0, 0)], TINY)
+        installs = []
+        index.transition_log = lambda parent, slot, old, new: installs.append(
+            (type(old).__name__, type(new).__name__))
+        kinds = Counter()
+        for k in range(1, 2_001):
+            installs.clear()
+            assert index.insert(k, k) is True
+            nodes = [step for step in installs if step[1] == "ModelNode"]
+            assert len(nodes) <= 1, (k, installs)
+            kinds.update(nodes)
+        assert set(kinds) == {("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == {k: k for k in range(2_001)}
+
     def test_compaction_freezes_each_node_once_not_each_slot(self):
         # the walk freezes k model nodes and their m bins, one step each,
         # and installs once, however many empty slots and links there are
@@ -1066,6 +1085,59 @@ class TestCompaction:
             compactor.join(timeout=10)
         assert not compactor.is_alive()
         assert index.search(key) == key
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == oracle.live_map()
+
+    def test_a_splice_bounced_by_a_compaction_helps_it_and_lands(self, monkeypatch):
+        # a compaction pauses in its first collect, after it froze the top
+        # node and the two-level bin in the top's first slot; an insert of a
+        # new key routed to that bin bounces off the frozen bin, finishes
+        # the compaction itself, and lands in the result
+        index = LearnedIndex.build([(0, 0)], TINY)
+        oracle = SequentialOracle.from_pairs([(0, 0)])
+        for k in list(range(10, 4_000, 10)) + [1, 2, 3, 4, 5]:
+            index.insert(k, k)
+            oracle.insert(k, k)
+        node = index.root.children[1].load()
+        assert isinstance(node, ModelNode)
+        parent, slot, bin_ = index.seek(6)
+        assert (parent, slot) == (node, 0)
+        assert isinstance(bin_, TwoLevelBin) and bin_.size < TINY.tlb_threshold
+        paused, go = threading.Event(), threading.Event()
+        real_collect = index_mod.collect_frozen
+
+        def collect_frozen(bin_, clock):
+            if threading.current_thread() is compactor and not paused.is_set():
+                paused.set()
+                go.wait(10)
+            return real_collect(bin_, clock)
+
+        monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
+        bounced = []
+        real_insert_bin = index_mod.insert_bin
+
+        def insert_bin(b, key, value, clock):
+            res = real_insert_bin(b, key, value, clock)
+            if res is UNDER_MAKE_MODEL:
+                bounced.append(b)
+            return res
+
+        monkeypatch.setattr(index_mod, "insert_bin", insert_bin)
+        compactor = threading.Thread(target=index.help_compact, args=(index.root, 1, node))
+        compactor.start()
+        try:
+            assert paused.wait(10)
+            assert node.frozen is not None and bin_.frozen is not None
+            assert index.insert(6, 6) is True
+            oracle.insert(6, 6)
+            assert bounced == [bin_]
+            assert index.root.children[1].load() is not node  # helped to its end
+        finally:
+            go.set()
+            compactor.join(timeout=10)
+        assert not compactor.is_alive()
+        assert index.search(6) == 6
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()

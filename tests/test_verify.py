@@ -72,6 +72,42 @@ class TestSequentialOracle:
             with pytest.raises(TypeError):
                 m.range(0, 9, 2.5)
 
+    def test_refuses_what_the_index_refuses(self):
+        pairs = [(k, k) for k in range(10)]
+        o = SequentialOracle.from_pairs(pairs)
+        index = LearnedIndex.build(pairs)
+        calls = [
+            ("range", (5, -1), ValueError),
+            ("range", (-3, 5), ValueError),
+            ("range", (4.0, 1.0), TypeError),
+            ("range", (KEY_MAX + 1, 0), ValueError),
+            ("search", (3.0,), TypeError),
+            ("search", (2**63,), ValueError),
+            ("search", (-1,), ValueError),
+            ("delete", (2.0,), TypeError),
+            ("delete", (-1,), ValueError),
+            ("insert", (-1, 1), ValueError),
+            ("insert", (2.0, 1), TypeError),
+            ("insert", (3, None), ValueError),
+        ]
+        for op, args, exc in calls:
+            for m in (o, index):
+                with pytest.raises(exc):
+                    getattr(m, op)(*args)
+        for bad in ([(5, 5), (1, 1)], [(1, 1), (1, 2)], [(-1, 1)], [(2**63, 1)],
+                    [(1, None)]):
+            with pytest.raises(ValueError):
+                LearnedIndex.build(bad)
+            with pytest.raises(ValueError):
+                SequentialOracle.from_pairs(bad)
+        with pytest.raises(TypeError):
+            LearnedIndex.build([(1.0, 1)])
+        with pytest.raises(TypeError):
+            SequentialOracle.from_pairs([(1.0, 1)])
+        # nothing refused changed either map
+        assert o.range(0, KEY_MAX) == index.range(0, KEY_MAX) == pairs
+        assert o.live_map() == audit_structure(index).live_map()
+
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20),
                               st.integers(0, 4)), max_size=120))
     @settings(max_examples=150, deadline=None)
