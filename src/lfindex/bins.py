@@ -22,7 +22,9 @@ write that a freeze must stop is a guarded store on the frozen record.
   only through it; a child list's own word stays None.
 - A list only gains nodes.  A splice that fails on a frozen bin returns
   UNDER_MAKE_MODEL for the caller to help retrain; that bounce is the
-  only one.  An install that fails on a frozen node helps the compaction.
+  only one.  An install that fails on a frozen node, like a rebuild
+  whose slot sits in one, finishes the compaction that froze the node
+  (``index.LearnedIndex.help_compact``) and builds nothing of its own.
 - Every OLB->TLB split, retrain and compaction reuses the collected chain
   heads, so each key has exactly one version chain however many structures
   have held it.  An overwrite or delete of a key found in a frozen list

@@ -18,17 +18,19 @@ Structure invariants the operations below maintain:
 - The index holds no reference cycle; reference counting frees every
   replaced structure.
 
-A retrain (``IndexConfig`` says when) puts a model node in a full
-two-level bin's slot, so ascending inserts would grow a chain of nested
-nodes; compaction bounds the depth.  A retrain is a compaction: before it
-builds anything it takes as its top the highest non-root node on the bin's
-path whose on-path descendants, the bin included, hold at least
-``COMPACT_RATIO`` times its keys, else the bin itself.  ``help_compact``
-collects the top's keys and chain heads in order, freezing each model node
-and bin of a top node's subtree, fits one node, and installs it in the
-top's slot with one ``dcss``.  A frozen node's ``frozen`` word is the job
-``(parent, slot, keys)`` that froze it, so any thread whose install meets
-a frozen node can finish the job, and every helper builds the same node.
+A full bin is frozen and rebuilt by whichever thread meets it, and one
+job, ``help_compact``, makes every rebuild (split, retrain, compaction)
+and installs it with one ``dcss``.  A retrain (``IndexConfig`` says
+when) puts a model node in a full two-level bin's slot, so ascending
+inserts would grow a chain of nested nodes; compaction bounds the depth.
+A retrain is a compaction: before it builds anything it takes as its top
+the highest non-root node on the bin's path whose on-path descendants,
+the bin included, hold at least ``COMPACT_RATIO`` times its keys, else
+the bin itself.  A compaction collects the top's keys and chain heads in
+order, freezing each model node and bin of a top node's subtree, and
+fits one node.  A frozen node's ``frozen`` word is the job ``(parent,
+slot, keys)`` that froze it, so any thread that meets a frozen node can
+finish the job, and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
 a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
@@ -36,8 +38,10 @@ stops splices and installs, never a chain write (the argument is in the
 ``bins`` docstring), so search and delete are one seek and then one read or
 one write, frozen or not.  Insert is the only retry loop around seek: a
 full bin, a splice that fails on a frozen bin, or a lost install sends it
-back.  An install that finds its node frozen first helps that compaction
-to its end, so every retry follows a step that some thread completed.
+back.  ``help_compact`` is the one place that helps: a rebuild whose
+slot sits in a frozen node, and an install that finds its node frozen,
+both finish the outermost compaction under way and build nothing of their
+own, so every retry follows a step that some thread completed.
 """
 
 from __future__ import annotations
@@ -102,7 +106,9 @@ class IndexConfig:
     """The bin lifecycle: a one-level bin holding ``olb_threshold`` keys is
     split into ``tlb_fanout`` lists, and a two-level bin holding
     ``tlb_threshold`` keys, or whose list for an inserted key holds
-    ``list_threshold`` keys, is retrained into a model node."""
+    ``list_threshold`` keys, is retrained into a model node.  The sizes
+    are taken through ``operator.index``, as keys are: a float raises
+    TypeError, and a numpy integer acts as the int it equals."""
 
     eps_target: float = DEFAULT_EPS_TARGET
     olb_threshold: int = 64
@@ -110,6 +116,8 @@ class IndexConfig:
     tlb_threshold: int = 1024
 
     def __post_init__(self):
+        for field in ("olb_threshold", "tlb_fanout", "tlb_threshold"):
+            object.__setattr__(self, field, operator.index(getattr(self, field)))
         if not self.eps_target > 0:
             raise ValueError("eps_target must be positive")
         if self.olb_threshold < 1 or self.tlb_threshold < 1:
@@ -292,55 +300,64 @@ class LearnedIndex:
         return range_search(self, key, width, max_results)
 
     def help_make_model(self, parent: ModelNode, slot: int, bin_: Any) -> None:
-        """Drive one lifecycle step for a full or frozen bin, then stop.
+        """Freeze a full or frozen bin, pick the top that replaces it, and
+        hand that top to ``help_compact``; build nothing here.
 
-        The bin is frozen first, idempotently.  A one-level bin is split
-        into a two-level bin; a two-level bin is compacted under the top
-        the module docstring names, picked before anything is built, or
-        alone when its path was replaced or frozen since.  No retry: if the
-        install fails the transition already happened, or a compaction
-        froze the node and has been helped to its end."""
+        The bin is frozen first, idempotently.  A one-level bin is its own
+        top.  A two-level bin's top is the one the module docstring names,
+        picked before anything is built, or the bin itself when its path
+        was replaced or frozen since.  No retry: the caller seeks again."""
         freeze_bin(bin_)
-        if bin_.is_one_level:
-            keys, versions = collect_frozen(bin_, self.clock)
-            self._install(parent, slot, bin_,
-                          olb_to_tlb(keys, versions, self.config.tlb_fanout))
-            return
-        # a separator is a key of child 0, so it routes to the bin's slot
-        key = bin_.keys[0]
-        path = []  # (parent, slot, node) for each non-root node down to parent
-        node = self.root
-        while node is not parent:
-            i = bisect_left(node.keys, key)
-            child = node.children[i].load()
-            if child.__class__ is not ModelNode or child.frozen is not None:
-                path = []  # replaced or frozen since: a compaction got here first
-                break
-            path.append((node, i, child))
-            node = child
         top = (parent, slot, bin_)
-        below = bin_.size  # final: the bin is frozen
-        for step in reversed(path):
-            size = len(step[2].keys)
-            if below >= COMPACT_RATIO * size:
-                top = step
-            below += size
+        if not bin_.is_one_level:
+            # a separator is a key of child 0, so it routes to the bin's slot
+            key = bin_.keys[0]
+            path = []  # (parent, slot, node) for each non-root node down to parent
+            node = self.root
+            while node is not parent:
+                i = bisect_left(node.keys, key)
+                child = node.children[i].load()
+                if child.__class__ is not ModelNode or child.frozen is not None:
+                    path = []  # replaced or frozen since: a compaction got here first
+                    break
+                path.append((node, i, child))
+                node = child
+            below = bin_.size  # final: the bin is frozen
+            for step in reversed(path):
+                size = len(step[2].keys)
+                if below >= COMPACT_RATIO * size:
+                    top = step
+                below += size
         self.help_compact(*top)
 
     def help_compact(self, parent: ModelNode, slot: int, top: Any) -> None:
-        """Replace ``top``, ``parent``'s child ``slot``, with one model node
-        over its keys: a frozen two-level bin is collected, and a non-root
-        model node is replaced with its whole subtree.
+        """Replace ``top``, ``parent``'s child ``slot``: a frozen one-level
+        bin by its split, a frozen two-level bin by one model node, and a
+        non-root model node by one model node over its whole subtree.
 
-        One in-order walk over the subtree, with an explicit stack, freezes
-        each model node as it enters it and then reads that node's slots,
-        which no longer change: a nested node is walked, a bin is frozen and
-        its keys and chain heads collected (deleted keys too), and each node
-        key follows its left slot.  A frozen node or bin never changes, so
-        every helper collects the same keys, fits the same node, and the
+        A frozen ``parent`` means a compaction holds ``top``: the job words
+        lead to the outermost job, which is finished instead if its top
+        node is still in its slot, and nothing is built for ``top``.
+
+        The subtree's in-order walk, with an explicit stack, freezes each
+        model node as it enters it and then reads that node's slots, which
+        no longer change: a nested node is walked, a bin is frozen and its
+        keys and chain heads collected (deleted keys too), and each node key
+        follows its left slot.  A frozen node or bin never changes, so every
+        helper collects the same keys, builds the same structure, and the
         first install wins."""
+        if parent.frozen is not None:
+            while parent.frozen is not None:
+                parent, slot, keys = parent.frozen
+            top = parent.children[slot].load()
+            if top.__class__ is not ModelNode or top.keys is not keys:
+                return  # installed already
         if top.__class__ is not ModelNode:
             keys, versions = collect_frozen(top, self.clock)
+            if top.is_one_level:
+                self._install(parent, slot, top,
+                              olb_to_tlb(keys, versions, self.config.tlb_fanout))
+                return
         else:
             # the job names top by its keys list, so a replaced subtree
             # holds no reference back to its root: no cycle (module docstring)
@@ -373,20 +390,14 @@ class LearnedIndex:
 
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
         """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the
-        one writer of child slots.  A move lost to a freeze first finishes
-        the outermost compaction under way: a frozen node's job names the
-        parent it installs in, which may be frozen by an outer job."""
+        one writer of child slots.  A move lost to a freeze hands the slot
+        to ``help_compact``, which finishes the compaction that froze
+        ``parent`` before the caller retries."""
         if dcss(parent, slot, expected, new):
             log = self.transition_log
             if log is not None:
                 log(parent, slot, expected, new)
             return True
-        if parent.frozen is None:
-            return False  # lost to another move of the same slot
-        while parent.frozen is not None:
-            parent, slot, keys = parent.frozen
-        cur = parent.children[slot].load()
-        if cur.__class__ is ModelNode and cur.keys is keys:  # not installed yet
-            self.help_compact(parent, slot, cur)
+        if parent.frozen is not None:
+            self.help_compact(parent, slot, expected)
         return False
-

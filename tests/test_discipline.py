@@ -4,8 +4,9 @@ Every safety argument in ``core``, ``bins`` and ``index`` rests on one
 rule: a store to a field that threads share sits inside one guarded step,
 or inside the builder of an object no other thread can reach yet.  The
 table below states, once, which function may store which shared field and
-why.  A second table states which functions may take each guarded step.
-A third check holds the stripe locks to what the ``core`` docstring
+why.  A second table states which functions may take each guarded step,
+and a third which may rebuild a frozen structure or help a compaction.
+A last check holds the stripe locks to what the ``core`` docstring
 claims: no critical section nests another or calls code outside ``core``,
 save the test hook.
 """
@@ -69,6 +70,28 @@ CALLERS = {
     },
 }
 
+#: rebuild step -> {function that may call it: why}: one job replaces every
+#: frozen structure, and it is the one place that helps a compaction
+REBUILDS = {
+    "olb_to_tlb": {
+        "index.LearnedIndex.help_compact": "a split is the rebuild of a frozen one-level bin",
+    },
+    "ModelNode": {
+        "index.LearnedIndex.build": "the root is built once, with the index",
+        "index.LearnedIndex.help_compact":
+            "every retrain and compaction fits its one node in the one job",
+    },
+    "_install": {
+        "index.LearnedIndex.insert": "a first insert publishes a fresh bin in an empty slot",
+        "index.LearnedIndex.help_compact": "the one job installs what it rebuilt",
+    },
+    "help_compact": {
+        "index.LearnedIndex.help_make_model": "a full bin is frozen and its top handed to the job",
+        "index.LearnedIndex._install":
+            "a move lost to a freeze finishes the compaction that froze the parent",
+    },
+}
+
 #: Methods that change a list in place.
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
             "reverse", "__setitem__", "__delitem__"}
@@ -98,11 +121,15 @@ class _Scoped(ast.NodeVisitor):
 
 
 class _Calls(_Scoped):
-    """Every call to a guarded step, as (step, function, line)."""
+    """Every call to a name in ``table``, as (name, function, line)."""
+
+    def __init__(self, module, table):
+        super().__init__(module)
+        self.table = table
 
     def visit_Call(self, node):
         step = _name(node.func)
-        if step in CALLERS:
+        if step in self.table:
             self.found.append((step, ".".join(self.scope), node.lineno))
         self.generic_visit(node)
 
@@ -139,10 +166,10 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _found(visitor_class):
+def _found(visitor_class, *args):
     found = []
     for module, tree in _modules().items():
-        visitor = visitor_class(module)
+        visitor = visitor_class(module, *args)
         visitor.visit(tree)
         found += visitor.found
     return found
@@ -175,18 +202,26 @@ def test_every_shared_store_sits_in_its_allowed_writer():
     assert unused == [], "table entries that no code uses"
 
 
-def test_each_guarded_step_is_taken_only_by_its_named_callers():
-    for step, callers in CALLERS.items():
+def _check_callers(table):
+    for step, callers in table.items():
         assert callers, step
         for function, reason in callers.items():
             assert reason.strip() and "\n" not in reason, (step, function)
-    calls = _found(_Calls)
-    stray = [(step, fn, line) for step, fn, line in calls if fn not in CALLERS[step]]
-    assert stray == [], "guarded steps taken outside their named callers"
+    calls = _found(_Calls, table)
+    stray = [(step, fn, line) for step, fn, line in calls if fn not in table[step]]
+    assert stray == [], "calls outside their named callers"
     used = {(step, fn) for step, fn, _ in calls}
-    unused = [(step, fn) for step, callers in CALLERS.items()
+    unused = [(step, fn) for step, callers in table.items()
               for fn in callers if (step, fn) not in used]
     assert unused == [], "table entries that no code uses"
+
+
+def test_each_guarded_step_is_taken_only_by_its_named_callers():
+    _check_callers(CALLERS)
+
+
+def test_one_job_makes_every_rebuild_and_every_help():
+    _check_callers(REBUILDS)
 
 
 def test_only_stamp_sets_a_timestamp_after_construction():

@@ -134,6 +134,24 @@ class TestBuild:
         with pytest.raises(ValueError):  # a split bin would already be full
             IndexConfig(olb_threshold=16, tlb_fanout=8, tlb_threshold=8)
 
+    def test_config_sizes_are_taken_like_keys(self):
+        # a float size would be accepted and then break the first split
+        for size in ({"olb_threshold": 64.0}, {"tlb_fanout": 2.5},
+                     {"tlb_threshold": 1024.0}):
+            with pytest.raises(TypeError):
+                IndexConfig(**size)
+        cfg = IndexConfig(olb_threshold=np.int64(4), tlb_fanout=np.int32(2),
+                          tlb_threshold=np.uint16(8))
+        assert cfg == IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+        assert {type(cfg.olb_threshold), type(cfg.tlb_fanout),
+                type(cfg.tlb_threshold)} == {int}
+        index = LearnedIndex.build([(0, 0)], cfg)
+        for k in range(1, 200):
+            assert index.insert(k, k) is True
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == {k: k for k in range(200)}
+
 
 @pytest.fixture
 def gc_state():
@@ -1091,19 +1109,26 @@ class TestCompaction:
 
     def test_a_splice_bounced_by_a_compaction_helps_it_and_lands(self, monkeypatch):
         # a compaction pauses in its first collect, after it froze the top
-        # node and the two-level bin in the top's first slot; an insert of a
-        # new key routed to that bin bounces off the frozen bin, finishes
-        # the compaction itself, and lands in the result
+        # node and the bin in the top's first slot; an insert of a new key
+        # routed to that bin bounces off the frozen bin, finishes the
+        # compaction itself, and lands in the result, building nothing for
+        # the bin and losing no install on it; once with keys 1..5 in a
+        # two-level bin, once with keys 1..3 in a one-level bin
+        for low, kind in ((5, TwoLevelBin), (3, OneLevelBin)):
+            with monkeypatch.context() as mp:
+                self._bounce_off_a_paused_compaction(mp, low, kind)
+
+    def _bounce_off_a_paused_compaction(self, monkeypatch, low, kind):
         index = LearnedIndex.build([(0, 0)], TINY)
         oracle = SequentialOracle.from_pairs([(0, 0)])
-        for k in list(range(10, 4_000, 10)) + [1, 2, 3, 4, 5]:
+        for k in list(range(10, 4_000, 10)) + list(range(1, low + 1)):
             index.insert(k, k)
             oracle.insert(k, k)
         node = index.root.children[1].load()
         assert isinstance(node, ModelNode)
         parent, slot, bin_ = index.seek(6)
         assert (parent, slot) == (node, 0)
-        assert isinstance(bin_, TwoLevelBin) and bin_.size < TINY.tlb_threshold
+        assert isinstance(bin_, kind) and bin_.size == low
         paused, go = threading.Event(), threading.Event()
         real_collect = index_mod.collect_frozen
 
@@ -1124,6 +1149,25 @@ class TestCompaction:
             return res
 
         monkeypatch.setattr(index_mod, "insert_bin", insert_bin)
+        builds = []  # (builder, key count) of each build by the inserting thread
+        inserter = threading.current_thread()
+        for name in ("olb_to_tlb", "fit_linear"):
+            def build(keys, *args, _name=name, _real=getattr(index_mod, name)):
+                if threading.current_thread() is inserter:
+                    builds.append((_name, len(keys)))
+                return _real(keys, *args)
+
+            monkeypatch.setattr(index_mod, name, build)
+        lost = []
+        real_install = index._install
+
+        def install(parent, slot, expected, new):
+            ok = real_install(parent, slot, expected, new)
+            if not ok:
+                lost.append(expected)
+            return ok
+
+        index._install = install
         compactor = threading.Thread(target=index.help_compact, args=(index.root, 1, node))
         compactor.start()
         try:
@@ -1132,12 +1176,51 @@ class TestCompaction:
             assert index.insert(6, 6) is True
             oracle.insert(6, 6)
             assert bounced == [bin_]
-            assert index.root.children[1].load() is not node  # helped to its end
+            compacted = index.root.children[1].load()
+            assert compacted is not node  # helped to its end
+            # the one build is the compaction's fit, over every key but the
+            # root's 0 and the bounced 6: 399 + low keys
+            assert builds == [("fit_linear", len(compacted.keys))]
+            assert len(compacted.keys) == len(oracle.live_map()) - 2
         finally:
             go.set()
             compactor.join(timeout=10)
         assert not compactor.is_alive()
+        assert not [e for e in lost if isinstance(e, (OneLevelBin, TwoLevelBin))]
         assert index.search(6) == 6
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
+
+    def test_a_stale_frozen_node_is_not_rebuilt(self, monkeypatch):
+        # once a compaction is installed, the nodes and bins it froze are
+        # stale; helping one of them finds the job done and builds nothing
+        index = LearnedIndex.build([(0, 0)], TINY)
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+        node = index.root.children[1].load()
+        index.help_compact(index.root, 1, node)
+        compacted = index.root.children[1].load()
+        assert compacted is not node and node.frozen is not None
+        stale = [(i, ref.load()) for i, ref in enumerate(node.children)
+                 if ref.load() is not None]
+        assert any(isinstance(child, ModelNode) for _, child in stale)
+        builds = []
+        for name in ("olb_to_tlb", "fit_linear", "collect_frozen"):
+            def build(*args, _name=name, _real=getattr(index_mod, name)):
+                builds.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(index_mod, name, build)
+        steps = []
+        set_cas_hook(lambda cell, ok: steps.append(ok))
+        try:
+            for i, child in stale:
+                index.help_compact(node, i, child)
+        finally:
+            set_cas_hook(None)
+        assert builds == [] and steps == []
+        assert index.root.children[1].load() is compacted
+        assert [(i, node.children[i].load()) for i, _ in stale] == stale
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
