@@ -8,6 +8,7 @@ tolerances never change.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -73,6 +74,20 @@ def _stall_hook(seed: int, rate: float):
         if rnd.random() < rate:
             time.sleep(2e-5)
     return stall
+
+
+@contextlib.contextmanager
+def _racing(hook=None):
+    """Run the block with a 10 µs switch interval, so threads interleave
+    finely, and with ``hook`` as the CAS hook; restore both on exit."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    set_cas_hook(hook)
+    try:
+        yield
+    finally:
+        set_cas_hook(None)
+        sys.setswitchinterval(old)
 
 
 def criterion_1_sequential_conformance(quick: bool = False) -> CriterionResult:
@@ -179,11 +194,11 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
     cfg = IndexConfig()
     rng = random.Random(42)
     # a helper makes two hooked steps, its freeze and its install; every
-    # helper stalls in its freeze of the raced bin, under the bin's stripe
-    # lock, so the helpers leave their freezes one by one and collect, fit
-    # and install staggered; the short switch interval interleaves those
-    # steps, and any other hooked step stalls now and then, rarer than in
-    # criterion 5
+    # helper stalls in its freeze of the raced bin, inside the guarded step,
+    # whose lock every other guarded step waits on, so the helpers leave
+    # their freezes one by one and collect, fit and install staggered; the
+    # short switch interval interleaves those steps, and any other hooked
+    # step stalls now and then, rarer than in criterion 5
     stall = _stall_hook(43, 0.05)
 
     def race(helpers: int):
@@ -213,12 +228,11 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
                 stall(cell, ok)
 
         threads = [threading.Thread(target=help_out) for _ in range(helpers)]
-        set_cas_hook(hook)
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-        set_cas_hook(None)
+        with _racing(hook):
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
         if any(th.is_alive() for th in threads):
             return "a helper was still running after 60 s"
         fresh = node.children[slot].load()
@@ -237,17 +251,11 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         return None if report.ok else f"audit findings: {report.findings[:2]}"
 
     problem = None
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for helpers, trial in itertools.product((1, 8, 32), range(trials)):
-            problem = race(helpers)
-            if problem:
-                problem = f"{helpers} helpers, trial {trial}: {problem}"
-                break
-    finally:
-        set_cas_hook(None)
-        sys.setswitchinterval(old)
+    for helpers, trial in itertools.product((1, 8, 32), range(trials)):
+        problem = race(helpers)
+        if problem:
+            problem = f"{helpers} helpers, trial {trial}: {problem}"
+            break
     ok = problem is None
     detail = (f"{trials} races each of 1/8/32 helpers on a {cfg.tlb_threshold}-key bin: "
               f"one install, chains reused, model bit-identical to the sequential fit"
@@ -279,16 +287,12 @@ def criterion_4_no_lost_pairs(quick: bool = False) -> CriterionResult:
             if not ins(k, k):
                 failures.append(k)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(t,)) for t in range(nthreads)]
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(nthreads)]
+    with _racing():
         for th in threads:
             th.start()
         for th in threads:
             th.join()
-    finally:
-        sys.setswitchinterval(old)
 
     if failures:
         return _result(4, "no-lost-pairs", False,
@@ -375,12 +379,9 @@ def criterion_5_linearizability(quick: bool = False) -> CriterionResult:
     rnd = random.Random(777)
     stall = _stall_hook(31, 0.4)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    set_cas_hook(stall)
     planted_pool = []
     overlapping = 0
-    try:
+    with _racing(stall):
         for it in range(n_hist):
             index = LearnedIndex.build([])
             recorder = HistoryRecorder(index)
@@ -395,9 +396,6 @@ def criterion_5_linearizability(quick: bool = False) -> CriterionResult:
                 overlapping += 1
             if len(planted_pool) < 100 and any(e.op in ("search", "range") for e in events):
                 planted_pool.append(events)
-    finally:
-        set_cas_hook(None)
-        sys.setswitchinterval(old)
 
     accepted_plants = 0
     for events in planted_pool:
@@ -462,17 +460,13 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
 
     threads = [threading.Thread(target=writer, args=(w,)) for w in range(nwriters)]
     threads += [threading.Thread(target=scanner, args=(s,)) for s in range(nscanners)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
+    with _racing():
         for th in threads:
             th.start()
         time.sleep(run_s)
         stop.set()
         for th in threads:
             th.join()
-    finally:
-        sys.setswitchinterval(old)
 
     # per-key version log, ascending by (ts, age): position breaks ts ties,
     # oldest first, so the rightmost entry with ts <= t is the visible one

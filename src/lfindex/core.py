@@ -8,10 +8,13 @@ model node's child cells, ``splice`` puts a new key into a bin's list,
 succeeds, and ``stamp`` sets a version's timestamp once.  ``EMPTY``, the
 one cell all empty slots share, is never written, so it needs no ABA
 argument.
-CPython has no native CAS, so the primitives emulate it with a small stripe
-of module-level locks: each critical section is a constant-time
-compare and its stores, never nested, and never calls back into user code.  Plain
-attribute loads are atomic under the GIL and are used for all reads.
+CPython has no native CAS, so the primitives emulate it with one module
+lock, ``_LOCK``, which every guarded step takes, so each excludes every
+other.  Each critical section is a constant-time compare and its stores,
+never nested, and never calls back into user code.  The design assumes
+the GIL: plain attribute loads are atomic under it and serve for all
+reads, and since it lets no two steps run at once anyway, one lock costs
+no parallelism that finer locks would keep.
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
 by deletions.  A read as of a time answers the payload of the newest version
@@ -27,11 +30,10 @@ from typing import Any, Callable, NamedTuple, Optional
 KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
 UNSET_TS = -1
 
-_STRIPES = 128
-_CAS_LOCKS = tuple(threading.Lock() for _ in range(_STRIPES))
+_LOCK = threading.Lock()
 
-# Test instrumentation: called as hook(cell, success) from inside the stripe
-# lock, so per-cell event order in the hook equals the true CAS order.
+# Test instrumentation: called as hook(cell, success) from inside ``_LOCK``,
+# so the event order in the hook is the one true order of all guarded steps.
 # ``dcss``, ``splice`` and ``freeze`` report as described on them.
 _cas_hook: Optional[Callable[[object, bool], None]] = None
 
@@ -41,12 +43,9 @@ def set_cas_hook(hook: Optional[Callable[[object, bool], None]]) -> None:
     _cas_hook = hook
 
 
-def _lock_for(obj: object) -> threading.Lock:
-    return _CAS_LOCKS[(id(obj) >> 4) % _STRIPES]
-
-
 class AtomicRef:
-    """A reference cell with load / CAS as indivisible steps.
+    """A reference cell with load / CAS as indivisible steps: a CAS is one
+    compare and one store under ``_LOCK``.
 
     CAS compares by identity, so logically-equal but distinct objects fail
     the swap.  Combined with immutable link/version objects and refcounted
@@ -69,7 +68,7 @@ class AtomicRef:
 
     def compare_and_swap(self, expected: Any, new: Any) -> bool:
         hook = _cas_hook
-        with _lock_for(self):
+        with _LOCK:
             ok = self.value is expected
             if ok:
                 self.value = new
@@ -93,11 +92,11 @@ EMPTY = AtomicRef()
 def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
     """Put a fresh cell holding ``new`` in ``owner.children[i]`` iff
     ``owner.frozen`` is None and the slot's cell holds ``expected``: a
-    double-compare single-swap (Harris, Fraser & Pratt, DISC 2002) under
-    the owner's stripe lock, like ``freeze``.  The hook sees the cell put in
-    or found, or a frozen owner: a failure names what a success changed."""
+    double-compare single-swap (Harris, Fraser & Pratt, DISC 2002) in one
+    step under ``_LOCK``.  The hook sees the cell put in or found, or a
+    frozen owner: a failure names what a success changed."""
     hook = _cas_hook
-    with _lock_for(owner):
+    with _LOCK:
         if owner.frozen is not None:
             target, ok = owner, False
         else:
@@ -113,13 +112,13 @@ def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
 def splice(owner: Any, lst: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
     """Put the node ``new`` links to into the list ``lst`` of the bin
     ``owner`` iff ``owner.frozen`` is None and ``cell`` holds ``expected``:
-    under the owner's stripe lock, like ``dcss``, point the node's next
-    link at ``expected``, store ``new`` in the cell, make the node the
-    list's hint and count it in ``lst.size`` and, for a child list, in
-    ``owner.size``.  A failure writes nothing.  The hook sees the cell
-    written or found, or a frozen owner."""
+    in one step under ``_LOCK``, point the node's next link at
+    ``expected``, store ``new`` in the cell, make the node the list's hint
+    and count it in ``lst.size`` and, for a child list, in ``owner.size``.
+    A failure writes nothing.  The hook sees the cell written or found, or
+    a frozen owner."""
     hook = _cas_hook
-    with _lock_for(owner):
+    with _LOCK:
         if owner.frozen is not None:
             target, ok = owner, False
         else:
@@ -139,11 +138,11 @@ def splice(owner: Any, lst: Any, cell: AtomicRef, expected: Any, new: Any) -> bo
 
 
 def freeze(owner: Any, job: Any) -> None:
-    """Set ``owner.frozen`` to ``job`` unless it is already set.  Terminal:
-    no later ``dcss`` or ``splice`` on the owner succeeds.  The hook sees
-    ``(owner, ok)``."""
+    """Set ``owner.frozen`` to ``job`` unless it is already set, in one step
+    under ``_LOCK``.  Terminal: no later ``dcss`` or ``splice`` on the owner
+    succeeds.  The hook sees ``(owner, ok)``."""
     hook = _cas_hook
-    with _lock_for(owner):
+    with _LOCK:
         ok = owner.frozen is None
         if ok:
             owner.frozen = job
@@ -170,13 +169,13 @@ class VersionedValue:
     def stamp(self, clock: GlobalClock) -> None:
         """Set ``ts`` from a fresh clock read unless it is already set.
 
-        The clock is read before the stripe lock is taken, so the critical
+        The clock is read before ``_LOCK`` is taken, so the critical
         section is one compare and one store; on a lost race the winner's
         (also fresh) read stands.  Idempotent."""
         if self.ts != UNSET_TS:
             return
         t = clock.read()
-        with _lock_for(self):
+        with _LOCK:
             if self.ts == UNSET_TS:
                 self.ts = t
 

@@ -22,6 +22,10 @@ from .core import KEY_MAX
 from .index import IndexConfig, LearnedIndex
 
 
+#: The skew of zipfian key ranks, as in YCSB.
+ZIPF_THETA = 0.99
+
+
 class DatasetFormatError(ValueError):
     """A key file does not match the binary format."""
 
@@ -123,8 +127,7 @@ class WorkloadSpec:
     total_ops: Optional[int] = 100_000
     duration: Optional[float] = None
     hotspot: float = 1.0
-    key_dist: str = "uniform"   # uniform | zipfian
-    zipf_theta: float = 0.99
+    key_dist: str = "uniform"   # uniform | zipfian (skew ZIPF_THETA)
     seed: int = 0
 
     def __post_init__(self):
@@ -257,7 +260,7 @@ def run_workload(index: LearnedIndex, keys: np.ndarray,
     wsize = min(wsize, n)
     rng0 = np.random.default_rng([spec.seed, 3])
     wstart = int(rng0.integers(0, n - wsize + 1))
-    zcdf = _zipf_cdf(wsize, spec.zipf_theta) if spec.key_dist == "zipfian" else None
+    zcdf = _zipf_cdf(wsize, ZIPF_THETA) if spec.key_dist == "zipfian" else None
 
     nthreads = spec.threads
     counts = [(0, 0, 0, 0)] * nthreads

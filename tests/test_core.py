@@ -1,5 +1,6 @@
 """Atomic cells, version chains, and the logical clock."""
 
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from lfindex.core import (
     splice,
     write_value,
 )
+from lfindex.index import IndexConfig, LearnedIndex
 
 
 def chain(head_ref):
@@ -65,6 +67,33 @@ class TestAtomicRef:
         finally:
             set_cas_hook(None)
         assert events == [(ref, True), (ref, False)]
+
+
+class TestTheOneLock:
+    def test_every_hooked_step_runs_under_the_one_lock(self):
+        tiny = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+        index = LearnedIndex.build([(0, 0), (10**6, 0)], tiny)
+        held = []
+
+        def record(_target, _ok):
+            step = sys._getframe(1).f_code.co_name
+            if step == "compare_and_swap":  # named by its caller
+                step = sys._getframe(2).f_code.co_name
+            held.append((step, core._LOCK.locked()))
+
+        set_cas_hook(record)
+        try:
+            for k in range(1, 40):  # installs, splices, splits and retrains
+                index.insert(k, k)
+            index.insert(0, 1)  # a root key's chain
+            index.insert(5, 50)
+            index.delete(7)
+            assert index.range(4, 4) == [(4, 4), (5, 50), (6, 6), (8, 8)]
+        finally:
+            set_cas_hook(None)
+        assert {step for step, _ in held} == {
+            "write_value", "read_and_bump", "dcss", "splice", "freeze"}
+        assert all(locked for _, locked in held)
 
 
 class TestLink:
@@ -212,14 +241,13 @@ class TestStamp:
         built.stamp(clock)
         assert built.ts == 0
 
-    def test_reads_the_clock_outside_the_stripe_lock(self):
+    def test_reads_the_clock_outside_the_lock(self):
         ver = VersionedValue(1)
-        lock = core._lock_for(ver)
         held = []
 
         class Clock:
             def read(self):
-                held.append(lock.locked())
+                held.append(core._LOCK.locked())
                 return 3
 
         ver.stamp(Clock())

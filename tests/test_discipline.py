@@ -6,9 +6,10 @@ or inside the builder of an object no other thread can reach yet.  The
 table below states, once, which function may store which shared field and
 why.  A second table states which functions may take each guarded step,
 and a third which may rebuild a frozen structure or help a compaction.
-A last check holds the stripe locks to what the ``core`` docstring
-claims: no critical section nests another or calls code outside ``core``,
-save the test hook.
+The last checks hold the one lock to what the ``core`` docstring claims:
+``core`` makes it once and no other module names it, every guarded step
+takes it, and no critical section nests another or calls code outside
+``core``, save the test hook.
 """
 
 import ast
@@ -25,18 +26,19 @@ WRITERS = {
     "core.AtomicRef.__init__": (
         {"value"}, "a new cell is private until a guarded step publishes it"),
     "core.AtomicRef.compare_and_swap": (
-        {"value"}, "the CAS: one compare and one store under the cell's stripe lock"),
+        {"value"}, "the CAS: one compare and one store under the one lock"),
     "core.dcss": (
-        {"children"}, "the one slot writer: under the owner's lock, only while it is not frozen"),
+        {"children"},
+        "the one slot writer: under the one lock, only while the owner is not frozen"),
     "core.splice": (
         {"value", "hint", "size"},
-        "links, hints and counts a new key under the bin's lock, only while it is not frozen"),
+        "links, hints and counts a new key under the one lock, only while the bin is not frozen"),
     "core.freeze": (
-        {"frozen"}, "the one freeze-word writer: under the owner's lock, once"),
+        {"frozen"}, "the one freeze-word writer: under the one lock, once"),
     "core.VersionedValue.__init__": (
         {"ts", "vnext"}, "a version is private until a CAS on its chain head publishes it"),
     "core.VersionedValue.stamp": (
-        {"ts"}, "sets an unset ts once, under the version's lock"),
+        {"ts"}, "sets an unset ts once, under the one lock"),
     "core.GlobalClock.__init__": (
         {"now"}, "the clock's cell is made once, with its index"),
     "bins.KNode.__init__": (
@@ -175,10 +177,17 @@ def _found(visitor_class, *args):
     return found
 
 
+#: The guarded steps of ``core``: the functions that take the one lock.
+GUARDED = ("AtomicRef.compare_and_swap", "dcss", "splice", "freeze",
+           "VersionedValue.stamp")
+
+#: Names of the constructors of a lock.
+LOCK_MAKERS = {"Lock", "RLock", "allocate_lock"}
+
+
 def _is_lock_block(node):
     return isinstance(node, ast.With) and any(
-        isinstance(item.context_expr, ast.Call) and _name(item.context_expr.func) == "_lock_for"
-        for item in node.items)
+        _name(item.context_expr) == "_LOCK" for item in node.items)
 
 
 def _takes_a_lock(node):
@@ -229,13 +238,40 @@ def test_only_stamp_sets_a_timestamp_after_construction():
     assert writers == {"core.VersionedValue.__init__", "core.VersionedValue.stamp"}
 
 
-def test_critical_sections_are_flat_and_stay_in_core():
+def test_core_makes_the_one_lock_and_no_other_module_names_it():
     modules = _modules()
+    made = [(module, node.lineno) for module, tree in modules.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) in LOCK_MAKERS]
+    assert len(made) == 1, f"locks made at {made}"
+    bound = [node for node in modules["core"].body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+             and _name(node.value.func) in LOCK_MAKERS]
+    assert len(bound) == 1 and [_name(t) for t in bound[0].targets] == ["_LOCK"], (
+        "the one lock is not core's module-level _LOCK")
     for module, tree in modules.items():
         if module != "core":
-            names = {_name(n) for n in ast.walk(tree)}
-            assert not names & {"_lock_for", "_CAS_LOCKS"}, module
-    core = modules["core"]
+            names = {n.name if isinstance(n, ast.alias) else _name(n)
+                     for n in ast.walk(tree)}
+            assert "_LOCK" not in names, module
+
+
+class _LockBlocks(_Scoped):
+    """Every ``with _LOCK:`` block, as (function, line)."""
+
+    def visit_With(self, node):
+        if _is_lock_block(node):
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def test_the_guarded_steps_and_only_they_take_the_one_lock():
+    takers = {fn for fn, _ in _found(_LockBlocks)}
+    assert takers == {f"core.{step}" for step in GUARDED}
+
+
+def test_critical_sections_are_flat_and_stay_in_core():
+    core = _modules()["core"]
     # core names a critical section may call: functions, and classes whose
     # constructor takes no lock
     callable_ = set()

@@ -704,9 +704,10 @@ class TestOracleConformance:
 
 class TestLockFreedomProxy:
     def test_every_failed_cas_follows_a_success_on_that_cell(self):
-        # the hook fires inside the per-cell critical section, so the event
-        # order per cell is exact: a failure means someone already advanced
-        # the cell, which is the lock-freedom progress argument
+        # the hook fires inside the one lock every guarded step takes, so
+        # the event order is the true order of all steps, and of each cell's:
+        # a failure means someone already advanced the cell, which is the
+        # lock-freedom progress argument
         # a seeded stall inside the critical section makes the threads
         # collide on every run, not only when the scheduler happens to
         events = []
