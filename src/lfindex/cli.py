@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--fanout", type=int, default=defaults.tlb_fanout,
                    help="children per two-level bin")
     b.add_argument("--eps", type=float, default=defaults.eps_target,
-                   help="root segmentation error bound")
+                   help="segment error bound of every model node")
     b.add_argument("--out", default=None, metavar="PATH",
                    help="write the CSV here instead of stdout")
 

@@ -15,6 +15,8 @@ Structure invariants the operations below maintain:
 - Retrains never move version chains: replacement structures reuse the
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
+- Every node's segments are ``segment_root`` under ``eps_target``, made
+  by the ``ModelNode`` constructor alone, for the root and rebuilt nodes.
 - The index holds no reference cycle; reference counting frees every
   replaced structure.
 
@@ -28,7 +30,7 @@ the highest non-root node on the bin's path whose on-path descendants,
 the bin included, hold at least ``COMPACT_RATIO`` times its keys, else
 the bin itself.  A compaction collects the top's keys and chain heads in
 order, freezing each model node and bin of a top node's subtree, and
-fits one node.  A frozen node's ``frozen`` word is the job ``(parent,
+builds one node.  A frozen node's ``frozen`` word is the job ``(parent,
 slot, keys)`` that froze it, so any thread that meets a frozen node can
 finish the job, and every helper builds the same node.
 
@@ -76,8 +78,6 @@ from .bins import (
 )
 from .models import (
     DEFAULT_EPS_TARGET,
-    Segment,
-    fit_linear,
     root_table,
     search_nonroot,
     search_root,
@@ -106,9 +106,10 @@ class IndexConfig:
     """The bin lifecycle: a one-level bin holding ``olb_threshold`` keys is
     split into ``tlb_fanout`` lists, and a two-level bin holding
     ``tlb_threshold`` keys, or whose list for an inserted key holds
-    ``list_threshold`` keys, is retrained into a model node.  The sizes
-    are taken through ``operator.index``, as keys are: a float raises
-    TypeError, and a numpy integer acts as the int it equals."""
+    ``list_threshold`` keys, is retrained into a model node.  ``eps_target``
+    bounds every node: every node's segments are ``segment_root`` under it.
+    The sizes are taken through ``operator.index``, as keys are: a float
+    raises TypeError, and a numpy integer acts as the int it equals."""
 
     eps_target: float = DEFAULT_EPS_TARGET
     olb_threshold: int = 64
@@ -143,20 +144,18 @@ class ModelNode:
     child slots, each ``core.EMPTY`` until ``core.dcss`` replaces it, and a
     freeze word: None, or the compaction job that froze the node.
 
-    Every node carries ``segments``, flattened once into ``table``, and is
-    searched by ``search_root`` within each segment's eps: the root's
-    segments come from ``segment_root``, a node built by ``help_compact``
-    has one segment over ``fit_linear`` of its keys.
+    The one node builder: every node's segments are ``segment_root`` under
+    ``eps_target``, flattened once into ``table`` for ``search_root``.
     """
 
     __slots__ = ("keys", "segments", "table", "versions", "children", "frozen")
 
-    def __init__(self, keys, versions, segments):
+    def __init__(self, keys, versions, eps_target):
         self.keys = keys
         self.versions = versions    # list[AtomicRef] -> version chain heads
         self.children = [EMPTY] * (len(keys) + 1)  # cells of None | bin | node
-        self.segments = segments
-        self.table = root_table(segments, len(keys))
+        self.segments = segment_root(keys, eps_target)
+        self.table = root_table(self.segments, len(keys))
         self.frozen = None
 
     def locate(self, key: int) -> tuple[int, bool]:
@@ -200,7 +199,6 @@ class LearnedIndex:
             keys.append(k)
             payloads.append(v)
             prev = k
-        segments = segment_root(keys, cfg.eps_target)
         # two tracked objects per key would trigger full collections that
         # find nothing: the index holds no reference cycle (module docstring)
         was_enabled = gc.isenabled()
@@ -210,8 +208,7 @@ class LearnedIndex:
         finally:
             if was_enabled:
                 gc.enable()
-        root = ModelNode(keys, versions, segments)
-        return cls(root, GlobalClock(0), cfg)
+        return cls(ModelNode(keys, versions, cfg.eps_target), GlobalClock(0), cfg)
 
     def seek(self, key: int) -> tuple[ModelNode, int, Any]:
         """Walk model nodes toward ``key``; returns (node, i, child).
@@ -385,8 +382,7 @@ class LearnedIndex:
                 keys.append(n.keys[i])
                 versions.append(n.versions[i])
                 i += 1
-        fresh = ModelNode(keys, versions, [Segment(keys[0], 0, fit_linear(keys))])
-        self._install(parent, slot, top, fresh)
+        self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))
 
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
         """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the

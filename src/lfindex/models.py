@@ -2,10 +2,10 @@
 
 A model approximates the rank of a key within one sorted key array:
 rank ~= a*key + b, with eps the measured worst-case absolute error over the
-fitted keys.  Every model node carries a piecewise model, a list of
-``Segment``s: the root's from ``segment_root``, any other node's one segment
-over ``fit_linear`` of its keys.  ``search_root`` finds a key within eps of
-its segment's prediction, in every node.
+fitted keys.  Every node's segments are ``segment_root`` under
+``eps_target``: a piecewise model, a list of ``Segment``s, each one's eps at
+most the target.  ``search_root`` finds a key within eps of its segment's
+prediction, in every node.
 
 Fits accumulate their moment sums as exact Python ints (63-bit keys squared
 overflow float64's mantissa badly enough to corrupt slopes on narrow
@@ -13,9 +13,9 @@ high-magnitude clusters) and convert to float64 once, as ratios.
 eps is then measured over the rounded float coefficients themselves, so the
 error bound holds by construction despite the rounding.
 
-The fit is a pure function of the key array, which makes the concurrent
-publish trivial to reason about: every helper computes the identical model,
-so whichever CAS wins publishes the same bits.
+A segmentation is a pure function of the key array and ``eps_target``,
+which makes the concurrent publish trivial to reason about: every helper
+computes the identical model, so whichever CAS wins publishes the same bits.
 """
 
 from __future__ import annotations

@@ -116,6 +116,10 @@ class HistoryEvent:
     res: int         # global tick at response
 
 
+#: Each op the checker and the log format take, with its argument count.
+_ARITY = {"insert": 2, "delete": 1, "search": 1, "range": 2}
+
+
 class HistoryRecorder:
     """Wraps an index; timestamps each op with global invocation/response
     ticks so recorded histories carry their real-time precedence."""
@@ -154,12 +158,10 @@ def _apply_op(state: dict, e: HistoryEvent):
     if e.op == "search":
         (k,) = e.args
         return state if e.result == state.get(k) else None
-    if e.op == "range":
-        k, w = e.args
-        hi = min(k + w, KEY_MAX)
-        expected = sorted((kk, vv) for kk, vv in state.items() if k <= kk <= hi)
-        return state if list(e.result) == expected else None
-    raise ValueError(f"unknown op {e.op!r}")
+    k, w = e.args  # a range: check_linearizable refused any other op
+    hi = min(k + w, KEY_MAX)
+    expected = sorted((kk, vv) for kk, vv in state.items() if k <= kk <= hi)
+    return state if list(e.result) == expected else None
 
 
 def _find_witness(events: list[HistoryEvent]) -> Optional[list[int]]:
@@ -207,9 +209,14 @@ def check_linearizable(history: Iterable[HistoryEvent]) -> CheckResult:
     Tries every sequential order consistent with real time (op A precedes
     op B iff A responded before B was invoked), pruning repeated
     (done-set, state) pairs.  On failure, reports the shortest prefix of the
-    history (in invocation order) that already has no witness.
+    history (in invocation order) that already has no witness.  Every
+    event must name an op with its arity in ``_ARITY``, as a parsed line
+    must, or ValueError: a capped range, for one, is not checked.
     """
     events = sorted(history, key=lambda e: e.inv)
+    for e in events:
+        if _ARITY.get(e.op) != len(e.args):
+            raise ValueError(f"bad op/arity in history event: {e!r}")
     n = len(events)
     if n > CHECK_MAX_OPS:
         raise ValueError(f"history too long for exhaustive check ({n} > {CHECK_MAX_OPS})")
@@ -246,9 +253,6 @@ def format_event(e: HistoryEvent) -> str:
     else:
         raise ValueError(f"unknown op {e.op!r}")
     return f"{e.inv} {e.res} {e.thread} {e.op} {args} = {result}"
-
-
-_ARITY = {"insert": 2, "delete": 1, "search": 1, "range": 2}
 
 
 def parse_event(line: str) -> HistoryEvent:
@@ -330,15 +334,18 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     Checks: strict key order and routing-interval containment everywhere,
     global key uniqueness (one home path per key), version chains stamped
     except possibly at the head with non-increasing timestamps, every model
-    node's error within each of its segments' recorded eps, bin size
-    counters equal to their list lengths, each list's hint None or a node
-    of that list, no frozen bin or model node (every retrain and compaction
-    finishes before its op returns; the walk still reads through one), and
-    (optionally) that seek/search actually reach every key with the payload
-    the walk extracted.  The walk keeps an explicit stack of model nodes, so
-    it does not recurse however deep the tree is."""
+    node's error within each of its segments' recorded eps, each eps at
+    most ``index.config.eps_target`` (every node's segments are
+    ``segment_root`` under it), bin size counters equal to their list
+    lengths, each list's hint None or a node of that list, no frozen bin or
+    model node (every retrain and compaction finishes before its op returns;
+    the walk still reads through one), and (optionally) that seek/search
+    actually reach every key with the payload the walk extracted.  The walk
+    keeps an explicit stack of model nodes, so it does not recurse however
+    deep the tree is."""
     findings: list[Finding] = []
     payloads: dict[int, Optional[int]] = {}
+    eps_target = index.config.eps_target
 
     def note(kind: str, detail: str) -> None:
         findings.append(Finding(kind, detail))
@@ -441,6 +448,8 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             if keys[seg.start_index] != seg.start_key:
                 note("segmentation", f"{where}: segment {si} start_key mismatch")
             a, b, eps = seg.model
+            if eps > eps_target:
+                note("eps-bound", f"{where}: segment {si} eps {eps} > eps_target {eps_target}")
             for local, i in enumerate(range(seg.start_index, end)):
                 err = abs(a * keys[i] + b - local)
                 if err > eps:

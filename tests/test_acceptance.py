@@ -2,8 +2,11 @@
 
 Each test runs one criterion from lfindex.acceptance and emits its
 PASS/FAIL/SKIP line to the live terminal (bypassing capture) so the run
-log carries the measured numbers, then asserts the verdict.
+log carries the measured numbers, then asserts the verdict.  The last
+test checks, at quick scale, what criterion 8 reports below 8 cores.
 """
+
+import re
 
 import pytest
 
@@ -53,3 +56,22 @@ def test_criterion_8_scaling(capsys):
 
 def test_criterion_9_frozen_reads(capsys):
     _gate(acceptance.criterion_9_frozen_reads, capsys)
+
+
+def test_criterion_8_below_8_cores_skips_and_prints_no_throughput(monkeypatch):
+    # the smoke runs still take the multi-thread path, but one short run
+    # of each is noise, so the detail gives no Mops/s figure
+    monkeypatch.setattr(acceptance.os, "cpu_count", lambda: 2)
+    threads = []
+    real_run = acceptance.run_workload
+
+    def run_workload(index, keys, spec):
+        threads.append(spec.threads)
+        return real_run(index, keys, spec)
+
+    monkeypatch.setattr(acceptance, "run_workload", run_workload)
+    result = acceptance.criterion_8_scaling(quick=True)
+    assert result.skipped and result.passed
+    assert threads == [1, 2]
+    assert "Mops" not in result.detail
+    assert not re.search(r"\d\.\d", result.detail), result.detail

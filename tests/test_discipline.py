@@ -73,7 +73,8 @@ CALLERS = {
 }
 
 #: rebuild step -> {function that may call it: why}: one job replaces every
-#: frozen structure, and it is the one place that helps a compaction
+#: frozen structure, and it is the one place that helps a compaction; one
+#: constructor gives every node its segments
 REBUILDS = {
     "olb_to_tlb": {
         "index.LearnedIndex.help_compact": "a split is the rebuild of a frozen one-level bin",
@@ -81,7 +82,19 @@ REBUILDS = {
     "ModelNode": {
         "index.LearnedIndex.build": "the root is built once, with the index",
         "index.LearnedIndex.help_compact":
-            "every retrain and compaction fits its one node in the one job",
+            "every retrain and compaction builds its one node in the one job",
+    },
+    "segment_root": {
+        "index.ModelNode.__init__":
+            "the one node builder: every node's segments are segment_root under eps_target",
+        "acceptance.criterion_2_model_soundness":
+            "checks the segmentation's residual bound and its search against bisect",
+        "acceptance.criterion_3_fit_determinism.race":
+            "the sequential reference that every raced node's segments must equal",
+    },
+    "fit_linear": {
+        "acceptance.criterion_2_model_soundness":
+            "the flat-table probe: search over one line of a whole key set agrees with bisect",
     },
     "_install": {
         "index.LearnedIndex.insert": "a first insert publishes a fresh bin in an empty slot",

@@ -19,11 +19,16 @@ from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_fr
                           freeze_bin, insert_bin, search_bin)
 from lfindex.core import KEY_MAX, UNSET_TS, set_cas_hook
 from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
-from lfindex.models import fit_linear
+from lfindex.models import segment_root
 from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
                             audit_structure, check_linearizable)
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
+
+
+def segment_bits(segments):
+    """Each segment's start and the bytes of its model's floats."""
+    return [(s.start_key, s.start_index, struct.pack("<ddd", *s.model)) for s in segments]
 
 
 def model_nodes(index):
@@ -641,8 +646,8 @@ class TestHelpMakeModel:
                         got_keys, versions = collect_frozen(bin_, index.clock)
                         assert fresh.keys == got_keys == keys
                         assert all(a is b for a, b in zip(fresh.versions, versions, strict=True))
-                        assert (struct.pack("<ddd", *fresh.segments[0].model)
-                                == struct.pack("<ddd", *fit_linear(keys)))
+                        assert (segment_bits(fresh.segments)
+                                == segment_bits(segment_root(keys, SMALL.eps_target)))
                     for k in keys:
                         assert index.search(k) == k
                     report = audit_structure(index)
@@ -832,6 +837,20 @@ class TestCompaction:
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
+
+    def test_every_node_keeps_the_eps_bound(self):
+        # cubes bend too fast for one line over a compacted node's keys:
+        # a single fitted line would miss the bound by over tenfold
+        index = LearnedIndex.build([], TINY)
+        for k in range(1, 3_000):
+            index.insert(k ** 3, k)
+        rebuilt = [node for node, depth in model_nodes(index) if depth > 1]
+        assert max(seg.model.eps for node in rebuilt
+                   for seg in node.segments) <= TINY.eps_target
+        assert any(len(node.segments) > 1 for node in rebuilt)
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == {k ** 3: k for k in range(1, 3_000)}
 
     def test_racing_ascending_inserts_lose_no_key_to_compaction(self):
         # eight threads append interleaved ascending keys, so retrains,
@@ -1152,7 +1171,7 @@ class TestCompaction:
         monkeypatch.setattr(index_mod, "insert_bin", insert_bin)
         builds = []  # (builder, key count) of each build by the inserting thread
         inserter = threading.current_thread()
-        for name in ("olb_to_tlb", "fit_linear"):
+        for name in ("olb_to_tlb", "segment_root"):
             def build(keys, *args, _name=name, _real=getattr(index_mod, name)):
                 if threading.current_thread() is inserter:
                     builds.append((_name, len(keys)))
@@ -1181,7 +1200,7 @@ class TestCompaction:
             assert compacted is not node  # helped to its end
             # the one build is the compaction's fit, over every key but the
             # root's 0 and the bounced 6: 399 + low keys
-            assert builds == [("fit_linear", len(compacted.keys))]
+            assert builds == [("segment_root", len(compacted.keys))]
             assert len(compacted.keys) == len(oracle.live_map()) - 2
         finally:
             go.set()
@@ -1207,7 +1226,7 @@ class TestCompaction:
                  if ref.load() is not None]
         assert any(isinstance(child, ModelNode) for _, child in stale)
         builds = []
-        for name in ("olb_to_tlb", "fit_linear", "collect_frozen"):
+        for name in ("olb_to_tlb", "segment_root", "collect_frozen"):
             def build(*args, _name=name, _real=getattr(index_mod, name)):
                 builds.append(_name)
                 return _real(*args)

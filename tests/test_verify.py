@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from lfindex.bins import freeze_bin
 from lfindex.core import KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
-from lfindex.models import fit_linear
 from lfindex.models import Model, Segment
 from lfindex.verify import (
     CHECK_MAX_KEYS,
@@ -235,6 +234,17 @@ class TestCheckLinearizable:
                for e in history]
         assert not check_linearizable(bad).ok
 
+    def test_a_recorded_call_it_cannot_check_is_refused_by_name(self):
+        # a capped range records three arguments; the checker names the
+        # event instead of failing while it replays it
+        rec = HistoryRecorder(LearnedIndex.build([(1, 1), (2, 2)]))
+        rec.run("T0", "range", 0, 5, 1)
+        with pytest.raises(ValueError, match=r"bad op/arity in history event: .*'range'"):
+            check_linearizable(rec.history())
+        unknown = [ev("T0", "frobnicate", (5,), None, 0, 1)]
+        with pytest.raises(ValueError, match=r"bad op/arity in history event: .*'frobnicate'"):
+            check_linearizable(unknown)
+
     def test_bounds_are_enforced(self):
         long = [ev("T0", "search", (0,), None, 2 * i, 2 * i + 1)
                 for i in range(CHECK_MAX_OPS + 1)]
@@ -338,6 +348,7 @@ class _SearchLiar:
 
     def __init__(self, inner):
         self.root = inner.root
+        self.config = inner.config
 
     def search(self, key):
         return None
@@ -429,6 +440,17 @@ class TestAuditStructure:
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"model-error"}
 
+    def test_detects_eps_above_the_target(self):
+        # the residuals still fit the stated eps, but the stated eps breaks
+        # the bound every node's segmentation keeps
+        index = LearnedIndex.build([(k, 1) for k in (0, 100, 205, 300, 400)])
+        seg = index.root.segments[0]
+        assert audit_structure(index).ok
+        too_wide = index.config.eps_target + 1
+        index.root.segments = [seg._replace(model=seg.model._replace(eps=too_wide))]
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"eps-bound"}
+
     def test_detects_lookup_walk_disagreement(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
         report = audit_structure(_SearchLiar(index))
@@ -485,7 +507,7 @@ class TestAuditStructure:
         parent = index.root
         for k in range(1, depth + 1):
             node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
-                             segments=[Segment(k, 0, fit_linear([k]))])
+                             index.config.eps_target)
             parent.children[-1] = AtomicRef(node)
             parent = node
         report = audit_structure(index)
