@@ -183,9 +183,10 @@ class LearnedIndex:
         """Bulk-load from sorted unique (key, payload) pairs.
 
         Every loaded version is stamped with time 0; the clock starts at 0.
-        Keys are stored as ``int`` (numpy integers would wrap in the fit's
-        exact sums).  Rejects unsorted/duplicate keys, out-of-domain keys,
-        and Absent payloads."""
+        Keys are stored as ``int``, so a numpy integer key leaves no numpy
+        scalar in a node's keys, a locate's arithmetic or a returned pair.
+        Rejects unsorted/duplicate keys, out-of-domain keys, and Absent
+        payloads."""
         cfg = config or IndexConfig()
         keys: list[int] = []
         payloads: list[int] = []

@@ -7,15 +7,20 @@ fitted keys.  Every node's segments are ``segment_root`` under
 most the target.  ``search_root`` finds a key within eps of its segment's
 prediction, in every node.
 
-Fits accumulate their moment sums as exact Python ints (63-bit keys squared
-overflow float64's mantissa badly enough to corrupt slopes on narrow
-high-magnitude clusters) and convert to float64 once, as ratios.
-eps is then measured over the rounded float coefficients themselves, so the
-error bound holds by construction despite the rounding.
+Keys are sorted ints in [0, 2**64); a key outside raises ValueError.  A
+fit is one numpy probe: a centred least-squares line over the keys'
+offsets from the slice's first key, exact in uint64 and then cast to
+float64 (so a narrow cluster of high keys keeps the low bits its absolute
+float64 keys round away), with the intercept folded back to absolute keys.
+The float line is only near the exact one, which the bound never needs:
+eps is measured over the final float coefficients on the float64 keys a
+search multiplies, so every segment is within eps by construction.
 
-A segmentation is a pure function of the key array and ``eps_target``,
-which makes the concurrent publish trivial to reason about: every helper
-computes the identical model, so whichever CAS wins publishes the same bits.
+A segmentation is a pure function of the key array and ``eps_target`` (a
+probe's elementwise arithmetic and numpy reductions depend only on the
+values and their count), which makes the concurrent publish trivial to
+reason about: every helper computes the identical model, so whichever CAS
+wins publishes the same bits.
 """
 
 from __future__ import annotations
@@ -43,54 +48,49 @@ class Segment(NamedTuple):
     model: Model
 
 
-def _prefix_sums(keys: Sequence[int]) -> tuple:
-    # exact running sums of k, k*k and i*k as Python ints, plus float64
-    # keys and ranks for the vectorised residual
-    n = len(keys)
-    px = [0] * (n + 1)
-    pxx = [0] * (n + 1)
-    pxy = [0] * (n + 1)
-    ax = axx = axy = 0
-    for i, k in enumerate(keys):
-        ax += k
-        axx += k * k
-        axy += i * k
-        px[i + 1] = ax
-        pxx[i + 1] = axx
-        pxy[i + 1] = axy
-    return (px, pxx, pxy, np.asarray(keys, dtype=np.float64),
-            np.arange(n, dtype=np.float64))
+def _arrays(keys: Sequence[int]) -> tuple:
+    # made once per key array: keys as uint64 and as float64, and a work
+    # array whose row 0 takes a probe's offsets and row 1 holds the ranks
+    try:
+        keys_u = np.asarray(keys, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("keys must be ints in [0, 2**64)") from None
+    work = np.empty((2, len(keys_u)))
+    work[1] = np.arange(len(keys_u))
+    return keys_u, keys_u.astype(np.float64), work
 
 
-def _fit(px, pxx, pxy, keys_f, ranks_f, s: int, e: int) -> Model:
+def _fit(keys_u, keys_f, work, s: int, e: int) -> Model:
     """Least-squares line through keys[s:e] against local ranks 0..m-1,
-    from exact prefix sums.
-
-    Zero key variance (a single key, or all keys equal) gives the zero
-    line, whose eps then covers every local rank.
+    centred on the exact offsets from keys[s] (centred offsets sum to zero,
+    so the ranks need no centring), folded back to absolute keys.  Zero key
+    variance (one key, or all keys equal) gives the zero line, whose eps
+    then covers every local rank.
     """
     m = e - s
-    sx = px[e] - px[s]
-    sxx = pxx[e] - pxx[s]
-    sxy = (pxy[e] - pxy[s]) - s * sx
-    sy = m * (m - 1) // 2
-    den = m * sxx - sx * sx
-    if den == 0:
+    w = work[:, :m]
+    x = w[0]
+    x[...] = keys_u[s:e] - keys_u[s]
+    mx = float(np.add.reduce(x)) / m
+    x -= mx
+    sxx, sxy = np.add.reduce(w * x, axis=1).tolist()
+    if sxx == 0.0:
         a = b = 0.0
     else:
-        num = m * sxy - sx * sy
-        a = num / den
-        b = (sy * den - num * sx) / (m * den)
-    d = a * keys_f[s:e] + b - ranks_f[:m]
-    return Model(a, b, float(np.max(np.abs(d))))
+        a = sxy / sxx
+        b = (m - 1) / 2 - a * (mx + keys_f.item(s))
+    d = a * keys_f[s:e]
+    d += b
+    d -= w[1]
+    return Model(a, b, float(np.maximum.reduce(np.abs(d, out=d))))
 
 
 def fit_linear(keys: Sequence[int]) -> Model:
-    """Least-squares line through (key, rank) for ranks 0..n-1."""
+    """Least-squares line through (key, rank), keys in [0, 2**64)."""
     n = len(keys)
     if n == 0:
         raise ValueError("cannot fit an empty key array")
-    return _fit(*_prefix_sums(keys), 0, n)
+    return _fit(*_arrays(keys), 0, n)
 
 
 def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) -> list[Segment]:
@@ -100,14 +100,14 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
     least-squares fit stays within eps_target; found by doubling probe plus
     binary search on the prefix length.  Every probe is the same ``_fit``
     that ``fit_linear`` runs, so a segment's model equals ``fit_linear``
-    over its slice bit for bit.
+    over its slice bit for bit.  Keys are sorted ints in [0, 2**64).
     """
     if not eps_target > 0:
         raise ValueError("eps_target must be positive")
     n = len(keys)
     if n == 0:
         return []
-    sums = _prefix_sums(keys)
+    probe = _arrays(keys)
 
     segments: list[Segment] = []
     s = 0
@@ -118,21 +118,21 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
         bad = None
         L = 2
         while bad is None and L < limit:
-            c = _fit(*sums, s, s + L)
+            c = _fit(*probe, s, s + L)
             if c.eps <= eps_target:
                 good, best = L, c
                 L <<= 1
             else:
                 bad = L
         if bad is None and limit > good:
-            c = _fit(*sums, s, n)
+            c = _fit(*probe, s, n)
             if c.eps <= eps_target:
                 good, best = limit, c
             else:
                 bad = limit
         while bad is not None and bad - good > 1:
             mid = (good + bad) // 2
-            c = _fit(*sums, s, s + mid)
+            c = _fit(*probe, s, s + mid)
             if c.eps <= eps_target:
                 good, best = mid, c
             else:

@@ -99,8 +99,8 @@ class TestBuild:
         assert all(ref.load().ts == 0 for ref in index.root.versions)
 
     def test_numpy_keys_are_stored_as_ints(self):
-        # numpy integers would wrap in the fit's exact sums: a build
-        # straight from generate_dataset fits what the same int keys fit
+        # a build straight from generate_dataset stores plain ints, so it
+        # fits and returns exactly what the same int keys do
         keys = generate_dataset(DatasetSpec(size=1_000, seed=3))
         assert keys.dtype == np.uint64
         index = LearnedIndex.build(zip(keys, range(len(keys))))

@@ -1,8 +1,11 @@
 """Linear fits, root segmentation, and model-guided searches."""
 
+import importlib
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from lfindex.models import (
     search_root,
     segment_root,
 )
+
+LFBENCH = Path(__file__).resolve().parent.parent / "lfbench"
 
 sorted_keys = st.lists(
     st.integers(0, 2**63), min_size=1, max_size=300, unique=True
@@ -70,6 +75,27 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             fit_linear([])
 
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_keys_outside_the_domain_are_rejected(self, bad):
+        keys = sorted([0, 5, bad])
+        with pytest.raises(ValueError):
+            fit_linear(keys)
+        with pytest.raises(ValueError):
+            segment_root(keys, 32.0)
+
+    def test_domain_edges_fit(self):
+        keys = [0, 2**63, 2**64 - 1]
+        assert fit_linear(keys).eps <= 1.0
+        assert [s.start_index for s in segment_root(keys, 1.0)] == [0]
+
+    def test_every_model_field_is_a_python_float(self):
+        # a numpy float64 coefficient would slow every locate that reads it
+        rng = np.random.default_rng(8)
+        keys = sorted(set(rng.integers(0, 2**62, 3_000).tolist()))
+        models = [fit_linear(ks) for ks in ([7], [5, 5, 5], [1, 2], keys)]
+        models += [s.model for eps in (0.25, 32.0) for s in segment_root(keys, eps)]
+        assert all(type(x) is float for m in models for x in m)
+
     def test_eps_matches_a_second_residual_pass(self):
         rng = np.random.default_rng(3)
         keys = sorted(set(rng.integers(0, 2**62, 10_000).tolist()))
@@ -78,12 +104,16 @@ class TestFitLinear:
         assert m.eps == brute
 
     def test_coefficients_match_rational_arithmetic(self):
+        # the fit is float arithmetic over exact offsets, so it is near the
+        # correctly rounded rational line, not equal to it: the slope within
+        # 4 ulps, and the same measured eps within 1e-9 relative
         rng = np.random.default_rng(4)
         keys = sorted(set(rng.integers(0, 2**62, 2_000).tolist()))
         m = fit_linear(keys)
         a, b = exact_least_squares(keys)
-        assert m.a == a
-        assert m.b == b
+        assert abs(m.a - a) <= 4 * math.ulp(a)
+        rational_eps = max(abs(a * k + b - i) for i, k in enumerate(keys))
+        assert m.eps == pytest.approx(rational_eps, rel=1e-9, abs=0)
 
     @given(sorted_keys)
     @settings(max_examples=150, deadline=None)
@@ -150,6 +180,47 @@ class TestSegmentRoot:
                 assert abs(seg.model.a * keys[i] + seg.model.b - local) <= seg.model.eps
             if hi < len(keys):  # one more key would break the bound
                 assert fit_linear(keys[lo:hi + 1]).eps > eps_target
+
+
+@pytest.fixture(scope="module")
+def workload_keys():
+    """The bulk-loaded keys of the benchmark's seed-7 point_skewed and
+    churn_scan workloads."""
+    sys.path.insert(0, str(LFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        out = {}
+        for name in ("point_skewed", "churn_scan"):
+            inp = workloads.WORKLOADS[name].make(7, 1.0)
+            out[name] = inp.universe[inp.loaded].tolist()
+    finally:
+        sys.path.remove(str(LFBENCH))
+        sys.modules.pop("workloads", None)
+    return out
+
+
+class TestSegmentCounts:
+    """Segment counts on fixed key sets, each at or below what the exact-int
+    prefix-sum fit made on the same keys."""
+
+    @pytest.mark.parametrize("name, most", [("point_skewed", 173), ("churn_scan", 64)])
+    def test_workload_keys(self, workload_keys, name, most):
+        segs = segment_root(workload_keys[name], 32.0)
+        assert len(segs) <= most
+        assert all(s.model.eps <= 32.0 for s in segs)
+
+    def test_ascending_keys_are_one_segment(self):
+        assert len(segment_root(list(range(20_000)), 32.0)) == 1
+
+    def test_narrow_window_of_high_keys(self):
+        # 50k keys in a 2**20-wide window at 2**62: float64 spacing there
+        # is 1024, so absolute keys collide and only the exact offsets
+        # separate them; the exact-int prefix-sum fit made 2183 segments
+        offsets = np.random.default_rng(62).choice(2**20, 50_000, replace=False)
+        keys = (np.uint64(2**62) + np.sort(offsets).astype(np.uint64)).tolist()
+        segs = segment_root(keys, 32.0)
+        assert all(s.model.eps <= 32.0 for s in segs)
+        assert len(segs) <= 2183
 
 
 class TestPredict:
