@@ -193,9 +193,12 @@ def _segment_bits(segments) -> list:
 
 def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
     """N threads race ``help_make_model`` on one full two-level bin; exactly
-    one ModelNode is installed, it reuses the bin's keys and version chains,
-    and every one of its segments is bit-identical to a sequential
-    ``segment_root`` under ``eps_target``."""
+    one ModelNode is installed, it reuses the keys and version chains of
+    the top it replaces, and every one of its segments is bit-identical to
+    a sequential ``segment_root`` under ``eps_target``.  Each race runs
+    twice: under a root of more keys than the bin, whose retrain's top is
+    the bin, and under a two-key root, whose retrain's top is the root, so
+    its node goes into the header's slot."""
     t0 = time.perf_counter()
     trials = 10 if quick else 30
     cfg = IndexConfig()
@@ -207,10 +210,15 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
     # short switch interval interleaves those steps, and any other hooked
     # step stalls now and then, rarer than in criterion 5
     stall = _stall_hook(43, 0.05)
+    built: dict = {}  # (top, helpers) -> helpers that built a node, per race
 
-    def race(helpers: int):
-        index = LearnedIndex.build([(0, 0), (KEY_MAX, 0)], cfg)
-        keys = rng.sample(range(1, KEY_MAX), cfg.tlb_threshold)
+    def race(helpers: int, root_top: bool):
+        # root keys above the bin's: the top is the root unless they
+        # outnumber the bin (``COMPACT_RATIO``)
+        room = 1 if root_top else cfg.tlb_threshold + 1
+        top_keys = range(KEY_MAX - room + 1, KEY_MAX + 1)
+        index = LearnedIndex.build([(0, 0)] + [(k, 0) for k in top_keys], cfg)
+        keys = rng.sample(range(1, top_keys[0]), cfg.tlb_threshold)
         # the first olb_threshold keys set the separators: take them evenly
         # from the sorted sample, so every list ends with the same share and
         # none reaches list_threshold before the bin's total is full
@@ -220,9 +228,12 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         for k in first + [k for k in keys if k not in chosen]:
             index.insert(k, k)
         node, slot, bin_ = index.seek(1)
+        root = index.root
+        parent, pslot = (index.header, 0) if root_top else (node, slot)
         installs = []
         index.transition_log = lambda _parent, _slot, _old, new: installs.append(new)
         barrier = threading.Barrier(helpers)
+        builders = []
 
         def help_out():
             barrier.wait()
@@ -231,8 +242,10 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         def hook(cell, ok):
             if cell is bin_:
                 time.sleep(2e-5)  # between this helper's freeze and install
-            else:
-                stall(cell, ok)
+                return
+            if cell is parent.children[pslot]:
+                builders.append(ok)  # the install of a helper that built a node
+            stall(cell, ok)
 
         threads = [threading.Thread(target=help_out) for _ in range(helpers)]
         with _racing(hook):
@@ -242,12 +255,20 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
                 th.join(timeout=60)
         if any(th.is_alive() for th in threads):
             return "a helper was still running after 60 s"
-        fresh = node.children[slot].load()
+        built.setdefault((root_top, helpers), []).append(len(builders))
+        fresh = parent.children[pslot].load()
         keys, versions = collect_frozen(bin_, index.clock)
         if installs != [fresh] or not isinstance(fresh, ModelNode):
             return f"{len(installs)} installs, slot holds {type(fresh).__name__}"
-        if len(keys) != cfg.tlb_threshold or fresh.keys != keys:
-            return "installed keys differ from the frozen bin's"
+        if len(keys) != cfg.tlb_threshold:
+            return f"the frozen bin holds {len(keys)} keys"
+        if root_top:
+            if root.frozen != (index.header, 0, root.keys) or index.root is not fresh:
+                return "the root was not replaced by the job in the header's slot"
+            keys = root.keys[:slot] + keys + root.keys[slot:]
+            versions = root.versions[:slot] + versions + root.versions[slot:]
+        if fresh.keys != keys:
+            return "installed keys differ from the frozen top's"
         if any(a is not b for a, b in zip(fresh.versions, versions)):
             return "version chains were copied, not reused"
         want = segment_root(keys, cfg.eps_target)
@@ -257,17 +278,24 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         return None if report.ok else f"audit findings: {report.findings[:2]}"
 
     problem = None
-    for helpers, trial in itertools.product((1, 8, 32), range(trials)):
-        problem = race(helpers)
+    for root_top, helpers, trial in itertools.product((False, True), (1, 8, 32),
+                                                      range(trials)):
+        problem = race(helpers, root_top)
         if problem:
-            problem = f"{helpers} helpers, trial {trial}: {problem}"
+            top = "root" if root_top else "bin"
+            problem = f"{helpers} helpers, top {top}, trial {trial}: {problem}"
             break
-    ok = problem is None
-    detail = (f"{trials} races each of 1/8/32 helpers on a {cfg.tlb_threshold}-key bin: "
-              f"one install, chains reused, segments bit-identical to a sequential "
-              f"segment_root"
-              if ok else problem)
-    return _result(3, "fit-determinism", ok, detail, t0)
+    detail = problem
+    if problem is None:
+        spans = "; ".join(
+            f"top {top}: " + ", ".join(
+                f"{min(built[root_top, h])}-{max(built[root_top, h])} of {h}" for h in (1, 8, 32))
+            for root_top, top in ((False, "bin"), (True, "root")))
+        detail = (f"{trials} races each of 1/8/32 helpers on a {cfg.tlb_threshold}-key bin, "
+                  f"topped by the bin and by the root: one install, chains reused, segments "
+                  f"bit-identical to a sequential segment_root; helpers that built a node, "
+                  f"min-max: {spans}")
+    return _result(3, "fit-determinism", problem is None, detail, t0)
 
 
 def criterion_4_no_lost_pairs(quick: bool = False) -> CriterionResult:
@@ -454,14 +482,13 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
 
     def scanner(s):
         rnd = random.Random(2000 + s)
-        root = index.root
         mine: list = []
         while not stop.is_set():
             a = rnd.randrange(n - 250)
             lo, hi = keys[a], keys[a + 249]
             ts = clock.read_and_bump()
             out: list = []
-            scan(root, lo, hi, ts, out, clock)
+            scan(index.root, lo, hi, ts, out, clock)
             mine.append((ts, lo, hi, out))
         scans.extend([mine[i] for i in range(0, len(mine), 2)])  # keep half
 

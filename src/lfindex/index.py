@@ -9,14 +9,16 @@ Structure invariants the operations below maintain:
   node, and a slot holding a model node may move to a new model node by a
   compaction install.  ``_install`` makes each move with one ``core.dcss``,
   which puts a fresh cell in the slot unless the node is frozen, so a cell
-  never changes once published.  The root is never frozen or replaced.
+  never changes once published.
+- The root sits in the one slot of the header, a keyless model node that
+  nothing freezes, so a compaction replaces the root as it does any node.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
 - Retrains never move version chains: replacement structures reuse the
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
 - Every node's segments are ``segment_root`` under ``eps_target``, made
-  by the ``ModelNode`` constructor alone, for the root and rebuilt nodes.
+  by the ``ModelNode`` constructor alone, for every node.
 - The index holds no reference cycle; reference counting frees every
   replaced structure.
 
@@ -26,13 +28,13 @@ and installs it with one ``dcss``.  A retrain (``IndexConfig`` says
 when) puts a model node in a full two-level bin's slot, so ascending
 inserts would grow a chain of nested nodes; compaction bounds the depth.
 A retrain is a compaction: before it builds anything it takes as its top
-the highest non-root node on the bin's path whose on-path descendants,
-the bin included, hold at least ``COMPACT_RATIO`` times its keys, else
-the bin itself.  A compaction collects the top's keys and chain heads in
-order, freezing each model node and bin of a top node's subtree, and
-builds one node.  A frozen node's ``frozen`` word is the job ``(parent,
-slot, keys)`` that froze it, so any thread that meets a frozen node can
-finish the job, and every helper builds the same node.
+the highest node on the bin's path, the root included, whose on-path
+descendants, the bin included, hold at least ``COMPACT_RATIO`` times its
+keys, else the bin itself.  A compaction collects the top's keys and
+chain heads in order, freezing each model node and bin of a top node's
+subtree, and builds one node.  A frozen node's ``frozen`` word is the job
+``(parent, slot, keys)`` that froze it, so any thread that meets a frozen
+node can finish the job, and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
 a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
@@ -96,8 +98,8 @@ class _Found:
 #: ``seek``'s child when the key lives in the model node itself.
 FOUND = _Found()
 
-#: A non-root node is compacted once the model nodes below it on a new
-#: node's path hold this many times its own keys.
+#: A node, the root included, is compacted once the model nodes and the
+#: bin below it on a new node's path hold this many times its own keys.
 COMPACT_RATIO = 1
 
 
@@ -170,12 +172,20 @@ class LearnedIndex:
     float raises TypeError."""
 
     def __init__(self, root: ModelNode, clock: GlobalClock, config: IndexConfig):
-        self.root = root
+        # the header's one slot holds the root: a compaction's job names it
+        # as (header, 0, keys) and installs there like in any slot
+        self.header = ModelNode([], [], config.eps_target)
+        self.header.children[0] = AtomicRef(root)
         self.clock = clock
         self.config = config
         # test hook: called as (parent, slot, old, new) after each
         # successful child-slot transition
         self.transition_log: Optional[Callable] = None
+
+    @property
+    def root(self) -> ModelNode:
+        """The model node the header's slot holds now."""
+        return self.header.children[0].load()
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[int, int]],
@@ -218,7 +228,7 @@ class LearnedIndex:
         the routing child slot and ``child`` is what seek loaded there:
         None, so the key is nowhere in the index right now, or a bin that
         may hold it."""
-        node = self.root
+        node = self.header.children[0].load()
         ix, found = search_root(node.keys, node.table, key)
         while True:
             if found:
@@ -310,8 +320,8 @@ class LearnedIndex:
         if not bin_.is_one_level:
             # a separator is a key of child 0, so it routes to the bin's slot
             key = bin_.keys[0]
-            path = []  # (parent, slot, node) for each non-root node down to parent
-            node = self.root
+            path = []  # (parent, slot, node) for each node down to parent
+            node = self.header
             while node is not parent:
                 i = bisect_left(node.keys, key)
                 child = node.children[i].load()
@@ -331,7 +341,8 @@ class LearnedIndex:
     def help_compact(self, parent: ModelNode, slot: int, top: Any) -> None:
         """Replace ``top``, ``parent``'s child ``slot``: a frozen one-level
         bin by its split, a frozen two-level bin by one model node, and a
-        non-root model node by one model node over its whole subtree.
+        model node, the root included, by one model node over its whole
+        subtree.
 
         A frozen ``parent`` means a compaction holds ``top``: the job words
         lead to the outermost job, which is finished instead if its top

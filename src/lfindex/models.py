@@ -50,7 +50,11 @@ class Segment(NamedTuple):
 
 def _arrays(keys: Sequence[int]) -> tuple:
     # made once per key array: keys as uint64 and as float64, and a work
-    # array whose row 0 takes a probe's offsets and row 1 holds the ranks
+    # array whose row 0 takes a probe's offsets and row 1 holds the ranks;
+    # numpy wraps a negative numpy integer into uint64 where a negative int
+    # overflows, so the least key, the first, is checked here
+    if len(keys) and keys[0] < 0:
+        raise ValueError("keys must be ints in [0, 2**64)")
     try:
         keys_u = np.asarray(keys, dtype=np.uint64)
     except OverflowError:

@@ -21,6 +21,7 @@ from typing import Any, Iterable, Optional
 
 from .core import KEY_MAX, UNSET_TS
 from .bins import OneLevelBin, TwoLevelBin
+from .index import ModelNode
 
 CHECK_MAX_THREADS = 4
 CHECK_MAX_OPS = 16
@@ -338,9 +339,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     most ``index.config.eps_target`` (every node's segments are
     ``segment_root`` under it), bin size counters equal to their list
     lengths, each list's hint None or a node of that list, no frozen bin or
-    model node (every retrain and compaction finishes before its op returns;
-    the walk still reads through one), and (optionally) that seek/search
-    actually reach every key with the payload the walk extracted.  The walk
+    model node, the root included (every retrain and compaction finishes
+    before its op returns; the walk still reads through one), a header
+    that is not frozen, holds no keys and has one slot, which holds a model
+    node, and (optionally) that seek/search actually reach every key with
+    the payload the walk extracted.  The walk starts at the header and
     keeps an explicit stack of model nodes, so it does not recurse however
     deep the tree is."""
     findings: list[Finding] = []
@@ -457,7 +460,21 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
                          f"{where}: segment {si} error {err} > eps {eps} at index {i}")
                     break
 
-    stack = [(index.root, None, None, "root")]
+    header = index.header
+    if header.frozen is not None:
+        note("frozen-header", "the header is frozen: no compaction may take it")
+    if header.keys:
+        note("header-keys", f"the header holds {len(header.keys)} keys")
+    if len(header.children) != 1:
+        note("header-slots", f"the header has {len(header.children)} slots, not one")
+    stack = []
+    if header.children:
+        root = header.children[0].load()
+        if root.__class__ is ModelNode:
+            stack.append((root, None, None, "root"))
+        else:
+            note("header-root", f"the header's slot holds {type(root).__name__}, "
+                                "not a model node")
     while stack:
         node, lo, hi, where = stack.pop()
         keys = node.keys

@@ -50,6 +50,8 @@ WRITERS = {
         {"children", "size", "frozen"}, "a split bin is private until its install"),
     "index.ModelNode.__init__": (
         {"children", "frozen"}, "a model node is private until its install or its build returns"),
+    "index.LearnedIndex.__init__": (
+        {"children"}, "the header's one slot gets the root before the index is returned"),
 }
 
 #: guarded step -> {function that may call it: why it is the one caller}
@@ -80,7 +82,8 @@ REBUILDS = {
         "index.LearnedIndex.help_compact": "a split is the rebuild of a frozen one-level bin",
     },
     "ModelNode": {
-        "index.LearnedIndex.build": "the root is built once, with the index",
+        "index.LearnedIndex.build": "the first root is built once, with the index",
+        "index.LearnedIndex.__init__": "the header is built once, with the index, and never replaced",
         "index.LearnedIndex.help_compact":
             "every retrain and compaction builds its one node in the one job",
     },
@@ -181,9 +184,9 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _found(visitor_class, *args):
+def _found(visitor_class, *args, modules=None):
     found = []
-    for module, tree in _modules().items():
+    for module, tree in (modules or _modules()).items():
         visitor = visitor_class(module, *args)
         visitor.visit(tree)
         found += visitor.found
@@ -213,15 +216,33 @@ def test_the_table_gives_each_writer_a_reason():
         assert reason.strip() and "\n" not in reason, function
 
 
+def _stray(stores):
+    return [(fn, field, line) for fn, field, line in stores
+            if field not in WRITERS.get(fn, ((), ""))[0]]
+
+
 def test_every_shared_store_sits_in_its_allowed_writer():
     stores = _found(_Stores)
-    stray = [(fn, field, line) for fn, field, line in stores
-             if field not in WRITERS.get(fn, ((), ""))[0]]
+    stray = _stray(stores)
     assert stray == [], "stores to shared fields outside their guarded step or builder"
     used = {(fn, field) for fn, field, _ in stores}
     unused = [(fn, field) for fn, (fields, _) in WRITERS.items()
               for field in fields if (fn, field) not in used]
     assert unused == [], "table entries that no code uses"
+
+
+def test_a_root_stored_outside_dcss_is_caught():
+    # a mutant compaction that puts its node in the header's slot by a plain
+    # store, where a frozen header or a lost race would go unseen
+    source = (SRC / "index.py").read_text()
+    install = "self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))"
+    assert source.count(install) == 1
+    store = "self.header.children[0] = AtomicRef(ModelNode(keys, versions, self.config.eps_target))"
+    modules = _modules()
+    modules["index"] = ast.parse(source.replace(install, store))
+    stray = _stray(_found(_Stores, modules=modules))
+    assert [(fn, field) for fn, field, _ in stray] == [
+        ("index.LearnedIndex.help_compact", "children")]
 
 
 def _check_callers(table):

@@ -31,6 +31,16 @@ def segment_bits(segments):
     return [(s.start_key, s.start_index, struct.pack("<ddd", *s.model)) for s in segments]
 
 
+def with_room(pairs, room=1_024):
+    """``pairs`` and ``room`` more keys at the top of the domain.
+
+    A root that holds more keys than a scenario puts below it is never a
+    retrain's top (``COMPACT_RATIO``), so the scenario's top stays the
+    node or bin it names.  The room sits above every scenario key, so a
+    scan over those keys never reaches it."""
+    return list(pairs) + [(k, k) for k in range(KEY_MAX - room + 1, KEY_MAX + 1)]
+
+
 def model_nodes(index):
     """(node, depth) for every model node, the root at depth 1."""
     out, stack = [], [(index.root, 1)]
@@ -243,7 +253,7 @@ class TestSeek:
         assert child is node.children[slot].load()
 
     def test_descends_into_retrained_nodes(self):
-        index = LearnedIndex.build([(0, 0), (1000, 1)], SMALL)
+        index = LearnedIndex.build(with_room([(0, 0), (1000, 1)]), SMALL)
         keys = list(range(100, 500, 10))
         for k in keys:
             index.insert(k, k)
@@ -372,13 +382,13 @@ class TestInsert:
         # ascending key after the split, holds list_threshold
         after_split = cfg.olb_threshold - cfg.olb_threshold // cfg.tlb_fanout
         retrain_at = min(cfg.tlb_threshold, after_split + cfg.list_threshold) + 1
-        index = LearnedIndex.build([(0, 0), (10_000, 0)], cfg)
+        keys = range(100, 100 + 5 * cfg.tlb_threshold)
+        index = LearnedIndex.build(with_room([(0, 0), (10_000, 0)], len(keys)), cfg)
         seen = []
         done = [0]
         index.transition_log = lambda parent, slot, old, new: seen.append(
             (done[0] + 1, type(old).__name__ if old is not None else "empty",
              type(new).__name__, new))
-        keys = range(100, 100 + 5 * cfg.tlb_threshold)
         for k in keys:
             index.insert(k, k)
             done[0] += 1
@@ -595,7 +605,7 @@ class TestHelpMakeModel:
 
     def test_full_tlb_becomes_a_model_node(self):
         cfg = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=1024)
-        index = LearnedIndex.build([(0, 0), (10**6, 0)], cfg)
+        index = LearnedIndex.build(with_room([(0, 0), (10**6, 0)]), cfg)
         keys = random.Random(1).sample(range(100, 10_000), 1024)
         for k in keys:
             index.insert(k, k)
@@ -620,7 +630,7 @@ class TestHelpMakeModel:
             for keys, kind in (([10, 20, 30, 40], TwoLevelBin),
                                ([10, 20, 30, 40, 50, 60], ModelNode)):
                 for trial in range(20):
-                    index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
+                    index = LearnedIndex.build(with_room([(0, 0), (1000, 0)]), SMALL)
                     for k in keys:
                         index.insert(k, k)
                     node, slot, bin_ = index.seek(10)
@@ -841,7 +851,7 @@ class TestCompaction:
     def test_every_node_keeps_the_eps_bound(self):
         # cubes bend too fast for one line over a compacted node's keys:
         # a single fitted line would miss the bound by over tenfold
-        index = LearnedIndex.build([], TINY)
+        index = LearnedIndex.build(with_room([], 4_096), TINY)
         for k in range(1, 3_000):
             index.insert(k ** 3, k)
         rebuilt = [node for node, depth in model_nodes(index) if depth > 1]
@@ -850,7 +860,8 @@ class TestCompaction:
         assert any(len(node.segments) > 1 for node in rebuilt)
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
-        assert report.live_map() == {k ** 3: k for k in range(1, 3_000)}
+        assert report.live_map() == {k ** 3: k for k in range(1, 3_000)} | dict(
+            with_room([], 4_096))
 
     def test_racing_ascending_inserts_lose_no_key_to_compaction(self):
         # eight threads append interleaved ascending keys, so retrains,
@@ -961,14 +972,41 @@ class TestCompaction:
         # meanwhile keys after that bin are overwritten, inserted and
         # deleted, and the whole subtree is compacted.  The rest of the scan
         # reads frozen nodes and must still return the state at its time.
-        index = LearnedIndex.build([(0, 0)], TINY)
-        oracle = SequentialOracle.from_pairs([(0, 0)])
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
+        oracle = SequentialOracle.from_pairs(with_room([(0, 0)]))
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
             oracle.insert(k, k)
         node = index.root.children[1].load()
         assert isinstance(node, ModelNode)
         assert any(d > 2 for _, d in model_nodes(index))  # nested below node
+
+        def compact():
+            index.help_compact(index.root, 1, node)
+            assert index.root.children[1].load() is not node
+
+        self._scan_paused_across(monkeypatch, index, oracle, compact)
+
+    def test_paused_scan_reads_its_snapshot_across_a_root_compaction(self, monkeypatch):
+        # the same, but the compaction replaces the root: the rest of the
+        # scan reads the frozen old root and its subtree
+        index = LearnedIndex.build([(0, 0)], TINY)
+        oracle = SequentialOracle.from_pairs([(0, 0)])
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+            oracle.insert(k, k)
+        root = index.root
+        assert any(d > 2 for _, d in model_nodes(index))  # nested below the root
+
+        def compact():
+            index.help_compact(index.header, 0, root)
+            assert index.root is not root and root.frozen == (index.header, 0, root.keys)
+
+        self._scan_paused_across(monkeypatch, index, oracle, compact)
+
+    def _scan_paused_across(self, monkeypatch, index, oracle, compact):
+        """Pause a scan of [0, 1000] at its first bin, write keys after it,
+        run ``compact``, and check the scan returns the state at its time."""
         expected = oracle.range(0, 1000)
         paused, go = threading.Event(), threading.Event()
         real_scan_bin = rangescan.scan_bin
@@ -987,14 +1025,49 @@ class TestCompaction:
         assert index.insert(398, -1) is True      # the last key, in the deepest node
         assert index.insert(299, 299) is True     # a fresh key after the pause point
         assert index.delete(150) is True
-        index.help_compact(index.root, 1, node)
-        assert index.root.children[1].load() is not node
+        oracle.insert(398, -1)
+        oracle.insert(299, 299)
+        oracle.delete(150)
+        compact()
         go.set()
         scanner.join(timeout=10)
         assert not scanner.is_alive()
         assert got == expected
+        assert index.range(0, 1000) == oracle.range(0, 1000)
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
+
+    def test_ascending_inserts_replace_the_root(self, gc_state):
+        # a 1k-key build, then ascending inserts: once the nodes and the bin
+        # on the last slot's path hold as many keys as the root, a retrain's
+        # top is the root, and its job names the header's slot
+        gc.disable()
+        gc.collect()
+        n = 9_000
+        index = LearnedIndex.build([(k, k) for k in range(1_000)])
+        first = index.root
+        header = index.header  # the log must not hold the index: no cycle
+        roots = []
+        index.transition_log = lambda parent, slot, old, new: (
+            roots.append((slot, old, new)) if parent is header else None)
+        for k in range(1_000, n):
+            assert index.insert(k, k) is True
+        assert roots and roots[0][1] is first
+        assert index.root is roots[-1][2] is not first
+        for slot, old, new in roots:
+            assert slot == 0 and isinstance(new, ModelNode)
+            job = old.frozen
+            assert job == (header, 0, old.keys) and job[2] is old.keys
+        depth = max(d for _, d in model_nodes(index))
+        assert depth <= 2 + math.log2(n)
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == {k: k for k in range(n)}
+        index.transition_log = None
+        del roots, first, job, old, new, report
+        assert gc.collect() == 0  # every replaced root was already freed
+        del index
+        assert gc.collect() == 0
 
     def test_the_index_holds_no_reference_cycle(self, gc_state):
         # build pauses the cyclic collector, and help_compact drops replaced
@@ -1002,7 +1075,7 @@ class TestCompaction:
         gc.disable()
         gc.collect()
         kinds = Counter()
-        index = LearnedIndex.build([(0, 0)], TINY)
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         index.transition_log = lambda parent, slot, old, new: kinds.update(
             [(type(old).__name__, type(new).__name__)])
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
@@ -1043,7 +1116,7 @@ class TestCompaction:
     def test_compaction_freezes_each_node_once_not_each_slot(self):
         # the walk freezes k model nodes and their m bins, one step each,
         # and installs once, however many empty slots and links there are
-        index = LearnedIndex.build([(0, 0)], TINY)
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
         node = index.root.children[1].load()
@@ -1077,8 +1150,8 @@ class TestCompaction:
         # a compaction pauses at its first bin, after it froze the top node;
         # an insert routed to an empty slot of that node loses its install,
         # finishes the compaction itself, and lands in the result
-        index = LearnedIndex.build([(0, 0)], TINY)
-        oracle = SequentialOracle.from_pairs([(0, 0)])
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
+        oracle = SequentialOracle.from_pairs(with_room([(0, 0)]))
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
             oracle.insert(k, k)
@@ -1139,8 +1212,8 @@ class TestCompaction:
                 self._bounce_off_a_paused_compaction(mp, low, kind)
 
     def _bounce_off_a_paused_compaction(self, monkeypatch, low, kind):
-        index = LearnedIndex.build([(0, 0)], TINY)
-        oracle = SequentialOracle.from_pairs([(0, 0)])
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
+        oracle = SequentialOracle.from_pairs(with_room([(0, 0)]))
         for k in list(range(10, 4_000, 10)) + list(range(1, low + 1)):
             index.insert(k, k)
             oracle.insert(k, k)
@@ -1199,9 +1272,9 @@ class TestCompaction:
             compacted = index.root.children[1].load()
             assert compacted is not node  # helped to its end
             # the one build is the compaction's fit, over every key but the
-            # root's 0 and the bounced 6: 399 + low keys
+            # root's and the bounced 6: 399 + low keys
             assert builds == [("segment_root", len(compacted.keys))]
-            assert len(compacted.keys) == len(oracle.live_map()) - 2
+            assert len(compacted.keys) == len(oracle.live_map()) - len(index.root.keys) - 1
         finally:
             go.set()
             compactor.join(timeout=10)
@@ -1215,7 +1288,7 @@ class TestCompaction:
     def test_a_stale_frozen_node_is_not_rebuilt(self, monkeypatch):
         # once a compaction is installed, the nodes and bins it froze are
         # stale; helping one of them finds the job done and builds nothing
-        index = LearnedIndex.build([(0, 0)], TINY)
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
         node = index.root.children[1].load()

@@ -82,6 +82,11 @@ class TestFitLinear:
             fit_linear(keys)
         with pytest.raises(ValueError):
             segment_root(keys, 32.0)
+        # numpy would wrap a negative numpy integer into uint64
+        with pytest.raises(ValueError):
+            fit_linear(np.array([-1, 5]))
+        with pytest.raises(ValueError):
+            segment_root(np.array([-3, 5, 9]), 32)
 
     def test_domain_edges_fit(self):
         keys = [0, 2**63, 2**64 - 1]

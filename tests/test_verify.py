@@ -27,6 +27,10 @@ from lfindex.verify import (
 
 SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
 
+#: Root keys above a scenario's keys: more than it puts below the root, so
+#: no retrain takes the root as its top and its nested node stays put.
+ROOM = [(k, 0) for k in range(2_000, 2_064)]
+
 
 def ev(thread, op, args, result, inv, res):
     return HistoryEvent(thread, op, tuple(args), result, inv, res)
@@ -347,7 +351,7 @@ class _SearchLiar:
     """Audit double: the real structure, but a point lookup that lies."""
 
     def __init__(self, inner):
-        self.root = inner.root
+        self.header = inner.header
         self.config = inner.config
 
     def search(self, key):
@@ -429,7 +433,7 @@ class TestAuditStructure:
         assert "model-error" in {f.kind for f in report.findings}
 
     def test_detects_overstated_precision_below_the_root(self):
-        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        index = LearnedIndex.build([(0, 0), (1_000, 0)] + ROOM, SMALL)
         for k in range(1, 9):  # squares: no line fits them exactly
             index.insert(k * k, k)
         node = index.root.children[1].load()
@@ -460,7 +464,7 @@ class TestAuditStructure:
     def test_detects_a_frozen_node(self):
         # every compaction finishes before its op returns, so a quiescent
         # index has no frozen node; the walk still reads through one
-        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        index = LearnedIndex.build([(0, 0), (1_000, 0)] + ROOM, SMALL)
         for k in range(1, 12):
             index.insert(k * k, k)
         node = index.root.children[1].load()
@@ -470,7 +474,48 @@ class TestAuditStructure:
         node.frozen = (index.root, 1, node.keys)
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"frozen-node"}
-        assert report.live_map() == {0: 0, 1_000: 0} | {k * k: k for k in range(1, 12)}
+        assert report.live_map() == {0: 0, 1_000: 0} | {k * k: k for k in range(1, 12)} | dict(
+            ROOM)
+
+    def test_detects_a_frozen_root(self):
+        # the root is frozen and replaced by compactions like any node, so
+        # a quiescent index has no frozen root either
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        root = index.root
+        root.frozen = (index.header, 0, root.keys)
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"frozen-node"}
+        assert report.live_map() == {0: 0, 1_000: 0}
+
+    def test_detects_a_frozen_header(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        assert audit_structure(index).ok
+        index.header.frozen = (index.header, 0, [])
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"frozen-header"}
+        assert report.live_map() == {0: 0, 1_000: 0}
+
+    def test_detects_a_header_with_keys(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        index.header.keys = [500]
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"header-keys"}
+
+    @pytest.mark.parametrize("slots", [0, 2])
+    def test_detects_a_header_without_one_slot(self, slots):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        index.header.children = [AtomicRef(index.root), AtomicRef(None)][:slots]
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"header-slots"}
+
+    def test_detects_a_header_slot_without_a_model_node(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        index.insert(500, 5)
+        olb = index.root.children[1].load()
+        for held in (olb, None):
+            index.header.children[0] = AtomicRef(held)
+            report = audit_structure(index)
+            assert {f.kind for f in report.findings} == {"header-root"}, held
 
     def test_detects_a_frozen_bin(self):
         # every retrain finishes before its op returns, so a quiescent
