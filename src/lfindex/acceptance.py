@@ -33,8 +33,8 @@ from .harness import (
     run_workload,
 )
 from .index import FOUND, IndexConfig, LearnedIndex, ModelNode
-from .models import (Segment, fit_linear, root_table, search_nonroot, search_root,
-                     segment_root)
+from .models import (fit_linear, measure_segments, root_table, search_nonroot,
+                     search_root, segment_root)
 from .rangescan import scan
 from .verify import (
     HistoryRecorder,
@@ -145,25 +145,27 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
         keys = generate_dataset(DatasetSpec(source=source, size=size, seed=7)).tolist()
         segs = segment_root(keys, 32.0)
         table = root_table(segs, len(keys))
-        _, _, _, slopes, intercepts, windows = table
-        # every key's true rank within the stated window of its segment's
-        # prediction: the raw line, and the rounded one search_root uses
-        for si, seg in enumerate(segs):
-            end = segs[si + 1].start_index if si + 1 < len(segs) else len(keys)
-            a, b, eps = seg.model
-            for local, i in enumerate(range(seg.start_index, end)):
-                x = a * keys[i] + b
-                if abs(x - local) > eps:
-                    problems.append(f"{source}: raw residual {abs(x - local)} > eps {eps}")
+        # every key's true rank within eps of the raw line, and its index
+        # within the measured window of the clamped prediction search_root
+        # makes from the table; every window at most int(eps) + 1
+        for seg, (first, last, a, c, w) in zip(segs, table[1]):
+            eps = seg.model.eps
+            if w > int(eps) + 1:
+                problems.append(f"{source}: window {w} wider than int(eps {eps}) + 1")
+                break
+            for i in range(first, last + 1):
+                x = seg.model.a * keys[i] + seg.model.b
+                if abs(x - (i - first)) > eps:
+                    problems.append(f"{source}: raw residual {abs(x - (i - first))} > eps {eps}")
                     break
-                rounded = math.floor(slopes[si] * keys[i] + intercepts[si])
-                if abs(rounded - local) > windows[si]:
-                    problems.append(f"{source}: rounded prediction misses the eps window")
+                p = min(max(first + math.floor(a * keys[i] + c), first), last)
+                if abs(p - i) > w:
+                    problems.append(f"{source}: window {w} misses index {i}, predicted at {p}")
                     break
             if problems:
                 break
 
-        flat = root_table([Segment(keys[0], 0, fit_linear(keys))], len(keys))
+        flat = root_table(measure_segments(keys, [(0, fit_linear(keys))]), len(keys))
         rng = np.random.default_rng(99)
         present = rng.choice(np.asarray(keys, dtype=np.uint64), n_probes // 2)
         absent = rng.integers(0, 2**63, n_probes - n_probes // 2, dtype=np.uint64)
@@ -186,8 +188,8 @@ def criterion_2_model_soundness(quick: bool = False) -> CriterionResult:
 
 
 def _segment_bits(segments) -> list:
-    """Each segment's start and the bytes of its model's floats."""
-    return [(s.start_key, s.start_index, struct.pack("<ddd", *s.model))
+    """Each segment's start, the bytes of its model's floats and its window."""
+    return [(s.start_key, s.start_index, struct.pack("<ddd", *s.model), s.window)
             for s in segments]
 
 

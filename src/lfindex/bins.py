@@ -146,11 +146,11 @@ def _olb_seek(olb: OneLevelBin, key: int,
     if ref is None:
         hint = olb.hint
         ref = hint.next if hint is not None and hint.item < key else olb.head
-    link = ref.load()
+    link = ref.value
     node = link.target
     while node is not None and node.item < key:
         ref = node.next
-        link = ref.load()
+        link = ref.value
         node = link.target
     return ref, link
 
@@ -242,19 +242,19 @@ def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
         last = len(seps) if hi is None else bisect_left(seps, hi)
         lists = bin_.children[first:last + 1]
     for lst in lists:
-        node = lst.head.load().target if lo is None else _olb_seek(lst, lo)[1].target
+        node = lst.head.value.target if lo is None else _olb_seek(lst, lo)[1].target
         while node is not None:
             if hi is not None and node.item > hi:
                 return
             ref = node.version
-            ver = ref.load()
+            ver = ref.value
             if UNSET_TS < ver.ts <= ts:
                 val = ver.val
             else:
                 val = read_value_at(ref, ts, clock)
             if val is not None:
                 out.append((node.item, val))
-            node = node.next.load().target
+            node = node.next.value.target
 
 
 def freeze_bin(bin_: Any) -> None:
@@ -273,12 +273,12 @@ def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[Atomi
     keys: list[int] = []
     versions: list[AtomicRef] = []
     for lst in _lists(bin_):
-        node = lst.head.load().target
+        node = lst.head.value.target
         while node is not None:
             keys.append(node.item)
             versions.append(node.version)
-            node.version.load().stamp(clock)
-            node = node.next.load().target
+            node.version.value.stamp(clock)
+            node = node.next.value.target
     return keys, versions
 
 

@@ -44,8 +44,10 @@ def set_cas_hook(hook: Optional[Callable[[object, bool], None]]) -> None:
 
 
 class AtomicRef:
-    """A reference cell with load / CAS as indivisible steps: a CAS is one
-    compare and one store under ``_LOCK``.
+    """A reference cell with load / CAS as indivisible steps: a load is a
+    plain read of ``value``, atomic under the GIL, and a CAS is one compare
+    and one store under ``_LOCK``.  Every read in the index reads ``value``;
+    ``load`` is kept for the benchmark's probes, which call it.
 
     CAS compares by identity, so logically-equal but distinct objects fail
     the swap.  Combined with immutable link/version objects and refcounted
@@ -196,7 +198,7 @@ class GlobalClock:
         self.now = AtomicRef(start)
 
     def read(self) -> int:
-        return self.now.load()
+        return self.now.value
 
     def read_and_bump(self) -> int:
         """Read the clock and try once to advance it; returns the read value.
@@ -204,14 +206,14 @@ class GlobalClock:
         A failed bump means some concurrent reader already advanced past the
         value we read, which serves the same purpose, so no retry.
         """
-        t = self.now.load()
+        t = self.now.value
         self.now.compare_and_swap(t, t + 1)
         return t
 
 
 def read_value_latest(head_ref: AtomicRef, clock: GlobalClock) -> Any:
     """Latest payload of a version chain; stamps the head if unset."""
-    ver = head_ref.load()
+    ver = head_ref.value
     if ver.ts == UNSET_TS:
         ver.stamp(clock)
     return ver.val
@@ -225,7 +227,7 @@ def read_value_at(head_ref: AtomicRef, ts: int, clock: GlobalClock) -> Any:
     is a delete or the whole chain is newer than ``ts``.  Stamps the head
     if unset.
     """
-    ver = head_ref.load()
+    ver = head_ref.value
     if ver.ts == UNSET_TS:
         ver.stamp(clock)
     while ver is not None and ver.ts > ts:
@@ -244,7 +246,7 @@ def write_value(head_ref: AtomicRef, new_val: Any, clock: GlobalClock) -> bool:
     head can ever be unstamped.
     """
     while True:
-        cur = head_ref.load()
+        cur = head_ref.value
         cur.stamp(clock)
         if cur.val == new_val:
             return False

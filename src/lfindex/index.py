@@ -185,7 +185,7 @@ class LearnedIndex:
     @property
     def root(self) -> ModelNode:
         """The model node the header's slot holds now."""
-        return self.header.children[0].load()
+        return self.header.children[0].value
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[int, int]],
@@ -228,13 +228,13 @@ class LearnedIndex:
         the routing child slot and ``child`` is what seek loaded there:
         None, so the key is nowhere in the index right now, or a bin that
         may hold it."""
-        node = self.header.children[0].load()
+        node = self.header.children[0].value
         ix, found = search_root(node.keys, node.table, key)
         while True:
             if found:
                 return node, ix, FOUND
             slot = ix + 1
-            child = node.children[slot].load()
+            child = node.children[slot].value
             if child.__class__ is not ModelNode:
                 return node, slot, child
             node = child
@@ -324,7 +324,7 @@ class LearnedIndex:
             node = self.header
             while node is not parent:
                 i = bisect_left(node.keys, key)
-                child = node.children[i].load()
+                child = node.children[i].value
                 if child.__class__ is not ModelNode or child.frozen is not None:
                     path = []  # replaced or frozen since: a compaction got here first
                     break
@@ -346,7 +346,8 @@ class LearnedIndex:
 
         A frozen ``parent`` means a compaction holds ``top``: the job words
         lead to the outermost job, which is finished instead if its top
-        node is still in its slot, and nothing is built for ``top``.
+        node is still in its slot, and nothing is built for ``top``.  Else
+        nothing is built unless ``top`` is still in its slot.
 
         The subtree's in-order walk, with an explicit stack, freezes each
         model node as it enters it and then reads that node's slots, which
@@ -358,9 +359,11 @@ class LearnedIndex:
         if parent.frozen is not None:
             while parent.frozen is not None:
                 parent, slot, keys = parent.frozen
-            top = parent.children[slot].load()
+            top = parent.children[slot].value
             if top.__class__ is not ModelNode or top.keys is not keys:
                 return  # installed already
+        elif parent.children[slot].value is not top:
+            return  # installed already
         if top.__class__ is not ModelNode:
             keys, versions = collect_frozen(top, self.clock)
             if top.is_one_level:
@@ -376,7 +379,7 @@ class LearnedIndex:
             n, i = top, 0
             freeze(n, job)
             while True:
-                child = n.children[i].load()
+                child = n.children[i].value
                 if child.__class__ is ModelNode:
                     stack.append((n, i))
                     n, i = child, 0

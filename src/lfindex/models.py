@@ -4,8 +4,16 @@ A model approximates the rank of a key within one sorted key array:
 rank ~= a*key + b, with eps the measured worst-case absolute error over the
 fitted keys.  Every node's segments are ``segment_root`` under
 ``eps_target``: a piecewise model, a list of ``Segment``s, each one's eps at
-most the target.  ``search_root`` finds a key within eps of its segment's
-prediction, in every node.
+most the target.  ``search_root`` bisects only a window around its
+segment's rounded, clamped prediction, in every node.
+
+The window is measured, not derived from eps: it is the largest distance
+between a key's index and the prediction ``search_root`` itself computes for
+that key, float for float.  A slope is never negative, so the prediction
+never falls as the key rises, and every key, present or absent, has its
+insertion point within the window (argument on ``search_root``).  The
+structural audit checks that no window is wider than int(eps) + 1, so eps
+still bounds the work.
 
 Keys are sorted ints in [0, 2**64); a key outside raises ValueError.  A
 fit is one numpy probe: a centred least-squares line over the keys'
@@ -41,11 +49,14 @@ class Model(NamedTuple):
 
 
 class Segment(NamedTuple):
-    """One piece of a model node's piecewise-linear model."""
+    """One piece of a model node's piecewise-linear model, and its measured
+    window: the largest distance between a key's index and its rounded,
+    clamped prediction (``measure_segments``)."""
 
     start_key: int
     start_index: int
     model: Model
+    window: int
 
 
 def _arrays(keys: Sequence[int]) -> tuple:
@@ -81,7 +92,9 @@ def _fit(keys_u, keys_f, work, s: int, e: int) -> Model:
     if sxx == 0.0:
         a = b = 0.0
     else:
-        a = sxy / sxx
+        # sorted keys give sxy >= 0; the clamp keeps rounding from ever
+        # making a negative slope, which the locate window rules out
+        a = max(sxy, 0.0) / sxx
         b = (m - 1) / 2 - a * (mx + keys_f.item(s))
     d = a * keys_f[s:e]
     d += b
@@ -104,7 +117,9 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
     least-squares fit stays within eps_target; found by doubling probe plus
     binary search on the prefix length.  Every probe is the same ``_fit``
     that ``fit_linear`` runs, so a segment's model equals ``fit_linear``
-    over its slice bit for bit.  Keys are sorted ints in [0, 2**64).
+    over its slice bit for bit.  The windows are then measured over the
+    same float64 keys the probes used: the keys are converted once.  Keys
+    are sorted ints in [0, 2**64).
     """
     if not eps_target > 0:
         raise ValueError("eps_target must be positive")
@@ -113,7 +128,7 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
         return []
     probe = _arrays(keys)
 
-    segments: list[Segment] = []
+    pieces: list[tuple[int, Model]] = []
     s = 0
     while s < n:
         limit = n - s
@@ -141,64 +156,100 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
                 good, best = mid, c
             else:
                 bad = mid
-        segments.append(Segment(keys[s], s, best))
+        pieces.append((s, best))
         s += good
-    return segments
+    return _measured(keys, probe[1], probe[2][1], pieces)
 
 
-def root_table(segments: Sequence[Segment], n: int) -> tuple[list, ...]:
-    """Per-segment values ``search_root`` reads, as parallel lists.
+def _measured(keys: Sequence[int], keys_f, ranks,
+              pieces: Sequence[tuple[int, Model]]) -> list[Segment]:
+    """Segments for (start index, model) pieces that tile ``keys``, each
+    window measured in one vectorised pass over every key: the prediction
+    ``search_root`` makes (slope times the float key, plus intercept + 0.5,
+    floored, clamped to the slice), minus the key's local index."""
+    if not pieces:
+        return []
+    firsts = np.array([f for f, _ in pieces], dtype=np.intp)
+    sizes = np.diff(firsts, append=len(keys_f))
+    slope = np.repeat([m.a for _, m in pieces], sizes)
+    p = slope * keys_f
+    p += np.repeat([m.b + 0.5 for _, m in pieces], sizes)
+    np.floor(p, out=p)
+    np.clip(p, 0.0, np.repeat(sizes - 1, sizes).astype(np.float64), out=p)
+    p -= ranks
+    p += np.repeat(firsts, sizes)
+    np.abs(p, out=p)
+    windows = np.maximum.reduceat(p, firsts).astype(np.int64).tolist()
+    return [Segment(keys[f], f, m, w) for (f, m), w in zip(pieces, windows)]
 
-    For a model node's ``segments`` over its ``n``-key array: start keys,
-    first and last key index, slope, intercept + 0.5 (the round-half-up
-    offset, added once here instead of per probe) and probe window
-    floor(eps) + 1.
-    """
-    firsts = [s.start_index for s in segments]
-    lasts = [f - 1 for f in firsts[1:]] + [n - 1] if segments else []
-    return ([s.start_key for s in segments], firsts, lasts,
-            [s.model.a for s in segments],
-            [s.model.b + 0.5 for s in segments],
-            [int(s.model.eps) + 1 for s in segments])
+
+def measure_segments(keys: Sequence[int],
+                     pieces: Sequence[tuple[int, Model]]) -> list[Segment]:
+    """Segments over sorted ``keys`` for any (start index, model) pieces
+    that tile them, starting at index 0, each with its window measured as
+    ``segment_root`` measures its own.  Slopes must be >= 0 for the window
+    argument; ``root_table`` rejects one that is not."""
+    firsts = [f for f, _ in pieces]
+    if firsts != sorted(set(firsts)) or firsts[:1] != ([0] if len(keys) else []) or (
+            firsts and firsts[-1] >= len(keys)):
+        raise ValueError("pieces must start at index 0 and ascend within the keys")
+    _, keys_f, work = _arrays(keys)
+    return _measured(keys, keys_f, work[1], pieces)
 
 
-def search_root(keys: Sequence[int], table: tuple[list, ...],
+def root_table(segments: Sequence[Segment], n: int) -> tuple[list, list]:
+    """The values ``search_root`` reads: the start keys, and one tuple per
+    segment of a model node over an ``n``-key array: (first key index,
+    last key index, slope, intercept + 0.5, window).  The round-half-up
+    offset is added once here instead of per locate.  Raises ValueError for
+    a negative slope, which would break the window argument."""
+    rows = []
+    for si, s in enumerate(segments):
+        a, b, _ = s.model
+        if not a >= 0.0:
+            raise ValueError(f"segment {si} has slope {a}: a window needs a slope >= 0")
+        last = segments[si + 1].start_index - 1 if si + 1 < len(segments) else n - 1
+        rows.append((s.start_index, last, a, b + 0.5, s.window))
+    return [s.start_key for s in segments], rows
+
+
+def search_root(keys: Sequence[int], table: tuple[list, list],
                 key: int) -> tuple[int, bool]:
     """Locate ``key`` in a model node's key array via its piecewise model.
 
     ``table`` is ``root_table`` over the node's segments; bisecting its
     start keys picks the segment.  Returns (index, True) on an exact hit,
     else (index of the greatest key < ``key``, False), -1 when below all
-    keys.  The probe window is [pred - window, pred + window] clamped to
-    the segment slice, widened to the slice edge when the key falls
-    outside it.
+    keys.  Only keys in [max(p - w, first), min(p + w + 1, last + 1)) are
+    read, for the clamped prediction p and measured window w.
+
+    Why the window holds the insertion point r of any key, present or not:
+    the segment's start key is <= ``key`` and the next segment's is above
+    it, so first <= r <= last + 1.  The prediction never falls as the key
+    rises (slope >= 0; rounding, floor and clamp are all monotone).  So for
+    r <= last, keys[r] >= key gives p <= pred(keys[r]) <= r + w, and for
+    r > first, keys[r - 1] < key gives p >= pred(keys[r - 1]) >= r - 1 - w.
+    A present key is at r with pred(keys[r]) = p, so r <= p + w: it is
+    inside, never at the exclusive end.
     """
-    starts, firsts, lasts, slopes, intercepts, windows = table
+    starts, rows = table
     si = bisect_right(starts, key) - 1
     if si < 0:
         return -1, False
-    lo = firsts[si]
-    hi = lasts[si]
-    p = lo + math.floor(slopes[si] * key + intercepts[si])
-    if p < lo:
-        p = lo
-    elif p > hi:
-        p = hi
-    w = windows[si]
-    wlo = p - w
-    if wlo < lo:
-        wlo = lo
-    whi = p + w
-    if whi > hi:
-        whi = hi
-    if key < keys[wlo]:
-        blo, bhi = lo, wlo
-    elif key > keys[whi]:
-        blo, bhi = whi, hi
-    else:
-        blo, bhi = wlo, whi
-    i = bisect_left(keys, key, blo, bhi + 1)
-    if i <= bhi and keys[i] == key:
+    first, last, a, c, w = rows[si]
+    p = first + math.floor(a * key + c)
+    if p < first:
+        p = first
+    elif p > last:
+        p = last
+    lo = p - w
+    if lo < first:
+        lo = first
+    hi = p + w + 1
+    if hi > last:
+        hi = last + 1
+    i = bisect_left(keys, key, lo, hi)
+    if i < hi and keys[i] == key:
         return i, True
     return i - 1, False
 

@@ -94,7 +94,7 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
         for j in range(i, b + 1):  # child slot j, then key j
             cell = children[j]
             if cell is not EMPTY and j != done:
-                child = cell.load()
+                child = cell.value
                 # only the window's first and last slots can reach past it
                 clo = lo if j == i else None
                 chi = hi if j == b else None
@@ -110,7 +110,7 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
                     return
             if j < b:
                 ref = versions[j]
-                ver = ref.load()
+                ver = ref.value
                 if UNSET_TS < ver.ts <= ts:
                     val = ver.val
                 else:

@@ -14,6 +14,7 @@ Three independent ways to catch a wrong index:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Any, Iterable, Optional
 from .core import KEY_MAX, UNSET_TS
 from .bins import OneLevelBin, TwoLevelBin
 from .index import ModelNode
+from .models import root_table
 
 CHECK_MAX_THREADS = 4
 CHECK_MAX_OPS = 16
@@ -337,7 +339,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     except possibly at the head with non-increasing timestamps, every model
     node's error within each of its segments' recorded eps, each eps at
     most ``index.config.eps_target`` (every node's segments are
-    ``segment_root`` under it), bin size counters equal to their list
+    ``segment_root`` under it), each node's locate table equal to
+    ``root_table`` over its segments, each window holding its keys' indices
+    and at most int(eps) + 1 wide, bin size counters equal to their list
     lengths, each list's hint None or a node of that list, no frozen bin or
     model node, the root included (every retrain and compaction finishes
     before its op returns; the walk still reads through one), a header
@@ -443,6 +447,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         if not segs or segs[0].start_index != 0:
             note("segmentation", f"{where}: segments do not start at index 0")
             return
+        try:
+            if node.table != root_table(segs, len(keys)):
+                note("locate-window", f"{where}: locate table disagrees with its segments")
+        except ValueError as e:
+            note("locate-window", f"{where}: {e}")
         for si, seg in enumerate(segs):
             end = segs[si + 1].start_index if si + 1 < len(segs) else len(keys)
             if seg.start_index >= end:
@@ -453,12 +462,25 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             a, b, eps = seg.model
             if eps > eps_target:
                 note("eps-bound", f"{where}: segment {si} eps {eps} > eps_target {eps_target}")
-            for local, i in enumerate(range(seg.start_index, end)):
+            # the window must hold each key's index under search_root's own
+            # arithmetic, which also reads the table's a and b + 0.5
+            c, w = b + 0.5, seg.window
+            first = seg.start_index
+            for local, i in enumerate(range(first, end)):
                 err = abs(a * keys[i] + b - local)
                 if err > eps:
                     note("model-error",
                          f"{where}: segment {si} error {err} > eps {eps} at index {i}")
                     break
+                p = min(max(math.floor(a * keys[i] + c), 0), end - 1 - first)
+                if abs(p - local) > w:
+                    note("locate-window",
+                         f"{where}: segment {si} window {w} misses index {i}, predicted at {first + p}")
+                    break
+            else:
+                if w > int(eps) + 1:
+                    note("locate-window",
+                         f"{where}: segment {si} window {w} wider than int(eps {eps}) + 1")
 
     header = index.header
     if header.frozen is not None:

@@ -366,14 +366,20 @@ class TestFreeze:
 
 
 class CountingRef(AtomicRef):
-    """An AtomicRef that counts its loads; assigned as a cell's class."""
+    """An AtomicRef that counts the reads of its ``value``, which is how the
+    index loads a cell; assigned as a cell's class."""
 
     __slots__ = ()
     loads = 0
 
-    def load(self):
+    @property
+    def value(self):
         CountingRef.loads += 1
-        return self.value
+        return AtomicRef.value.__get__(self)
+
+    @value.setter
+    def value(self, new):
+        AtomicRef.value.__set__(self, new)
 
 
 def count_link_loads(olb):
@@ -405,7 +411,7 @@ class TestWalkStart:
         olb = make_olb([(k, k) for k in range(200)], clock)
         count_link_loads(olb)
         assert insert_bin(olb, 1_000, 1, clock) is True
-        assert CountingRef.loads <= 2
+        assert 1 <= CountingRef.loads <= 2
         assert list_keys(olb) == list(range(200)) + [1_000]
 
     def test_split_lists_start_at_their_tails(self):
@@ -417,7 +423,7 @@ class TestWalkStart:
         assert last.hint.item == 1_598
         count_link_loads(last)
         assert insert_bin(tlb, 1_600, 1, clock) is True
-        assert CountingRef.loads <= 2
+        assert 1 <= CountingRef.loads <= 2
         empty = olb_to_tlb([7], [AtomicRef(VersionedValue(7, 0))], fanout=2)
         assert empty.children[-1].hint is None
 

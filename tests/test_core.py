@@ -351,14 +351,26 @@ class TestGlobalClock:
 
     def test_a_raced_bump_fails_once_and_keeps_the_racers_time(self):
         class RacedRef(AtomicRef):
-            """A clock cell that another thread bumps right after a load."""
+            """A clock cell that another thread bumps right after its first
+            read of ``value``, which is how the clock loads it."""
 
-            __slots__ = ()
+            __slots__ = ("raced",)
 
-            def load(self):
-                t = self.value
-                self.value = t + 1
+            def __init__(self, value):
+                super().__init__(value)
+                self.raced = False
+
+            @property
+            def value(self):
+                t = AtomicRef.value.__get__(self)
+                if not self.raced:
+                    self.raced = True
+                    AtomicRef.value.__set__(self, t + 1)
                 return t
+
+            @value.setter
+            def value(self, new):
+                AtomicRef.value.__set__(self, new)
 
         clock = GlobalClock()
         clock.now = RacedRef(7)
@@ -368,6 +380,7 @@ class TestGlobalClock:
             assert clock.read_and_bump() == 7
         finally:
             set_cas_hook(None)
+        assert clock.now.raced
         assert clock.now.value == 8  # the racer's bump, no retry on top
         assert events == [(clock.now, False)]
 

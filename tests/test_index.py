@@ -1285,6 +1285,40 @@ class TestCompaction:
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
 
+    def test_a_help_after_the_install_builds_nothing(self, monkeypatch):
+        # a helper that reaches help_compact once the top's replacement is
+        # installed, under a parent that is not frozen, finds its top gone
+        # and builds nothing: once for a model node, once for a split bin
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+        node = index.root.children[1].load()
+        assert isinstance(node, ModelNode)
+        index.help_compact(index.root, 1, node)
+        compacted = index.root.children[1].load()
+        assert compacted is not node
+        index.insert(1, 1)
+        parent, slot, olb = index.seek(1)
+        assert isinstance(olb, OneLevelBin)
+        freeze_bin(olb)
+        index.help_compact(parent, slot, olb)
+        split = parent.children[slot].load()
+        assert isinstance(split, TwoLevelBin)
+        builds = []
+        for name in ("olb_to_tlb", "segment_root"):
+            def build(*args, _name=name, _real=getattr(index_mod, name)):
+                builds.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(index_mod, name, build)
+        index.help_compact(index.root, 1, node)
+        index.help_compact(parent, slot, olb)
+        assert builds == []
+        assert index.root.children[1].load() is compacted
+        assert parent.children[slot].load() is split
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+
     def test_a_stale_frozen_node_is_not_rebuilt(self, monkeypatch):
         # once a compaction is installed, the nodes and bins it froze are
         # stale; helping one of them finds the job done and builds nothing

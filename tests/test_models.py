@@ -16,6 +16,7 @@ from lfindex.models import (
     Model,
     Segment,
     fit_linear,
+    measure_segments,
     root_table,
     search_nonroot,
     search_root,
@@ -45,15 +46,15 @@ def exact_least_squares(keys):
 
 
 def table_prediction(table, si, key):
-    """Segment ``si``'s rounded local prediction for ``key``, as
-    ``search_root`` evaluates it from ``root_table``."""
-    _, _, _, slopes, intercepts, _ = table
-    return math.floor(slopes[si] * key + intercepts[si])
+    """Segment ``si``'s rounded local prediction for ``key``, before the
+    clamp to its slice, as ``search_root`` evaluates it from ``root_table``."""
+    _, _, a, c, _ = table[1][si]
+    return math.floor(a * key + c)
 
 
 def single_model_prediction(model, key):
     """``table_prediction`` for a lone model covering the whole array."""
-    return table_prediction(root_table([Segment(0, 0, model)], 1), 0, key)
+    return table_prediction(root_table([Segment(0, 0, model, 0)], 1), 0, key)
 
 
 def oracle_search(keys, key):
@@ -248,9 +249,11 @@ class TestPredict:
         table = root_table(segs, len(keys))
         bounds = [s.start_index for s in segs] + [len(keys)]
         for si, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            window = table[5][si]
+            window = table[1][si][4]
+            assert window <= int(segs[si].model.eps) + 1
             for local, k in enumerate(keys[lo:hi]):
-                assert local - window <= table_prediction(table, si, k) <= local + window
+                clamped = min(max(table_prediction(table, si, k), 0), hi - lo - 1)
+                assert local - window <= clamped <= local + window
 
 
 def edge_probes(keys, segs):
@@ -269,14 +272,15 @@ def edge_probes(keys, segs):
 def prediction_side(table, key):
     """Where the routing segment's rounded prediction for ``key`` falls
     relative to that segment's slice: "below", "inside" or "above"."""
-    starts, firsts, lasts = table[:3]
+    starts, rows = table
     si = bisect_right(starts, key) - 1
     if si < 0:
         return "no segment"
-    p = firsts[si] + table_prediction(table, si, key)
-    if p < firsts[si]:
+    first, last = rows[si][:2]
+    p = first + table_prediction(table, si, key)
+    if p < first:
         return "below"
-    return "above" if p > lasts[si] else "inside"
+    return "above" if p > last else "inside"
 
 
 class TestSearchRoot:
@@ -336,12 +340,72 @@ class TestSearchRoot:
             assert search_root(keys, table, p) == oracle_search(keys, p)
 
 
+@st.composite
+def keys_and_wild_pieces(draw):
+    """Sorted keys cut into up to six pieces, each with a random model of
+    slope >= 0: zero, tiny, or far too steep, and an intercept anywhere
+    from far below to far above the slice."""
+    keys = draw(sorted_keys)
+    cuts = draw(st.sets(st.integers(1, len(keys)), max_size=5))
+    firsts = [0] + sorted(c for c in cuts if c < len(keys))
+    slopes = st.one_of(st.just(0.0), st.floats(0.0, 1e-15), st.floats(0.0, 1e3))
+    pieces = [(f, Model(draw(slopes), draw(st.floats(-1e20, 1e20)), 0.0)) for f in firsts]
+    return keys, pieces
+
+
+def gap_probes(keys):
+    """Every key, a key in each gap between neighbours, and keys below the
+    first and above the last."""
+    probes = set(keys)
+    probes.update((a + b) // 2 for a, b in zip(keys, keys[1:]))
+    probes.update(k + 1 for k in keys)
+    probes.update((0, keys[0] - 1, keys[-1] + 1, keys[-1] + 2**40))
+    return sorted(p for p in probes if p >= 0)
+
+
+class TestMeasuredWindow:
+    @given(sorted_keys, st.floats(0.25, 64.0))
+    @settings(max_examples=100, deadline=None)
+    def test_window_is_the_widest_miss_and_within_eps(self, keys, eps_target):
+        segs = segment_root(keys, eps_target)
+        table = root_table(segs, len(keys))
+        bounds = [s.start_index for s in segs] + [len(keys)]
+        for si, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            misses = [abs(min(max(table_prediction(table, si, k), 0), hi - lo - 1) - local)
+                      for local, k in enumerate(keys[lo:hi])]
+            assert segs[si].window == max(misses)
+            assert segs[si].window <= int(segs[si].model.eps) + 1
+
+    @given(keys_and_wild_pieces())
+    @settings(max_examples=200, deadline=None)
+    def test_any_model_with_a_rising_slope_agrees_with_bisect(self, case):
+        keys, pieces = case
+        table = root_table(measure_segments(keys, pieces), len(keys))
+        for p in gap_probes(keys):
+            assert search_root(keys, table, p) == oracle_search(keys, p)
+
+    @pytest.mark.parametrize("slope", [-1e-300, -2.0, math.nan])
+    def test_root_table_rejects_a_slope_below_zero(self, slope):
+        with pytest.raises(ValueError):
+            root_table([Segment(0, 0, Model(slope, 0.0, 0.0), 0)], 1)
+
+    @pytest.mark.parametrize("firsts", [[1], [0, 0], [0, 3, 2], [0, 4], []])
+    def test_pieces_must_tile_the_keys_from_index_zero(self, firsts):
+        with pytest.raises(ValueError):
+            measure_segments([1, 2, 3, 4], [(f, Model(0.0, 0.0, 0.0)) for f in firsts])
+
+    def test_no_keys_take_no_pieces(self):
+        assert measure_segments([], []) == []
+        with pytest.raises(ValueError):
+            measure_segments([], [(0, Model(0.0, 0.0, 0.0))])
+
+
 def one_segment(keys, model=None):
     """The table of a non-root node over ``keys``: one segment, by default
     over ``fit_linear(keys)``."""
     if model is None:
         model = fit_linear(keys)
-    return root_table([Segment(keys[0], 0, model)], len(keys))
+    return root_table(measure_segments(keys, [(0, model)]), len(keys))
 
 
 class TestSearchNonroot:
@@ -374,8 +438,8 @@ class TestSearchNonroot:
         assert search_nonroot(keys, one_segment(keys), probe) == oracle_search(keys, probe)
 
     def test_works_with_a_wild_model(self):
-        # a key outside the window falls back to a bisect out to the slice
-        # edge, so the search is right even when the prediction is junk
+        # the window is measured over the keys, so it is as wide as the
+        # junk prediction needs and the search is still right
         keys = [10, 20, 30, 40]
         wild = one_segment(keys, Model(123.0, -4567.0, 0.0))
         for p in (5, 10, 25, 40, 99):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lfindex.bins import freeze_bin
 from lfindex.core import KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
-from lfindex.models import Model, Segment
+from lfindex.models import Model, root_table
 from lfindex.verify import (
     CHECK_MAX_KEYS,
     CHECK_MAX_OPS,
@@ -426,8 +426,7 @@ class TestAuditStructure:
     def test_detects_overstated_model_precision(self):
         index = LearnedIndex.build([(k, 1) for k in (0, 100, 205, 300, 400)])
         seg = index.root.segments[0]
-        doctored = Segment(seg.start_key, seg.start_index,
-                           Model(seg.model.a, seg.model.b, 1e-12))
+        doctored = seg._replace(model=Model(seg.model.a, seg.model.b, 1e-12))
         index.root.segments = [doctored]
         report = audit_structure(index)
         assert "model-error" in {f.kind for f in report.findings}
@@ -454,6 +453,37 @@ class TestAuditStructure:
         index.root.segments = [seg._replace(model=seg.model._replace(eps=too_wide))]
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"eps-bound"}
+
+    def test_detects_a_table_that_disagrees_with_its_segments(self):
+        index = LearnedIndex.build([(k * k, 1) for k in range(40)])
+        assert audit_structure(index).ok
+        starts, rows = index.root.table
+        first, last, a, c, w = rows[0]
+        index.root.table = (starts, [(first, last, a, c, w + 1)])
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"locate-window"}
+
+    def test_detects_a_window_that_misses_a_key(self):
+        # table and segments agree, but the window is one short of the
+        # widest miss, so some key's index falls outside it
+        index = LearnedIndex.build([(k * k, 1) for k in range(40)])
+        seg = index.root.segments[0]
+        assert seg.window > 0
+        index.root.segments = [seg._replace(window=seg.window - 1)]
+        index.root.table = root_table(index.root.segments, len(index.root.keys))
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"locate-window"}
+        assert "misses index" in report.findings[0].detail
+
+    def test_detects_a_window_wider_than_eps_allows(self):
+        # every key is inside, but eps no longer bounds the locate's work
+        index = LearnedIndex.build([(k * k, 1) for k in range(40)])
+        seg = index.root.segments[0]
+        index.root.segments = [seg._replace(window=int(seg.model.eps) + 2)]
+        index.root.table = root_table(index.root.segments, len(index.root.keys))
+        report = audit_structure(index)
+        assert {f.kind for f in report.findings} == {"locate-window"}
+        assert "wider than" in report.findings[0].detail
 
     def test_detects_lookup_walk_disagreement(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
