@@ -1,11 +1,12 @@
 """Lock-free learned ordered index.
 
-A linearizable ordered map over unsigned 63-bit keys, [0, 2**63 - 1].  Lookups route
-through a shallow hierarchy of immutable-keyed model nodes, each predicting
-positions with a linear approximation of its key set's rank function; new
-keys accumulate in lock-free sorted bins that freeze and retrain into fresh
-model nodes once they grow past a threshold.  Range queries snapshot the
-map at one logical timestamp via per-key version chains.
+A linearizable ordered map over unsigned 63-bit keys (README, "Input
+contract").  Lookups route through a shallow hierarchy of immutable-keyed
+model nodes, each predicting positions with a linear approximation of its
+key set's rank function; new keys accumulate in lock-free sorted bins that
+freeze and retrain into fresh model nodes once they grow past a threshold.
+Range queries snapshot the map at one logical timestamp via per-key version
+chains.
 
 Quick start::
 

@@ -258,7 +258,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         if any(th.is_alive() for th in threads):
             return "a helper was still running after 60 s"
         built.setdefault((root_top, helpers), []).append(len(builders))
-        fresh = parent.children[pslot].load()
+        fresh = parent.children[pslot].value
         keys, versions = collect_frozen(bin_, index.clock)
         if installs != [fresh] or not isinstance(fresh, ModelNode):
             return f"{len(installs)} installs, slot holds {type(fresh).__name__}"
@@ -511,10 +511,10 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
     for k in keys:
         node, i, child = index.seek(k)
         if child is FOUND:
-            ver = node.versions[i].load()
+            ver = node.versions[i].value
         else:
             kn = search_bin(child, k)
-            ver = kn.version.load() if kn is not None else None
+            ver = kn.version.value if kn is not None else None
         rev = []
         while ver is not None:
             rev.append((ver.ts, ver.val))
@@ -633,10 +633,10 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
             problems.append("insert into a frozen bin did not bounce")
         if index.delete(12) is not True or index.search(12) is not None:
             problems.append("delete through a frozen bin was not visible at once")
-        if node.children[slot].load() is not bin_:
+        if node.children[slot].value is not bin_:
             problems.append("a delete replaced the frozen bin")
         index.help_make_model(node, slot, bin_)
-        replaced = node.children[slot].load()
+        replaced = node.children[slot].value
         if replaced is bin_:
             problems.append("helping did not replace the frozen bin")
         if (index.search(12) is not None or index.search(16) != 160

@@ -24,11 +24,64 @@ alike.
 
 from __future__ import annotations
 
+import operator
 import threading
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
 UNSET_TS = -1
+
+
+# The map's input contract (README, "Input contract"), enforced here alone.
+
+def check_key(key: Any) -> int:
+    """``key`` through ``operator.index``, in ``[0, KEY_MAX]`` or ValueError."""
+    key = operator.index(key)
+    if not 0 <= key <= KEY_MAX:
+        raise ValueError(f"key {key} outside the 63-bit domain [0, 2**63 - 1]")
+    return key
+
+
+def check_payload(value: Any) -> None:
+    """A payload is anything but None, the Absent marker deletions write."""
+    if value is None:
+        raise ValueError("payload must not be None")
+
+
+def range_bounds(key: Any, width: Any, max_results: Any = None) -> tuple:
+    """``(key, hi, cap)``: the key through ``check_key``, the width and a cap
+    other than None through ``operator.index`` and >= 0, and ``hi`` the
+    window's top, ``key + width`` saturated at ``KEY_MAX``."""
+    key = check_key(key)
+    width = operator.index(width)
+    if width < 0:
+        raise ValueError("range width must be >= 0")
+    if max_results is not None:
+        max_results = operator.index(max_results)
+        if max_results < 0:
+            raise ValueError("max_results must be >= 0 or None")
+    return key, min(key + width, KEY_MAX), max_results
+
+
+def check_pairs(pairs: Iterable[tuple[Any, Any]]) -> tuple[list[int], list]:
+    """Keys and payloads of strictly ascending (key, payload) pairs.  Keys
+    ascending from 0 are in the domain if the last is, so a pair in order
+    costs no call."""
+    keys, payloads = [], []
+    prev = -1
+    for k, v in pairs:
+        k = operator.index(k)
+        if k <= prev or v is None:
+            check_key(k)  # a negative key fails the order
+            check_payload(v)
+            raise ValueError("pairs must be sorted, with unique keys")
+        keys.append(k)
+        payloads.append(v)
+        prev = k
+    if keys:
+        check_key(keys[-1])
+    return keys, payloads
+
 
 _LOCK = threading.Lock()
 

@@ -57,11 +57,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from .core import (
-    KEY_MAX,
     EMPTY,
     AtomicRef,
     GlobalClock,
     VersionedValue,
+    check_key,
+    check_pairs,
+    check_payload,
     dcss,
     freeze,
     read_value_latest,
@@ -110,8 +112,7 @@ class IndexConfig:
     ``tlb_threshold`` keys, or whose list for an inserted key holds
     ``list_threshold`` keys, is retrained into a model node.  ``eps_target``
     bounds every node: every node's segments are ``segment_root`` under it.
-    The sizes are taken through ``operator.index``, as keys are: a float
-    raises TypeError, and a numpy integer acts as the int it equals."""
+    The sizes are taken through ``operator.index``, as keys are."""
 
     eps_target: float = DEFAULT_EPS_TARGET
     olb_threshold: int = 64
@@ -167,9 +168,8 @@ class ModelNode:
 class LearnedIndex:
     """Linearizable lock-free ordered map over 63-bit keys and int payloads.
 
-    Every op takes its key, and ``range`` its width, through
-    ``operator.index``: a numpy integer acts as the int it equals, and a
-    float raises TypeError."""
+    Every op takes its key, payload, width and cap through ``core``'s
+    input contract (README, "Input contract")."""
 
     def __init__(self, root: ModelNode, clock: GlobalClock, config: IndexConfig):
         # the header's one slot holds the root: a compaction's job names it
@@ -190,26 +190,13 @@ class LearnedIndex:
     @classmethod
     def build(cls, pairs: Iterable[tuple[int, int]],
               config: IndexConfig | None = None) -> "LearnedIndex":
-        """Bulk-load from sorted unique (key, payload) pairs.
+        """Bulk-load from sorted unique (key, payload) pairs (``core.check_pairs``).
 
         Every loaded version is stamped with time 0; the clock starts at 0.
         Keys are stored as ``int``, so a numpy integer key leaves no numpy
-        scalar in a node's keys, a locate's arithmetic or a returned pair.
-        Rejects unsorted/duplicate keys, out-of-domain keys, and Absent
-        payloads."""
+        scalar in a node's keys, a locate's arithmetic or a returned pair."""
         cfg = config or IndexConfig()
-        keys: list[int] = []
-        payloads: list[int] = []
-        prev = -1
-        for k, v in pairs:
-            k = operator.index(k)
-            if v is None:
-                raise ValueError("payload must not be None")
-            if k <= prev or k > KEY_MAX:  # prev starts at -1, so this also rejects negatives
-                raise ValueError("pairs must be sorted with unique 63-bit keys")
-            keys.append(k)
-            payloads.append(v)
-            prev = k
+        keys, payloads = check_pairs(pairs)
         # two tracked objects per key would trigger full collections that
         # find nothing: the index holds no reference cycle (module docstring)
         was_enabled = gc.isenabled()
@@ -242,11 +229,8 @@ class LearnedIndex:
 
     def insert(self, key: int, value: int) -> bool:
         """True if the map changed (new key, or new value for the key)."""
-        if value is None:
-            raise ValueError("payload must not be None")
-        key = operator.index(key)
-        if not 0 <= key <= KEY_MAX:
-            raise ValueError("key outside the 63-bit domain")
+        check_payload(value)
+        key = check_key(key)
         clock = self.clock
         cfg = self.config
         while True:
@@ -274,9 +258,7 @@ class LearnedIndex:
         """True if the key was present (its latest payload now Absent).
         One seek and at most one chain write: a frozen bin or subtree
         still takes the write (see ``bins``), so it never retries."""
-        key = operator.index(key)
-        if not 0 <= key <= KEY_MAX:
-            raise ValueError("key outside the 63-bit domain")
+        key = check_key(key)
         node, i, child = self.seek(key)
         if child is FOUND:
             return write_value(node.versions[i], None, self.clock)
@@ -288,9 +270,7 @@ class LearnedIndex:
         """Latest payload, or None when absent.  Never helps, never blocks,
         never retries; its only write is a timestamp assignment on an
         unstamped head."""
-        key = operator.index(key)
-        if not 0 <= key <= KEY_MAX:
-            raise ValueError("key outside the 63-bit domain")
+        key = check_key(key)
         node, i, child = self.seek(key)
         if child is FOUND:
             return read_value_latest(node.versions[i], self.clock)
@@ -347,7 +327,8 @@ class LearnedIndex:
         A frozen ``parent`` means a compaction holds ``top``: the job words
         lead to the outermost job, which is finished instead if its top
         node is still in its slot, and nothing is built for ``top``.  Else
-        nothing is built unless ``top`` is still in its slot.
+        nothing is collected unless ``top`` is still in its slot, and
+        nothing is built unless it still is after the collect.
 
         The subtree's in-order walk, with an explicit stack, freezes each
         model node as it enters it and then reads that node's slots, which
@@ -366,10 +347,6 @@ class LearnedIndex:
             return  # installed already
         if top.__class__ is not ModelNode:
             keys, versions = collect_frozen(top, self.clock)
-            if top.is_one_level:
-                self._install(parent, slot, top,
-                              olb_to_tlb(keys, versions, self.config.tlb_fanout))
-                return
         else:
             # the job names top by its keys list, so a replaced subtree
             # holds no reference back to its root: no cycle (module docstring)
@@ -397,7 +374,13 @@ class LearnedIndex:
                 keys.append(n.keys[i])
                 versions.append(n.versions[i])
                 i += 1
-        self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))
+        if parent.children[slot].value is not top:
+            return  # installed by a helper that raced this one's collect
+        if top.__class__ is not ModelNode and top.is_one_level:
+            self._install(parent, slot, top,
+                          olb_to_tlb(keys, versions, self.config.tlb_fanout))
+        else:
+            self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))
 
     def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
         """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the

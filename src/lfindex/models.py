@@ -15,8 +15,8 @@ insertion point within the window (argument on ``search_root``).  The
 structural audit checks that no window is wider than int(eps) + 1, so eps
 still bounds the work.
 
-Keys are sorted ints in [0, 2**64); a key outside raises ValueError.  A
-fit is one numpy probe: a centred least-squares line over the keys'
+Keys are sorted and taken as the map takes them (README, "Input contract").
+A fit is one numpy probe: a centred least-squares line over the keys'
 offsets from the slice's first key, exact in uint64 and then cast to
 float64 (so a narrow cluster of high keys keeps the low bits its absolute
 float64 keys round away), with the intercept folded back to absolute keys.
@@ -38,6 +38,8 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .core import check_key
 
 DEFAULT_EPS_TARGET = 32.0
 
@@ -62,14 +64,11 @@ class Segment(NamedTuple):
 def _arrays(keys: Sequence[int]) -> tuple:
     # made once per key array: keys as uint64 and as float64, and a work
     # array whose row 0 takes a probe's offsets and row 1 holds the ranks;
-    # numpy wraps a negative numpy integer into uint64 where a negative int
-    # overflows, so the least key, the first, is checked here
-    if len(keys) and keys[0] < 0:
-        raise ValueError("keys must be ints in [0, 2**64)")
-    try:
-        keys_u = np.asarray(keys, dtype=np.uint64)
-    except OverflowError:
-        raise ValueError("keys must be ints in [0, 2**64)") from None
+    # sorted keys are in the domain if the first and the last are
+    if len(keys):
+        check_key(keys[0])
+        check_key(keys[-1])
+    keys_u = np.asarray(keys, dtype=np.uint64)
     work = np.empty((2, len(keys_u)))
     work[1] = np.arange(len(keys_u))
     return keys_u, keys_u.astype(np.float64), work
@@ -103,7 +102,7 @@ def _fit(keys_u, keys_f, work, s: int, e: int) -> Model:
 
 
 def fit_linear(keys: Sequence[int]) -> Model:
-    """Least-squares line through (key, rank), keys in [0, 2**64)."""
+    """Least-squares line through (key, rank); keys per README, "Input contract"."""
     n = len(keys)
     if n == 0:
         raise ValueError("cannot fit an empty key array")
@@ -119,7 +118,7 @@ def segment_root(keys: Sequence[int], eps_target: float = DEFAULT_EPS_TARGET) ->
     that ``fit_linear`` runs, so a segment's model equals ``fit_linear``
     over its slice bit for bit.  The windows are then measured over the
     same float64 keys the probes used: the keys are converted once.  Keys
-    are sorted ints in [0, 2**64).
+    are sorted and taken as the map takes them (README, "Input contract").
     """
     if not eps_target > 0:
         raise ValueError("eps_target must be positive")

@@ -25,38 +25,21 @@ applies the result cap.
 
 from __future__ import annotations
 
-import operator
 import sys
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import EMPTY, KEY_MAX, UNSET_TS, GlobalClock, read_value_at
+from .core import EMPTY, UNSET_TS, GlobalClock, range_bounds, read_value_at
 from .bins import scan_bin
 
 
 def range_search(index, key: int, width: int,
                  max_results: Optional[int] = None) -> list[tuple[int, int]]:
-    """Live pairs with key <= k <= key+width as of one logical instant.
-
-    The interval saturates at the top of the key domain.  ``max_results``
-    caps the result length (None = unbounded); the scan stops early once
-    the cap is hit, keeping the ascending prefix.  The key, the width and
-    the cap are taken through ``operator.index``.
-    """
-    key = operator.index(key)
-    width = operator.index(width)
-    if width < 0:
-        raise ValueError("range width must be >= 0")
-    if not 0 <= key <= KEY_MAX:
-        raise ValueError("key outside the 63-bit domain")
-    if max_results is not None:
-        max_results = operator.index(max_results)
-        if max_results < 0:
-            raise ValueError("max_results must be >= 0 or None")
+    """Live pairs in ``core.range_bounds``' window as of one logical instant,
+    ascending; with ``max_results`` set, the scan stops once it holds that
+    many pairs."""
+    key, hi, max_results = range_bounds(key, width, max_results)
     ts = index.clock.read_and_bump()
-    hi = key + width
-    if hi > KEY_MAX:
-        hi = KEY_MAX
     out: list[tuple[int, int]] = []
     scan(index.root, key, hi, ts, out, index.clock, max_results)
     return out

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import KEY_MAX, UNSET_TS
+from .core import UNSET_TS, check_key, check_pairs, check_payload, range_bounds
 from .bins import OneLevelBin, TwoLevelBin
 from .index import ModelNode
 from .models import root_table
@@ -30,15 +29,6 @@ CHECK_MAX_OPS = 16
 CHECK_MAX_KEYS = 8
 
 
-def _key(key: Any) -> int:
-    """``key`` as the index takes it: through ``operator.index``, and in the
-    63-bit domain or ValueError."""
-    key = operator.index(key)
-    if not 0 <= key <= KEY_MAX:
-        raise ValueError("key outside the 63-bit domain")
-    return key
-
-
 class SequentialOracle:
     """Reference map semantics.
 
@@ -46,8 +36,8 @@ class SequentialOracle:
     different payload); delete returns True iff the key was live; search
     returns the live payload or None; range returns live pairs in
     [key, key+width], ascending, optionally capped at ``max_results``.
-    Every call, and ``from_pairs``, refuses what ``LearnedIndex`` refuses,
-    with the same exception, and allocates nothing to check an int.
+    Every call, and ``from_pairs``, takes its input through ``core``'s
+    checks, as ``LearnedIndex`` does: both refuse alike.
     """
 
     def __init__(self):
@@ -57,18 +47,13 @@ class SequentialOracle:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SequentialOracle":
         o = cls()
-        for k, v in pairs:
-            k = _key(k)
-            if v is None or (o._sorted and k <= o._sorted[-1]):
-                raise ValueError("pairs must be sorted, with unique keys and payloads")
-            o._live[k] = v
-            o._sorted.append(k)
+        o._sorted, payloads = check_pairs(pairs)
+        o._live = dict(zip(o._sorted, payloads))
         return o
 
     def insert(self, key: int, value: int) -> bool:
-        if value is None:
-            raise ValueError("payload must not be None")
-        key = _key(key)
+        check_payload(value)
+        key = check_key(key)
         if self._live.get(key) == value:
             return False
         i = bisect_left(self._sorted, key)
@@ -78,22 +63,14 @@ class SequentialOracle:
         return True
 
     def delete(self, key: int) -> bool:
-        return self._live.pop(_key(key), None) is not None
+        return self._live.pop(check_key(key), None) is not None
 
     def search(self, key: int) -> Optional[int]:
-        return self._live.get(_key(key))
+        return self._live.get(check_key(key))
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:
-        key, width = operator.index(key), operator.index(width)
-        if width < 0:
-            raise ValueError("range width must be >= 0")
-        key = _key(key)
-        if max_results is not None:
-            max_results = operator.index(max_results)
-            if max_results < 0:
-                raise ValueError("max_results must be >= 0 or None")
-        hi = min(key + width, KEY_MAX)
+        key, hi, max_results = range_bounds(key, width, max_results)
         out = []
         a = bisect_left(self._sorted, key)
         b = bisect_right(self._sorted, hi)
@@ -161,8 +138,7 @@ def _apply_op(state: dict, e: HistoryEvent):
     if e.op == "search":
         (k,) = e.args
         return state if e.result == state.get(k) else None
-    k, w = e.args  # a range: check_linearizable refused any other op
-    hi = min(k + w, KEY_MAX)
+    k, hi, _ = range_bounds(*e.args)  # a range: check_linearizable refused any other op
     expected = sorted((kk, vv) for kk, vv in state.items() if k <= kk <= hi)
     return state if list(e.result) == expected else None
 
@@ -272,6 +248,10 @@ def parse_event(line: str) -> HistoryEvent:
     if op not in _ARITY or len(raw_args) != _ARITY[op]:
         raise ValueError(f"bad op/arity in history line: {line!r}")
     args = tuple(int(a) for a in raw_args)
+    if op == "range":
+        range_bounds(*args)
+    else:
+        check_key(args[0])
     tok = tail[0]
     result: Any
     if op in ("insert", "delete"):
@@ -358,7 +338,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         findings.append(Finding(kind, detail))
 
     def chain_payload(key: int, head_ref) -> Any:
-        ver = head_ref.load()
+        ver = head_ref.value
         if ver is None:
             note("missing-chain", f"key {key} has no version chain")
             return None
@@ -393,7 +373,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         prev_key = None
         hint = olb.hint
         hint_seen = hint is None
-        node = olb.head.load().target
+        node = olb.head.value.target
         while node is not None:
             if node is hint:
                 hint_seen = True
@@ -405,7 +385,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             record_key(k, node.version, where)
             prev_key = k
             count += 1
-            node = node.next.load().target
+            node = node.next.value.target
         if not hint_seen:
             note("list-hint", f"{where}: hint {hint!r} is not a node of the list")
         return count
@@ -491,7 +471,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         note("header-slots", f"the header has {len(header.children)} slots, not one")
     stack = []
     if header.children:
-        root = header.children[0].load()
+        root = header.children[0].value
         if root.__class__ is ModelNode:
             stack.append((root, None, None, "root"))
         else:
@@ -514,7 +494,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
                  f"{where}: {len(node.children)} child slots for {len(keys)} keys")
             continue
         for i, ref in enumerate(node.children):
-            child = ref.load()
+            child = ref.value
             if child is None:
                 continue
             clo = keys[i - 1] if i > 0 else lo

@@ -128,6 +128,13 @@ class TestReplay:
         assert rc == 2
         assert "h.log:1" in capsys.readouterr().err
 
+    def test_key_outside_the_domain(self, capsys, tmp_path):
+        path = tmp_path / "h.log"
+        path.write_text(f"0 1 T0 insert 5 1 = true\n2 3 T0 search {2**63} = none\n")
+        rc = main(["replay", str(path)])
+        assert rc == 2
+        assert "h.log:2" in capsys.readouterr().err
+
     def test_missing_log(self, capsys):
         rc = main(["replay", "/nonexistent/h.log"])
         assert rc == 2

@@ -1319,6 +1319,53 @@ class TestCompaction:
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
 
+    def test_an_install_during_the_collect_stops_the_build(self, monkeypatch):
+        # a helper that passed the slot check on entry, and whose top is
+        # replaced while it collects, builds nothing once its collect ends:
+        # the replacement lands from inside its first collect; once for a
+        # model node, a one-level bin and a two-level bin
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
+        for k in list(range(2, 400, 2)) + [3, 151, 301]:
+            index.insert(k, k)
+        real_collect = index_mod.collect_frozen
+        racing, builds, installs = [], [], []
+
+        def collect_frozen(bin_, clock):
+            if racing:
+                index.help_compact(*racing.pop())  # the racing helper installs
+                builds.clear()
+            return real_collect(bin_, clock)
+
+        monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
+        for name in ("olb_to_tlb", "segment_root"):
+            def build(*args, _name=name, _real=getattr(index_mod, name)):
+                builds.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(index_mod, name, build)
+        index.transition_log = lambda parent, slot, old, new: installs.append(new)
+
+        def race(parent, slot, top):
+            racing.append((parent, slot, top))
+            installs.clear()
+            index.help_compact(parent, slot, top)
+            assert racing == [] and builds == []
+            assert installs == [parent.children[slot].load()]
+            return installs[0]
+
+        node = index.root.children[1].load()
+        assert isinstance(race(index.root, 1, node), ModelNode)
+        index.insert(1, 1)
+        parent, slot, olb = index.seek(1)
+        assert isinstance(olb, OneLevelBin)
+        freeze_bin(olb)
+        tlb = race(parent, slot, olb)
+        assert isinstance(tlb, TwoLevelBin)
+        freeze_bin(tlb)
+        assert isinstance(race(parent, slot, tlb), ModelNode)
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+
     def test_a_stale_frozen_node_is_not_rebuilt(self, monkeypatch):
         # once a compaction is installed, the nodes and bins it froze are
         # stale; helping one of them finds the job done and builds nothing

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfindex.core import KEY_MAX
 from lfindex.harness import DatasetSpec, generate_dataset
 from lfindex.models import (
     Model,
@@ -26,7 +27,7 @@ from lfindex.models import (
 LFBENCH = Path(__file__).resolve().parent.parent / "lfbench"
 
 sorted_keys = st.lists(
-    st.integers(0, 2**63), min_size=1, max_size=300, unique=True
+    st.integers(0, KEY_MAX), min_size=1, max_size=300, unique=True
 ).map(sorted)
 
 
@@ -76,7 +77,7 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             fit_linear([])
 
-    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("bad", [-1, 2**63, 2**64])
     def test_keys_outside_the_domain_are_rejected(self, bad):
         keys = sorted([0, 5, bad])
         with pytest.raises(ValueError):
@@ -90,7 +91,7 @@ class TestFitLinear:
             segment_root(np.array([-3, 5, 9]), 32)
 
     def test_domain_edges_fit(self):
-        keys = [0, 2**63, 2**64 - 1]
+        keys = [0, 2**62, KEY_MAX]
         assert fit_linear(keys).eps <= 1.0
         assert [s.start_index for s in segment_root(keys, 1.0)] == [0]
 

@@ -3,13 +3,14 @@
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex.bins import freeze_bin
 from lfindex.core import KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
-from lfindex.models import Model, root_table
+from lfindex.models import Model, fit_linear, root_table, segment_root
 from lfindex.verify import (
     CHECK_MAX_KEYS,
     CHECK_MAX_OPS,
@@ -76,9 +77,15 @@ class TestSequentialOracle:
                 m.range(0, 9, 2.5)
 
     def test_refuses_what_the_index_refuses(self):
+        # one contract (core) for the index, the oracle, the models and the
+        # log parser: each refuses a bad key, width or cap with the same
+        # exception, and each takes the top of the domain
         pairs = [(k, k) for k in range(10)]
         o = SequentialOracle.from_pairs(pairs)
         index = LearnedIndex.build(pairs)
+        bad_keys = [(-1, ValueError), (KEY_MAX + 1, ValueError),
+                    (np.uint64(2**63), ValueError), (np.int64(-1), ValueError),
+                    (1.0, TypeError)]
         calls = [
             ("range", (5, -1), ValueError),
             ("range", (-3, 5), ValueError),
@@ -92,7 +99,11 @@ class TestSequentialOracle:
             ("insert", (-1, 1), ValueError),
             ("insert", (2.0, 1), TypeError),
             ("insert", (3, None), ValueError),
+            ("range", (0, 9, -1), ValueError),
         ]
+        for key, exc in bad_keys:
+            calls += [("search", (key,), exc), ("delete", (key,), exc),
+                      ("insert", (key, 1), exc), ("range", (key, 0), exc)]
         for op, args, exc in calls:
             for m in (o, index):
                 with pytest.raises(exc):
@@ -107,6 +118,34 @@ class TestSequentialOracle:
             LearnedIndex.build([(1.0, 1)])
         with pytest.raises(TypeError):
             SequentialOracle.from_pairs([(1.0, 1)])
+        for key, exc in bad_keys:
+            keys = sorted([5, key])
+            for refuse in (lambda: fit_linear(keys), lambda: segment_root(keys, 32.0),
+                           lambda: LearnedIndex.build([(k, 1) for k in keys]),
+                           lambda: SequentialOracle.from_pairs([(k, 1) for k in keys])):
+                with pytest.raises(exc):
+                    refuse()
+        # a log line is text, so a float token is a malformed line, as is
+        # every other bad key or width: ValueError
+        lines = ["0 1 T0 range 5 -1 = empty"]
+        for key, _ in bad_keys:
+            lines += [f"0 1 T0 search {key} = none", f"0 1 T0 delete {key} = false",
+                      f"0 1 T0 insert {key} 1 = true", f"0 1 T0 range {key} 0 = empty"]
+        for line in lines:
+            with pytest.raises(ValueError):
+                parse_event(line)
+        for top in (KEY_MAX, np.uint64(KEY_MAX)):
+            assert fit_linear([0, top]).eps <= 1.0
+            assert len(segment_root([0, top], 32.0)) == 1
+            for m in (LearnedIndex.build([(5, 5), (top, 1)]),
+                      SequentialOracle.from_pairs([(5, 5), (top, 1)])):
+                assert m.search(top) == 1
+                assert m.range(5, top) == [(5, 5), (KEY_MAX, 1)]
+                assert m.range(top, top, 1) == [(KEY_MAX, 1)]
+                assert m.delete(top) is True
+                assert m.insert(top, 2) is True
+            line = f"0 1 T0 range {top} {top} = {KEY_MAX}:2"
+            assert parse_event(line).args == (KEY_MAX, KEY_MAX)
         # nothing refused changed either map
         assert o.range(0, KEY_MAX) == index.range(0, KEY_MAX) == pairs
         assert o.live_map() == audit_structure(index).live_map()
