@@ -38,13 +38,24 @@ deletes and the start of a scan.  It ignores the freeze word.  Nodes are
 never unlinked, so any node of a list below the key is a valid start.
 Each list keeps a ``hint``, the node of its last splice, and a walk starts
 there when the hint is below its key, so ascending inserts splice in O(1)
-loads.  After construction every write to a list, its links, its hint
-and its counts, is inside that list's ``core.splice``.
+loads.  A child list of a two-level bin also keeps ``fingers``: its nodes
+in key order, made by the split, to which ``core.splice`` appends each
+node that becomes the list's new tail.  A walk to a key at or below the
+hint starts after the greatest finger below the key, found by bisection,
+so a read of a recent key walks only the nodes spliced between two
+fingers.  A reader may bisect ``fingers`` while a splice appends to it
+under ``core._LOCK``: the list only grows at its end, an appended node is
+above every node already in it, and the entries a reader sees never
+change, so whatever length it reads, it finds a node of the list below
+its key or none.  After construction every write to a list, its links,
+its hint, its fingers and its counts, is inside that list's
+``core.splice``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Optional
 
 from .core import (
@@ -94,10 +105,14 @@ def _link_to(node: Optional[KNode]) -> Link:
 
 class OneLevelBin:
     """A sorted list and its freeze word: None, or True once frozen (the
-    child lists of a two-level bin keep None)."""
+    child lists of a two-level bin keep None).  A one-level bin keeps no
+    fingers (``fingers`` is None): it is split once it holds
+    ``olb_threshold`` keys, and a slot would grow every one of the many
+    small bins."""
 
     __slots__ = ("head", "size", "hint", "frozen")
     is_one_level = True
+    fingers = None
 
     def __init__(self, first: Optional[KNode], size: int,
                  hint: Optional[KNode] = None):
@@ -105,6 +120,17 @@ class OneLevelBin:
         self.size = size  # distinct keys spliced, not value updates
         self.hint = hint  # walk start: a node of this list, or None
         self.frozen = None
+
+
+class ChildList(OneLevelBin):
+    """A child list of a two-level bin: a one-level list whose ``fingers``
+    hold nodes of the list in ascending key order, ending at its tail."""
+
+    __slots__ = ("fingers",)
+
+    def __init__(self, first: Optional[KNode], fingers: list[KNode]):
+        super().__init__(first, len(fingers), fingers[-1] if fingers else None)
+        self.fingers = fingers
 
 
 class TwoLevelBin:
@@ -118,7 +144,7 @@ class TwoLevelBin:
     __slots__ = ("keys", "children", "size", "frozen")
     is_one_level = False
 
-    def __init__(self, keys: list[int], children: list[OneLevelBin], size: int):
+    def __init__(self, keys: list[int], children: list[ChildList], size: int):
         assert len(children) == len(keys) + 1
         self.keys = keys
         self.children = children
@@ -136,16 +162,25 @@ def bin_new(key: int, value: int) -> tuple[OneLevelBin, VersionedValue]:
     return OneLevelBin(node, 1, node), ver
 
 
+_item = attrgetter("item")
+
+
 def _olb_seek(olb: OneLevelBin, key: int,
               ref: Optional[AtomicRef] = None) -> tuple[AtomicRef, Link]:
     """The first link at or after the start whose target is None or >= key,
     and the cell it was loaded from.
 
     Starts at ``ref``, or after the hint when the hint is below ``key``, or
-    else at the head.  The freeze word is not checked."""
+    else after the greatest finger below ``key``, or else at the head.  The
+    freeze word is not checked."""
     if ref is None:
         hint = olb.hint
-        ref = hint.next if hint is not None and hint.item < key else olb.head
+        if hint is not None and hint.item < key:
+            ref = hint.next
+        else:
+            fingers = olb.fingers
+            i = bisect_left(fingers, key, key=_item) if fingers else 0
+            ref = fingers[i - 1].next if i else olb.head
     link = ref.value
     node = link.target
     while node is not None and node.item < key:
@@ -282,14 +317,16 @@ def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[Atomi
     return keys, versions
 
 
-def _olb_from_sorted(keys: list[int], versions: list[AtomicRef]) -> OneLevelBin:
-    """A fresh list over the keys, its tail as the hint."""
-    node = tail = None
+def _olb_from_sorted(keys: list[int], versions: list[AtomicRef]) -> ChildList:
+    """A fresh child list over the keys: every node a finger, its tail the
+    hint."""
+    node = None
+    fingers = []
     for item, ver in zip(reversed(keys), reversed(versions)):
         node = KNode(item, ver, AtomicRef(_link_to(node)))
-        if tail is None:
-            tail = node
-    return OneLevelBin(node, len(keys), tail)
+        fingers.append(node)
+    fingers.reverse()
+    return ChildList(node, fingers)
 
 
 def olb_to_tlb(keys: list[int], versions: list[AtomicRef],
@@ -305,7 +342,7 @@ def olb_to_tlb(keys: list[int], versions: list[AtomicRef],
     n = len(keys)
     assert n > 0, "cannot split an empty bin"
     q, r = divmod(n, fanout)
-    children: list[OneLevelBin] = []
+    children: list[ChildList] = []
     seps: list[int] = []
     pos = 0
     for i in range(fanout):

@@ -168,10 +168,11 @@ def splice(owner: Any, lst: Any, cell: AtomicRef, expected: Any, new: Any) -> bo
     """Put the node ``new`` links to into the list ``lst`` of the bin
     ``owner`` iff ``owner.frozen`` is None and ``cell`` holds ``expected``:
     in one step under ``_LOCK``, point the node's next link at
-    ``expected``, store ``new`` in the cell, make the node the list's hint
-    and count it in ``lst.size`` and, for a child list, in ``owner.size``.
-    A failure writes nothing.  The hook sees the cell written or found, or
-    a frozen owner."""
+    ``expected``, store ``new`` in the cell, make the node the list's hint,
+    append it to the list's fingers, if it keeps them, when it is the new
+    tail (``expected`` links to no node), and count it in ``lst.size`` and,
+    for a child list, in ``owner.size``.  A failure writes nothing.  The
+    hook sees the cell written or found, or a frozen owner."""
     hook = _cas_hook
     with _LOCK:
         if owner.frozen is not None:
@@ -184,6 +185,8 @@ def splice(owner: Any, lst: Any, cell: AtomicRef, expected: Any, new: Any) -> bo
                 node.next.value = expected
                 cell.value = new
                 lst.hint = node
+                if expected.target is None and lst.fingers is not None:
+                    lst.fingers.append(node)
                 lst.size += 1
                 if lst is not owner:
                     owner.size += 1

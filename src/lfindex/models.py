@@ -15,11 +15,12 @@ insertion point within the window (argument on ``search_root``).  The
 structural audit checks that no window is wider than int(eps) + 1, so eps
 still bounds the work.
 
-Keys are sorted and taken as the map takes them (README, "Input contract").
-A fit is one numpy probe: a centred least-squares line over the keys'
-offsets from the slice's first key, exact in uint64 and then cast to
-float64 (so a narrow cluster of high keys keeps the low bits its absolute
-float64 keys round away), with the intercept folded back to absolute keys.
+Keys are sorted and taken as the map takes them (README, "Input contract");
+unsorted keys, and keys outside the domain, raise ValueError.  A fit is
+one numpy probe: a centred least-squares line over the keys' offsets from
+the slice's first key, exact in uint64 and then cast to float64 (so a
+narrow cluster of high keys keeps the low bits its absolute float64 keys
+round away), with the intercept folded back to absolute keys.
 The float line is only near the exact one, which the bound never needs:
 eps is measured over the final float coefficients on the float64 keys a
 search multiplies, so every segment is within eps by construction.
@@ -64,11 +65,17 @@ class Segment(NamedTuple):
 def _arrays(keys: Sequence[int]) -> tuple:
     # made once per key array: keys as uint64 and as float64, and a work
     # array whose row 0 takes a probe's offsets and row 1 holds the ranks;
-    # sorted keys are in the domain if the first and the last are
+    # sorted keys are in the domain if the first and the last are, and a
+    # key numpy cannot hold as uint64 is outside it
     if len(keys):
         check_key(keys[0])
         check_key(keys[-1])
-    keys_u = np.asarray(keys, dtype=np.uint64)
+    try:
+        keys_u = np.asarray(keys, dtype=np.uint64)
+    except OverflowError:
+        raise ValueError("keys must be in the 63-bit domain [0, 2**63 - 1]") from None
+    if not (keys_u[1:] >= keys_u[:-1]).all():
+        raise ValueError("keys must be sorted")
     work = np.empty((2, len(keys_u)))
     work[1] = np.arange(len(keys_u))
     return keys_u, keys_u.astype(np.float64), work

@@ -322,12 +322,13 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     ``segment_root`` under it), each node's locate table equal to
     ``root_table`` over its segments, each window holding its keys' indices
     and at most int(eps) + 1 wide, bin size counters equal to their list
-    lengths, each list's hint None or a node of that list, no frozen bin or
-    model node, the root included (every retrain and compaction finishes
-    before its op returns; the walk still reads through one), a header
-    that is not frozen, holds no keys and has one slot, which holds a model
-    node, and (optionally) that seek/search actually reach every key with
-    the payload the walk extracted.  The walk starts at the header and
+    lengths, each list's hint None or a node of that list, each child
+    list's fingers ascending nodes of that list that end at its tail, no
+    frozen bin or model node, the root included (every retrain and
+    compaction finishes before its op returns; the walk still reads
+    through one), a header that is not frozen, holds no keys and has one
+    slot, which holds a model node, and (optionally) that seek/search
+    actually reach every key with the payload the walk extracted.  The walk starts at the header and
     keeps an explicit stack of model nodes, so it does not recurse however
     deep the tree is."""
     findings: list[Finding] = []
@@ -373,10 +374,19 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         prev_key = None
         hint = olb.hint
         hint_seen = hint is None
+        # fingers, if kept, must be a subsequence of the list that ends at
+        # its tail: matched in one pass, so order and membership are checked
+        # together
+        fingers = olb.fingers or ()
+        matched = 0
+        last = None
         node = olb.head.value.target
         while node is not None:
             if node is hint:
                 hint_seen = True
+            if matched < len(fingers) and node is fingers[matched]:
+                matched += 1
+            last = node
             k = node.item
             if prev_key is not None and k <= prev_key:
                 note("key-order", f"{where}: {k} after {prev_key}")
@@ -388,6 +398,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             node = node.next.value.target
         if not hint_seen:
             note("list-hint", f"{where}: hint {hint!r} is not a node of the list")
+        if matched < len(fingers):
+            note("list-fingers", f"{where}: finger {matched} ({fingers[matched]!r}) "
+                 "is out of order or not a node of the list")
+        elif olb.fingers is not None and (fingers[-1] if fingers else None) is not last:
+            note("list-fingers", f"{where}: fingers end before the tail {last!r}")
         return count
 
     def walk_bin(bin_, lo, hi, where: str) -> None:

@@ -48,13 +48,17 @@ def make_olb(pairs, clock):
     return olb
 
 
-def list_keys(olb):
+def list_nodes(olb):
     out = []
     node = olb.head.load().target
     while node is not None:
-        out.append(node.item)
+        out.append(node)
         node = node.next.load().target
     return out
+
+
+def list_keys(olb):
+    return [node.item for node in list_nodes(olb)]
 
 
 def link_objects(olb):
@@ -392,6 +396,29 @@ def count_link_loads(olb):
     CountingRef.loads = 0
 
 
+def finger_faults(lst):
+    """What is wrong with a child list's fingers: not ascending, not nodes of
+    the list, or not ending at its tail."""
+    nodes = list_nodes(lst)
+    fingers = lst.fingers
+    faults = []
+    if any(a.item >= b.item for a, b in zip(fingers, fingers[1:])):
+        faults.append("not ascending")
+    if not all(any(f is n for n in nodes) for f in fingers):
+        faults.append("a finger outside the list")
+    if (fingers[-1] if fingers else None) is not (nodes[-1] if nodes else None):
+        faults.append("not ending at the tail")
+    return faults
+
+
+def split(keys, fanout, clock):
+    """A two-level bin over ``keys`` (payload = key), split from a frozen
+    one-level bin as the index splits one."""
+    olb = make_olb([(k, k) for k in keys], clock)
+    freeze_bin(olb)
+    return olb_to_tlb(*collect_frozen(olb, clock), fanout=fanout)
+
+
 class TestWalkStart:
     def test_hint_follows_the_last_splice(self):
         clock = GlobalClock(0)
@@ -426,6 +453,70 @@ class TestWalkStart:
         assert 1 <= CountingRef.loads <= 2
         empty = olb_to_tlb([7], [AtomicRef(VersionedValue(7, 0))], fanout=2)
         assert empty.children[-1].hint is None
+
+    def test_reads_below_the_hint_start_at_a_finger(self):
+        clock = GlobalClock(0)
+        tlb = split(range(1_024), 4, clock)
+        child = tlb.children[1]
+        assert child.size == 256 and child.hint.item == 511
+        assert [n.item for n in child.fingers] == list(range(256, 512))
+        count_link_loads(child)
+        # the finger below the key links to it: one load, not the ~128 a walk
+        # from the head loads
+        assert search_bin(tlb, 384).item == 384
+        assert CountingRef.loads == 1
+        # a key spliced between two fingers is walked past, and no more
+        tlb = split(range(0, 2_048, 2), 4, clock)
+        child = tlb.children[1]
+        assert insert_bin(tlb, 769, 769, clock) is True  # between fingers 768 and 770
+        assert insert_bin(tlb, 1_021, 1, clock) is True  # the hint leaves 769
+        count_link_loads(child)
+        assert search_bin(tlb, 770).item == 770
+        assert CountingRef.loads == 2
+        assert delete_bin(tlb, 769, clock) is True
+        assert search_bin(tlb, 771) is None
+        assert CountingRef.loads == 2 + 1 + 1
+        out = []
+        scan_bin(tlb, 767, 771, BIG_TS, out, clock)
+        assert out == [(768, 768), (770, 770)]
+
+    def test_an_empty_child_list_takes_keys_and_walks_them(self):
+        # fewer keys than the fanout: the last two children start empty
+        clock = GlobalClock(0)
+        tlb = split([10, 20], 4, clock)
+        assert [c.fingers for c in tlb.children[2:]] == [[], []]
+        last = tlb.children[3]
+        for k in (30, 25, 40, 35, 50):
+            assert insert_bin(tlb, k, k, clock) is True
+            assert finger_faults(last) == []
+        assert list_keys(last) == [25, 30, 35, 40, 50]
+        assert [n.item for n in last.fingers] == [30, 40, 50]
+        for k in (25, 30, 35, 40, 50):
+            assert search_bin(tlb, k).item == k
+        for k in (21, 26, 36, 45, 60):
+            assert search_bin(tlb, k) is None
+        assert delete_bin(tlb, 35, clock) is True
+        out = []
+        scan_bin(tlb, 26, 45, BIG_TS, out, clock)
+        assert out == [(30, 30), (40, 40)]
+
+    @given(st.lists(st.integers(0, 400), max_size=80), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_fingers_hold_after_every_splice(self, keys, ascending):
+        clock = GlobalClock(0)
+        tlb = split(range(0, 400, 16), 4, clock)
+        if ascending:
+            keys = sorted(keys) + [400 + k for k in sorted(keys)]
+        live = set(range(0, 400, 16))
+        for k in keys:
+            assert insert_bin(tlb, k, k, clock) is (k not in live)
+            live.add(k)
+            for i, lst in enumerate(tlb.children):
+                assert finger_faults(lst) == [], (i, k)
+        for k in range(0, 900):
+            node = search_bin(tlb, k)
+            assert (node is not None and node.item == k) is (k in live)
+        assert [k for lst in tlb.children for k in list_keys(lst)] == sorted(live)
 
     def test_reads_above_the_hint_start_there(self):
         # find, delete and a scan's start share the insert's walk
@@ -610,7 +701,8 @@ class TestConcurrentBinOps:
     def test_counts_and_hints_are_exact_at_every_splice(self):
         # racing inserts into one two-level bin; an observer inside each
         # successful splice's lock walks the bin: every write to a list is
-        # in its splice, so the counts and hints are exact at that instant
+        # in its splice, so the counts, hints and fingers are exact at that
+        # instant
         clock = GlobalClock(0)
         olb = make_olb([(k, k) for k in range(0, 800, 100)], clock)
         freeze_bin(olb)
@@ -624,15 +716,14 @@ class TestConcurrentBinOps:
                 checked[0] += 1
                 total = 0
                 for i, lst in enumerate(tlb.children):
-                    nodes = []
-                    node = lst.head.load().target
-                    while node is not None:
-                        nodes.append(node)
-                        node = node.next.load().target
+                    nodes = list_nodes(lst)
                     if lst.size != len(nodes):
                         bad.append(f"child {i}: size {lst.size}, {len(nodes)} keys")
                     if not any(lst.hint is n for n in nodes):
                         bad.append(f"child {i}: hint {lst.hint!r} not in the list")
+                    faults = finger_faults(lst)
+                    if faults:
+                        bad.append(f"child {i}: fingers {faults}")
                     total += lst.size
                 if tlb.size != total:
                     bad.append(f"bin size {tlb.size}, lists hold {total}")

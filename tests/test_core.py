@@ -109,11 +109,13 @@ class TestLink:
 
 
 class Owner:
-    """A list with a freeze word, a walk hint and a count, as a bin is."""
+    """A list with a freeze word, a walk hint, fingers and a count, as a bin
+    or a child list is; ``fingers`` None keeps none, as a one-level bin."""
 
-    def __init__(self, size=0):
+    def __init__(self, size=0, fingers=None):
         self.frozen = None
         self.hint = None
+        self.fingers = fingers
         self.size = size
 
 
@@ -130,7 +132,7 @@ class TestSplice:
         assert cell.load() is old
         # a lost splice writes nothing: no link, no hint, no count
         assert new.target.next.load() is None
-        assert (owner.hint, owner.size) == (None, 0)
+        assert (owner.hint, owner.fingers, owner.size) == (None, None, 0)
         assert splice(owner, owner, cell, old, new)
         assert cell.load() is new
         assert not splice(owner, owner, cell, old, fresh_link("c"))
@@ -183,6 +185,19 @@ class TestSplice:
         assert new.target.next.load() is old
         assert child.hint is new.target and tlb.hint is None
         assert (child.size, tlb.size) == (3, 6)
+
+    def test_a_new_tail_and_only_it_becomes_a_finger(self):
+        tlb, child = Owner(1), Owner(1, fingers=["a"])
+        tail, mid = fresh_link("c"), fresh_link("b")
+        cell = AtomicRef(END)
+        assert splice(tlb, child, cell, END, tail)  # links to no node: the tail
+        assert child.fingers == ["a", tail.target]
+        assert splice(tlb, child, cell, tail, mid)  # links to the tail: no finger
+        assert child.fingers == ["a", tail.target]
+        assert not splice(tlb, child, AtomicRef(END), tail, fresh_link("d"))
+        freeze(tlb, True)
+        assert not splice(tlb, child, AtomicRef(END), END, fresh_link("d"))
+        assert child.fingers == ["a", tail.target]  # a failure writes no finger
 
 
 class TestVersionedReads:

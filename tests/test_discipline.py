@@ -18,8 +18,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
 
 #: The fields that threads share once an object is published.
-FIELDS = {"next", "head", "hint", "size", "frozen", "children", "value",
-          "ts", "vnext", "now"}
+FIELDS = {"next", "head", "hint", "fingers", "size", "frozen", "children",
+          "value", "ts", "vnext", "now"}
 
 #: function -> (shared fields it may store, why the store is safe)
 WRITERS = {
@@ -31,8 +31,8 @@ WRITERS = {
         {"children"},
         "the one slot writer: under the one lock, only while the owner is not frozen"),
     "core.splice": (
-        {"value", "hint", "size"},
-        "links, hints and counts a new key under the one lock, only while the bin is not frozen"),
+        {"value", "hint", "fingers", "size"},
+        "links, hints, fingers and counts a new key under the one lock, only while the bin is not frozen"),
     "core.freeze": (
         {"frozen"}, "the one freeze-word writer: under the one lock, once"),
     "core.VersionedValue.__init__": (
@@ -46,6 +46,8 @@ WRITERS = {
     "bins.OneLevelBin.__init__": (
         {"head", "size", "hint", "frozen"},
         "a list is private until an install or a split publishes it"),
+    "bins.ChildList.__init__": (
+        {"fingers"}, "a child list is private until the split that builds it is installed"),
     "bins.TwoLevelBin.__init__": (
         {"children", "size", "frozen"}, "a split bin is private until its install"),
     "index.ModelNode.__init__": (
@@ -245,6 +247,21 @@ def test_a_root_stored_outside_dcss_is_caught():
         ("index.LearnedIndex.help_compact", "children")]
 
 
+def test_a_finger_added_outside_splice_is_caught():
+    # a mutant insert that records its new tail after the splice returns,
+    # where a racing splice could append a greater node first
+    source = (SRC / "bins.py").read_text()
+    stamp = "            fresh.stamp(clock)\n"
+    assert source.count(stamp) == 1
+    modules = _modules()
+    for mutant in ("olb.fingers.append(new.target)", "olb.fingers.insert(0, new.target)",
+                   "olb.fingers[-1] = new.target"):
+        modules["bins"] = ast.parse(source.replace(stamp, stamp + " " * 12 + mutant + "\n"))
+        stray = _stray(_found(_Stores, modules=modules))
+        assert [(fn, field) for fn, field, _ in stray] == [
+            ("bins._olb_insert", "fingers")], mutant
+
+
 def _check_callers(table):
     for step, callers in table.items():
         assert callers, step
@@ -324,7 +341,12 @@ def test_critical_sections_are_flat_and_stay_in_core():
             for node in ast.walk(stmt):
                 assert not _is_lock_block(node), f"nested lock at line {node.lineno}"
                 if isinstance(node, ast.Call):
-                    # the test hook is the one call that leaves core
-                    name = node.func.id if isinstance(node.func, ast.Name) else None
+                    # the test hook is the one call that leaves core; an
+                    # append to a shared list field is a builtin store
+                    func = node.func
+                    if (isinstance(func, ast.Attribute) and func.attr == "append"
+                            and _name(func.value) in FIELDS):
+                        continue
+                    name = func.id if isinstance(func, ast.Name) else None
                     assert name == "hook" or name in callable_, (
-                        f"line {node.lineno} calls {ast.unparse(node.func)} under a lock")
+                        f"line {node.lineno} calls {ast.unparse(func)} under a lock")

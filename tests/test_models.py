@@ -90,6 +90,16 @@ class TestFitLinear:
         with pytest.raises(ValueError):
             segment_root(np.array([-3, 5, 9]), 32)
 
+    @pytest.mark.parametrize("keys", [[0, 2**63, 5], [0, 2**64, 5], [0, -3, 5],
+                                      [0, 9, 5, 12]])
+    def test_unsorted_keys_are_rejected(self, keys):
+        # the first and last keys are in the domain; a key between them is
+        # out of order, and may be outside the domain
+        with pytest.raises(ValueError):
+            fit_linear(keys)
+        with pytest.raises(ValueError):
+            segment_root(keys, 32.0)
+
     def test_domain_edges_fit(self):
         keys = [0, 2**62, KEY_MAX]
         assert fit_linear(keys).eps <= 1.0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import freeze_bin
-from lfindex.core import KEY_MAX, AtomicRef, VersionedValue
+from lfindex.bins import KNode, freeze_bin
+from lfindex.core import END, KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import Model, fit_linear, root_table, segment_root
 from lfindex.verify import (
@@ -612,6 +612,25 @@ class TestAuditStructure:
         tlb.children[0].hint = tlb.children[1].head.load().target
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"list-hint"}
+
+    def test_detects_fingers_out_of_order_outside_the_list_or_short_of_its_tail(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
+        for k in range(10, 60, 10):  # the fifth insert splits the bin
+            index.insert(k, k)
+        tlb = index.root.children[1].load()
+        lst = tlb.children[1]  # split with 30 and 40, then spliced 50 at its tail
+        assert [n.item for n in lst.fingers] == [30, 40, 50]
+        assert audit_structure(index).ok
+        good = list(lst.fingers)
+        stranger = KNode(good[0].item, good[0].version, AtomicRef(END))
+        for planted in (good[::-1],                # not ascending
+                        [stranger] + good[1:],     # a node of no list
+                        good[:-1]):                # short of the tail
+            lst.fingers[:] = planted
+            report = audit_structure(index)
+            assert {f.kind for f in report.findings} == {"list-fingers"}, planted
+        lst.fingers[:] = good
+        assert audit_structure(index).ok
 
     def test_deep_nesting_is_walked_without_recursion(self):
         # a hand-built chain of nested one-key nodes, deeper than the
