@@ -245,7 +245,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
             if cell is bin_:
                 time.sleep(2e-5)  # between this helper's freeze and install
                 return
-            if cell is parent.children[pslot]:
+            if cell is parent.children[pslot] and cell is not root:
                 builders.append(ok)  # the install of a helper that built a node
             stall(cell, ok)
 
@@ -258,7 +258,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         if any(th.is_alive() for th in threads):
             return "a helper was still running after 60 s"
         built.setdefault((root_top, helpers), []).append(len(builders))
-        fresh = parent.children[pslot].value
+        fresh = parent.children[pslot]
         keys, versions = collect_frozen(bin_, index.clock)
         if installs != [fresh] or not isinstance(fresh, ModelNode):
             return f"{len(installs)} installs, slot holds {type(fresh).__name__}"
@@ -633,10 +633,10 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
             problems.append("insert into a frozen bin did not bounce")
         if index.delete(12) is not True or index.search(12) is not None:
             problems.append("delete through a frozen bin was not visible at once")
-        if node.children[slot].value is not bin_:
+        if node.children[slot] is not bin_:
             problems.append("a delete replaced the frozen bin")
         index.help_make_model(node, slot, bin_)
-        replaced = node.children[slot].value
+        replaced = node.children[slot]
         if replaced is bin_:
             problems.append("helping did not replace the frozen bin")
         if (index.search(12) is not None or index.search(16) != 160

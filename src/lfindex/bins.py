@@ -2,8 +2,12 @@
 
 A one-level bin is a sorted singly-linked list of key nodes.  A two-level
 bin fans the key space out over a fixed array of child lists behind
-immutable separators.  Keys are never physically removed: deletion writes
-an Absent version, so a link is only its target.
+immutable separators.  A node's ``next`` holds the next node, or
+``core.END`` at the tail, whose key is above every key; a list's own
+``next`` holds its first node, so the list is the predecessor of its head
+and a walk needs no test for either end.  Keys are never physically
+removed: deletion writes an Absent version, so a node's ``next`` only
+ever takes a fresh node spliced in behind it.
 
 This module is mechanism only: lists, splices, freeze, collect, split and
 scan.
@@ -34,7 +38,8 @@ write that a freeze must stop is a guarded store on the frozen record.
   have been found.
 
 Walk: ``_olb_seek`` is the one walk toward a key, for inserts, finds,
-deletes and the start of a scan.  It ignores the freeze word.  Nodes are
+deletes and the start of a scan: it returns the last node below the key,
+or the list, and the node after it.  It ignores the freeze word.  Nodes are
 never unlinked, so any node of a list below the key is a valid start.
 Each list keeps a ``hint``, the node of its last splice, and a walk starts
 there when the hint is below its key, so ascending inserts splice in O(1)
@@ -47,9 +52,9 @@ fingers.  A reader may bisect ``fingers`` while a splice appends to it
 under ``core._LOCK``: the list only grows at its end, an appended node is
 above every node already in it, and the entries a reader sees never
 change, so whatever length it reads, it finds a node of the list below
-its key or none.  After construction every write to a list, its links,
-its hint, its fingers and its counts, is inside that list's
-``core.splice``.
+its key or none.  After construction every write to a list, its
+``next`` fields, its hint, its fingers and its counts, is inside that
+list's ``core.splice``.
 """
 
 from __future__ import annotations
@@ -59,10 +64,11 @@ from operator import attrgetter
 from typing import Any, Optional
 
 from .core import (
+    KEY_MAX,
     AtomicRef,
+    BenchReads,
     END,
     GlobalClock,
-    Link,
     VersionedValue,
     freeze,
     read_value_at,
@@ -84,39 +90,34 @@ class _UnderMakeModel:
 UNDER_MAKE_MODEL = _UnderMakeModel()
 
 
-class KNode:
-    """One key in a bin list: immutable key, version-chain head, next link."""
+class KNode(BenchReads):
+    """One key in a bin list: immutable key, version-chain head, and the
+    next node or END."""
 
     __slots__ = ("item", "version", "next")
 
-    def __init__(self, item: int, version: AtomicRef, nxt: AtomicRef):
+    def __init__(self, item: int, version: AtomicRef, nxt: Any = END):
         self.item = item
         self.version = version  # AtomicRef -> VersionedValue chain head
-        self.next = nxt         # AtomicRef -> Link
+        self.next = nxt
 
     def __repr__(self):
         return f"KNode({self.item})"
 
 
-def _link_to(node: Optional[KNode]) -> Link:
-    """A link to ``node``; the shared END for the list tail."""
-    return END if node is None else Link(node)
-
-
-class OneLevelBin:
+class OneLevelBin(BenchReads):
     """A sorted list and its freeze word: None, or True once frozen (the
-    child lists of a two-level bin keep None).  A one-level bin keeps no
-    fingers (``fingers`` is None): it is split once it holds
-    ``olb_threshold`` keys, and a slot would grow every one of the many
-    small bins."""
+    child lists of a two-level bin keep None).  ``next`` is the first node,
+    or END.  A one-level bin keeps no fingers (``fingers`` is None): it is
+    split once it holds ``olb_threshold`` keys, and a slot would grow every
+    one of the many small bins."""
 
-    __slots__ = ("head", "size", "hint", "frozen")
+    __slots__ = ("next", "size", "hint", "frozen")
     is_one_level = True
     fingers = None
 
-    def __init__(self, first: Optional[KNode], size: int,
-                 hint: Optional[KNode] = None):
-        self.head = AtomicRef(_link_to(first))
+    def __init__(self, first: Any, size: int, hint: Optional[KNode] = None):
+        self.next = first
         self.size = size  # distinct keys spliced, not value updates
         self.hint = hint  # walk start: a node of this list, or None
         self.frozen = None
@@ -128,12 +129,12 @@ class ChildList(OneLevelBin):
 
     __slots__ = ("fingers",)
 
-    def __init__(self, first: Optional[KNode], fingers: list[KNode]):
+    def __init__(self, first: Any, fingers: list[KNode]):
         super().__init__(first, len(fingers), fingers[-1] if fingers else None)
         self.fingers = fingers
 
 
-class TwoLevelBin:
+class TwoLevelBin(BenchReads):
     """F child lists behind F-1 immutable separators.
 
     Child i owns keys in (keys[i-1], keys[i]]; the last child is unbounded
@@ -158,36 +159,33 @@ def bin_new(key: int, value: int) -> tuple[OneLevelBin, VersionedValue]:
     The version is left unstamped: whoever publishes the bin stamps it after
     the publishing CAS, as every other writer does."""
     ver = VersionedValue(value)
-    node = KNode(key, AtomicRef(ver), AtomicRef(END))
+    node = KNode(key, AtomicRef(ver))
     return OneLevelBin(node, 1, node), ver
 
 
 _item = attrgetter("item")
 
 
-def _olb_seek(olb: OneLevelBin, key: int,
-              ref: Optional[AtomicRef] = None) -> tuple[AtomicRef, Link]:
-    """The first link at or after the start whose target is None or >= key,
-    and the cell it was loaded from.
+def _olb_seek(olb: OneLevelBin, key: int, pred: Any = None) -> tuple[Any, Any]:
+    """``(pred, node)``: the first node at or after the start whose key is
+    >= ``key``, or END, and the node or list before it.
 
-    Starts at ``ref``, or after the hint when the hint is below ``key``, or
-    else after the greatest finger below ``key``, or else at the head.  The
-    freeze word is not checked."""
-    if ref is None:
+    Starts after ``pred``, or after the hint when the hint is below
+    ``key``, or else after the greatest finger below ``key``, or else at
+    the first node.  The freeze word is not checked."""
+    if pred is None:
         hint = olb.hint
         if hint is not None and hint.item < key:
-            ref = hint.next
+            pred = hint
         else:
             fingers = olb.fingers
             i = bisect_left(fingers, key, key=_item) if fingers else 0
-            ref = fingers[i - 1].next if i else olb.head
-    link = ref.value
-    node = link.target
-    while node is not None and node.item < key:
-        ref = node.next
-        link = ref.value
-        node = link.target
-    return ref, link
+            pred = fingers[i - 1] if i else olb
+    node = pred.next
+    while node.item < key:
+        pred = node
+        node = node.next
+    return pred, node
 
 
 def _olb_insert(owner: Any, olb: OneLevelBin, key: int, value: int,
@@ -195,23 +193,22 @@ def _olb_insert(owner: Any, olb: OneLevelBin, key: int, value: int,
     """True/False per the map contract, or UNDER_MAKE_MODEL.
 
     A key already in ``olb`` gets a chain write, frozen or not; a new key
-    is spliced at the link the walk stopped at, guarded by ``owner``, the
-    bin that owns the list.  A splice that fails on a frozen owner bounces;
-    one that loses to another splice walks on from the same cell, so a
-    storm of inserts makes progress without restarting.  The new key's
-    node is made once per call, its next cell empty until a splice
-    succeeds.
+    is spliced after the node or list the walk stopped behind, guarded by
+    ``owner``, the bin that owns the list.  A splice that fails on a
+    frozen owner bounces; one that loses to another splice walks on from
+    the same predecessor, so a storm of inserts makes progress without
+    restarting.  The new key's node is made once per call, and only a
+    successful splice links it.
     """
-    ref, link = _olb_seek(olb, key)
+    pred, node = _olb_seek(olb, key)
     new = None
     while True:
-        node = link.target
-        if node is not None and node.item == key:
+        if node.item == key:
             return write_value(node.version, value, clock)
         if new is None:
             fresh = VersionedValue(value)
-            new = Link(KNode(key, AtomicRef(fresh), AtomicRef()))
-        if splice(owner, olb, ref, link, new):
+            new = KNode(key, AtomicRef(fresh))
+        if splice(owner, olb, pred, node, new):
             # stamp before reporting success: an unstamped splice could be
             # assigned a too-new time by a later scan and vanish from
             # snapshots that must include it
@@ -219,7 +216,7 @@ def _olb_insert(owner: Any, olb: OneLevelBin, key: int, value: int,
             return True
         if owner.frozen is not None:
             return UNDER_MAKE_MODEL
-        ref, link = _olb_seek(olb, key, ref)
+        pred, node = _olb_seek(olb, key, pred)
 
 
 def _list_for(bin_: Any, key: int) -> OneLevelBin:
@@ -255,8 +252,8 @@ def delete_bin(bin_: Any, key: int, clock: GlobalClock) -> bool:
 
 def search_bin(bin_: Any, key: int) -> Optional[KNode]:
     """Find the node for ``key`` if spliced, frozen or not.  Read-only."""
-    node = _olb_seek(_list_for(bin_, key), key)[1].target
-    return node if node is not None and node.item == key else None
+    node = _olb_seek(_list_for(bin_, key), key)[1]
+    return node if node.item == key else None
 
 
 def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
@@ -276,11 +273,11 @@ def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
         first = 0 if lo is None else bisect_left(seps, lo)
         last = len(seps) if hi is None else bisect_left(seps, hi)
         lists = bin_.children[first:last + 1]
+    if hi is None:
+        hi = KEY_MAX
     for lst in lists:
-        node = lst.head.value.target if lo is None else _olb_seek(lst, lo)[1].target
-        while node is not None:
-            if hi is not None and node.item > hi:
-                return
+        node = lst.next if lo is None else _olb_seek(lst, lo)[1]
+        while node.item <= hi:
             ref = node.version
             ver = ref.value
             if UNSET_TS < ver.ts <= ts:
@@ -289,7 +286,9 @@ def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
                 val = read_value_at(ref, ts, clock)
             if val is not None:
                 out.append((node.item, val))
-            node = node.next.value.target
+            node = node.next
+        if node is not END:
+            return
 
 
 def freeze_bin(bin_: Any) -> None:
@@ -308,22 +307,22 @@ def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[Atomi
     keys: list[int] = []
     versions: list[AtomicRef] = []
     for lst in _lists(bin_):
-        node = lst.head.value.target
-        while node is not None:
+        node = lst.next
+        while node is not END:
             keys.append(node.item)
             versions.append(node.version)
             node.version.value.stamp(clock)
-            node = node.next.value.target
+            node = node.next
     return keys, versions
 
 
 def _olb_from_sorted(keys: list[int], versions: list[AtomicRef]) -> ChildList:
     """A fresh child list over the keys: every node a finger, its tail the
     hint."""
-    node = None
+    node = END
     fingers = []
     for item, ver in zip(reversed(keys), reversed(versions)):
-        node = KNode(item, ver, AtomicRef(_link_to(node)))
+        node = KNode(item, ver, node)
         fingers.append(node)
     fingers.reverse()
     return ChildList(node, fingers)
@@ -336,7 +335,7 @@ def olb_to_tlb(keys: list[int], versions: list[AtomicRef],
 
     Keys are dealt out ceil-first (the first n mod F children get one
     extra), separators are each child's last key.  Child lists are rebuilt
-    with fresh nodes and links but REUSE the version-chain heads,
+    with fresh nodes but REUSE the version-chain heads,
     so writers still holding the old bin update the same chains the new bin
     reads."""
     n = len(keys)

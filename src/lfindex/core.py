@@ -1,13 +1,11 @@
-"""Shared primitives: atomic cells, list links, versioned values, the clock.
+"""Shared primitives: atomic cells, list ends, versioned values, the clock.
 
 Every mutation anywhere in the index funnels through a single-word
-compare-and-swap on one of the cell types below, or through ``dcss``,
-``splice``, ``freeze`` and ``VersionedValue.stamp``: ``dcss`` swaps a
-model node's child cells, ``splice`` puts a new key into a bin's list,
+compare-and-swap on ``AtomicRef``, or through ``dcss``, ``splice``,
+``freeze`` and ``VersionedValue.stamp``: ``dcss`` stores a model node's
+child in its slot, ``splice`` puts a new key node into a bin's list,
 ``freeze`` sets the freeze word of either owner, after which neither
-succeeds, and ``stamp`` sets a version's timestamp once.  ``EMPTY``, the
-one cell all empty slots share, is never written, so it needs no ABA
-argument.
+succeeds, and ``stamp`` sets a version's timestamp once.
 CPython has no native CAS, so the primitives emulate it with one module
 lock, ``_LOCK``, which every guarded step takes, so each excludes every
 other.  Each critical section is a constant-time compare and its stores,
@@ -15,6 +13,14 @@ never nested, and never calls back into user code.  The design assumes
 the GIL: plain attribute loads are atomic under it and serve for all
 reads, and since it lets no two steps run at once anyway, one lock costs
 no parallelism that finer locks would keep.
+
+Every compare is by identity, and no compared field can take back an
+object it once held (no ABA).  A slot leaves ``EMPTY`` once, and every
+other child a ``dcss`` stores is fresh.  A list's or node's ``next``
+leaves ``END`` once and never returns to it, every node a ``splice``
+stores there is fresh, and a list only gains nodes, so once a ``next``
+moves off a node it never holds that node again.  A chain head holds
+fresh versions only, and the clock's cell only rises (``GlobalClock``).
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
 by deletions.  A read as of a time answers the payload of the newest version
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Optional
 
 KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
 UNSET_TS = -1
@@ -103,14 +109,7 @@ class AtomicRef:
     ``load`` is kept for the benchmark's probes, which call it.
 
     CAS compares by identity, so logically-equal but distinct objects fail
-    the swap.  Combined with immutable link/version objects and refcounted
-    reclamation this rules out ABA: a stale expected object cannot reappear
-    as the current value.
-
-    Two cells hold objects that are not fresh, and each needs an argument.
-    The shared end link END sits in many cells at once, but a list only
-    gains nodes, so once a cell leaves END it never holds END again.  The
-    clock's cell holds ints, but the clock only rises (``GlobalClock``).
+    the swap (no ABA: module docstring).
     """
 
     __slots__ = ("value",)
@@ -132,60 +131,89 @@ class AtomicRef:
         return ok
 
 
-class Link(NamedTuple):
-    """An immutable list link: the next node, or None past the tail."""
+class BenchReads:
+    """The structure reads of ``lfbench/layers.py``, their only user, which
+    was written when a slot and a link were cells: ``load()`` on a slot's
+    child or a link returns the object itself (``EMPTY``, a cell, answers
+    None), ``target`` on a node returns the node, or None on ``END``, and
+    ``head`` on a list returns its first node.  No module of the index
+    calls them; ROADMAP item 1, which gives the benchmark ``index.stats()``,
+    removes them."""
 
-    target: Any
+    __slots__ = ()
+
+    def load(self) -> Any:
+        return self
+
+    @property
+    def target(self) -> Any:
+        return None if self is END else self
+
+    @property
+    def head(self) -> Any:
+        return self.next
 
 
-#: The end-of-list link, shared by every list tail (ABA argument in
-#: AtomicRef), and the cell every empty child slot holds, which nothing writes.
-END = Link(None)
+class _End(BenchReads):
+    """The tail of every list: its ``item`` is above every key, so a walk
+    toward a key stops at it with no test of its own."""
+
+    __slots__ = ()
+    item = KEY_MAX + 1
+
+    def __repr__(self):
+        return "END"
+
+
+#: The one list tail, shared by every list, and the one child of every
+#: empty slot, which nothing writes (ABA argument in the module docstring).
+END = _End()
 EMPTY = AtomicRef()
 
 
 def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
-    """Put a fresh cell holding ``new`` in ``owner.children[i]`` iff
-    ``owner.frozen`` is None and the slot's cell holds ``expected``: a
-    double-compare single-swap (Harris, Fraser & Pratt, DISC 2002) in one
-    step under ``_LOCK``.  The hook sees the cell put in or found, or a
-    frozen owner: a failure names what a success changed."""
+    """Store ``new`` in ``owner.children[i]`` iff ``owner.frozen`` is None
+    and the slot holds ``expected``: a double-compare single-swap (Harris,
+    Fraser & Pratt, DISC 2002) in one step under ``_LOCK``.  The hook sees
+    the child stored or found, or a frozen owner: a failure names what a
+    success stored."""
     hook = _cas_hook
     with _LOCK:
         if owner.frozen is not None:
             target, ok = owner, False
         else:
             target = owner.children[i]
-            ok = target.value is expected
+            ok = target is expected
             if ok:
-                target = owner.children[i] = AtomicRef(new)
+                target = owner.children[i] = new
         if hook is not None:
             hook(target, ok)
     return ok
 
 
-def splice(owner: Any, lst: Any, cell: AtomicRef, expected: Any, new: Any) -> bool:
-    """Put the node ``new`` links to into the list ``lst`` of the bin
-    ``owner`` iff ``owner.frozen`` is None and ``cell`` holds ``expected``:
-    in one step under ``_LOCK``, point the node's next link at
-    ``expected``, store ``new`` in the cell, make the node the list's hint,
-    append it to the list's fingers, if it keeps them, when it is the new
-    tail (``expected`` links to no node), and count it in ``lst.size`` and,
-    for a child list, in ``owner.size``.  A failure writes nothing.  The
-    hook sees the cell written or found, or a frozen owner."""
+def splice(owner: Any, lst: Any, pred: Any, succ: Any, node: Any) -> bool:
+    """Put the fresh ``node`` between ``pred`` and ``succ`` in the list
+    ``lst`` of the bin ``owner`` iff ``owner.frozen`` is None and
+    ``pred.next`` holds ``succ``; ``pred`` is a node of the list, or the
+    list itself, whose ``next`` is its first node.  In one step under
+    ``_LOCK``: point ``node.next`` at ``succ`` and ``pred.next`` at
+    ``node``, make the node the list's hint, append it to the list's
+    fingers, if it keeps them, when it is the new tail (``succ`` is
+    ``END``), and count it in ``lst.size`` and, for a child list, in
+    ``owner.size``.  A failure writes nothing.  The hook sees ``pred``
+    written or found, or a frozen owner."""
     hook = _cas_hook
     with _LOCK:
         if owner.frozen is not None:
             target, ok = owner, False
         else:
-            target = cell
-            ok = cell.value is expected
+            target = pred
+            ok = pred.next is succ
             if ok:
-                node = new.target
-                node.next.value = expected
-                cell.value = new
+                node.next = succ
+                pred.next = node
                 lst.hint = node
-                if expected.target is None and lst.fingers is not None:
+                if succ is END and lst.fingers is not None:
                     lst.fingers.append(node)
                 lst.size += 1
                 if lst is not owner:

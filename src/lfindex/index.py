@@ -2,14 +2,15 @@
 
 Structure invariants the operations below maintain:
 
-- A slot holds a cell of None, a bin or a model node.  A model node's
-  keys and model are immutable after construction; only its slots and its
-  ``frozen`` word change, and a frozen node's slots never do.  A slot
-  moves forward through empty -> one-level bin -> two-level bin -> model
-  node, and a slot holding a model node may move to a new model node by a
-  compaction install.  ``_install`` makes each move with one ``core.dcss``,
-  which puts a fresh cell in the slot unless the node is frozen, so a cell
-  never changes once published.
+- A slot holds its child: ``core.EMPTY``, a bin or a model node.  A model
+  node's keys and model are immutable after construction; only its slots
+  and its ``frozen`` word change, and a frozen node's slots never do.  A
+  slot moves forward through empty -> one-level bin -> two-level bin ->
+  model node, and a slot holding a model node may move to a new model
+  node by a compaction install.  ``_install`` makes each move with one
+  ``core.dcss``, which stores the new child unless the node is frozen;
+  every child it stores is fresh, so a slot never takes back a child it
+  held.
 - The root sits in the one slot of the header, a keyless model node that
   nothing freezes, so a compaction replaces the root as it does any node.
 - Routing: child slot i of a node covers the open interval between keys
@@ -59,6 +60,7 @@ from typing import Any, Callable, Iterable, Optional
 from .core import (
     EMPTY,
     AtomicRef,
+    BenchReads,
     GlobalClock,
     VersionedValue,
     check_key,
@@ -142,10 +144,10 @@ class IndexConfig:
         return 2 * self.tlb_threshold // self.tlb_fanout
 
 
-class ModelNode:
+class ModelNode(BenchReads):
     """Immutable keys + piecewise model, one version chain per key, m+1
-    child slots, each ``core.EMPTY`` until ``core.dcss`` replaces it, and a
-    freeze word: None, or the compaction job that froze the node.
+    child slots, each ``core.EMPTY`` until ``core.dcss`` stores a child in
+    it, and a freeze word: None, or the compaction job that froze the node.
 
     The one node builder: every node's segments are ``segment_root`` under
     ``eps_target``, flattened once into ``table`` for ``search_root``.
@@ -156,7 +158,7 @@ class ModelNode:
     def __init__(self, keys, versions, eps_target):
         self.keys = keys
         self.versions = versions    # list[AtomicRef] -> version chain heads
-        self.children = [EMPTY] * (len(keys) + 1)  # cells of None | bin | node
+        self.children = [EMPTY] * (len(keys) + 1)  # EMPTY | bin | node
         self.segments = segment_root(keys, eps_target)
         self.table = root_table(self.segments, len(keys))
         self.frozen = None
@@ -175,7 +177,7 @@ class LearnedIndex:
         # the header's one slot holds the root: a compaction's job names it
         # as (header, 0, keys) and installs there like in any slot
         self.header = ModelNode([], [], config.eps_target)
-        self.header.children[0] = AtomicRef(root)
+        self.header.children[0] = root
         self.clock = clock
         self.config = config
         # test hook: called as (parent, slot, old, new) after each
@@ -185,7 +187,7 @@ class LearnedIndex:
     @property
     def root(self) -> ModelNode:
         """The model node the header's slot holds now."""
-        return self.header.children[0].value
+        return self.header.children[0]
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[int, int]],
@@ -213,15 +215,15 @@ class LearnedIndex:
 
         ``child`` is FOUND when ``key == node.keys[i]``.  Otherwise ``i`` is
         the routing child slot and ``child`` is what seek loaded there:
-        None, so the key is nowhere in the index right now, or a bin that
-        may hold it."""
-        node = self.header.children[0].value
+        ``EMPTY``, so the key is nowhere in the index right now, or a bin
+        that may hold it."""
+        node = self.header.children[0]
         ix, found = search_root(node.keys, node.table, key)
         while True:
             if found:
                 return node, ix, FOUND
             slot = ix + 1
-            child = node.children[slot].value
+            child = node.children[slot]
             if child.__class__ is not ModelNode:
                 return node, slot, child
             node = child
@@ -237,9 +239,9 @@ class LearnedIndex:
             node, i, child = self.seek(key)
             if child is FOUND:
                 return write_value(node.versions[i], value, clock)
-            if child is None:
+            if child is EMPTY:
                 fresh, ver = bin_new(key, value)
-                if self._install(node, i, None, fresh):
+                if self._install(node, i, EMPTY, fresh):
                     ver.stamp(clock)  # stamped only once published
                     return True
                 continue  # lost to a concurrent first insert or a freeze; retry
@@ -262,7 +264,7 @@ class LearnedIndex:
         node, i, child = self.seek(key)
         if child is FOUND:
             return write_value(node.versions[i], None, self.clock)
-        if child is None:
+        if child is EMPTY:
             return False
         return delete_bin(child, key, self.clock)
 
@@ -274,7 +276,7 @@ class LearnedIndex:
         node, i, child = self.seek(key)
         if child is FOUND:
             return read_value_latest(node.versions[i], self.clock)
-        if child is None:
+        if child is EMPTY:
             return None
         knode = search_bin(child, key)
         if knode is None:
@@ -304,7 +306,7 @@ class LearnedIndex:
             node = self.header
             while node is not parent:
                 i = bisect_left(node.keys, key)
-                child = node.children[i].value
+                child = node.children[i]
                 if child.__class__ is not ModelNode or child.frozen is not None:
                     path = []  # replaced or frozen since: a compaction got here first
                     break
@@ -340,10 +342,10 @@ class LearnedIndex:
         if parent.frozen is not None:
             while parent.frozen is not None:
                 parent, slot, keys = parent.frozen
-            top = parent.children[slot].value
+            top = parent.children[slot]
             if top.__class__ is not ModelNode or top.keys is not keys:
                 return  # installed already
-        elif parent.children[slot].value is not top:
+        elif parent.children[slot] is not top:
             return  # installed already
         if top.__class__ is not ModelNode:
             keys, versions = collect_frozen(top, self.clock)
@@ -356,13 +358,13 @@ class LearnedIndex:
             n, i = top, 0
             freeze(n, job)
             while True:
-                child = n.children[i].value
+                child = n.children[i]
                 if child.__class__ is ModelNode:
                     stack.append((n, i))
                     n, i = child, 0
                     freeze(n, job)
                     continue
-                if child is not None:
+                if child is not EMPTY:
                     freeze_bin(child)
                     bin_keys, bin_versions = collect_frozen(child, self.clock)
                     keys += bin_keys
@@ -374,7 +376,7 @@ class LearnedIndex:
                 keys.append(n.keys[i])
                 versions.append(n.versions[i])
                 i += 1
-        if parent.children[slot].value is not top:
+        if parent.children[slot] is not top:
             return  # installed by a helper that raced this one's collect
         if top.__class__ is not ModelNode and top.is_one_level:
             self._install(parent, slot, top,
@@ -386,11 +388,12 @@ class LearnedIndex:
         """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the
         one writer of child slots.  A move lost to a freeze hands the slot
         to ``help_compact``, which finishes the compaction that froze
-        ``parent`` before the caller retries."""
+        ``parent`` before the caller retries.  The transition log is told
+        None for an empty slot's old child."""
         if dcss(parent, slot, expected, new):
             log = self.transition_log
             if log is not None:
-                log(parent, slot, expected, new)
+                log(parent, slot, None if expected is EMPTY else expected, new)
             return True
         if parent.frozen is not None:
             self.help_compact(parent, slot, expected)

@@ -55,8 +55,8 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
     last slot, hi) frames, so nothing recurses however deep the tree; the
     parent resumes at key ``slot`` and does not visit that slot again.  A
     nested node has ``node``'s class (this module cannot import ``index``).
-    An empty slot is skipped by identity with ``EMPTY``; any other slot's
-    cell holds a bin or a node and is loaded exactly once.  Inside a node,
+    An empty slot is skipped by identity with ``EMPTY``; any other slot
+    holds a bin or a node and is loaded exactly once.  Inside a node,
     ``lo`` or ``hi`` is None once it cannot exclude any of its keys.
 
     ``limit`` caps ``out``, and this is the one place a cap is applied: a
@@ -75,9 +75,8 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
         children = node.children
         versions = node.versions
         for j in range(i, b + 1):  # child slot j, then key j
-            cell = children[j]
-            if cell is not EMPTY and j != done:
-                child = cell.value
+            child = children[j]
+            if child is not EMPTY and j != done:
                 # only the window's first and last slots can reach past it
                 clo = lo if j == i else None
                 chi = hi if j == b else None

@@ -19,8 +19,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import UNSET_TS, check_key, check_pairs, check_payload, range_bounds
-from .bins import OneLevelBin, TwoLevelBin
+from .core import EMPTY, END, UNSET_TS, check_key, check_pairs, check_payload, range_bounds
+from .bins import KNode, OneLevelBin, TwoLevelBin
 from .index import ModelNode
 from .models import root_table
 
@@ -321,8 +321,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     most ``index.config.eps_target`` (every node's segments are
     ``segment_root`` under it), each node's locate table equal to
     ``root_table`` over its segments, each window holding its keys' indices
-    and at most int(eps) + 1 wide, bin size counters equal to their list
-    lengths, each list's hint None or a node of that list, each child
+    and at most int(eps) + 1 wide, every slot holding ``EMPTY``, a bin or a
+    model node, every list ending at ``END``, bin size counters equal to
+    their list lengths, each list's hint None or a node of that list, each child
     list's fingers ascending nodes of that list that end at its tail, no
     frozen bin or model node, the root included (every retrain and
     compaction finishes before its op returns; the walk still reads
@@ -380,8 +381,8 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         fingers = olb.fingers or ()
         matched = 0
         last = None
-        node = olb.head.value.target
-        while node is not None:
+        node = olb.next
+        while isinstance(node, KNode):
             if node is hint:
                 hint_seen = True
             if matched < len(fingers) and node is fingers[matched]:
@@ -395,7 +396,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             record_key(k, node.version, where)
             prev_key = k
             count += 1
-            node = node.next.value.target
+            node = node.next
+        if node is not END:
+            note("list-tail", f"{where}: the list ends at {node!r}, not at END")
         if not hint_seen:
             note("list-hint", f"{where}: hint {hint!r} is not a node of the list")
         if matched < len(fingers):
@@ -486,7 +489,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         note("header-slots", f"the header has {len(header.children)} slots, not one")
     stack = []
     if header.children:
-        root = header.children[0].value
+        root = header.children[0]
         if root.__class__ is ModelNode:
             stack.append((root, None, None, "root"))
         else:
@@ -508,17 +511,18 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             note("child-count",
                  f"{where}: {len(node.children)} child slots for {len(keys)} keys")
             continue
-        for i, ref in enumerate(node.children):
-            child = ref.value
-            if child is None:
+        for i, child in enumerate(node.children):
+            if child is EMPTY:
                 continue
             clo = keys[i - 1] if i > 0 else lo
             chi = keys[i] if i < len(keys) else hi
             cw = f"{where}.{i}"
             if isinstance(child, (OneLevelBin, TwoLevelBin)):
                 walk_bin(child, clo, chi, cw)
-            else:
+            elif child.__class__ is ModelNode:
                 stack.append((child, clo, chi, cw))
+            else:
+                note("slot-kind", f"{cw} holds {child!r}, not EMPTY, a bin or a model node")
 
     if check_seek and not findings:
         for k, expected in payloads.items():

@@ -11,6 +11,7 @@ from lfindex import bins as bins_mod
 from lfindex.bins import (
     KNode,
     UNDER_MAKE_MODEL,
+    ChildList,
     OneLevelBin,
     TwoLevelBin,
     bin_new,
@@ -26,7 +27,6 @@ from lfindex.core import (
     END,
     AtomicRef,
     GlobalClock,
-    Link,
     UNSET_TS,
     VersionedValue,
     read_value_latest,
@@ -50,10 +50,10 @@ def make_olb(pairs, clock):
 
 def list_nodes(olb):
     out = []
-    node = olb.head.load().target
-    while node is not None:
+    node = olb.next
+    while node is not END:
         out.append(node)
-        node = node.next.load().target
+        node = node.next
     return out
 
 
@@ -62,10 +62,11 @@ def list_keys(olb):
 
 
 def link_objects(olb):
-    """Every link of ``olb``, head first."""
-    links = [olb.head.load()]
-    while links[-1].target is not None:
-        links.append(links[-1].target.next.load())
+    """What the ``next`` of ``olb`` and of each of its nodes holds, in list
+    order, END last."""
+    links = [olb.next]
+    while links[-1] is not END:
+        links.append(links[-1].next)
     return links
 
 
@@ -137,36 +138,35 @@ class TestInsertBin:
         assert list_keys(olb) == [10, 50, 90]
 
     def test_a_lost_splice_retries_with_the_node_it_made_first(self, monkeypatch):
-        # another insert splices 25 into the cell this insert of 20 walked
-        # to, so the first splice fails on an unfrozen bin; the retry
-        # expects the link to 25 instead of 30 and splices the very node
-        # and version made on the first attempt
+        # another insert splices 25 behind the node this insert of 20
+        # walked to, so the first splice fails on an unfrozen bin; the retry
+        # expects 25 instead of 30 after that node and splices the very
+        # node and version made on the first attempt
         index = LearnedIndex.build([(0, 0), (100, 9)])
         for k in (10, 30):
             assert index.insert(k, k) is True
         _, _, olb = index.seek(20)
         assert isinstance(olb, OneLevelBin) and olb.frozen is None
-        attempts = []  # (new link, the link it expects, its node's version)
+        attempts = []  # (new node, the successor it expects, its version)
         real_splice = bins_mod.splice
 
-        def losing_splice(owner, lst, cell, expected, new):
-            knode = new.target
-            if knode.item == 20:
-                attempts.append((new, expected, knode.version.load()))
+        def losing_splice(owner, lst, pred, succ, node):
+            if node.item == 20:
+                attempts.append((node, succ, node.version.load()))
                 if len(attempts) == 1:
                     assert index.insert(25, 25) is True
-            return real_splice(owner, lst, cell, expected, new)
+            return real_splice(owner, lst, pred, succ, node)
 
         monkeypatch.setattr(bins_mod, "splice", losing_splice)
         assert index.insert(20, 20) is True
         assert len(attempts) == 2
         (first, first_next, fresh), (second, second_next, again) = attempts
         assert second is first and again is fresh
-        assert (first_next.target.item, second_next.target.item) == (30, 25)
+        assert (first_next.item, second_next.item) == (30, 25)
         knode = search_bin(olb, 20)
-        assert knode is first.target and knode.version.load() is fresh
-        # its next link is the very link its successful splice replaced
-        assert knode.next.load() is second_next
+        assert knode is first and knode.version.load() is fresh
+        # its next is the very node its successful splice expected
+        assert knode.next is second_next
         assert fresh.val == 20 and fresh.ts != UNSET_TS
         assert list_keys(olb) == [10, 20, 25, 30]
         assert olb.size == 4
@@ -253,7 +253,7 @@ class TestScanBin:
         clock = GlobalClock(0)
         old = VersionedValue(111, 4)
         head = AtomicRef(VersionedValue(222, 6, old))
-        node = KNode(5, head, AtomicRef(END))
+        node = KNode(5, head)
         olb = OneLevelBin(node, 1)
         out = []
         scan_bin(olb, 0, 10, 5, out, clock)
@@ -369,31 +369,35 @@ class TestFreeze:
             set_cas_hook(None)
 
 
-class CountingRef(AtomicRef):
-    """An AtomicRef that counts the reads of its ``value``, which is how the
-    index loads a cell; assigned as a cell's class."""
+class Loads:
+    """Reads of a counted ``next`` field, which is how the index loads a
+    link."""
 
-    __slots__ = ()
-    loads = 0
+    count = 0
 
-    @property
-    def value(self):
-        CountingRef.loads += 1
-        return AtomicRef.value.__get__(self)
 
-    @value.setter
-    def value(self, new):
-        AtomicRef.value.__set__(self, new)
+def _counting(cls):
+    """A subclass of ``cls`` whose ``next`` counts its reads in ``Loads``;
+    assigned as an object's class, since it adds no slot."""
+    field = cls.next
+
+    def load(self):
+        Loads.count += 1
+        return field.__get__(self)
+
+    return type(f"Counting{cls.__name__}", (cls,),
+                {"__slots__": (), "next": property(load, field.__set__)})
+
+
+_COUNTING = {cls: _counting(cls) for cls in (KNode, OneLevelBin, ChildList)}
 
 
 def count_link_loads(olb):
-    """Make every link cell of ``olb`` count its loads; reset the count."""
-    olb.head.__class__ = CountingRef
-    node = olb.head.load().target
-    while node is not None:
-        node.next.__class__ = CountingRef
-        node = node.next.load().target
-    CountingRef.loads = 0
+    """Make ``olb`` and every node of it count the loads of its ``next``;
+    reset the count."""
+    for obj in [olb] + list_nodes(olb):
+        obj.__class__ = _COUNTING[obj.__class__]
+    Loads.count = 0
 
 
 def finger_faults(lst):
@@ -423,7 +427,7 @@ class TestWalkStart:
     def test_hint_follows_the_last_splice(self):
         clock = GlobalClock(0)
         olb, _ = bin_new(5, 50)
-        assert olb.hint is olb.head.load().target
+        assert olb.hint is olb.next
         insert_bin(olb, 9, 90, clock)
         assert olb.hint.item == 9
         insert_bin(olb, 2, 20, clock)   # below the hint: walks from the head
@@ -438,7 +442,7 @@ class TestWalkStart:
         olb = make_olb([(k, k) for k in range(200)], clock)
         count_link_loads(olb)
         assert insert_bin(olb, 1_000, 1, clock) is True
-        assert 1 <= CountingRef.loads <= 2
+        assert 1 <= Loads.count <= 2
         assert list_keys(olb) == list(range(200)) + [1_000]
 
     def test_split_lists_start_at_their_tails(self):
@@ -450,7 +454,7 @@ class TestWalkStart:
         assert last.hint.item == 1_598
         count_link_loads(last)
         assert insert_bin(tlb, 1_600, 1, clock) is True
-        assert 1 <= CountingRef.loads <= 2
+        assert 1 <= Loads.count <= 2
         empty = olb_to_tlb([7], [AtomicRef(VersionedValue(7, 0))], fanout=2)
         assert empty.children[-1].hint is None
 
@@ -464,7 +468,7 @@ class TestWalkStart:
         # the finger below the key links to it: one load, not the ~128 a walk
         # from the head loads
         assert search_bin(tlb, 384).item == 384
-        assert CountingRef.loads == 1
+        assert Loads.count == 1
         # a key spliced between two fingers is walked past, and no more
         tlb = split(range(0, 2_048, 2), 4, clock)
         child = tlb.children[1]
@@ -472,10 +476,10 @@ class TestWalkStart:
         assert insert_bin(tlb, 1_021, 1, clock) is True  # the hint leaves 769
         count_link_loads(child)
         assert search_bin(tlb, 770).item == 770
-        assert CountingRef.loads == 2
+        assert Loads.count == 2
         assert delete_bin(tlb, 769, clock) is True
         assert search_bin(tlb, 771) is None
-        assert CountingRef.loads == 2 + 1 + 1
+        assert Loads.count == 2 + 1 + 1
         out = []
         scan_bin(tlb, 767, 771, BIG_TS, out, clock)
         assert out == [(768, 768), (770, 770)]
@@ -532,9 +536,9 @@ class TestWalkStart:
         scan_bin(olb, 196, 2_000, BIG_TS, out, clock)
         assert out == [(196, 196), (198, 198), (199, 199)]
         # each walk loads only the links from the hint's up to its key
-        assert CountingRef.loads == 5 + 10 + 7 + 10 + (6 + 4)
+        assert Loads.count == 5 + 10 + 7 + 10 + (6 + 4)
         assert search_bin(olb, 150).item == 150  # below the hint: from the head
-        assert CountingRef.loads > 150
+        assert Loads.count > 150
 
     def test_racing_ascending_splices_and_freeze(self, monkeypatch):
         # three threads splice interleaved ascending keys, each starting at
@@ -544,8 +548,8 @@ class TestWalkStart:
         met_frozen = threading.local()
         real_splice = bins_mod.splice
 
-        def watched_splice(owner, lst, cell, expected, new):
-            ok = real_splice(owner, lst, cell, expected, new)
+        def watched_splice(owner, lst, pred, succ, node):
+            ok = real_splice(owner, lst, pred, succ, node)
             met_frozen.flag = not ok and owner.frozen is not None
             return ok
 
@@ -711,8 +715,8 @@ class TestConcurrentBinOps:
         bad = []
         checked = [0]
 
-        def observe(cell, ok):
-            if ok and isinstance(cell.value, Link):  # a list cell, not a chain
+        def observe(target, ok):
+            if ok and isinstance(target, (KNode, OneLevelBin)):  # a splice, not a chain
                 checked[0] += 1
                 total = 0
                 for i, lst in enumerate(tlb.children):

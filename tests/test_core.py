@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex import core
+from lfindex.bins import KNode
 from lfindex.core import (
+    KEY_MAX,
     UNSET_TS,
     AtomicRef,
+    EMPTY,
     END,
     GlobalClock,
-    Link,
     VersionedValue,
+    dcss,
     freeze,
     read_value_at,
     read_value_latest,
@@ -97,107 +100,150 @@ class TestTheOneLock:
 
 
 class TestLink:
+    """A node is its own link: its ``next`` holds the next node, or the one
+    shared tail END."""
+
     def test_one_immutable_field(self):
-        link = Link("node")
-        assert link.target == "node"
-        assert Link._fields == ("target",)
+        # END's one field is its key, above every key, and nothing sets it
+        assert END.item == KEY_MAX + 1
+        assert END.__slots__ == ()
         with pytest.raises(AttributeError):
-            link.target = "other"
+            END.item = 0
+        with pytest.raises(AttributeError):
+            END.next = END
 
     def test_end_links_nowhere(self):
-        assert END.target is None
+        # the benchmark's accessors: a node is its own target, END none
+        assert END.target is None and END.load() is END
+        node = KNode(1, AtomicRef(VersionedValue(1, 0)))
+        assert node.next is END
+        assert node.target is node and node.load() is node
 
 
 class Owner:
-    """A list with a freeze word, a walk hint, fingers and a count, as a bin
-    or a child list is; ``fingers`` None keeps none, as a one-level bin."""
+    """A list with a freeze word, its first node, a walk hint, fingers and a
+    count, as a bin or a child list is; ``fingers`` None keeps none, as a
+    one-level bin."""
 
-    def __init__(self, size=0, fingers=None):
+    def __init__(self, size=0, fingers=None, first=END):
         self.frozen = None
+        self.next = first
         self.hint = None
         self.fingers = fingers
         self.size = size
 
 
-def fresh_link(item):
-    """A link to a new node whose next cell is empty, as an insert makes."""
-    return Link(SimpleNamespace(item=item, next=AtomicRef()))
+def fresh_node(item):
+    """A new node not linked yet, as an insert makes; ``next`` None shows
+    that nothing has written it."""
+    return SimpleNamespace(item=item, next=None)
+
+
+def node_before(succ):
+    """A node of a list whose ``next`` holds ``succ``."""
+    return SimpleNamespace(item="pred", next=succ)
 
 
 class TestSplice:
     def test_stores_iff_the_cell_holds_expected(self):
-        owner, old, new = Owner(), Link("a"), fresh_link("b")
-        cell = AtomicRef(old)
-        assert not splice(owner, owner, cell, Link("a"), new)  # equal is not identical
-        assert cell.load() is old
+        owner, old, new = Owner(), fresh_node("a"), fresh_node("b")
+        pred = node_before(old)
+        equal = fresh_node("a")
+        assert equal == old and equal is not old
+        assert not splice(owner, owner, pred, equal, new)  # equal is not identical
+        assert pred.next is old
         # a lost splice writes nothing: no link, no hint, no count
-        assert new.target.next.load() is None
+        assert new.next is None
         assert (owner.hint, owner.fingers, owner.size) == (None, None, 0)
-        assert splice(owner, owner, cell, old, new)
-        assert cell.load() is new
-        assert not splice(owner, owner, cell, old, fresh_link("c"))
-        assert cell.load() is new
+        assert splice(owner, owner, pred, old, new)
+        assert pred.next is new
+        assert not splice(owner, owner, pred, old, fresh_node("c"))
+        assert pred.next is new
 
     def test_fails_once_the_owner_is_frozen(self):
         events = []
-        tlb, child, old = Owner(5), Owner(2), Link("a")
-        cell, new = AtomicRef(old), fresh_link("b")
+        tlb, child, old = Owner(5), Owner(2), fresh_node("a")
+        pred, new = node_before(old), fresh_node("b")
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
             freeze(tlb, True)
             freeze(tlb, "later")  # terminal: the first job stays
-            assert not splice(tlb, child, cell, old, new)
+            assert not splice(tlb, child, pred, old, new)
         finally:
             set_cas_hook(None)
         assert tlb.frozen is True
         # a refused splice writes nothing either
-        assert cell.load() is old and new.target.next.load() is None
+        assert pred.next is old and new.next is None
         assert (child.hint, tlb.hint) == (None, None)
         assert (child.size, tlb.size) == (2, 5)
-        # the hook sees the frozen owner, not the cell it would have written
+        # the hook sees the frozen owner, not the node it would have written
         assert events == [(tlb, True), (tlb, False), (tlb, False)]
 
     def test_hook_sees_the_cell_written_or_found(self):
+        # the predecessor whose ``next`` a splice compares: a node, or the
+        # list itself in front of its first node
         events = []
-        owner, old = Owner(), Link("a")
-        cell = AtomicRef(old)
+        owner, old = Owner(), fresh_node("a")
+        pred = node_before(old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            splice(owner, owner, cell, old, fresh_link("b"))
-            splice(owner, owner, cell, old, fresh_link("c"))
+            splice(owner, owner, pred, old, fresh_node("b"))
+            splice(owner, owner, pred, old, fresh_node("c"))
+            splice(owner, owner, owner, END, fresh_node("d"))
         finally:
             set_cas_hook(None)
-        assert events == [(cell, True), (cell, False)]
+        assert events == [(pred, True), (pred, False), (owner, True)]
 
     def test_a_success_links_hints_and_counts(self):
         # a one-level bin is its own list: one count
-        olb, old, new = Owner(3), Link("a"), fresh_link("b")
-        cell = AtomicRef(old)
-        assert splice(olb, olb, cell, old, new)
-        assert new.target.next.load() is old
-        assert olb.hint is new.target
+        olb, old, new = Owner(3), fresh_node("a"), fresh_node("b")
+        pred = node_before(old)
+        assert splice(olb, olb, pred, old, new)
+        assert new.next is old and pred.next is new
+        assert olb.hint is new
         assert olb.size == 4
-        # a child list counts in its own size and in its bin's total
-        tlb, child = Owner(5), Owner(2)
-        new = fresh_link("c")
-        cell = AtomicRef(old)
-        assert splice(tlb, child, cell, old, new)
-        assert new.target.next.load() is old
-        assert child.hint is new.target and tlb.hint is None
+        # a child list counts in its own size and in its bin's total; the
+        # list is the predecessor of its first node
+        tlb, child = Owner(5), Owner(2, first=old)
+        new = fresh_node("c")
+        assert splice(tlb, child, child, old, new)
+        assert new.next is old and child.next is new
+        assert child.hint is new and tlb.hint is None
         assert (child.size, tlb.size) == (3, 6)
 
     def test_a_new_tail_and_only_it_becomes_a_finger(self):
         tlb, child = Owner(1), Owner(1, fingers=["a"])
-        tail, mid = fresh_link("c"), fresh_link("b")
-        cell = AtomicRef(END)
-        assert splice(tlb, child, cell, END, tail)  # links to no node: the tail
-        assert child.fingers == ["a", tail.target]
-        assert splice(tlb, child, cell, tail, mid)  # links to the tail: no finger
-        assert child.fingers == ["a", tail.target]
-        assert not splice(tlb, child, AtomicRef(END), tail, fresh_link("d"))
+        tail, mid = fresh_node("c"), fresh_node("b")
+        pred = node_before(END)
+        assert splice(tlb, child, pred, END, tail)  # links to END: the tail
+        assert child.fingers == ["a", tail]
+        assert splice(tlb, child, pred, tail, mid)  # links to the tail: no finger
+        assert child.fingers == ["a", tail]
+        assert not splice(tlb, child, node_before(END), tail, fresh_node("d"))
         freeze(tlb, True)
-        assert not splice(tlb, child, AtomicRef(END), END, fresh_link("d"))
-        assert child.fingers == ["a", tail.target]  # a failure writes no finger
+        assert not splice(tlb, child, node_before(END), END, fresh_node("d"))
+        assert child.fingers == ["a", tail]  # a failure writes no finger
+
+
+class TestDcss:
+    def test_stores_the_child_iff_the_slot_holds_it(self):
+        owner = SimpleNamespace(frozen=None, children=[EMPTY, EMPTY])
+        first, second = SimpleNamespace(), SimpleNamespace()
+        events = []
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            assert dcss(owner, 1, EMPTY, first)
+            assert not dcss(owner, 1, EMPTY, second)  # the slot left EMPTY
+            assert dcss(owner, 1, first, second)
+            freeze(owner, "job")
+            assert not dcss(owner, 0, EMPTY, first)
+        finally:
+            set_cas_hook(None)
+        assert owner.children == [EMPTY, second]
+        assert EMPTY.value is None  # nothing writes the shared empty child
+        # the hook sees the child stored or found, or the frozen owner
+        assert events == [(first, True), (first, False), (second, True),
+                          (owner, True), (owner, False)]
 
 
 class TestVersionedReads:

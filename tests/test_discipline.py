@@ -6,10 +6,11 @@ or inside the builder of an object no other thread can reach yet.  The
 table below states, once, which function may store which shared field and
 why.  A second table states which functions may take each guarded step,
 and a third which may rebuild a frozen structure or help a compaction.
-The last checks hold the one lock to what the ``core`` docstring claims:
+The next checks hold the one lock to what the ``core`` docstring claims:
 ``core`` makes it once and no other module names it, every guarded step
 takes it, and no critical section nests another or calls code outside
-``core``, save the test hook.
+``core``, save the test hook.  The last keeps the benchmark's accessors
+(``core.BenchReads``) out of the index's own code.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
 
 #: The fields that threads share once an object is published.
-FIELDS = {"next", "head", "hint", "fingers", "size", "frozen", "children",
+FIELDS = {"next", "hint", "fingers", "size", "frozen", "children",
           "value", "ts", "vnext", "now"}
 
 #: function -> (shared fields it may store, why the store is safe)
@@ -31,7 +32,7 @@ WRITERS = {
         {"children"},
         "the one slot writer: under the one lock, only while the owner is not frozen"),
     "core.splice": (
-        {"value", "hint", "fingers", "size"},
+        {"next", "hint", "fingers", "size"},
         "links, hints, fingers and counts a new key under the one lock, only while the bin is not frozen"),
     "core.freeze": (
         {"frozen"}, "the one freeze-word writer: under the one lock, once"),
@@ -44,7 +45,7 @@ WRITERS = {
     "bins.KNode.__init__": (
         {"next"}, "a list node is private until its splice"),
     "bins.OneLevelBin.__init__": (
-        {"head", "size", "hint", "frozen"},
+        {"next", "size", "hint", "frozen"},
         "a list is private until an install or a split publishes it"),
     "bins.ChildList.__init__": (
         {"fingers"}, "a child list is private until the split that builds it is installed"),
@@ -239,7 +240,7 @@ def test_a_root_stored_outside_dcss_is_caught():
     source = (SRC / "index.py").read_text()
     install = "self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))"
     assert source.count(install) == 1
-    store = "self.header.children[0] = AtomicRef(ModelNode(keys, versions, self.config.eps_target))"
+    store = "self.header.children[0] = ModelNode(keys, versions, self.config.eps_target)"
     modules = _modules()
     modules["index"] = ast.parse(source.replace(install, store))
     stray = _stray(_found(_Stores, modules=modules))
@@ -254,12 +255,26 @@ def test_a_finger_added_outside_splice_is_caught():
     stamp = "            fresh.stamp(clock)\n"
     assert source.count(stamp) == 1
     modules = _modules()
-    for mutant in ("olb.fingers.append(new.target)", "olb.fingers.insert(0, new.target)",
-                   "olb.fingers[-1] = new.target"):
+    for mutant in ("olb.fingers.append(new)", "olb.fingers.insert(0, new)",
+                   "olb.fingers[-1] = new"):
         modules["bins"] = ast.parse(source.replace(stamp, stamp + " " * 12 + mutant + "\n"))
         stray = _stray(_found(_Stores, modules=modules))
         assert [(fn, field) for fn, field, _ in stray] == [
             ("bins._olb_insert", "fingers")], mutant
+
+
+def test_a_link_stored_outside_splice_is_caught():
+    # a mutant insert that links its node by plain stores before its
+    # splice, where a racing splice or a freeze would go unseen
+    source = (SRC / "bins.py").read_text()
+    made = "            new = KNode(key, AtomicRef(fresh))\n"
+    assert source.count(made) == 1
+    modules = _modules()
+    for mutant in ("new.next = node", "pred.next = new", "setattr(pred, 'next', new)"):
+        modules["bins"] = ast.parse(source.replace(made, made + " " * 12 + mutant + "\n"))
+        stray = _stray(_found(_Stores, modules=modules))
+        assert [(fn, field) for fn, field, _ in stray] == [
+            ("bins._olb_insert", "next")], mutant
 
 
 def _check_callers(table):
@@ -350,3 +365,34 @@ def test_critical_sections_are_flat_and_stay_in_core():
                     name = func.id if isinstance(func, ast.Name) else None
                     assert name == "hook" or name in callable_, (
                         f"line {node.lineno} calls {ast.unparse(func)} under a lock")
+
+
+#: The accessors ``core.BenchReads`` keeps for ``lfbench/layers.py`` alone.
+BENCH_READS = {"load", "target", "head"}
+
+
+class _BenchReads(_Scoped):
+    """Every use of a benchmark accessor, as (function, name, line)."""
+
+    def visit_Attribute(self, node):
+        if node.attr in BENCH_READS:
+            self.found.append((".".join(self.scope), node.attr, node.lineno))
+        self.generic_visit(node)
+
+
+def test_no_module_uses_the_benchmarks_accessors():
+    # a slot holds its child and a node links straight to the next: the
+    # index reads those fields, never through ``load``, ``target`` or ``head``
+    assert _found(_BenchReads) == []
+
+
+def test_an_accessor_read_in_the_index_is_caught():
+    source = (SRC / "bins.py").read_text()
+    walk = "    node = pred.next\n"
+    assert source.count(walk) == 1
+    modules = _modules()
+    for mutant, name in (("pred.next.load()", "load"), ("pred.next.target", "target"),
+                         ("olb.head", "head")):
+        modules["bins"] = ast.parse(source.replace(walk, f"    node = {mutant}\n"))
+        assert [(fn, attr) for fn, attr, _ in _found(_BenchReads, modules=modules)] == [
+            ("bins._olb_seek", name)], mutant

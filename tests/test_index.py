@@ -17,7 +17,7 @@ import lfindex.index as index_mod
 from lfindex import DatasetSpec, core, generate_dataset, rangescan
 from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_frozen,
                           freeze_bin, insert_bin, search_bin)
-from lfindex.core import KEY_MAX, UNSET_TS, set_cas_hook
+from lfindex.core import EMPTY, END, KEY_MAX, UNSET_TS, set_cas_hook
 from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import segment_root
 from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
@@ -47,8 +47,7 @@ def model_nodes(index):
     while stack:
         node, depth = stack.pop()
         out.append((node, depth))
-        for ref in node.children:
-            child = ref.load()
+        for child in node.children:
             if isinstance(child, ModelNode):
                 stack.append((child, depth + 1))
     return out
@@ -58,14 +57,13 @@ def list_lengths(index):
     """The length of every list of every bin."""
     out = []
     for node, _ in model_nodes(index):
-        for ref in node.children:
-            child = ref.load()
-            if child is None or isinstance(child, ModelNode):
+        for child in node.children:
+            if child is EMPTY or isinstance(child, ModelNode):
                 continue
             for lst in (child,) if child.is_one_level else child.children:
-                n, kn = 0, lst.head.load().target
-                while kn is not None:
-                    n, kn = n + 1, kn.next.load().target
+                n, kn = 0, lst.next
+                while kn is not END:
+                    n, kn = n + 1, kn.next
                 out.append(n)
     return out
 
@@ -74,7 +72,7 @@ def slot_type(index, key):
     _, _, child = index.seek(key)
     if child is FOUND:
         return "model-key"
-    if child is None:
+    if child is EMPTY:
         return "empty"
     if isinstance(child, OneLevelBin):
         return "olb"
@@ -88,7 +86,7 @@ class TestBuild:
         index = LearnedIndex.build([(i, i) for i in range(10)])
         assert len(index.root.keys) == 10
         assert len(index.root.children) == 11
-        assert all(c.load() is None for c in index.root.children)
+        assert all(c is EMPTY for c in index.root.children)
 
     def test_empty_build_answers_absent(self):
         index = LearnedIndex.build([])
@@ -231,6 +229,41 @@ class TestBuildPausesTheCollector:
         assert runs[1] == runs[2] == 0, runs
 
 
+def tracked_since(action):
+    """Type names of the objects the collector tracks that ``action`` left
+    alive, counted over ``gc.get_objects()`` after a full collection."""
+    gc.collect()
+    before = {id(o) for o in gc.get_objects()}
+    action()
+    after = gc.get_objects()  # taken before the filter below makes its closure
+    return sorted(type(o).__name__ for o in after if id(o) not in before and o is not before)
+
+
+class TestTrackedObjects:
+    """A bin key is one node object: a list links its nodes directly and a
+    slot holds its child, so no cell or link object comes with a key."""
+
+    def test_a_first_insert_into_an_empty_slot_leaves_four(self):
+        index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
+        assert index.insert(150, 1) is True  # warm-up, in another slot
+        assert tracked_since(lambda: index.insert(50, 5)) == [
+            "AtomicRef", "KNode", "OneLevelBin", "VersionedValue"]
+        assert audit_structure(index).ok
+
+    def test_a_key_spliced_into_a_one_level_bin_leaves_three(self):
+        index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
+        for k in (50, 150, 160):
+            assert index.insert(k, k) is True
+        # after the first node, and before it, where the list is the
+        # node's predecessor
+        for k in (60, 40):
+            assert tracked_since(lambda: index.insert(k, k)) == [
+                "AtomicRef", "KNode", "VersionedValue"], k
+        _, _, olb = index.seek(50)
+        assert isinstance(olb, OneLevelBin) and olb.size == 3
+        assert audit_structure(index).ok
+
+
 class TestSeek:
     def test_found_in_root(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
@@ -241,7 +274,7 @@ class TestSeek:
     def test_empty_slot(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
         node, slot, child = index.seek(15)
-        assert child is None
+        assert child is EMPTY
         assert node is index.root and slot == 1
 
     def test_bin_slot(self):
@@ -250,7 +283,7 @@ class TestSeek:
         node, slot, child = index.seek(16)
         assert isinstance(child, OneLevelBin)
         assert slot == 1
-        assert child is node.children[slot].load()
+        assert child is node.children[slot]
 
     def test_descends_into_retrained_nodes(self):
         index = LearnedIndex.build(with_room([(0, 0), (1000, 1)]), SMALL)
@@ -435,9 +468,10 @@ class TestInsert:
 
             monkeypatch.setattr(index_mod, "bin_new", bin_new)
 
-            def stall(cell, ok):
-                # a lost install names the cell it found, the winner's
-                if not ok and cell is index.root.children[1]:
+            def stall(target, ok):
+                # a lost install names the child it found, the winner's bin
+                if not ok and sys._getframe(1).f_code.co_name == "dcss":
+                    assert target is index.root.children[1]
                     lost[0] += 1
                 if hook_rnd.random() < 0.3:
                     time.sleep(1e-5)
@@ -526,7 +560,7 @@ class TestFirstInsertStamp:
         index.transition_log = splice_below
         assert index.insert(50, 5) is True
         _, _, bin_ = index.seek(50)
-        assert bin_.head.load().target.item == 40
+        assert bin_.next.item == 40
         assert search_bin(bin_, 50).version.load().ts != UNSET_TS
 
 
@@ -577,7 +611,7 @@ class TestDelete:
         assert index.delete(10) is True
         assert index.insert(20, 21) is True
         assert helps == [] and log == []
-        assert node.children[slot].load() is bin_
+        assert node.children[slot] is bin_
         assert index.search(10) is None and index.search(20) == 21
         assert index.insert(25, 25) is True
         assert len(helps) == 1 and len(log) == 1
@@ -598,7 +632,7 @@ class TestHelpMakeModel:
         node, slot, bin_ = index.seek(10)
         assert isinstance(bin_, OneLevelBin)
         index.help_make_model(node, slot, bin_)
-        replaced = node.children[slot].load()
+        replaced = node.children[slot]
         assert isinstance(replaced, TwoLevelBin)
         for k in (10, 20, 30):
             assert index.search(k) == k
@@ -613,11 +647,11 @@ class TestHelpMakeModel:
         assert isinstance(bin_, TwoLevelBin)
         assert bin_.size == 1024
         index.help_make_model(node, slot, bin_)
-        fresh = node.children[slot].load()
+        fresh = node.children[slot]
         assert isinstance(fresh, ModelNode)
         assert len(fresh.keys) == 1024
         assert len(fresh.children) == 1025
-        assert all(c.load() is None for c in fresh.children)
+        assert all(c is EMPTY for c in fresh.children)
         for k in keys:
             assert index.search(k) == k
 
@@ -649,7 +683,7 @@ class TestHelpMakeModel:
                     for t in threads:
                         t.join(timeout=30)
                     assert not any(t.is_alive() for t in threads)
-                    fresh = node.children[slot].load()
+                    fresh = node.children[slot]
                     assert installs == [(slot, fresh)], f"trial {trial}: {installs}"
                     assert isinstance(fresh, kind)
                     if kind is ModelNode:
@@ -673,7 +707,7 @@ class TestHelpMakeModel:
         freeze_bin(bin_)
         for k in (10, 20, 30):
             assert index.search(k) == k
-        assert node.children[slot].load() is bin_  # untouched by searches
+        assert node.children[slot] is bin_  # untouched by searches
 
 
 class TestOracleConformance:
@@ -771,7 +805,7 @@ TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
 
 class TestSlotDiscipline:
     """Empty slots share ``core.EMPTY``, which nothing writes; an install
-    puts a fresh cell in its slot and no published cell changes."""
+    stores a fresh child in its slot, and a slot holds nothing else."""
 
     def test_build_and_first_inserts_swap_cells(self):
         index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)], SMALL)
@@ -779,18 +813,18 @@ class TestSlotDiscipline:
         assert all(c is core.EMPTY for c in root.children)
         index.insert(50, 5)
         assert [c is core.EMPTY for c in root.children] == [True, False, True, True]
-        assert core.EMPTY.load() is None
-        olb_cell = root.children[1]
-        assert isinstance(olb_cell.load(), OneLevelBin)
-        # cells loaded before an install read their old values after it
-        empty_cell = root.children[2]
-        olb = olb_cell.load()
+        assert core.EMPTY.value is None
+        olb = root.children[1]
+        assert isinstance(olb, OneLevelBin)
+        # a child loaded before an install is still the whole old child
+        # after it: the install stores a new child, it writes no old one
+        empty = root.children[2]
         for k in (10, 20, 30, 40, 150):  # slot 1's fifth key splits its bin
             index.insert(k, k)
-        assert isinstance(root.children[1].load(), TwoLevelBin)
-        assert olb_cell.load() is olb
-        assert isinstance(root.children[2].load(), OneLevelBin)
-        assert empty_cell is core.EMPTY and empty_cell.load() is None
+        assert isinstance(root.children[1], TwoLevelBin)
+        assert olb.frozen is not None and search_bin(olb, 50).item == 50
+        assert isinstance(root.children[2], OneLevelBin)
+        assert empty is core.EMPTY and empty.value is None
 
     def test_retrained_and_compacted_nodes_start_empty(self):
         index = LearnedIndex.build([(0, 0)], TINY)
@@ -820,10 +854,10 @@ class TestSlotDiscipline:
                 assert index.delete(k) == oracle.delete(k)
             else:
                 assert index.range(k, 300) == oracle.range(k, 300)
-        assert core.EMPTY.load() is None
+        assert core.EMPTY.value is None
         for node, _ in model_nodes(index):
             for c in node.children:
-                assert (c.load() is None) == (c is core.EMPTY)
+                assert c is core.EMPTY or isinstance(c, (OneLevelBin, TwoLevelBin, ModelNode))
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
@@ -977,13 +1011,13 @@ class TestCompaction:
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
             oracle.insert(k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(node, ModelNode)
         assert any(d > 2 for _, d in model_nodes(index))  # nested below node
 
         def compact():
             index.help_compact(index.root, 1, node)
-            assert index.root.children[1].load() is not node
+            assert index.root.children[1] is not node
 
         self._scan_paused_across(monkeypatch, index, oracle, compact)
 
@@ -1083,9 +1117,9 @@ class TestCompaction:
         assert index.range(0, 1000)[:3] == [(0, 0), (2, 2), (3, 3)]
         assert index.insert(398, -1) is True
         assert index.delete(150) is True
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         index.help_compact(index.root, 1, node)
-        assert index.root.children[1].load() is not node
+        assert index.root.children[1] is not node
         assert len(index.range(0, 1000)) == 202
         assert set(kinds) == {("NoneType", "OneLevelBin"), ("OneLevelBin", "TwoLevelBin"),
                               ("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
@@ -1119,15 +1153,14 @@ class TestCompaction:
         index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         nodes = bins = empty = 0
         stack = [node]
         while stack:
             n = stack.pop()
             nodes += 1
-            for ref in n.children:
-                child = ref.load()
-                if child is None:
+            for child in n.children:
+                if child is EMPTY:
                     empty += 1
                 elif isinstance(child, ModelNode):
                     stack.append(child)
@@ -1142,7 +1175,7 @@ class TestCompaction:
             set_cas_hook(None)
         assert len(steps) == nodes + bins + 1
         assert all(steps)
-        assert index.root.children[1].load() is not node
+        assert index.root.children[1] is not node
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
 
@@ -1155,13 +1188,13 @@ class TestCompaction:
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
             oracle.insert(k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(node, ModelNode)
         slot = next(i for i in range(1, len(node.keys))
-                    if node.children[i].load() is None
+                    if node.children[i] is EMPTY
                     and node.keys[i] - node.keys[i - 1] > 1)
         key = node.keys[slot - 1] + 1
-        assert index.seek(key) == (node, slot, None)
+        assert index.seek(key) == (node, slot, EMPTY)
         paused, go = threading.Event(), threading.Event()
         real_collect = index_mod.collect_frozen
 
@@ -1189,8 +1222,8 @@ class TestCompaction:
             index._install = install
             assert index.insert(key, key) is True
             oracle.insert(key, key)
-            assert (node, slot, None) in lost
-            assert index.root.children[1].load() is not node  # helped to its end
+            assert (node, slot, EMPTY) in lost
+            assert index.root.children[1] is not node  # helped to its end
         finally:
             go.set()
             compactor.join(timeout=10)
@@ -1217,7 +1250,7 @@ class TestCompaction:
         for k in list(range(10, 4_000, 10)) + list(range(1, low + 1)):
             index.insert(k, k)
             oracle.insert(k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(node, ModelNode)
         parent, slot, bin_ = index.seek(6)
         assert (parent, slot) == (node, 0)
@@ -1269,7 +1302,7 @@ class TestCompaction:
             assert index.insert(6, 6) is True
             oracle.insert(6, 6)
             assert bounced == [bin_]
-            compacted = index.root.children[1].load()
+            compacted = index.root.children[1]
             assert compacted is not node  # helped to its end
             # the one build is the compaction's fit, over every key but the
             # root's and the bounced 6: 399 + low keys
@@ -1292,17 +1325,17 @@ class TestCompaction:
         index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(node, ModelNode)
         index.help_compact(index.root, 1, node)
-        compacted = index.root.children[1].load()
+        compacted = index.root.children[1]
         assert compacted is not node
         index.insert(1, 1)
         parent, slot, olb = index.seek(1)
         assert isinstance(olb, OneLevelBin)
         freeze_bin(olb)
         index.help_compact(parent, slot, olb)
-        split = parent.children[slot].load()
+        split = parent.children[slot]
         assert isinstance(split, TwoLevelBin)
         builds = []
         for name in ("olb_to_tlb", "segment_root"):
@@ -1314,8 +1347,8 @@ class TestCompaction:
         index.help_compact(index.root, 1, node)
         index.help_compact(parent, slot, olb)
         assert builds == []
-        assert index.root.children[1].load() is compacted
-        assert parent.children[slot].load() is split
+        assert index.root.children[1] is compacted
+        assert parent.children[slot] is split
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
 
@@ -1350,10 +1383,10 @@ class TestCompaction:
             installs.clear()
             index.help_compact(parent, slot, top)
             assert racing == [] and builds == []
-            assert installs == [parent.children[slot].load()]
+            assert installs == [parent.children[slot]]
             return installs[0]
 
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(race(index.root, 1, node), ModelNode)
         index.insert(1, 1)
         parent, slot, olb = index.seek(1)
@@ -1372,12 +1405,12 @@ class TestCompaction:
         index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         index.help_compact(index.root, 1, node)
-        compacted = index.root.children[1].load()
+        compacted = index.root.children[1]
         assert compacted is not node and node.frozen is not None
-        stale = [(i, ref.load()) for i, ref in enumerate(node.children)
-                 if ref.load() is not None]
+        stale = [(i, child) for i, child in enumerate(node.children)
+                 if child is not EMPTY]
         assert any(isinstance(child, ModelNode) for _, child in stale)
         builds = []
         for name in ("olb_to_tlb", "segment_root", "collect_frozen"):
@@ -1394,7 +1427,7 @@ class TestCompaction:
         finally:
             set_cas_hook(None)
         assert builds == [] and steps == []
-        assert index.root.children[1].load() is compacted
-        assert [(i, node.children[i].load()) for i, _ in stale] == stale
+        assert index.root.children[1] is compacted
+        assert [(i, node.children[i]) for i, _ in stale] == stale
         report = audit_structure(index)
         assert report.ok, report.findings[:3]

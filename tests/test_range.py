@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lfindex import bins as bins_mod, rangescan
 from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin
-from lfindex.core import KEY_MAX, UNSET_TS, VersionedValue
+from lfindex.core import EMPTY, END, KEY_MAX, UNSET_TS, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.verify import SequentialOracle
 
@@ -36,14 +36,13 @@ def replay(history, lo, hi, ts):
 
 
 def subtree(node):
-    """Every child of ``node``'s subtree other than None, in key order."""
+    """Every child of ``node``'s subtree other than EMPTY, in key order."""
     out = []
-    for cell in node.children:
-        child = cell.load()
+    for child in node.children:
         if isinstance(child, ModelNode):
             out.append(child)
             out.extend(subtree(child))
-        elif child is not None:
+        elif child is not EMPTY:
             out.append(child)
     return out
 
@@ -53,13 +52,12 @@ def bins_in_window(node, lo, hi):
     node it enters is visited iff keys[j-1] <= hi and keys[j] >= lo."""
     keys = node.keys
     found = []
-    for j, cell in enumerate(node.children):
+    for j, child in enumerate(node.children):
         if (j > 0 and keys[j - 1] > hi) or (j < len(keys) and keys[j] < lo):
             continue
-        child = cell.load()
         if isinstance(child, ModelNode):
             found.extend(bins_in_window(child, lo, hi))
-        elif child is not None:
+        elif child is not EMPTY:
             found.append(child)
     return found
 
@@ -104,12 +102,11 @@ class TestBounds:
         stack = [index.root]
         while stack:
             node = stack.pop()
-            for ref in node.children:
-                child = ref.load()
+            for child in node.children:
                 if isinstance(child, ModelNode):
                     kinds.add(2)
                     stack.append(child)
-                elif child is not None:
+                elif child is not EMPTY:
                     kinds.add(child.is_one_level)
         assert kinds == {True, False, 2}  # both kinds of bins, nested nodes
         for lo, width in ((0, 1_000), (5, 300)):
@@ -126,7 +123,7 @@ class TestBounds:
         oracle = SequentialOracle.from_pairs(pairs)
         for k in (10, 11, 12, 110, 111, 112, 113, 114):
             assert index.insert(k, k) is oracle.insert(k, k) is True
-        olb, tlb = (index.root.children[j].load() for j in (1, 2))
+        olb, tlb = (index.root.children[j] for j in (1, 2))
         assert olb.is_one_level and olb.size == 3
         assert not tlb.is_one_level and [c.size for c in tlb.children] == [2, 3]
         # cap -> the last key it keeps: inside the one-level bin, on its
@@ -273,11 +270,11 @@ class TestScanReads:
         frozen = next(c for c in children
                       if isinstance(c, OneLevelBin) and c.size < TINY.olb_threshold)
         freeze_bin(frozen)
-        node = frozen.head.load().target
+        node = frozen.next
         own = []
-        while node is not None:
+        while node is not END:
             own.append(node.item)
-            node = node.next.load().target
+            node = node.next
         model_keys = [k for c in children if isinstance(c, ModelNode) for k in c.keys]
         for _ in range(300):
             k = rnd.choice(own) if rnd.random() < 0.5 else rnd.choice(model_keys)
@@ -323,8 +320,8 @@ class TestScanReads:
         # stamps the heads now and skips them, and a scan at now sees them
         node, j = next((c, j) for c in children if isinstance(c, ModelNode)
                        for j in range(len(c.keys))
-                       if isinstance(c.children[j].load(), OneLevelBin))
-        knode = node.children[j].load().head.load().target
+                       if isinstance(c.children[j], OneLevelBin))
+        knode = node.children[j].next
         keys = [node.keys[j], knode.item]
         heads = [node.versions[j], knode.version]
         clock.read_and_bump()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex.bins import KNode, freeze_bin
-from lfindex.core import END, KEY_MAX, AtomicRef, VersionedValue
+from lfindex.core import EMPTY, END, KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import Model, fit_linear, root_table, segment_root
 from lfindex.verify import (
@@ -432,8 +432,8 @@ class TestAuditStructure:
     def test_detects_out_of_interval_and_duplicate_keys(self):
         index = LearnedIndex.build([(10, 1), (20, 2)])
         index.insert(15, 150)
-        olb = index.root.children[1].load()
-        index.root.children[0] = AtomicRef(olb)  # same bin reachable twice
+        olb = index.root.children[1]
+        index.root.children[0] = olb  # same bin reachable twice
         report = audit_structure(index)
         kinds = {f.kind for f in report.findings}
         assert "interval" in kinds and "duplicate-key" in kinds
@@ -441,7 +441,7 @@ class TestAuditStructure:
     def test_detects_size_counter_drift(self):
         index = LearnedIndex.build([(0, 0), (100, 0)])
         index.insert(50, 5)
-        olb = index.root.children[1].load()
+        olb = index.root.children[1]
         olb.size += 1
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"size-counter"}
@@ -474,7 +474,7 @@ class TestAuditStructure:
         index = LearnedIndex.build([(0, 0), (1_000, 0)] + ROOM, SMALL)
         for k in range(1, 9):  # squares: no line fits them exactly
             index.insert(k * k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(node, ModelNode)
         assert audit_structure(index).ok
         seg = node.segments[0]
@@ -536,9 +536,9 @@ class TestAuditStructure:
         index = LearnedIndex.build([(0, 0), (1_000, 0)] + ROOM, SMALL)
         for k in range(1, 12):
             index.insert(k * k, k)
-        node = index.root.children[1].load()
+        node = index.root.children[1]
         assert isinstance(node, ModelNode)
-        assert any(ref.load() is not None for ref in node.children)
+        assert any(child is not EMPTY for child in node.children)
         assert audit_structure(index).ok
         node.frozen = (index.root, 1, node.keys)
         report = audit_structure(index)
@@ -573,18 +573,43 @@ class TestAuditStructure:
     @pytest.mark.parametrize("slots", [0, 2])
     def test_detects_a_header_without_one_slot(self, slots):
         index = LearnedIndex.build([(0, 0), (1_000, 0)])
-        index.header.children = [AtomicRef(index.root), AtomicRef(None)][:slots]
+        index.header.children = [index.root, EMPTY][:slots]
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"header-slots"}
 
     def test_detects_a_header_slot_without_a_model_node(self):
         index = LearnedIndex.build([(0, 0), (1_000, 0)])
         index.insert(500, 5)
-        olb = index.root.children[1].load()
-        for held in (olb, None):
-            index.header.children[0] = AtomicRef(held)
+        olb = index.root.children[1]
+        for held in (olb, EMPTY):
+            index.header.children[0] = held
             report = audit_structure(index)
             assert {f.kind for f in report.findings} == {"header-root"}, held
+
+    @pytest.mark.parametrize("stray", ["none", "empty cell", "cell of a bin"])
+    def test_detects_a_slot_holding_no_kind_of_child(self, stray):
+        # a slot holds EMPTY, a bin or a model node: not None, and not a
+        # cell of the layout in which every slot held one
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        index.insert(500, 5)
+        olb = index.root.children[1]
+        index.root.children[1] = {"none": None, "empty cell": AtomicRef(),
+                                  "cell of a bin": AtomicRef(olb)}[stray]
+        report = audit_structure(index)
+        assert [f.kind for f in report.findings] == ["slot-kind"]
+
+    def test_detects_a_list_that_does_not_end_at_END(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        for k in (10, 20):
+            index.insert(k, k)
+        tail = index.root.children[1].next.next
+        assert tail.item == 20 and tail.next is END
+        for planted in (None, AtomicRef(END)):
+            tail.next = planted
+            report = audit_structure(index)
+            assert [f.kind for f in report.findings] == ["list-tail"], planted
+        tail.next = END
+        assert audit_structure(index).ok
 
     def test_detects_a_frozen_bin(self):
         # every retrain finishes before its op returns, so a quiescent
@@ -593,8 +618,8 @@ class TestAuditStructure:
         for k in range(10, 60, 10):  # the fifth insert splits the bin
             index.insert(k, k)
         index.insert(1_010, 1)
-        tlb = index.root.children[1].load()
-        assert not tlb.is_one_level and index.root.children[2].load().is_one_level
+        tlb = index.root.children[1]
+        assert not tlb.is_one_level and index.root.children[2].is_one_level
         assert audit_structure(index).ok
         freeze_bin(tlb)
         report = audit_structure(index)
@@ -606,10 +631,10 @@ class TestAuditStructure:
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
         for k in range(10, 60, 10):  # the fifth insert splits the bin
             index.insert(k, k)
-        tlb = index.root.children[1].load()
+        tlb = index.root.children[1]
         assert not tlb.is_one_level
         assert audit_structure(index).ok
-        tlb.children[0].hint = tlb.children[1].head.load().target
+        tlb.children[0].hint = tlb.children[1].next
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"list-hint"}
 
@@ -617,12 +642,12 @@ class TestAuditStructure:
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
         for k in range(10, 60, 10):  # the fifth insert splits the bin
             index.insert(k, k)
-        tlb = index.root.children[1].load()
+        tlb = index.root.children[1]
         lst = tlb.children[1]  # split with 30 and 40, then spliced 50 at its tail
         assert [n.item for n in lst.fingers] == [30, 40, 50]
         assert audit_structure(index).ok
         good = list(lst.fingers)
-        stranger = KNode(good[0].item, good[0].version, AtomicRef(END))
+        stranger = KNode(good[0].item, good[0].version)
         for planted in (good[::-1],                # not ascending
                         [stranger] + good[1:],     # a node of no list
                         good[:-1]):                # short of the tail
@@ -641,7 +666,7 @@ class TestAuditStructure:
         for k in range(1, depth + 1):
             node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
                              index.config.eps_target)
-            parent.children[-1] = AtomicRef(node)
+            parent.children[-1] = node
             parent = node
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
