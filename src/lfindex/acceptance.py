@@ -513,8 +513,8 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
         if child is FOUND:
             ver = node.versions[i].value
         else:
-            kn = search_bin(child, k)
-            ver = kn.version.value if kn is not None else None
+            ref = search_bin(child, k)
+            ver = ref.value if ref is not None else None
         rev = []
         while ver is not None:
             rev.append((ver.ts, ver.val))
@@ -629,7 +629,7 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
             problems.append("deleted key visible through a frozen bin")
         if index.range(10, 10) != [(10, 100), (12, 120), (16, 160), (20, 200)]:
             problems.append("range over a frozen bin returned wrong pairs")
-        if insert_bin(bin_, 13, 130, index.clock) is not UNDER_MAKE_MODEL:
+        if insert_bin(bin_, bin_, 13, 130, index.clock) is not UNDER_MAKE_MODEL:
             problems.append("insert into a frozen bin did not bounce")
         if index.delete(12) is not True or index.search(12) is not None:
             problems.append("delete through a frozen bin was not visible at once")

@@ -1,9 +1,9 @@
-"""Shared primitives: atomic cells, list ends, versioned values, the clock.
+"""Shared primitives: atomic cells, versioned values, the clock.
 
 Every mutation anywhere in the index funnels through a single-word
 compare-and-swap on ``AtomicRef``, or through ``dcss``, ``splice``,
 ``freeze`` and ``VersionedValue.stamp``: ``dcss`` stores a model node's
-child in its slot, ``splice`` puts a new key node into a bin's list,
+child in its slot, ``splice`` publishes a bin list's next array,
 ``freeze`` sets the freeze word of either owner, after which neither
 succeeds, and ``stamp`` sets a version's timestamp once.
 CPython has no native CAS, so the primitives emulate it with one module
@@ -16,11 +16,10 @@ no parallelism that finer locks would keep.
 
 Every compare is by identity, and no compared field can take back an
 object it once held (no ABA).  A slot leaves ``EMPTY`` once, and every
-other child a ``dcss`` stores is fresh.  A list's or node's ``next``
-leaves ``END`` once and never returns to it, every node a ``splice``
-stores there is fresh, and a list only gains nodes, so once a ``next``
-moves off a node it never holds that node again.  A chain head holds
-fresh versions only, and the clock's cell only rises (``GlobalClock``).
+other child a ``dcss`` stores is fresh.  A list's ``items`` only takes
+arrays its splices copied, so each is fresh, and none is changed once
+published.  A chain head holds fresh versions only, and the clock's cell
+only rises (``GlobalClock``).
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
 by deletions.  A read as of a time answers the payload of the newest version
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import operator
 import threading
+from collections import namedtuple
 from typing import Any, Callable, Iterable, Optional
 
 KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
@@ -106,7 +106,9 @@ class AtomicRef:
     """A reference cell with load / CAS as indivisible steps: a load is a
     plain read of ``value``, atomic under the GIL, and a CAS is one compare
     and one store under ``_LOCK``.  Every read in the index reads ``value``;
-    ``load`` is kept for the benchmark's probes, which call it.
+    ``load`` and ``version`` are kept for the benchmark's probes: they read
+    what ``bins.search_bin`` returns, now the chain head itself, as the
+    list node it once was, through its ``version``.
 
     CAS compares by identity, so logically-equal but distinct objects fail
     the swap (no ABA: module docstring).
@@ -119,6 +121,10 @@ class AtomicRef:
 
     def load(self) -> Any:
         return self.value
+
+    @property
+    def version(self) -> "AtomicRef":
+        return self
 
     def compare_and_swap(self, expected: Any, new: Any) -> bool:
         hook = _cas_hook
@@ -133,12 +139,13 @@ class AtomicRef:
 
 class BenchReads:
     """The structure reads of ``lfbench/layers.py``, their only user, which
-    was written when a slot and a link were cells: ``load()`` on a slot's
-    child or a link returns the object itself (``EMPTY``, a cell, answers
-    None), ``target`` on a node returns the node, or None on ``END``, and
-    ``head`` on a list returns its first node.  No module of the index
-    calls them; ROADMAP item 1, which gives the benchmark ``index.stats()``,
-    removes them."""
+    was written when a slot was a cell and a list was linked nodes:
+    ``load()`` on a slot's child returns the object itself (``EMPTY``, a
+    cell, answers None), and ``head`` on a list returns a throwaway chain
+    of view nodes over its array, each with ``item``, ``version`` and
+    ``next``, ending at ``END``; ``target`` on a view node returns the
+    node, or None on ``END``.  No module of the index calls them; ROADMAP
+    item 1, which gives the benchmark ``index.stats()``, removes them."""
 
     __slots__ = ()
 
@@ -151,23 +158,33 @@ class BenchReads:
 
     @property
     def head(self) -> Any:
-        return self.next
+        items = self.items
+        n = len(items) >> 1
+        node = END
+        for i in range(n - 1, -1, -1):
+            node = _View(items[i], items[n + i], node)
+        return node
+
+
+class _View(namedtuple("_View", "item version next"), BenchReads):
+    """One key of a list as ``head`` shows it: key, chain head, next view."""
+
+    __slots__ = ()
 
 
 class _End(BenchReads):
-    """The tail of every list: its ``item`` is above every key, so a walk
-    toward a key stops at it with no test of its own."""
+    """The end of every chain of view nodes."""
 
     __slots__ = ()
-    item = KEY_MAX + 1
 
     def __repr__(self):
         return "END"
 
 
-#: The one list tail, shared by every list, and the one child of every
-#: empty slot, which nothing writes (ABA argument in the module docstring).
 END = _End()
+
+#: The one child of every empty slot, which nothing writes (ABA argument in
+#: the module docstring).
 EMPTY = AtomicRef()
 
 
@@ -191,33 +208,24 @@ def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
     return ok
 
 
-def splice(owner: Any, lst: Any, pred: Any, succ: Any, node: Any) -> bool:
-    """Put the fresh ``node`` between ``pred`` and ``succ`` in the list
-    ``lst`` of the bin ``owner`` iff ``owner.frozen`` is None and
-    ``pred.next`` holds ``succ``; ``pred`` is a node of the list, or the
-    list itself, whose ``next`` is its first node.  In one step under
-    ``_LOCK``: point ``node.next`` at ``succ`` and ``pred.next`` at
-    ``node``, make the node the list's hint, append it to the list's
-    fingers, if it keeps them, when it is the new tail (``succ`` is
-    ``END``), and count it in ``lst.size`` and, for a child list, in
-    ``owner.size``.  A failure writes nothing.  The hook sees ``pred``
-    written or found, or a frozen owner."""
+def splice(owner: Any, lst: Any, expected: list, new: list) -> bool:
+    """Publish ``new``, a fresh copy of ``expected`` with one key added, as
+    the ``items`` of the list ``lst`` of the bin ``owner`` iff
+    ``owner.frozen`` is None and ``lst.items`` is ``expected``, and count
+    the key in ``lst.size`` and, for a child list, in ``owner.size``: one
+    step under ``_LOCK``.  A failure writes nothing.  The hook sees the
+    list's array after the step, the one stored or the one found, frozen
+    owner or not, so a hook target that is a ``list`` is always a splice,
+    and a failure on an owner not frozen names what a success stored."""
     hook = _cas_hook
     with _LOCK:
-        if owner.frozen is not None:
-            target, ok = owner, False
-        else:
-            target = pred
-            ok = pred.next is succ
-            if ok:
-                node.next = succ
-                pred.next = node
-                lst.hint = node
-                if succ is END and lst.fingers is not None:
-                    lst.fingers.append(node)
-                lst.size += 1
-                if lst is not owner:
-                    owner.size += 1
+        target = lst.items
+        ok = target is expected and owner.frozen is None
+        if ok:
+            target = lst.items = new
+            lst.size += 1
+            if lst is not owner:
+                owner.size += 1
         if hook is not None:
             hook(target, ok)
     return ok

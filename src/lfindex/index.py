@@ -15,6 +15,9 @@ Structure invariants the operations below maintain:
   nothing freezes, so a compaction replaces the root as it does any node.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
+- A bin list is a sorted array that is never changed once published
+  (``bins``): a reader loads it once, and an insert publishes a copy with
+  one ``core.splice``.
 - Retrains never move version chains: replacement structures reuse the
   per-key chain heads, so a writer holding a stale bin reference still
   lands its versions where readers of the new structure find them.
@@ -78,7 +81,7 @@ from .bins import (
     delete_bin,
     freeze_bin,
     insert_bin,
-    list_size,
+    list_for,
     olb_to_tlb,
     search_bin,
 )
@@ -136,12 +139,10 @@ class IndexConfig:
         if 2 * self.tlb_threshold < self.tlb_fanout:
             raise ValueError("tlb_threshold must be at least half the fanout, "
                              "or every list would be full before its first key")
-
-    @property
-    def list_threshold(self) -> int:
-        """Keys in one list of a two-level bin that make the bin full: twice
-        the mean list of a full bin, so key order cannot make lists long."""
-        return 2 * self.tlb_threshold // self.tlb_fanout
+        # keys in one list of a two-level bin that make the bin full: twice
+        # the mean list of a full bin, so key order cannot make lists long;
+        # derived once here, not a field
+        object.__setattr__(self, "list_threshold", 2 * self.tlb_threshold // self.tlb_fanout)
 
 
 class ModelNode(BenchReads):
@@ -245,13 +246,14 @@ class LearnedIndex:
                     ver.stamp(clock)  # stamped only once published
                     return True
                 continue  # lost to a concurrent first insert or a freeze; retry
+            lst = list_for(child, key)
             if child.is_one_level:
                 full = child.size >= cfg.olb_threshold
             else:
                 full = (child.size >= cfg.tlb_threshold
-                        or list_size(child, key) >= cfg.list_threshold)
+                        or lst.size >= cfg.list_threshold)
             if not full:
-                res = insert_bin(child, key, value, clock)
+                res = insert_bin(child, lst, key, value, clock)
                 if res is not UNDER_MAKE_MODEL:
                     return res
             self.help_make_model(node, i, child)
@@ -278,10 +280,10 @@ class LearnedIndex:
             return read_value_latest(node.versions[i], self.clock)
         if child is EMPTY:
             return None
-        knode = search_bin(child, key)
-        if knode is None:
+        ref = search_bin(child, key)
+        if ref is None:
             return None
-        return read_value_latest(knode.version, self.clock)
+        return read_value_latest(ref, self.clock)
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:

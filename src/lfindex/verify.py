@@ -19,8 +19,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import EMPTY, END, UNSET_TS, check_key, check_pairs, check_payload, range_bounds
-from .bins import KNode, OneLevelBin, TwoLevelBin
+from .core import (EMPTY, UNSET_TS, AtomicRef, check_key, check_pairs, check_payload,
+                   range_bounds)
+from .bins import OneLevelBin, TwoLevelBin
 from .index import ModelNode
 from .models import root_table
 
@@ -322,12 +323,10 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     ``segment_root`` under it), each node's locate table equal to
     ``root_table`` over its segments, each window holding its keys' indices
     and at most int(eps) + 1 wide, every slot holding ``EMPTY``, a bin or a
-    model node, every list ending at ``END``, bin size counters equal to
-    their list lengths, each list's hint None or a node of that list, each child
-    list's fingers ascending nodes of that list that end at its tail, no
-    frozen bin or model node, the root included (every retrain and
-    compaction finishes before its op returns; the walk still reads
-    through one), a header that is not frozen, holds no keys and has one
+    model node, every list's array of even length with a cell for each
+    chain head, bin size counters equal to their list lengths, no frozen
+    bin or model node, the root included (every retrain and compaction
+    finishes before its op returns; the walk still reads through one), a header that is not frozen, holds no keys and has one
     slot, which holds a model node, and (optionally) that seek/search
     actually reach every key with the payload the walk extracted.  The walk starts at the header and
     keeps an explicit stack of model nodes, so it does not recurse however
@@ -371,42 +370,21 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
         payloads[k] = chain_payload(k, head_ref)
 
     def walk_olb(olb: OneLevelBin, lo, hi, where: str) -> int:
-        count = 0
-        prev_key = None
-        hint = olb.hint
-        hint_seen = hint is None
-        # fingers, if kept, must be a subsequence of the list that ends at
-        # its tail: matched in one pass, so order and membership are checked
-        # together
-        fingers = olb.fingers or ()
-        matched = 0
-        last = None
-        node = olb.next
-        while isinstance(node, KNode):
-            if node is hint:
-                hint_seen = True
-            if matched < len(fingers) and node is fingers[matched]:
-                matched += 1
-            last = node
-            k = node.item
-            if prev_key is not None and k <= prev_key:
-                note("key-order", f"{where}: {k} after {prev_key}")
+        items = olb.items
+        n, odd = divmod(len(items), 2)
+        if odd:
+            note("list-shape", f"{where}: an array of odd length {len(items)}")
+        for i in range(n):
+            k, head = items[i], items[n + i]
+            if i > 0 and k <= items[i - 1]:
+                note("key-order", f"{where}: {k} after {items[i - 1]}")
             if not in_bounds(k, lo, hi):
                 note("interval", f"{where}: key {k} outside ({lo}, {hi})")
-            record_key(k, node.version, where)
-            prev_key = k
-            count += 1
-            node = node.next
-        if node is not END:
-            note("list-tail", f"{where}: the list ends at {node!r}, not at END")
-        if not hint_seen:
-            note("list-hint", f"{where}: hint {hint!r} is not a node of the list")
-        if matched < len(fingers):
-            note("list-fingers", f"{where}: finger {matched} ({fingers[matched]!r}) "
-                 "is out of order or not a node of the list")
-        elif olb.fingers is not None and (fingers[-1] if fingers else None) is not last:
-            note("list-fingers", f"{where}: fingers end before the tail {last!r}")
-        return count
+            if head.__class__ is not AtomicRef:
+                note("list-shape", f"{where}: key {k}'s chain head is {head!r}, not a cell")
+                continue
+            record_key(k, head, where)
+        return n
 
     def walk_bin(bin_, lo, hi, where: str) -> None:
         if bin_.frozen is not None:

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lfindex import bins as bins_mod
 from lfindex.bins import (
-    KNode,
     UNDER_MAKE_MODEL,
-    ChildList,
     OneLevelBin,
     TwoLevelBin,
     bin_new,
@@ -19,12 +17,12 @@ from lfindex.bins import (
     delete_bin,
     freeze_bin,
     insert_bin,
+    list_for,
     olb_to_tlb,
     scan_bin,
     search_bin,
 )
 from lfindex.core import (
-    END,
     AtomicRef,
     GlobalClock,
     UNSET_TS,
@@ -39,35 +37,41 @@ from lfindex.verify import audit_structure
 BIG_TS = 2**62
 
 
+def put(bin_, key, value, clock):
+    """``insert_bin`` into the list of ``bin_`` that owns ``key``, as the
+    index calls it."""
+    return insert_bin(bin_, list_for(bin_, key), key, value, clock)
+
+
 def make_olb(pairs, clock):
     it = iter(pairs)
     k, v = next(it)
     olb, _ = bin_new(k, v)
     for k, v in it:
-        assert insert_bin(olb, k, v, clock) is True
+        assert put(olb, k, v, clock) is True
     return olb
 
 
-def list_nodes(olb):
-    out = []
-    node = olb.next
-    while node is not END:
-        out.append(node)
-        node = node.next
-    return out
+def list_keys(lst):
+    items = lst.items
+    return items[:len(items) >> 1]
 
 
-def list_keys(olb):
-    return [node.item for node in list_nodes(olb)]
-
-
-def link_objects(olb):
-    """What the ``next`` of ``olb`` and of each of its nodes holds, in list
-    order, END last."""
-    links = [olb.next]
-    while links[-1] is not END:
-        links.append(links[-1].next)
-    return links
+def array_faults(lst):
+    """What is wrong with a list's array: an odd length, keys not ascending,
+    a chain head that is not a cell, or a count that disagrees."""
+    items = lst.items
+    n = len(items) >> 1
+    faults = []
+    if len(items) % 2:
+        faults.append("odd length")
+    if any(a >= b for a, b in zip(items[:n], items[1:n])):
+        faults.append("keys not ascending")
+    if not all(isinstance(ref, AtomicRef) for ref in items[n:]):
+        faults.append("a head that is not a cell")
+    if lst.size != n:
+        faults.append(f"size {lst.size}, {n} keys")
+    return faults
 
 
 class TestBinNew:
@@ -77,9 +81,9 @@ class TestBinNew:
         assert list_keys(olb) == [5]
         assert olb.size == 1
         found = search_bin(olb, 5)
-        assert found is not None
-        assert found.version.load() is ver
-        assert read_value_latest(found.version, clock) == 100
+        assert olb.items == [5, found]
+        assert found.value is ver
+        assert read_value_latest(found, clock) == 100
 
     def test_key_zero(self):
         clock = GlobalClock(0)
@@ -90,7 +94,7 @@ class TestBinNew:
     def test_version_is_unstamped(self):
         # the index stamps it after the CAS that publishes the bin
         olb, ver = bin_new(9, 9)
-        assert search_bin(olb, 9).version.load() is ver
+        assert search_bin(olb, 9).value is ver
         assert ver.ts == UNSET_TS
 
 
@@ -98,76 +102,76 @@ class TestInsertBin:
     def test_splices_between_neighbors(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
-        assert insert_bin(olb, 5, 50, clock) is True
+        assert put(olb, 5, 50, clock) is True
         assert list_keys(olb) == [3, 5, 7]
         assert olb.size == 3
 
     def test_equal_value_update_returns_false(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
-        assert insert_bin(olb, 7, 70, clock) is False
+        assert put(olb, 7, 70, clock) is False
         assert olb.size == 2
 
     def test_changed_value_update_returns_true(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30)], clock)
-        assert insert_bin(olb, 3, 99, clock) is True
-        assert read_value_latest(search_bin(olb, 3).version, clock) == 99
+        assert put(olb, 3, 99, clock) is True
+        assert read_value_latest(search_bin(olb, 3), clock) == 99
         assert olb.size == 1  # update, not a splice
 
     def test_frozen_bin_bounces(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        assert insert_bin(olb, 1, 10, clock) is UNDER_MAKE_MODEL
+        assert put(olb, 1, 10, clock) is UNDER_MAKE_MODEL
 
     def test_frozen_bin_takes_overwrites(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        assert insert_bin(olb, 7, 71, clock) is True
-        assert insert_bin(olb, 7, 71, clock) is False
-        assert read_value_latest(search_bin(olb, 7).version, clock) == 71
+        assert put(olb, 7, 71, clock) is True
+        assert put(olb, 7, 71, clock) is False
+        assert read_value_latest(search_bin(olb, 7), clock) == 71
         assert olb.size == 2
 
     def test_insert_below_head_and_above_tail(self):
         clock = GlobalClock(0)
         olb = make_olb([(50, 1)], clock)
-        assert insert_bin(olb, 10, 2, clock) is True
-        assert insert_bin(olb, 90, 3, clock) is True
+        assert put(olb, 10, 2, clock) is True
+        assert put(olb, 90, 3, clock) is True
         assert list_keys(olb) == [10, 50, 90]
 
     def test_a_lost_splice_retries_with_the_node_it_made_first(self, monkeypatch):
-        # another insert splices 25 behind the node this insert of 20
-        # walked to, so the first splice fails on an unfrozen bin; the retry
-        # expects 25 instead of 30 after that node and splices the very
-        # node and version made on the first attempt
+        # another insert publishes 25 after this insert of 20 copied the
+        # list's array, so the first splice fails on an unfrozen bin; the
+        # retry copies the newer array and splices the very chain head and
+        # version made on the first attempt
         index = LearnedIndex.build([(0, 0), (100, 9)])
         for k in (10, 30):
             assert index.insert(k, k) is True
         _, _, olb = index.seek(20)
         assert isinstance(olb, OneLevelBin) and olb.frozen is None
-        attempts = []  # (new node, the successor it expects, its version)
+        attempts = []  # (keys expected, array made, the new key's head)
         real_splice = bins_mod.splice
 
-        def losing_splice(owner, lst, pred, succ, node):
-            if node.item == 20:
-                attempts.append((node, succ, node.version.load()))
-                if len(attempts) == 1:
-                    assert index.insert(25, 25) is True
-            return real_splice(owner, lst, pred, succ, node)
+        def losing_splice(owner, lst, expected, new):
+            n = len(new) >> 1
+            if 20 not in new[:n]:
+                return real_splice(owner, lst, expected, new)
+            attempts.append((expected[:n - 1], new, new[n + new.index(20)]))
+            if len(attempts) == 1:
+                assert index.insert(25, 25) is True
+            return real_splice(owner, lst, expected, new)
 
         monkeypatch.setattr(bins_mod, "splice", losing_splice)
         assert index.insert(20, 20) is True
         assert len(attempts) == 2
-        (first, first_next, fresh), (second, second_next, again) = attempts
-        assert second is first and again is fresh
-        assert (first_next.item, second_next.item) == (30, 25)
-        knode = search_bin(olb, 20)
-        assert knode is first and knode.version.load() is fresh
-        # its next is the very node its successful splice expected
-        assert knode.next is second_next
-        assert fresh.val == 20 and fresh.ts != UNSET_TS
+        (first_old, _, first), (second_old, second_new, again) = attempts
+        assert again is first and first.value.val == 20
+        assert (first_old, second_old) == ([10, 30], [10, 25, 30])
+        # the list holds the very array its winning splice made
+        assert olb.items is second_new and search_bin(olb, 20) is first
+        assert first.value.ts != UNSET_TS
         assert list_keys(olb) == [10, 20, 25, 30]
         assert olb.size == 4
         report = audit_structure(index)
@@ -179,9 +183,9 @@ class TestDeleteBin:
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         assert delete_bin(olb, 3, clock) is True
-        node = search_bin(olb, 3)
-        assert node is not None  # never physically unlinked
-        assert read_value_latest(node.version, clock) is None
+        ref = search_bin(olb, 3)
+        assert ref is not None  # never physically removed
+        assert read_value_latest(ref, clock) is None
         assert list_keys(olb) == [3, 7]
 
     def test_absent_key(self):
@@ -211,22 +215,23 @@ class TestSearchBin:
     def test_finds_present_key(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
-        assert search_bin(olb, 7).item == 7
+        assert search_bin(olb, 7) is olb.items[3]
+        assert read_value_latest(search_bin(olb, 7), clock) == 70
         assert search_bin(olb, 4) is None
 
     def test_frozen_list_still_readable(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        assert search_bin(olb, 7).item == 7
+        assert search_bin(olb, 7) is olb.items[3]
 
     def test_two_level_dispatch(self):
         clock = GlobalClock(0)
         left = make_olb([(3, 30), (7, 70)], clock)
         right = make_olb([(12, 120)], clock)
         tlb = TwoLevelBin([10], [left, right], 3)
-        assert search_bin(tlb, 12).item == 12
-        assert search_bin(tlb, 7).item == 7
+        assert search_bin(tlb, 12) is right.items[1]
+        assert search_bin(tlb, 7) is left.items[3]
         assert search_bin(tlb, 10) is None
         # oracle: linear scan over all children agrees
         for k in range(15):
@@ -253,8 +258,7 @@ class TestScanBin:
         clock = GlobalClock(0)
         old = VersionedValue(111, 4)
         head = AtomicRef(VersionedValue(222, 6, old))
-        node = KNode(5, head)
-        olb = OneLevelBin(node, 1)
+        olb = OneLevelBin([5, head])
         out = []
         scan_bin(olb, 0, 10, 5, out, clock)
         assert out == [(5, 111)]
@@ -272,13 +276,34 @@ class TestScanBin:
         assert out == []
 
 
+@given(st.sets(st.integers(0, 300), max_size=60), st.sets(st.integers(0, 300), max_size=20),
+       st.one_of(st.none(), st.integers(-5, 305)), st.one_of(st.none(), st.integers(-5, 305)))
+@settings(max_examples=150, deadline=None)
+def test_a_scan_reads_the_keys_its_bounds_admit(keys, deleted, lo, hi):
+    # bisected bounds over every child list: a bound of None admits all,
+    # and no key at a separator or at either end of a list is lost
+    clock = GlobalClock(0)
+    tlb = split(range(0, 300, 7), 4, clock)
+    live = dict.fromkeys(range(0, 300, 7))
+    for k in sorted(keys):
+        put(tlb, k, k, clock)
+        live[k] = None
+    for k in deleted:
+        delete_bin(tlb, k, clock)
+    want = [(k, k) for k in sorted(live) if k not in deleted
+            and (lo is None or k >= lo) and (hi is None or k <= hi)]
+    out = []
+    scan_bin(tlb, lo, hi, BIG_TS, out, clock)
+    assert out == want
+
+
 class TestFreeze:
     def test_freeze_then_mutate_bounces(self):
         # a splice bounces; a delete is a chain write and goes through
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        assert insert_bin(olb, 5, 50, clock) is UNDER_MAKE_MODEL
+        assert put(olb, 5, 50, clock) is UNDER_MAKE_MODEL
         assert delete_bin(olb, 3, clock) is True
         keys, versions = collect_frozen(olb, clock)
         assert keys == [3, 7]
@@ -306,7 +331,7 @@ class TestFreeze:
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
         word = olb.frozen
-        links_once = link_objects(olb)
+        items = olb.items
         steps = []
         set_cas_hook(lambda cell, ok: steps.append((cell, ok)))
         try:
@@ -315,7 +340,7 @@ class TestFreeze:
             set_cas_hook(None)
         assert steps == [(olb, False)]
         assert olb.frozen is word
-        assert all(a is b for a, b in zip(links_once, link_objects(olb)))
+        assert olb.items is items
         assert collect_frozen(olb, clock)[0] == [3, 7]
 
     def test_two_level_freeze_stops_splices_into_every_list(self):
@@ -329,7 +354,7 @@ class TestFreeze:
         for lst, sep in zip(tlb.children, tlb.keys + [100]):
             assert lst.frozen is None
             before = list_keys(lst)
-            assert insert_bin(tlb, sep - 1, 1, clock) is UNDER_MAKE_MODEL
+            assert put(tlb, sep - 1, 1, clock) is UNDER_MAKE_MODEL
             assert list_keys(lst) == before
         assert collect_frozen(tlb, clock)[0] == list(range(0, 80, 10))
 
@@ -348,7 +373,7 @@ class TestFreeze:
 
                 def splice():
                     barrier.wait()
-                    result[0] = insert_bin(olb, key, 77, clock)
+                    result[0] = put(olb, key, 77, clock)
 
                 def chill():
                     barrier.wait()
@@ -369,52 +394,6 @@ class TestFreeze:
             set_cas_hook(None)
 
 
-class Loads:
-    """Reads of a counted ``next`` field, which is how the index loads a
-    link."""
-
-    count = 0
-
-
-def _counting(cls):
-    """A subclass of ``cls`` whose ``next`` counts its reads in ``Loads``;
-    assigned as an object's class, since it adds no slot."""
-    field = cls.next
-
-    def load(self):
-        Loads.count += 1
-        return field.__get__(self)
-
-    return type(f"Counting{cls.__name__}", (cls,),
-                {"__slots__": (), "next": property(load, field.__set__)})
-
-
-_COUNTING = {cls: _counting(cls) for cls in (KNode, OneLevelBin, ChildList)}
-
-
-def count_link_loads(olb):
-    """Make ``olb`` and every node of it count the loads of its ``next``;
-    reset the count."""
-    for obj in [olb] + list_nodes(olb):
-        obj.__class__ = _COUNTING[obj.__class__]
-    Loads.count = 0
-
-
-def finger_faults(lst):
-    """What is wrong with a child list's fingers: not ascending, not nodes of
-    the list, or not ending at its tail."""
-    nodes = list_nodes(lst)
-    fingers = lst.fingers
-    faults = []
-    if any(a.item >= b.item for a, b in zip(fingers, fingers[1:])):
-        faults.append("not ascending")
-    if not all(any(f is n for n in nodes) for f in fingers):
-        faults.append("a finger outside the list")
-    if (fingers[-1] if fingers else None) is not (nodes[-1] if nodes else None):
-        faults.append("not ending at the tail")
-    return faults
-
-
 def split(keys, fanout, clock):
     """A two-level bin over ``keys`` (payload = key), split from a frozen
     one-level bin as the index splits one."""
@@ -424,79 +403,21 @@ def split(keys, fanout, clock):
 
 
 class TestWalkStart:
-    def test_hint_follows_the_last_splice(self):
-        clock = GlobalClock(0)
-        olb, _ = bin_new(5, 50)
-        assert olb.hint is olb.next
-        insert_bin(olb, 9, 90, clock)
-        assert olb.hint.item == 9
-        insert_bin(olb, 2, 20, clock)   # below the hint: walks from the head
-        assert olb.hint.item == 2
-        insert_bin(olb, 9, 91, clock)   # an update splices nothing
-        assert olb.hint.item == 2
-        insert_bin(olb, 7, 70, clock)   # above the hint: walks on from it
-        assert list_keys(olb) == [2, 5, 7, 9]
-
-    def test_ascending_insert_loads_constant_links(self):
-        clock = GlobalClock(0)
-        olb = make_olb([(k, k) for k in range(200)], clock)
-        count_link_loads(olb)
-        assert insert_bin(olb, 1_000, 1, clock) is True
-        assert 1 <= Loads.count <= 2
-        assert list_keys(olb) == list(range(200)) + [1_000]
-
-    def test_split_lists_start_at_their_tails(self):
-        clock = GlobalClock(0)
-        olb = make_olb([(k, k) for k in range(0, 1_600, 2)], clock)
-        freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
-        last = tlb.children[-1]
-        assert last.hint.item == 1_598
-        count_link_loads(last)
-        assert insert_bin(tlb, 1_600, 1, clock) is True
-        assert 1 <= Loads.count <= 2
-        empty = olb_to_tlb([7], [AtomicRef(VersionedValue(7, 0))], fanout=2)
-        assert empty.children[-1].hint is None
-
-    def test_reads_below_the_hint_start_at_a_finger(self):
-        clock = GlobalClock(0)
-        tlb = split(range(1_024), 4, clock)
-        child = tlb.children[1]
-        assert child.size == 256 and child.hint.item == 511
-        assert [n.item for n in child.fingers] == list(range(256, 512))
-        count_link_loads(child)
-        # the finger below the key links to it: one load, not the ~128 a walk
-        # from the head loads
-        assert search_bin(tlb, 384).item == 384
-        assert Loads.count == 1
-        # a key spliced between two fingers is walked past, and no more
-        tlb = split(range(0, 2_048, 2), 4, clock)
-        child = tlb.children[1]
-        assert insert_bin(tlb, 769, 769, clock) is True  # between fingers 768 and 770
-        assert insert_bin(tlb, 1_021, 1, clock) is True  # the hint leaves 769
-        count_link_loads(child)
-        assert search_bin(tlb, 770).item == 770
-        assert Loads.count == 2
-        assert delete_bin(tlb, 769, clock) is True
-        assert search_bin(tlb, 771) is None
-        assert Loads.count == 2 + 1 + 1
-        out = []
-        scan_bin(tlb, 767, 771, BIG_TS, out, clock)
-        assert out == [(768, 768), (770, 770)]
+    """A read or an insert starts at one load of its list's array, then
+    bisects the array's keys."""
 
     def test_an_empty_child_list_takes_keys_and_walks_them(self):
         # fewer keys than the fanout: the last two children start empty
         clock = GlobalClock(0)
         tlb = split([10, 20], 4, clock)
-        assert [c.fingers for c in tlb.children[2:]] == [[], []]
+        assert [c.items for c in tlb.children[2:]] == [[], []]
         last = tlb.children[3]
         for k in (30, 25, 40, 35, 50):
-            assert insert_bin(tlb, k, k, clock) is True
-            assert finger_faults(last) == []
+            assert put(tlb, k, k, clock) is True
+            assert array_faults(last) == []
         assert list_keys(last) == [25, 30, 35, 40, 50]
-        assert [n.item for n in last.fingers] == [30, 40, 50]
         for k in (25, 30, 35, 40, 50):
-            assert search_bin(tlb, k).item == k
+            assert read_value_latest(search_bin(tlb, k), clock) == k
         for k in (21, 26, 36, 45, 60):
             assert search_bin(tlb, k) is None
         assert delete_bin(tlb, 35, clock) is True
@@ -506,50 +427,35 @@ class TestWalkStart:
 
     @given(st.lists(st.integers(0, 400), max_size=80), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_fingers_hold_after_every_splice(self, keys, ascending):
+    def test_arrays_stay_whole_after_every_splice(self, keys, ascending):
         clock = GlobalClock(0)
         tlb = split(range(0, 400, 16), 4, clock)
         if ascending:
             keys = sorted(keys) + [400 + k for k in sorted(keys)]
         live = set(range(0, 400, 16))
         for k in keys:
-            assert insert_bin(tlb, k, k, clock) is (k not in live)
+            assert put(tlb, k, k, clock) is (k not in live)
             live.add(k)
             for i, lst in enumerate(tlb.children):
-                assert finger_faults(lst) == [], (i, k)
+                assert array_faults(lst) == [], (i, k)
         for k in range(0, 900):
-            node = search_bin(tlb, k)
-            assert (node is not None and node.item == k) is (k in live)
+            ref = search_bin(tlb, k)
+            if k in live:
+                assert read_value_latest(ref, clock) == k
+            else:
+                assert ref is None
         assert [k for lst in tlb.children for k in list_keys(lst)] == sorted(live)
 
-    def test_reads_above_the_hint_start_there(self):
-        # find, delete and a scan's start share the insert's walk
-        clock = GlobalClock(0)
-        olb = make_olb([(k, k) for k in range(200)], clock)
-        olb.hint = search_bin(olb, 190)  # any node of the list is a valid hint
-        count_link_loads(olb)
-        assert search_bin(olb, 195).item == 195
-        assert search_bin(olb, 500) is None
-        assert delete_bin(olb, 197, clock) is True
-        assert delete_bin(olb, 500, clock) is False
-        out = []
-        scan_bin(olb, 196, 2_000, BIG_TS, out, clock)
-        assert out == [(196, 196), (198, 198), (199, 199)]
-        # each walk loads only the links from the hint's up to its key
-        assert Loads.count == 5 + 10 + 7 + 10 + (6 + 4)
-        assert search_bin(olb, 150).item == 150  # below the hint: from the head
-        assert Loads.count > 150
-
     def test_racing_ascending_splices_and_freeze(self, monkeypatch):
-        # three threads splice interleaved ascending keys, each starting at
-        # the hint, while a fourth freezes the list: a splice that returned
+        # three threads splice interleaved ascending keys, each copying the
+        # list's tail, while a fourth freezes the list: a splice that returned
         # True is collected, and an insert bounced iff its last splice
         # failed on the frozen bin
         met_frozen = threading.local()
         real_splice = bins_mod.splice
 
-        def watched_splice(owner, lst, pred, succ, node):
-            ok = real_splice(owner, lst, pred, succ, node)
+        def watched_splice(owner, lst, expected, new):
+            ok = real_splice(owner, lst, expected, new)
             met_frozen.flag = not ok and owner.frozen is not None
             return ok
 
@@ -572,7 +478,7 @@ class TestWalkStart:
                     barrier.wait()
                     for k in range(1 + t, 121, 3):
                         met_frozen.flag = False
-                        r = insert_bin(olb, k, k, clock)
+                        r = put(olb, k, k, clock)
                         results.append((k, r, met_frozen.flag))
 
                 def chill():
@@ -657,25 +563,27 @@ class TestOlbToTlb:
         tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
         assert tlb.keys == [20, 40, 60]
         for k in range(10, 90, 10):
-            assert search_bin(tlb, k).item == k
+            assert read_value_latest(search_bin(tlb, k), clock) == k
 
     def test_version_heads_are_shared_not_copied(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        old_node = search_bin(olb, 3)
+        old_head = search_bin(olb, 3)
         tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
         # a write through the retired list's head is visible in the new bin
-        assert write_value(old_node.version, 999, clock)
-        assert read_value_latest(search_bin(tlb, 3).version, clock) == 999
+        assert search_bin(tlb, 3) is old_head
+        assert write_value(old_head, 999, clock)
+        assert read_value_latest(search_bin(tlb, 3), clock) == 999
 
     def test_single_key_fanout_two(self):
         clock = GlobalClock(0)
         olb = make_olb([(5, 50)], clock)
         freeze_bin(olb)
         tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
-        assert search_bin(tlb, 5).item == 5
+        assert read_value_latest(search_bin(tlb, 5), clock) == 50
         assert tlb.size == 1
+        assert [c.items for c in tlb.children] == [[5, search_bin(tlb, 5)], []]
 
 
 class TestConcurrentBinOps:
@@ -688,7 +596,7 @@ class TestConcurrentBinOps:
         try:
             def run(keys):
                 for k in keys:
-                    assert insert_bin(olb, k, k, clock) is True
+                    assert put(olb, k, k, clock) is True
 
             threads = [threading.Thread(target=run, args=(s,)) for s in shares]
             for t in threads:
@@ -702,11 +610,10 @@ class TestConcurrentBinOps:
         assert got == [0] + sorted(k for s in shares for k in s)
         assert olb.size == len(got)
 
-    def test_counts_and_hints_are_exact_at_every_splice(self):
+    def test_counts_are_exact_at_every_splice(self):
         # racing inserts into one two-level bin; an observer inside each
-        # successful splice's lock walks the bin: every write to a list is
-        # in its splice, so the counts, hints and fingers are exact at that
-        # instant
+        # successful splice's lock reads the bin: every write to a list is
+        # in its splice, so the counts and arrays are exact at that instant
         clock = GlobalClock(0)
         olb = make_olb([(k, k) for k in range(0, 800, 100)], clock)
         freeze_bin(olb)
@@ -716,18 +623,13 @@ class TestConcurrentBinOps:
         checked = [0]
 
         def observe(target, ok):
-            if ok and isinstance(target, (KNode, OneLevelBin)):  # a splice, not a chain
+            if ok and isinstance(target, list):  # a splice, not a chain
                 checked[0] += 1
                 total = 0
                 for i, lst in enumerate(tlb.children):
-                    nodes = list_nodes(lst)
-                    if lst.size != len(nodes):
-                        bad.append(f"child {i}: size {lst.size}, {len(nodes)} keys")
-                    if not any(lst.hint is n for n in nodes):
-                        bad.append(f"child {i}: hint {lst.hint!r} not in the list")
-                    faults = finger_faults(lst)
+                    faults = array_faults(lst)
                     if faults:
-                        bad.append(f"child {i}: fingers {faults}")
+                        bad.append(f"child {i}: {faults}")
                     total += lst.size
                 if tlb.size != total:
                     bad.append(f"bin size {tlb.size}, lists hold {total}")
@@ -744,7 +646,7 @@ class TestConcurrentBinOps:
             def run(keys):
                 for k in keys:
                     if k % 100:
-                        assert insert_bin(tlb, k, k, clock) is True
+                        assert put(tlb, k, k, clock) is True
 
             threads = [threading.Thread(target=run, args=(s,)) for s in shares]
             for t in threads:
@@ -759,6 +661,47 @@ class TestConcurrentBinOps:
         assert checked[0] == 800 - 8
         assert tlb.size == 800
         assert [k for lst in tlb.children for k in list_keys(lst)] == list(range(800))
+
+
+class TestCopyOnWrite:
+    """A list's array is never changed once published: a splice publishes a
+    copy, and only if the list still holds the array it copied."""
+
+    def test_a_reader_holding_an_old_array_still_finds_its_keys(self):
+        clock = GlobalClock(0)
+        tlb = split(range(0, 400, 10), 4, clock)
+        lst = tlb.children[1]
+        old = lst.items
+        held = list(old)
+        for k in range(105, 200, 10):
+            assert put(tlb, k, k, clock) is True
+        assert lst.items is not old
+        # the array the reader loaded is unchanged, and every key it held
+        # has the same head in the newest array
+        assert old == held
+        n = len(old) >> 1
+        newest = OneLevelBin(lst.items)
+        for key, ref in zip(old[:n], old[n:]):
+            assert search_bin(newest, key) is ref
+        assert set(old[:n]) < set(list_keys(lst))
+
+    def test_a_splice_with_a_stale_array_writes_nothing(self):
+        clock = GlobalClock(0)
+        tlb = split(range(0, 80, 10), 4, clock)
+        lst = tlb.children[0]
+        stale = lst.items
+        assert put(tlb, 5, 5, clock) is True
+        after = lst.items
+        sizes = (lst.size, tlb.size)
+        steps = []
+        set_cas_hook(lambda target, ok: steps.append((target, ok)))
+        try:
+            assert not bins_mod.splice(tlb, lst, stale, stale[:2] + [3] + stale[2:])
+        finally:
+            set_cas_hook(None)
+        assert lst.items is after and (lst.size, tlb.size) == sizes
+        # the hook sees the array the splice found, which a success stored
+        assert len(steps) == 1 and steps[0][0] is after and steps[0][1] is False
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30), st.integers(0, 3)),
@@ -779,7 +722,7 @@ def test_random_single_thread_ops_stay_sorted_and_match_a_dict(ops):
             continue
         if is_insert:
             want = live.get(k) != v
-            assert insert_bin(olb, k, v, clock) is want
+            assert put(olb, k, v, clock) is want
             live[k] = v
             everything.add(k)
         else:

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex import core
-from lfindex.bins import KNode
+from lfindex.bins import UNDER_MAKE_MODEL, OneLevelBin, bin_new, insert_bin
 from lfindex.core import (
-    KEY_MAX,
     UNSET_TS,
     AtomicRef,
     EMPTY,
@@ -99,130 +98,127 @@ class TestTheOneLock:
         assert all(locked for _, locked in held)
 
 
+    def test_a_list_target_is_always_a_splice(self):
+        # a splice names its list's array, frozen owner or not, and no other
+        # step names a list, so a hook tells a splice from an install by
+        # its target alone
+        tiny = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+        index = LearnedIndex.build([(0, 0), (10**6, 0)], tiny)
+        seen = []
+
+        def record(target, ok):
+            seen.append((sys._getframe(1).f_code.co_name, isinstance(target, list), ok))
+
+        set_cas_hook(record)
+        try:
+            for k in range(1, 40):
+                index.insert(k, k)
+            olb, _ = bin_new(5, 5)
+            freeze(olb, True)
+            assert insert_bin(olb, olb, 6, 6, index.clock) is UNDER_MAKE_MODEL
+        finally:
+            set_cas_hook(None)
+        splices = {(is_list, ok) for step, is_list, ok in seen if step == "splice"}
+        assert splices == {(True, True), (True, False)}
+        assert not any(is_list for step, is_list, _ in seen if step != "splice")
+
+
 class TestLink:
-    """A node is its own link: its ``next`` holds the next node, or the one
-    shared tail END."""
+    """The benchmark's view of a list: ``head`` links a throwaway view node
+    per key to the next, ending at the one shared END."""
 
     def test_one_immutable_field(self):
-        # END's one field is its key, above every key, and nothing sets it
-        assert END.item == KEY_MAX + 1
+        # END has no field, and a view node's fields are fixed once made
         assert END.__slots__ == ()
         with pytest.raises(AttributeError):
-            END.item = 0
-        with pytest.raises(AttributeError):
             END.next = END
+        view = OneLevelBin([7, AtomicRef(VersionedValue(1, 0))]).head
+        with pytest.raises(AttributeError):
+            view.item = 0
+        with pytest.raises(AttributeError):
+            view.next = view
 
     def test_end_links_nowhere(self):
-        # the benchmark's accessors: a node is its own target, END none
+        # the benchmark's accessors: a view node is its own target, END none
         assert END.target is None and END.load() is END
-        node = KNode(1, AtomicRef(VersionedValue(1, 0)))
-        assert node.next is END
+        ref = AtomicRef(VersionedValue(1, 0))
+        olb = OneLevelBin([1, 5, ref, AtomicRef(VersionedValue(5, 0))])
+        node = olb.head
+        assert (node.item, node.version) == (1, ref) and ref.version is ref
         assert node.target is node and node.load() is node
+        assert node.next.item == 5 and node.next.next is END
+        assert OneLevelBin([]).head is END
 
 
 class Owner:
-    """A list with a freeze word, its first node, a walk hint, fingers and a
-    count, as a bin or a child list is; ``fingers`` None keeps none, as a
-    one-level bin."""
+    """A list with a freeze word, its array and a count, as a bin or a child
+    list is."""
 
-    def __init__(self, size=0, fingers=None, first=END):
+    def __init__(self, size=0, items=None):
         self.frozen = None
-        self.next = first
-        self.hint = None
-        self.fingers = fingers
+        self.items = [] if items is None else items
         self.size = size
-
-
-def fresh_node(item):
-    """A new node not linked yet, as an insert makes; ``next`` None shows
-    that nothing has written it."""
-    return SimpleNamespace(item=item, next=None)
-
-
-def node_before(succ):
-    """A node of a list whose ``next`` holds ``succ``."""
-    return SimpleNamespace(item="pred", next=succ)
 
 
 class TestSplice:
     def test_stores_iff_the_cell_holds_expected(self):
-        owner, old, new = Owner(), fresh_node("a"), fresh_node("b")
-        pred = node_before(old)
-        equal = fresh_node("a")
+        old = ["a", "ref"]
+        owner, new = Owner(1, old), ["a", "b", "ref", "ref"]
+        equal = list(old)
         assert equal == old and equal is not old
-        assert not splice(owner, owner, pred, equal, new)  # equal is not identical
-        assert pred.next is old
-        # a lost splice writes nothing: no link, no hint, no count
-        assert new.next is None
-        assert (owner.hint, owner.fingers, owner.size) == (None, None, 0)
-        assert splice(owner, owner, pred, old, new)
-        assert pred.next is new
-        assert not splice(owner, owner, pred, old, fresh_node("c"))
-        assert pred.next is new
+        assert not splice(owner, owner, equal, new)  # equal is not identical
+        # a lost splice writes nothing: no array, no count
+        assert owner.items is old and owner.size == 1
+        assert splice(owner, owner, old, new)
+        assert owner.items is new
+        assert not splice(owner, owner, old, ["c"])
+        assert owner.items is new
 
     def test_fails_once_the_owner_is_frozen(self):
         events = []
-        tlb, child, old = Owner(5), Owner(2), fresh_node("a")
-        pred, new = node_before(old), fresh_node("b")
+        old = ["a", "ref"]
+        tlb, child = Owner(5), Owner(2, old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
             freeze(tlb, True)
             freeze(tlb, "later")  # terminal: the first job stays
-            assert not splice(tlb, child, pred, old, new)
+            assert not splice(tlb, child, old, ["new"])
         finally:
             set_cas_hook(None)
         assert tlb.frozen is True
         # a refused splice writes nothing either
-        assert pred.next is old and new.next is None
-        assert (child.hint, tlb.hint) == (None, None)
+        assert child.items is old
         assert (child.size, tlb.size) == (2, 5)
-        # the hook sees the frozen owner, not the node it would have written
-        assert events == [(tlb, True), (tlb, False), (tlb, False)]
+        # the hook sees the array the splice found, on a frozen owner too
+        assert [(id(t), ok) for t, ok in events] == [
+            (id(tlb), True), (id(tlb), False), (id(old), False)]
 
     def test_hook_sees_the_cell_written_or_found(self):
-        # the predecessor whose ``next`` a splice compares: a node, or the
-        # list itself in front of its first node
+        # the list's array after the step: the one a success stored, and
+        # the one a failure found, which a success stored
         events = []
-        owner, old = Owner(), fresh_node("a")
-        pred = node_before(old)
+        old, first, second = ["a", "ref"], ["a", "b", 1, 2], ["a", "c", 1, 2]
+        owner = Owner(1, old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            splice(owner, owner, pred, old, fresh_node("b"))
-            splice(owner, owner, pred, old, fresh_node("c"))
-            splice(owner, owner, owner, END, fresh_node("d"))
+            splice(owner, owner, old, first)
+            splice(owner, owner, old, second)
         finally:
             set_cas_hook(None)
-        assert events == [(pred, True), (pred, False), (owner, True)]
+        assert [(id(t), ok) for t, ok in events] == [(id(first), True), (id(first), False)]
 
-    def test_a_success_links_hints_and_counts(self):
+    def test_a_success_publishes_the_copy_and_counts(self):
         # a one-level bin is its own list: one count
-        olb, old, new = Owner(3), fresh_node("a"), fresh_node("b")
-        pred = node_before(old)
-        assert splice(olb, olb, pred, old, new)
-        assert new.next is old and pred.next is new
-        assert olb.hint is new
-        assert olb.size == 4
-        # a child list counts in its own size and in its bin's total; the
-        # list is the predecessor of its first node
-        tlb, child = Owner(5), Owner(2, first=old)
-        new = fresh_node("c")
-        assert splice(tlb, child, child, old, new)
-        assert new.next is old and child.next is new
-        assert child.hint is new and tlb.hint is None
+        old, new = ["a", 1], ["a", "b", 1, 2]
+        olb = Owner(1, old)
+        assert splice(olb, olb, old, new)
+        assert olb.items is new and old == ["a", 1]
+        assert olb.size == 2
+        # a child list counts in its own size and in its bin's total
+        tlb, child = Owner(5), Owner(2, old)
+        assert splice(tlb, child, old, new)
+        assert child.items is new and tlb.items == []
         assert (child.size, tlb.size) == (3, 6)
-
-    def test_a_new_tail_and_only_it_becomes_a_finger(self):
-        tlb, child = Owner(1), Owner(1, fingers=["a"])
-        tail, mid = fresh_node("c"), fresh_node("b")
-        pred = node_before(END)
-        assert splice(tlb, child, pred, END, tail)  # links to END: the tail
-        assert child.fingers == ["a", tail]
-        assert splice(tlb, child, pred, tail, mid)  # links to the tail: no finger
-        assert child.fingers == ["a", tail]
-        assert not splice(tlb, child, node_before(END), tail, fresh_node("d"))
-        freeze(tlb, True)
-        assert not splice(tlb, child, node_before(END), END, fresh_node("d"))
-        assert child.fingers == ["a", tail]  # a failure writes no finger
 
 
 class TestDcss:

@@ -6,6 +6,7 @@ or inside the builder of an object no other thread can reach yet.  The
 table below states, once, which function may store which shared field and
 why.  A second table states which functions may take each guarded step,
 and a third which may rebuild a frozen structure or help a compaction.
+A list's array is never changed once loaded: no code mutates one in place.
 The next checks hold the one lock to what the ``core`` docstring claims:
 ``core`` makes it once and no other module names it, every guarded step
 takes it, and no critical section nests another or calls code outside
@@ -19,7 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
 
 #: The fields that threads share once an object is published.
-FIELDS = {"next", "hint", "fingers", "size", "frozen", "children",
+FIELDS = {"items", "size", "frozen", "children",
           "value", "ts", "vnext", "now"}
 
 #: function -> (shared fields it may store, why the store is safe)
@@ -32,8 +33,8 @@ WRITERS = {
         {"children"},
         "the one slot writer: under the one lock, only while the owner is not frozen"),
     "core.splice": (
-        {"next", "hint", "fingers", "size"},
-        "links, hints, fingers and counts a new key under the one lock, only while the bin is not frozen"),
+        {"items", "size"},
+        "publishes a list's next array and counts its key under the one lock, only while the bin is not frozen"),
     "core.freeze": (
         {"frozen"}, "the one freeze-word writer: under the one lock, once"),
     "core.VersionedValue.__init__": (
@@ -42,13 +43,9 @@ WRITERS = {
         {"ts"}, "sets an unset ts once, under the one lock"),
     "core.GlobalClock.__init__": (
         {"now"}, "the clock's cell is made once, with its index"),
-    "bins.KNode.__init__": (
-        {"next"}, "a list node is private until its splice"),
     "bins.OneLevelBin.__init__": (
-        {"next", "size", "hint", "frozen"},
+        {"items", "size", "frozen"},
         "a list is private until an install or a split publishes it"),
-    "bins.ChildList.__init__": (
-        {"fingers"}, "a child list is private until the split that builds it is installed"),
     "bins.TwoLevelBin.__init__": (
         {"children", "size", "frozen"}, "a split bin is private until its install"),
     "index.ModelNode.__init__": (
@@ -64,7 +61,7 @@ CALLERS = {
             "the one writer of child slots; a move lost to a freeze helps the compaction",
     },
     "splice": {
-        "bins._olb_insert": "the one way a key enters a list, after the walk that finds its place",
+        "bins.insert_bin": "the one way a key enters a list, in a copy of the array it loaded",
     },
     "freeze": {
         "bins.freeze_bin": "a bin's freeze word is True, whoever freezes it",
@@ -248,33 +245,87 @@ def test_a_root_stored_outside_dcss_is_caught():
         ("index.LearnedIndex.help_compact", "children")]
 
 
-def test_a_finger_added_outside_splice_is_caught():
-    # a mutant insert that records its new tail after the splice returns,
-    # where a racing splice could append a greater node first
+def test_an_array_stored_outside_splice_is_caught():
+    # a mutant insert that publishes its copy by a plain store, where a
+    # racing splice or a freeze would go unseen
     source = (SRC / "bins.py").read_text()
-    stamp = "            fresh.stamp(clock)\n"
-    assert source.count(stamp) == 1
-    modules = _modules()
-    for mutant in ("olb.fingers.append(new)", "olb.fingers.insert(0, new)",
-                   "olb.fingers[-1] = new"):
-        modules["bins"] = ast.parse(source.replace(stamp, stamp + " " * 12 + mutant + "\n"))
-        stray = _stray(_found(_Stores, modules=modules))
-        assert [(fn, field) for fn, field, _ in stray] == [
-            ("bins._olb_insert", "fingers")], mutant
-
-
-def test_a_link_stored_outside_splice_is_caught():
-    # a mutant insert that links its node by plain stores before its
-    # splice, where a racing splice or a freeze would go unseen
-    source = (SRC / "bins.py").read_text()
-    made = "            new = KNode(key, AtomicRef(fresh))\n"
+    made = "        new.insert(i, key)\n"
     assert source.count(made) == 1
     modules = _modules()
-    for mutant in ("new.next = node", "pred.next = new", "setattr(pred, 'next', new)"):
-        modules["bins"] = ast.parse(source.replace(made, made + " " * 12 + mutant + "\n"))
+    for mutant in ("lst.items = new", "setattr(lst, 'items', new)", "bin_.items = new"):
+        modules["bins"] = ast.parse(source.replace(made, made + " " * 8 + mutant + "\n"))
         stray = _stray(_found(_Stores, modules=modules))
         assert [(fn, field) for fn, field, _ in stray] == [
-            ("bins._olb_insert", "next")], mutant
+            ("bins.insert_bin", "items")], mutant
+
+
+class _InPlace(_Scoped):
+    """Every in-place change of a loaded array, as (function, line): a
+    mutating call, an augmented assignment, or an item or slice store on
+    ``x.items`` or on a name bound to one in the same function."""
+
+    def __init__(self, module):
+        super().__init__(module)
+        self.loaded = set()  # names bound to a loaded array in this function
+
+    def _scoped(self, node):
+        saved, self.loaded = self.loaded, set()
+        super()._scoped(node)
+        self.loaded = saved
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def _is_loaded(self, node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "items")
+                or (isinstance(node, ast.Name) and node.id in self.loaded))
+
+    def _hit(self, node):
+        self.found.append((".".join(self.scope), node.lineno))
+
+    def visit_Assign(self, node):
+        if self._is_loaded(node.value):
+            self.loaded |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        if self._is_loaded(node.target):
+            self._hit(node)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        if isinstance(node.ctx, (ast.Store, ast.Del)) and self._is_loaded(node.value):
+            self._hit(node)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in MUTATORS
+                and self._is_loaded(func.value)):
+            self._hit(node)
+        self.generic_visit(node)
+
+
+def test_no_code_changes_a_loaded_array_in_place():
+    # a reader may hold any array a list ever published: a change to one in
+    # place would change what a reader sees mid-bisection
+    assert _found(_InPlace) == []
+
+
+def test_an_array_changed_in_place_is_caught():
+    source = (SRC / "bins.py").read_text()
+    copied = "        new = items.copy()\n"
+    assert source.count(copied) == 1
+    modules = _modules()
+    mutants = {line: source.replace(copied, " " * 8 + line + "\n" + copied)
+               for line in ("items.insert(0, key)", "items.append(key)", "items += [key]",
+                            "items[0] = key", "items[0:0] = [key]", "del items[0]",
+                            "lst.items.append(key)", "lst.items[0] = key")}
+    # no copy made: the two inserts that follow change the loaded array
+    mutants["new = items"] = source.replace(copied, "        new = items\n")
+    for line, mutant in mutants.items():
+        modules["bins"] = ast.parse(mutant)
+        found = [fn for fn, _ in _found(_InPlace, modules=modules)]
+        assert found and set(found) == {"bins.insert_bin"}, line
 
 
 def _check_callers(table):
@@ -356,19 +407,15 @@ def test_critical_sections_are_flat_and_stay_in_core():
             for node in ast.walk(stmt):
                 assert not _is_lock_block(node), f"nested lock at line {node.lineno}"
                 if isinstance(node, ast.Call):
-                    # the test hook is the one call that leaves core; an
-                    # append to a shared list field is a builtin store
+                    # the test hook is the one call that leaves core
                     func = node.func
-                    if (isinstance(func, ast.Attribute) and func.attr == "append"
-                            and _name(func.value) in FIELDS):
-                        continue
                     name = func.id if isinstance(func, ast.Name) else None
                     assert name == "hook" or name in callable_, (
                         f"line {node.lineno} calls {ast.unparse(func)} under a lock")
 
 
 #: The accessors ``core.BenchReads`` keeps for ``lfbench/layers.py`` alone.
-BENCH_READS = {"load", "target", "head"}
+BENCH_READS = {"load", "target", "head", "version"}
 
 
 class _BenchReads(_Scoped):
@@ -381,18 +428,20 @@ class _BenchReads(_Scoped):
 
 
 def test_no_module_uses_the_benchmarks_accessors():
-    # a slot holds its child and a node links straight to the next: the
-    # index reads those fields, never through ``load``, ``target`` or ``head``
+    # a slot holds its child and a list its array: the index reads those
+    # fields, never through ``load``, ``target``, ``head`` or ``version``
     assert _found(_BenchReads) == []
 
 
 def test_an_accessor_read_in_the_index_is_caught():
     source = (SRC / "bins.py").read_text()
-    walk = "    node = pred.next\n"
-    assert source.count(walk) == 1
+    read = "    return items[n + i] if i < n and items[i] == key else None\n"
+    assert source.count(read) == 1
     modules = _modules()
-    for mutant, name in (("pred.next.load()", "load"), ("pred.next.target", "target"),
-                         ("olb.head", "head")):
-        modules["bins"] = ast.parse(source.replace(walk, f"    node = {mutant}\n"))
+    for mutant, name in (("items[n + i].load()", "load"), ("items[n + i].target", "target"),
+                         ("items[n + i].version", "version"),
+                         ("list_for(bin_, key).head", "head")):
+        modules["bins"] = ast.parse(source.replace(
+            read, f"    return {mutant} if i < n and items[i] == key else None\n"))
         assert [(fn, attr) for fn, attr, _ in _found(_BenchReads, modules=modules)] == [
-            ("bins._olb_seek", name)], mutant
+            ("bins.search_bin", name)], mutant

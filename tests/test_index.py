@@ -1,5 +1,6 @@
 """The index proper: build, seek, point ops, and bin-to-node helping."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -17,7 +18,7 @@ import lfindex.index as index_mod
 from lfindex import DatasetSpec, core, generate_dataset, rangescan
 from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_frozen,
                           freeze_bin, insert_bin, search_bin)
-from lfindex.core import EMPTY, END, KEY_MAX, UNSET_TS, set_cas_hook
+from lfindex.core import EMPTY, KEY_MAX, UNSET_TS, set_cas_hook
 from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import segment_root
 from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
@@ -61,10 +62,7 @@ def list_lengths(index):
             if child is EMPTY or isinstance(child, ModelNode):
                 continue
             for lst in (child,) if child.is_one_level else child.children:
-                n, kn = 0, lst.next
-                while kn is not END:
-                    n, kn = n + 1, kn.next
-                out.append(n)
+                out.append(len(lst.items) >> 1)
     return out
 
 
@@ -146,6 +144,19 @@ class TestBuild:
             IndexConfig(olb_threshold=2, tlb_fanout=8, tlb_threshold=3)
         with pytest.raises(ValueError):  # a split bin would already be full
             IndexConfig(olb_threshold=16, tlb_fanout=8, tlb_threshold=8)
+
+    def test_the_list_threshold_is_derived_not_set(self):
+        # twice the mean list of a full two-level bin, worked out once from
+        # the fields and never a field of its own
+        cfg = IndexConfig()
+        assert cfg.list_threshold == 2 * 1024 // 8
+        assert "list_threshold" not in {f.name for f in dataclasses.fields(cfg)}
+        with pytest.raises(TypeError):
+            IndexConfig(list_threshold=1)
+        assert dataclasses.replace(cfg, tlb_fanout=4).list_threshold == 512
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.list_threshold = 1
+        assert cfg == IndexConfig()
 
     def test_config_sizes_are_taken_like_keys(self):
         # a float size would be accepted and then break the first split
@@ -230,35 +241,45 @@ class TestBuildPausesTheCollector:
 
 
 def tracked_since(action):
-    """Type names of the objects the collector tracks that ``action`` left
-    alive, counted over ``gc.get_objects()`` after a full collection."""
+    """Type names, one per object, by which ``action`` grew the objects the
+    collector tracks, counted over ``gc.get_objects()`` after a full
+    collection: an object it replaced, as a splice replaces its list's
+    array, offsets the one that replaced it."""
+    _tracked_types()  # whatever a first count makes once
     gc.collect()
-    before = {id(o) for o in gc.get_objects()}
+    before = _tracked_types()
     action()
-    after = gc.get_objects()  # taken before the filter below makes its closure
-    return sorted(type(o).__name__ for o in after if id(o) not in before and o is not before)
+    after = _tracked_types()
+    return sorted((Counter(after) - Counter(before)).elements())
+
+
+def _tracked_types():
+    """Tracked objects per type name, as a plain dict of str to int, which
+    the collector does not track, so a count does not count the last one."""
+    counts = Counter(type(o).__name__ for o in gc.get_objects())
+    return {name: n for name, n in counts.items()}
 
 
 class TestTrackedObjects:
-    """A bin key is one node object: a list links its nodes directly and a
-    slot holds its child, so no cell or link object comes with a key."""
+    """A bin key is two slots of its list's array and its chain: a splice
+    replaces the array, and a slot holds its child, so no node, cell or
+    link object comes with a key."""
 
     def test_a_first_insert_into_an_empty_slot_leaves_four(self):
         index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
         assert index.insert(150, 1) is True  # warm-up, in another slot
         assert tracked_since(lambda: index.insert(50, 5)) == [
-            "AtomicRef", "KNode", "OneLevelBin", "VersionedValue"]
+            "AtomicRef", "OneLevelBin", "VersionedValue", "list"]
         assert audit_structure(index).ok
 
-    def test_a_key_spliced_into_a_one_level_bin_leaves_three(self):
+    def test_a_key_spliced_into_a_one_level_bin_leaves_two(self):
         index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
         for k in (50, 150, 160):
             assert index.insert(k, k) is True
-        # after the first node, and before it, where the list is the
-        # node's predecessor
+        # after the first key, and before it
         for k in (60, 40):
             assert tracked_since(lambda: index.insert(k, k)) == [
-                "AtomicRef", "KNode", "VersionedValue"], k
+                "AtomicRef", "VersionedValue"], k
         _, _, olb = index.seek(50)
         assert isinstance(olb, OneLevelBin) and olb.size == 3
         assert audit_structure(index).ok
@@ -469,8 +490,9 @@ class TestInsert:
             monkeypatch.setattr(index_mod, "bin_new", bin_new)
 
             def stall(target, ok):
-                # a lost install names the child it found, the winner's bin
-                if not ok and sys._getframe(1).f_code.co_name == "dcss":
+                # a lost install names the child it found, the winner's bin;
+                # a lost splice names an array, never a slot's child
+                if not ok and not isinstance(target, list):
                     assert target is index.root.children[1]
                     lost[0] += 1
                 if hook_rnd.random() < 0.3:
@@ -555,13 +577,13 @@ class TestFirstInsertStamp:
 
         def splice_below(parent, slot, old, new):
             if old is None:
-                assert insert_bin(new, 40, 4, index.clock) is True
+                assert insert_bin(new, new, 40, 4, index.clock) is True
 
         index.transition_log = splice_below
         assert index.insert(50, 5) is True
         _, _, bin_ = index.seek(50)
-        assert bin_.next.item == 40
-        assert search_bin(bin_, 50).version.load().ts != UNSET_TS
+        assert bin_.items[:2] == [40, 50]
+        assert search_bin(bin_, 50).value.ts != UNSET_TS
 
 
 class TestDelete:
@@ -758,12 +780,19 @@ class TestLockFreedomProxy:
         # a failure means someone already advanced the cell, which is the
         # lock-freedom progress argument
         # a seeded stall inside the critical section makes the threads
-        # collide on every run, not only when the scheduler happens to
-        events = []
+        # collide on every run, not only when the scheduler happens to.
+        # A splice names the list's array, and one that fails on a frozen
+        # bin names the array its list held when the bin froze, which the
+        # freeze's event records here, inside the lock, as that step's
+        events = []  # (cell, ok), holding each cell so no id is reused
         hook_rnd = random.Random(15)
 
         def record(cell, ok):
-            events.append((id(cell), ok))
+            events.append((cell, ok))
+            if ok and isinstance(cell, (OneLevelBin, TwoLevelBin)) and cell.frozen:
+                # a freeze, not the install of a fresh bin
+                lists = (cell,) if cell.is_one_level else cell.children
+                events.extend((lst.items, True) for lst in lists)
             if hook_rnd.random() < 0.05:
                 time.sleep(1e-5)
 
@@ -789,9 +818,9 @@ class TestLockFreedomProxy:
         failures_checked = 0
         for cell, ok in events:
             if ok:
-                succeeded.add(cell)
+                succeeded.add(id(cell))
             else:
-                assert cell in succeeded, "CAS failed with no prior success on its cell"
+                assert id(cell) in succeeded, "CAS failed with no prior success on its cell"
                 failures_checked += 1
         # the run must actually have produced contention to be meaningful
         assert failures_checked > 0
@@ -822,7 +851,7 @@ class TestSlotDiscipline:
         for k in (10, 20, 30, 40, 150):  # slot 1's fifth key splits its bin
             index.insert(k, k)
         assert isinstance(root.children[1], TwoLevelBin)
-        assert olb.frozen is not None and search_bin(olb, 50).item == 50
+        assert olb.frozen is not None and search_bin(olb, 50).value.val == 5
         assert isinstance(root.children[2], OneLevelBin)
         assert empty is core.EMPTY and empty.value is None
 
@@ -1268,8 +1297,8 @@ class TestCompaction:
         bounced = []
         real_insert_bin = index_mod.insert_bin
 
-        def insert_bin(b, key, value, clock):
-            res = real_insert_bin(b, key, value, clock)
+        def insert_bin(b, lst, key, value, clock):
+            res = real_insert_bin(b, lst, key, value, clock)
             if res is UNDER_MAKE_MODEL:
                 bounced.append(b)
             return res

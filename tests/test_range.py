@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lfindex import bins as bins_mod, rangescan
 from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin
-from lfindex.core import EMPTY, END, KEY_MAX, UNSET_TS, VersionedValue
+from lfindex.core import EMPTY, KEY_MAX, UNSET_TS, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.verify import SequentialOracle
 
@@ -270,11 +270,7 @@ class TestScanReads:
         frozen = next(c for c in children
                       if isinstance(c, OneLevelBin) and c.size < TINY.olb_threshold)
         freeze_bin(frozen)
-        node = frozen.next
-        own = []
-        while node is not END:
-            own.append(node.item)
-            node = node.next
+        own = frozen.items[:frozen.size]
         model_keys = [k for c in children if isinstance(c, ModelNode) for k in c.keys]
         for _ in range(300):
             k = rnd.choice(own) if rnd.random() < 0.5 else rnd.choice(model_keys)
@@ -321,9 +317,9 @@ class TestScanReads:
         node, j = next((c, j) for c in children if isinstance(c, ModelNode)
                        for j in range(len(c.keys))
                        if isinstance(c.children[j], OneLevelBin))
-        knode = node.children[j].next
-        keys = [node.keys[j], knode.item]
-        heads = [node.versions[j], knode.version]
+        items = node.children[j].items
+        keys = [node.keys[j], items[0]]
+        heads = [node.versions[j], items[len(items) >> 1]]
         clock.read_and_bump()
         now = clock.read()
         for ref, v in zip(heads, (71, 72)):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import KNode, freeze_bin
-from lfindex.core import EMPTY, END, KEY_MAX, AtomicRef, VersionedValue
+from lfindex.bins import freeze_bin
+from lfindex.core import EMPTY, KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import Model, fit_linear, root_table, segment_root
 from lfindex.verify import (
@@ -598,17 +598,30 @@ class TestAuditStructure:
         report = audit_structure(index)
         assert [f.kind for f in report.findings] == ["slot-kind"]
 
-    def test_detects_a_list_that_does_not_end_at_END(self):
+    def test_detects_an_array_of_odd_length(self):
         index = LearnedIndex.build([(0, 0), (1_000, 0)])
         for k in (10, 20):
             index.insert(k, k)
-        tail = index.root.children[1].next.next
-        assert tail.item == 20 and tail.next is END
-        for planted in (None, AtomicRef(END)):
-            tail.next = planted
-            report = audit_structure(index)
-            assert [f.kind for f in report.findings] == ["list-tail"], planted
-        tail.next = END
+        olb = index.root.children[1]
+        good = olb.items
+        assert good[:2] == [10, 20] and len(good) == 4
+        olb.items = good + [AtomicRef(VersionedValue(30, 0))]
+        report = audit_structure(index)
+        assert [f.kind for f in report.findings] == ["list-shape"]
+        olb.items = good
+        assert audit_structure(index).ok
+
+    def test_detects_keys_out_of_order_in_an_array(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 0)])
+        for k in (10, 20):
+            index.insert(k, k)
+        olb = index.root.children[1]
+        good = olb.items
+        k10, k20, r10, r20 = good
+        olb.items = [k20, k10, r20, r10]  # each key keeps its own head
+        report = audit_structure(index)
+        assert [f.kind for f in report.findings] == ["key-order"]
+        olb.items = good
         assert audit_structure(index).ok
 
     def test_detects_a_frozen_bin(self):
@@ -627,34 +640,18 @@ class TestAuditStructure:
         assert report.live_map() == {0: 0, 1_000: 0, 1_010: 1} | {
             k: k for k in range(10, 60, 10)}
 
-    def test_detects_a_hint_outside_its_list(self):
+    def test_detects_a_chain_head_that_is_not_a_cell(self):
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
         for k in range(10, 60, 10):  # the fifth insert splits the bin
             index.insert(k, k)
-        tlb = index.root.children[1]
-        assert not tlb.is_one_level
-        assert audit_structure(index).ok
-        tlb.children[0].hint = tlb.children[1].next
+        lst = index.root.children[1].children[1]
+        good = lst.items
+        assert good[:2] == [30, 40] and len(good) == 6
+        # a key's version where its cell belongs
+        lst.items = good[:3] + [good[3].value] + good[4:]
         report = audit_structure(index)
-        assert {f.kind for f in report.findings} == {"list-hint"}
-
-    def test_detects_fingers_out_of_order_outside_the_list_or_short_of_its_tail(self):
-        index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
-        for k in range(10, 60, 10):  # the fifth insert splits the bin
-            index.insert(k, k)
-        tlb = index.root.children[1]
-        lst = tlb.children[1]  # split with 30 and 40, then spliced 50 at its tail
-        assert [n.item for n in lst.fingers] == [30, 40, 50]
-        assert audit_structure(index).ok
-        good = list(lst.fingers)
-        stranger = KNode(good[0].item, good[0].version)
-        for planted in (good[::-1],                # not ascending
-                        [stranger] + good[1:],     # a node of no list
-                        good[:-1]):                # short of the tail
-            lst.fingers[:] = planted
-            report = audit_structure(index)
-            assert {f.kind for f in report.findings} == {"list-fingers"}, planted
-        lst.fingers[:] = good
+        assert [f.kind for f in report.findings] == ["list-shape"]
+        lst.items = good
         assert audit_structure(index).ok
 
     def test_deep_nesting_is_walked_without_recursion(self):
