@@ -1,25 +1,49 @@
-"""Shared primitives: atomic cells, versioned values, the clock.
+"""Shared primitives: guarded steps, versioned values, the clock.
 
-Every mutation anywhere in the index funnels through a single-word
-compare-and-swap on ``AtomicRef``, or through ``dcss``, ``splice``,
-``freeze`` and ``VersionedValue.stamp``: ``dcss`` stores a model node's
-child in its slot, ``splice`` publishes a bin list's next array,
-``freeze`` sets the freeze word of either owner, after which neither
-succeeds, and ``stamp`` sets a version's timestamp once.
-CPython has no native CAS, so the primitives emulate it with one module
-lock, ``_LOCK``, which every guarded step takes, so each excludes every
-other.  Each critical section is a constant-time compare and its stores,
-never nested, and never calls back into user code.  The design assumes
-the GIL: plain attribute loads are atomic under it and serve for all
-reads, and since it lets no two steps run at once anyway, one lock costs
-no parallelism that finer locks would keep.
+Every mutation anywhere in the index funnels through one of six guarded
+steps: ``dcss`` stores a model node's child in its slot, ``splice``
+publishes a bin list's next array, ``write_head`` stores a key's new
+chain head in its owner's array, ``freeze`` sets the freeze word of an
+owner (a bin or a model node), ``VersionedValue.stamp`` sets a version's
+timestamp once, and ``AtomicRef.compare_and_swap`` advances the clock.
+CPython has no native CAS, so the steps emulate it with one module lock,
+``_LOCK``, which every guarded step takes, so each excludes every other.
+Each critical section is a constant-time compare and its stores, never
+nested, and never calls back into user code.  The design assumes the GIL:
+plain attribute loads are atomic under it and serve for all reads, and
+since it lets no two steps run at once anyway, one lock costs no
+parallelism that finer locks would keep.
+
+The freeze rule: once an owner is frozen, nothing in it changes.  A
+key's chain head sits in its owner's array (a model node's ``versions``,
+or the heads half of a list's ``items``), and ``dcss``, ``splice`` and
+``write_head`` each fail once the owner's freeze word is set, so a write
+lands before the freeze, and is collected, or fails and helps finish the
+rebuild that froze the owner before it retries in the replacement.  A
+list's array obeys the same rule once a splice replaces it:
+``write_head`` also compares ``items`` with the array the writer
+bisected, and ``splice`` compares the list's ``writes`` count with the
+one the inserter read before it copied, so no write lands in an old
+array or is lost to a copy made before it.  Keys in a published array
+never change; only ``write_head`` changes a head slot.  Every rebuild
+reuses the collected heads, so the frozen original and its replacement
+hold one ``VersionedValue`` per key, and a version has one timestamp
+however many structures hold it.
+
+Readers never loop.  A search or a scan reads through frozen structures
+and replaced arrays: each structure it loads was current at some moment
+after it began, and holds every key's value as of the moment it stopped
+being current, which a read there may answer.  A scan bumps the clock,
+then loads a structure; a write into a replacement lands after the
+install, so after that load, and is stamped at least ``ts + 1``: a scan
+that reads a frozen structure misses no version stamped at or before its
+``ts``.
 
 Every compare is by identity, and no compared field can take back an
 object it once held (no ABA).  A slot leaves ``EMPTY`` once, and every
 other child a ``dcss`` stores is fresh.  A list's ``items`` only takes
-arrays its splices copied, so each is fresh, and none is changed once
-published.  A chain head holds fresh versions only, and the clock's cell
-only rises (``GlobalClock``).
+arrays its splices copied, so each is fresh.  A head slot takes only
+fresh versions, and the clock's cell only rises (``GlobalClock``).
 
 Payload convention: payloads are ints; ``None`` is the Absent marker written
 by deletions.  A read as of a time answers the payload of the newest version
@@ -93,7 +117,8 @@ _LOCK = threading.Lock()
 
 # Test instrumentation: called as hook(cell, success) from inside ``_LOCK``,
 # so the event order in the hook is the one true order of all guarded steps.
-# ``dcss``, ``splice`` and ``freeze`` report as described on them.
+# ``dcss``, ``splice``, ``write_head`` and ``freeze`` report as described
+# on them.
 _cas_hook: Optional[Callable[[object, bool], None]] = None
 
 
@@ -105,10 +130,9 @@ def set_cas_hook(hook: Optional[Callable[[object, bool], None]]) -> None:
 class AtomicRef:
     """A reference cell with load / CAS as indivisible steps: a load is a
     plain read of ``value``, atomic under the GIL, and a CAS is one compare
-    and one store under ``_LOCK``.  Every read in the index reads ``value``;
-    ``load`` and ``version`` are kept for the benchmark's probes: they read
-    what ``bins.search_bin`` returns, now the chain head itself, as the
-    list node it once was, through its ``version``.
+    and one store under ``_LOCK``.  The index builds one for its clock, and
+    one for ``EMPTY``; ``load`` is kept for the benchmark's probes, which
+    call it on a slot's child.
 
     CAS compares by identity, so logically-equal but distinct objects fail
     the swap (no ABA: module docstring).
@@ -121,10 +145,6 @@ class AtomicRef:
 
     def load(self) -> Any:
         return self.value
-
-    @property
-    def version(self) -> "AtomicRef":
-        return self
 
     def compare_and_swap(self, expected: Any, new: Any) -> bool:
         hook = _cas_hook
@@ -144,8 +164,11 @@ class BenchReads:
     cell, answers None), and ``head`` on a list returns a throwaway chain
     of view nodes over its array, each with ``item``, ``version`` and
     ``next``, ending at ``END``; ``target`` on a view node returns the
-    node, or None on ``END``.  No module of the index calls them; ROADMAP
-    item 1, which gives the benchmark ``index.stats()``, removes them."""
+    node, or None on ``END``.  A chain head, which the probes reach
+    through ``version`` or ``search_bin``, answers ``load()`` and
+    ``version`` with itself.  No module
+    of the index calls them; ROADMAP item 1, which gives the benchmark
+    ``index.stats()``, removes them."""
 
     __slots__ = ()
 
@@ -155,6 +178,10 @@ class BenchReads:
     @property
     def target(self) -> Any:
         return None if self is END else self
+
+    @property
+    def version(self) -> Any:
+        return self
 
     @property
     def head(self) -> Any:
@@ -208,19 +235,21 @@ def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
     return ok
 
 
-def splice(owner: Any, lst: Any, expected: list, new: list) -> bool:
+def splice(owner: Any, lst: Any, expected: list, writes: int, new: list) -> bool:
     """Publish ``new``, a fresh copy of ``expected`` with one key added, as
     the ``items`` of the list ``lst`` of the bin ``owner`` iff
-    ``owner.frozen`` is None and ``lst.items`` is ``expected``, and count
-    the key in ``lst.size`` and, for a child list, in ``owner.size``: one
-    step under ``_LOCK``.  A failure writes nothing.  The hook sees the
+    ``owner.frozen`` is None, ``lst.items`` is ``expected`` and
+    ``lst.writes`` is still ``writes``, read before the copy was made, so
+    no head write to ``expected`` is lost to the copy; and count the key in
+    ``lst.size`` and, for a child list, in ``owner.size``: one step under
+    ``_LOCK``.  A failure writes nothing.  The hook sees the
     list's array after the step, the one stored or the one found, frozen
     owner or not, so a hook target that is a ``list`` is always a splice,
     and a failure on an owner not frozen names what a success stored."""
     hook = _cas_hook
     with _LOCK:
         target = lst.items
-        ok = target is expected and owner.frozen is None
+        ok = target is expected and lst.writes == writes and owner.frozen is None
         if ok:
             target = lst.items = new
             lst.size += 1
@@ -231,10 +260,33 @@ def splice(owner: Any, lst: Any, expected: list, new: list) -> bool:
     return ok
 
 
+def write_head(owner: Any, heads: list, j: int, expected: Any, new: Any,
+               lst: Any = None) -> bool:
+    """Store ``new`` in ``heads[j]``, a chain-head slot of ``owner``, iff
+    ``owner.frozen`` is None, the slot holds ``expected`` and, for a slot
+    of the list ``lst`` of the bin ``owner``, ``lst.items`` is still
+    ``heads``, the array the writer bisected; a list store also counts
+    itself in ``lst.writes``.  ``heads`` is a model node's ``versions``,
+    or a list's ``items``, whose heads follow its keys.  One step under
+    ``_LOCK``.  The hook sees the head stored or found, or a frozen owner,
+    so a ``VersionedValue`` target is always a head write."""
+    hook = _cas_hook
+    with _LOCK:
+        ok = (owner.frozen is None and heads[j] is expected
+              and (lst is None or lst.items is heads))
+        if ok:
+            heads[j] = new
+            if lst is not None:
+                lst.writes += 1
+        if hook is not None:
+            hook(heads[j] if owner.frozen is None else owner, ok)
+    return ok
+
+
 def freeze(owner: Any, job: Any) -> None:
     """Set ``owner.frozen`` to ``job`` unless it is already set, in one step
-    under ``_LOCK``.  Terminal: no later ``dcss`` or ``splice`` on the owner
-    succeeds.  The hook sees ``(owner, ok)``."""
+    under ``_LOCK``.  Terminal: no later ``dcss``, ``splice`` or
+    ``write_head`` on the owner succeeds.  The hook sees ``(owner, ok)``."""
     hook = _cas_hook
     with _LOCK:
         ok = owner.frozen is None
@@ -244,8 +296,9 @@ def freeze(owner: Any, job: Any) -> None:
             hook(owner, ok)
 
 
-class VersionedValue:
+class VersionedValue(BenchReads):
     """One version in a per-key chain: payload, write timestamp, older tail.
+    The newest version, the chain head, sits in its owner's array.
 
     ``ts`` starts unset (-1) and is set exactly once, by ``stamp``;
     ``val`` and ``vnext`` never change after construction.  Only the chain
@@ -303,15 +356,14 @@ class GlobalClock:
         return t
 
 
-def read_value_latest(head_ref: AtomicRef, clock: GlobalClock) -> Any:
+def read_value_latest(head: VersionedValue, clock: GlobalClock) -> Any:
     """Latest payload of a version chain; stamps the head if unset."""
-    ver = head_ref.value
-    if ver.ts == UNSET_TS:
-        ver.stamp(clock)
-    return ver.val
+    if head.ts == UNSET_TS:
+        head.stamp(clock)
+    return head.val
 
 
-def read_value_at(head_ref: AtomicRef, ts: int, clock: GlobalClock) -> Any:
+def read_value_at(head: VersionedValue, ts: int, clock: GlobalClock) -> Any:
     """Payload as of logical time ``ts``.
 
     Walks past versions written after ``ts``; returns the payload of the
@@ -319,9 +371,9 @@ def read_value_at(head_ref: AtomicRef, ts: int, clock: GlobalClock) -> Any:
     is a delete or the whole chain is newer than ``ts``.  Stamps the head
     if unset.
     """
-    ver = head_ref.value
-    if ver.ts == UNSET_TS:
-        ver.stamp(clock)
+    if head.ts == UNSET_TS:
+        head.stamp(clock)
+    ver = head
     while ver is not None and ver.ts > ts:
         ver = ver.vnext
         # non-head versions were stamped before being displaced
@@ -329,21 +381,25 @@ def read_value_at(head_ref: AtomicRef, ts: int, clock: GlobalClock) -> Any:
     return None if ver is None else ver.val
 
 
-def write_value(head_ref: AtomicRef, new_val: Any, clock: GlobalClock) -> bool:
-    """Publish a new version unless the current payload already equals it.
+def write_version(owner: Any, heads: list, j: int, new_val: Any,
+                  clock: GlobalClock, lst: Any = None) -> Optional[bool]:
+    """One attempt to put a version of payload ``new_val`` on the chain
+    whose head is ``heads[j]``, through ``write_head`` (same arguments).
 
-    Returns False without writing when the latest payload == new_val (the
-    no-op update / double-delete case), True once the new version is in and
-    stamped.  The displaced head is always stamped first so only the chain
-    head can ever be unstamped.
+    False without a write when the latest payload == new_val (the no-op
+    update / double-delete case), True once the new version is in and
+    stamped, and None when ``write_head`` failed: the owner froze, the
+    array moved or another write won, and the caller retries.  The
+    displaced head is always stamped first so only the chain head can ever
+    be unstamped.
     """
-    while True:
-        cur = head_ref.value
+    cur = heads[j]
+    if cur.ts == UNSET_TS:
         cur.stamp(clock)
-        if cur.val == new_val:
-            return False
-        nxt = VersionedValue(new_val, UNSET_TS, cur)
-        if head_ref.compare_and_swap(cur, nxt):
-            nxt.stamp(clock)
-            return True
-
+    if cur.val == new_val:
+        return False
+    nxt = VersionedValue(new_val, UNSET_TS, cur)
+    if write_head(owner, heads, j, cur, nxt, lst):
+        nxt.stamp(clock)
+        return True
+    return None

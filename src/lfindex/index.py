@@ -15,12 +15,13 @@ Structure invariants the operations below maintain:
   nothing freezes, so a compaction replaces the root as it does any node.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
-- A bin list is a sorted array that is never changed once published
-  (``bins``): a reader loads it once, and an insert publishes a copy with
-  one ``core.splice``.
-- Retrains never move version chains: replacement structures reuse the
-  per-key chain heads, so a writer holding a stale bin reference still
-  lands its versions where readers of the new structure find them.
+- A bin list is a sorted array whose keys never change once published
+  (``bins``): a reader loads it once, an insert publishes a copy with
+  one ``core.splice``, and an overwrite or delete stores a new head in
+  place with one ``core.write_head``, as it does in a model node's
+  ``versions``.
+- Retrains never copy version chains: replacement structures reuse the
+  per-key chain heads, so each key has one chain.
 - Every node's segments are ``segment_root`` under ``eps_target``, made
   by the ``ModelNode`` constructor alone, for every node.
 - The index holds no reference cycle; reference counting frees every
@@ -41,15 +42,16 @@ subtree, and builds one node.  A frozen node's ``frozen`` word is the job
 node can finish the job, and every helper builds the same node.
 
 Every operation acts on the child that ``seek`` loaded; no operation reads
-a child slot a second time.  ``seek`` reads through frozen nodes.  A freeze
-stops splices and installs, never a chain write (the argument is in the
-``bins`` docstring), so search and delete are one seek and then one read or
-one write, frozen or not.  Insert is the only retry loop around seek: a
-full bin, a splice that fails on a frozen bin, or a lost install sends it
-back.  ``help_compact`` is the one place that helps: a rebuild whose
-slot sits in a frozen node, and an install that finds its node frozen,
-both finish the outermost compaction under way and build nothing of their
-own, so every retry follows a step that some thread completed.
+a child slot a second time.  ``seek`` reads through frozen nodes.  The
+freeze rule, a frozen owner never changes, and the argument that reads
+through frozen structures are linearizable are stated once, in ``core``.
+So search is one seek and one read, frozen or not, and insert and delete
+are retry loops around seek: a full bin, a write that fails on a frozen
+bin or node, or a lost install sends them back.  ``help_compact`` is the
+one place that helps: a rebuild whose slot sits in a frozen node, and an
+install or head write that finds its node frozen, all finish the
+outermost compaction under way and build nothing of their own, so every
+retry follows a step that some thread completed.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     EMPTY,
-    AtomicRef,
     BenchReads,
     GlobalClock,
     VersionedValue,
@@ -72,7 +73,7 @@ from .core import (
     dcss,
     freeze,
     read_value_latest,
-    write_value,
+    write_version,
 )
 from .bins import (
     UNDER_MAKE_MODEL,
@@ -146,9 +147,10 @@ class IndexConfig:
 
 
 class ModelNode(BenchReads):
-    """Immutable keys + piecewise model, one version chain per key, m+1
-    child slots, each ``core.EMPTY`` until ``core.dcss`` stores a child in
-    it, and a freeze word: None, or the compaction job that froze the node.
+    """Immutable keys + piecewise model, one chain head per key, which only
+    ``core.write_head`` replaces, m+1 child slots, each ``core.EMPTY``
+    until ``core.dcss`` stores a child in it, and a freeze word: None, or
+    the compaction job that froze the node.
 
     The one node builder: every node's segments are ``segment_root`` under
     ``eps_target``, flattened once into ``table`` for ``search_root``.
@@ -158,7 +160,7 @@ class ModelNode(BenchReads):
 
     def __init__(self, keys, versions, eps_target):
         self.keys = keys
-        self.versions = versions    # list[AtomicRef] -> version chain heads
+        self.versions = versions    # list[VersionedValue]: chain heads
         self.children = [EMPTY] * (len(keys) + 1)  # EMPTY | bin | node
         self.segments = segment_root(keys, eps_target)
         self.table = root_table(self.segments, len(keys))
@@ -200,12 +202,12 @@ class LearnedIndex:
         scalar in a node's keys, a locate's arithmetic or a returned pair."""
         cfg = config or IndexConfig()
         keys, payloads = check_pairs(pairs)
-        # two tracked objects per key would trigger full collections that
+        # a tracked object per key would trigger full collections that
         # find nothing: the index holds no reference cycle (module docstring)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            versions = [AtomicRef(VersionedValue(v, 0)) for v in payloads]
+            versions = [VersionedValue(v, 0) for v in payloads]
         finally:
             if was_enabled:
                 gc.enable()
@@ -239,7 +241,10 @@ class LearnedIndex:
         while True:
             node, i, child = self.seek(key)
             if child is FOUND:
-                return write_value(node.versions[i], value, clock)
+                res = self._write_node_key(node, i, value)
+                if res is not None:
+                    return res
+                continue
             if child is EMPTY:
                 fresh, ver = bin_new(key, value)
                 if self._install(node, i, EMPTY, fresh):
@@ -260,15 +265,31 @@ class LearnedIndex:
 
     def delete(self, key: int) -> bool:
         """True if the key was present (its latest payload now Absent).
-        One seek and at most one chain write: a frozen bin or subtree
-        still takes the write (see ``bins``), so it never retries."""
+        A delete that meets a frozen bin or node helps and retries, as an
+        insert does."""
         key = check_key(key)
-        node, i, child = self.seek(key)
-        if child is FOUND:
-            return write_value(node.versions[i], None, self.clock)
-        if child is EMPTY:
-            return False
-        return delete_bin(child, key, self.clock)
+        while True:
+            node, i, child = self.seek(key)
+            if child is FOUND:
+                res = self._write_node_key(node, i, None)
+                if res is not None:
+                    return res
+                continue
+            if child is EMPTY:
+                return False
+            res = delete_bin(child, key, self.clock)
+            if res is not UNDER_MAKE_MODEL:
+                return res
+            self.help_make_model(node, i, child)
+
+    def _write_node_key(self, node: ModelNode, i: int, value: Any) -> Optional[bool]:
+        """One attempt to write ``node``'s key ``i``: ``core.write_version``'s
+        answer; on a frozen node, after finishing the compaction that froze
+        it, as ``_install`` does."""
+        res = write_version(node, node.versions, i, value, self.clock)
+        if res is None and node.frozen is not None:
+            self.help_compact(node, i, FOUND)
+        return res
 
     def search(self, key: int) -> Optional[int]:
         """Latest payload, or None when absent.  Never helps, never blocks,
@@ -280,10 +301,10 @@ class LearnedIndex:
             return read_value_latest(node.versions[i], self.clock)
         if child is EMPTY:
             return None
-        ref = search_bin(child, key)
-        if ref is None:
+        head = search_bin(child, key)
+        if head is None:
             return None
-        return read_value_latest(ref, self.clock)
+        return read_value_latest(head, self.clock)
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:
@@ -335,8 +356,8 @@ class LearnedIndex:
         nothing is built unless it still is after the collect.
 
         The subtree's in-order walk, with an explicit stack, freezes each
-        model node as it enters it and then reads that node's slots, which
-        no longer change: a nested node is walked, a bin is frozen and its
+        model node as it enters it and then reads that node's slots and
+        chain heads, which no longer change: a nested node is walked, a bin is frozen and its
         keys and chain heads collected (deleted keys too), and each node key
         follows its left slot.  A frozen node or bin never changes, so every
         helper collects the same keys, builds the same structure, and the

@@ -3,9 +3,9 @@
 A scan takes one logical timestamp up front (read-and-bump, so later
 writers stamp strictly after it), then walks the structure in key order
 reading each version chain as of that time.  Bins and model nodes, frozen
-or not, are read through whatever reference the walk loaded: replaced bins
-and compacted subtrees share their version chains with their replacement,
-so the payloads agree.
+or not, are read through whatever reference the walk loaded: a frozen
+structure never changes, and a write into its replacement is stamped after
+the scan's time (the argument is in ``core``).
 
 Two facts let the walk read most pairs without a call:
 
@@ -91,12 +91,11 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
                     del out[cap:]
                     return
             if j < b:
-                ref = versions[j]
-                ver = ref.value
+                ver = versions[j]
                 if UNSET_TS < ver.ts <= ts:
                     val = ver.val
                 else:
-                    val = read_value_at(ref, ts, clock)
+                    val = read_value_at(ver, ts, clock)
                 if val is not None:
                     out.append((keys[j], val))
                     if len(out) >= cap:

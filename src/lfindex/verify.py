@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import (EMPTY, UNSET_TS, AtomicRef, check_key, check_pairs, check_payload,
+from .core import (EMPTY, UNSET_TS, VersionedValue, check_key, check_pairs, check_payload,
                    range_bounds)
 from .bins import OneLevelBin, TwoLevelBin
 from .index import ModelNode
@@ -323,8 +323,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     ``segment_root`` under it), each node's locate table equal to
     ``root_table`` over its segments, each window holding its keys' indices
     and at most int(eps) + 1 wide, every slot holding ``EMPTY``, a bin or a
-    model node, every list's array of even length with a cell for each
-    chain head, bin size counters equal to their list lengths, no frozen
+    model node, every list's array of even length, every chain head, in a
+    list or a model node, a ``VersionedValue``, bin size counters equal to
+    their list lengths, no frozen
     bin or model node, the root included (every retrain and compaction
     finishes before its op returns; the walk still reads through one), a header that is not frozen, holds no keys and has one
     slot, which holds a model node, and (optionally) that seek/search
@@ -338,11 +339,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     def note(kind: str, detail: str) -> None:
         findings.append(Finding(kind, detail))
 
-    def chain_payload(key: int, head_ref) -> Any:
-        ver = head_ref.value
-        if ver is None:
-            note("missing-chain", f"key {key} has no version chain")
-            return None
+    def chain_payload(key: int, ver: VersionedValue) -> Any:
         head_val = ver.val
         prev_ts = None
         pos = 0
@@ -363,11 +360,14 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     def in_bounds(k: int, lo, hi) -> bool:
         return (lo is None or k > lo) and (hi is None or k < hi)
 
-    def record_key(k: int, head_ref, where: str) -> None:
+    def record_key(k: int, head, where: str, kind: str) -> None:
+        if head.__class__ is not VersionedValue:
+            note(kind, f"{where}: key {k}'s chain head is {head!r}, not a version")
+            return
         if k in payloads:
             note("duplicate-key", f"key {k} reachable twice (second at {where})")
             return
-        payloads[k] = chain_payload(k, head_ref)
+        payloads[k] = chain_payload(k, head)
 
     def walk_olb(olb: OneLevelBin, lo, hi, where: str) -> int:
         items = olb.items
@@ -380,10 +380,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
                 note("key-order", f"{where}: {k} after {items[i - 1]}")
             if not in_bounds(k, lo, hi):
                 note("interval", f"{where}: key {k} outside ({lo}, {hi})")
-            if head.__class__ is not AtomicRef:
-                note("list-shape", f"{where}: key {k}'s chain head is {head!r}, not a cell")
-                continue
-            record_key(k, head, where)
+            record_key(k, head, where, "list-shape")
         return n
 
     def walk_bin(bin_, lo, hi, where: str) -> None:
@@ -484,7 +481,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
                 note("key-order", f"{where}: {k} after {keys[i - 1]}")
             if not in_bounds(k, lo, hi):
                 note("interval", f"{where}: key {k} outside ({lo}, {hi})")
-            record_key(k, node.versions[i], where)
+            record_key(k, node.versions[i], where, "node-shape")
         if len(node.children) != len(keys) + 1:
             note("child-count",
                  f"{where}: {len(node.children)} child slots for {len(keys)} keys")

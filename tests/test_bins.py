@@ -23,13 +23,11 @@ from lfindex.bins import (
     search_bin,
 )
 from lfindex.core import (
-    AtomicRef,
     GlobalClock,
     UNSET_TS,
     VersionedValue,
     read_value_latest,
     set_cas_hook,
-    write_value,
 )
 from lfindex.index import LearnedIndex
 from lfindex.verify import audit_structure
@@ -59,7 +57,7 @@ def list_keys(lst):
 
 def array_faults(lst):
     """What is wrong with a list's array: an odd length, keys not ascending,
-    a chain head that is not a cell, or a count that disagrees."""
+    a chain head that is not a version, or a count that disagrees."""
     items = lst.items
     n = len(items) >> 1
     faults = []
@@ -67,8 +65,8 @@ def array_faults(lst):
         faults.append("odd length")
     if any(a >= b for a, b in zip(items[:n], items[1:n])):
         faults.append("keys not ascending")
-    if not all(isinstance(ref, AtomicRef) for ref in items[n:]):
-        faults.append("a head that is not a cell")
+    if not all(isinstance(head, VersionedValue) for head in items[n:]):
+        faults.append("a head that is not a version")
     if lst.size != n:
         faults.append(f"size {lst.size}, {n} keys")
     return faults
@@ -82,7 +80,7 @@ class TestBinNew:
         assert olb.size == 1
         found = search_bin(olb, 5)
         assert olb.items == [5, found]
-        assert found.value is ver
+        assert found is ver
         assert read_value_latest(found, clock) == 100
 
     def test_key_zero(self):
@@ -94,7 +92,7 @@ class TestBinNew:
     def test_version_is_unstamped(self):
         # the index stamps it after the CAS that publishes the bin
         olb, ver = bin_new(9, 9)
-        assert search_bin(olb, 9).value is ver
+        assert search_bin(olb, 9) is ver
         assert ver.ts == UNSET_TS
 
 
@@ -125,14 +123,26 @@ class TestInsertBin:
         freeze_bin(olb)
         assert put(olb, 1, 10, clock) is UNDER_MAKE_MODEL
 
-    def test_frozen_bin_takes_overwrites(self):
+    def test_frozen_bin_bounces_overwrites(self):
+        # a frozen bin never changes: an overwrite bounces to help the
+        # retrain, and an equal payload answers False and writes nothing
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
+        items, head, writes = olb.items, search_bin(olb, 7), olb.writes
+        assert put(olb, 7, 71, clock) is UNDER_MAKE_MODEL
+        assert put(olb, 7, 70, clock) is False
+        assert olb.items is items and items[3] is head and head.vnext is None
+        assert (olb.size, olb.writes) == (2, writes)
+        assert read_value_latest(search_bin(olb, 7), clock) == 70
+
+    def test_an_overwrite_stores_its_head_in_place_and_counts_it(self):
+        clock = GlobalClock(0)
+        olb = make_olb([(3, 30), (7, 70)], clock)
+        items, old = olb.items, search_bin(olb, 7)
         assert put(olb, 7, 71, clock) is True
-        assert put(olb, 7, 71, clock) is False
-        assert read_value_latest(search_bin(olb, 7), clock) == 71
-        assert olb.size == 2
+        assert olb.items is items and olb.writes == 1
+        assert items[3].vnext is old and items[3].val == 71
 
     def test_insert_below_head_and_above_tail(self):
         clock = GlobalClock(0)
@@ -154,28 +164,63 @@ class TestInsertBin:
         attempts = []  # (keys expected, array made, the new key's head)
         real_splice = bins_mod.splice
 
-        def losing_splice(owner, lst, expected, new):
+        def losing_splice(owner, lst, expected, writes, new):
             n = len(new) >> 1
             if 20 not in new[:n]:
-                return real_splice(owner, lst, expected, new)
+                return real_splice(owner, lst, expected, writes, new)
             attempts.append((expected[:n - 1], new, new[n + new.index(20)]))
             if len(attempts) == 1:
                 assert index.insert(25, 25) is True
-            return real_splice(owner, lst, expected, new)
+            return real_splice(owner, lst, expected, writes, new)
 
         monkeypatch.setattr(bins_mod, "splice", losing_splice)
         assert index.insert(20, 20) is True
         assert len(attempts) == 2
         (first_old, _, first), (second_old, second_new, again) = attempts
-        assert again is first and first.value.val == 20
+        assert again is first and first.val == 20
         assert (first_old, second_old) == ([10, 30], [10, 25, 30])
         # the list holds the very array its winning splice made
         assert olb.items is second_new and search_bin(olb, 20) is first
-        assert first.value.ts != UNSET_TS
+        assert first.ts != UNSET_TS
         assert list_keys(olb) == [10, 20, 25, 30]
         assert olb.size == 4
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
+
+    def test_a_copy_made_before_an_overwrite_is_not_published(self, monkeypatch):
+        # an overwrite of 30 lands in place after this insert of 20 copied
+        # the list's array: the splice must fail on the write count, or the
+        # copy, which holds 30's old head, would lose the overwrite
+        index = LearnedIndex.build([(0, 0), (100, 9)])
+        for k in (10, 30):
+            assert index.insert(k, k) is True
+        _, _, olb = index.seek(20)
+        attempts = []
+        real_splice = bins_mod.splice
+
+        def overwritten_splice(owner, lst, expected, writes, new):
+            attempts.append(lst.items is expected)
+            if len(attempts) == 1:
+                assert index.insert(30, 31) is True  # in place, same array
+                assert lst.items is expected and lst.writes == writes + 1
+            return real_splice(owner, lst, expected, writes, new)
+
+        monkeypatch.setattr(bins_mod, "splice", overwritten_splice)
+        assert index.insert(20, 20) is True
+        assert attempts == [True, True]  # the retry copied the written array
+        assert [index.search(k) for k in (10, 20, 30)] == [10, 20, 31]
+        assert [v for v, _ in history(search_bin(olb, 30))] == [31, 30]
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+
+
+def history(head):
+    """[(val, ts)] of a chain, newest first."""
+    out = []
+    while head is not None:
+        out.append((head.val, head.ts))
+        head = head.vnext
+    return out
 
 
 class TestDeleteBin:
@@ -199,15 +244,16 @@ class TestDeleteBin:
         assert delete_bin(olb, 3, clock) is True
         assert delete_bin(olb, 3, clock) is False
 
-    def test_frozen_bin_takes_the_write(self):
-        # a freeze stops splices, not chain writes
+    def test_frozen_bin_bounces_the_delete(self):
+        # a freeze stops every write: the delete bounces to help the
+        # retrain, and the collected head is the one the freeze kept
         clock = GlobalClock(0)
         olb = make_olb([(3, 30)], clock)
         freeze_bin(olb)
-        assert delete_bin(olb, 3, clock) is True
+        assert delete_bin(olb, 3, clock) is UNDER_MAKE_MODEL
         keys, versions = collect_frozen(olb, clock)
         assert keys == [3]
-        assert read_value_latest(versions[0], clock) is None
+        assert read_value_latest(versions[0], clock) == 30
         assert delete_bin(olb, 4, clock) is False
 
 
@@ -257,7 +303,7 @@ class TestScanBin:
     def test_reads_the_version_at_the_scan_time(self):
         clock = GlobalClock(0)
         old = VersionedValue(111, 4)
-        head = AtomicRef(VersionedValue(222, 6, old))
+        head = VersionedValue(222, 6, old)
         olb = OneLevelBin([5, head])
         out = []
         scan_bin(olb, 0, 10, 5, out, clock)
@@ -299,15 +345,16 @@ def test_a_scan_reads_the_keys_its_bounds_admit(keys, deleted, lo, hi):
 
 class TestFreeze:
     def test_freeze_then_mutate_bounces(self):
-        # a splice bounces; a delete is a chain write and goes through
+        # a splice, an overwrite and a delete all bounce
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
         assert put(olb, 5, 50, clock) is UNDER_MAKE_MODEL
-        assert delete_bin(olb, 3, clock) is True
+        assert put(olb, 7, 71, clock) is UNDER_MAKE_MODEL
+        assert delete_bin(olb, 3, clock) is UNDER_MAKE_MODEL
         keys, versions = collect_frozen(olb, clock)
         assert keys == [3, 7]
-        assert read_value_latest(versions[0], clock) is None
+        assert [v.val for v in versions] == [30, 70]
 
     def test_freeze_is_one_step_for_either_kind_of_bin(self):
         # the bin's word, set once, however many lists and links it has
@@ -454,8 +501,8 @@ class TestWalkStart:
         met_frozen = threading.local()
         real_splice = bins_mod.splice
 
-        def watched_splice(owner, lst, expected, new):
-            ok = real_splice(owner, lst, expected, new)
+        def watched_splice(owner, lst, expected, writes, new):
+            ok = real_splice(owner, lst, expected, writes, new)
             met_frozen.flag = not ok and owner.frozen is not None
             return ok
 
@@ -515,8 +562,8 @@ class TestCollectFrozen:
         freeze_bin(olb)
         keys, versions = collect_frozen(olb, clock)
         assert keys == [3, 7]
-        assert [v.load().val for v in versions] == [30, 70]
-        assert all(v.load().ts != -1 for v in versions)
+        assert [v.val for v in versions] == [30, 70]
+        assert all(v.ts != -1 for v in versions)
 
     def test_two_level_concatenation(self):
         clock = GlobalClock(0)
@@ -526,7 +573,7 @@ class TestCollectFrozen:
         freeze_bin(tlb)
         keys, versions = collect_frozen(tlb, clock)
         assert keys == [1, 4, 9]
-        assert [v.load().val for v in versions] == [10, 40, 90]
+        assert [v.val for v in versions] == [10, 40, 90]
 
     def test_deleted_keys_are_retained(self):
         clock = GlobalClock(0)
@@ -535,7 +582,7 @@ class TestCollectFrozen:
         freeze_bin(olb)
         keys, versions = collect_frozen(olb, clock)
         assert keys == [2, 4, 6]
-        assert versions[1].load().val is None
+        assert versions[1].val is None
 
 
 class TestOlbToTlb:
@@ -571,9 +618,12 @@ class TestOlbToTlb:
         freeze_bin(olb)
         old_head = search_bin(olb, 3)
         tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
-        # a write through the retired list's head is visible in the new bin
+        # the new bin holds the retired list's head, and a write into the
+        # new bin puts its version on top of it, leaving the retired one be
         assert search_bin(tlb, 3) is old_head
-        assert write_value(old_head, 999, clock)
+        assert put(tlb, 3, 999, clock) is True
+        assert search_bin(tlb, 3).vnext is old_head
+        assert search_bin(olb, 3) is old_head
         assert read_value_latest(search_bin(tlb, 3), clock) == 999
 
     def test_single_key_fanout_two(self):
@@ -664,8 +714,9 @@ class TestConcurrentBinOps:
 
 
 class TestCopyOnWrite:
-    """A list's array is never changed once published: a splice publishes a
-    copy, and only if the list still holds the array it copied."""
+    """A list's keys never change once published: a splice publishes a
+    copy, and only if the list still holds the array it copied and no head
+    write landed in it since."""
 
     def test_a_reader_holding_an_old_array_still_finds_its_keys(self):
         clock = GlobalClock(0)
@@ -696,7 +747,7 @@ class TestCopyOnWrite:
         steps = []
         set_cas_hook(lambda target, ok: steps.append((target, ok)))
         try:
-            assert not bins_mod.splice(tlb, lst, stale, stale[:2] + [3] + stale[2:])
+            assert not bins_mod.splice(tlb, lst, stale, lst.writes, stale[:2] + [3] + stale[2:])
         finally:
             set_cas_hook(None)
         assert lst.items is after and (lst.size, tlb.size) == sizes

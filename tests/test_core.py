@@ -22,15 +22,15 @@ from lfindex.core import (
     read_value_latest,
     set_cas_hook,
     splice,
-    write_value,
+    write_head,
+    write_version,
 )
 from lfindex.index import IndexConfig, LearnedIndex
 
 
-def chain(head_ref):
+def chain(ver):
     """[(val, ts)] from the newest version to the oldest."""
     out = []
-    ver = head_ref.load()
     while ver is not None:
         out.append((ver.val, ver.ts))
         ver = ver.vnext
@@ -94,33 +94,41 @@ class TestTheOneLock:
         finally:
             set_cas_hook(None)
         assert {step for step, _ in held} == {
-            "write_value", "read_and_bump", "dcss", "splice", "freeze"}
+            "write_head", "read_and_bump", "dcss", "splice", "freeze"}
         assert all(locked for _, locked in held)
 
 
     def test_a_list_target_is_always_a_splice(self):
         # a splice names its list's array, frozen owner or not, and no other
         # step names a list, so a hook tells a splice from an install by
-        # its target alone
+        # its target alone; likewise a version is always a head write's
         tiny = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
         index = LearnedIndex.build([(0, 0), (10**6, 0)], tiny)
         seen = []
 
         def record(target, ok):
-            seen.append((sys._getframe(1).f_code.co_name, isinstance(target, list), ok))
+            seen.append((sys._getframe(1).f_code.co_name, type(target).__name__, ok))
 
         set_cas_hook(record)
         try:
             for k in range(1, 40):
                 index.insert(k, k)
+            for k in (0, 5, 39):  # a root key, keys in bins and nodes
+                index.insert(k, -k)
+                index.delete(k)
             olb, _ = bin_new(5, 5)
             freeze(olb, True)
             assert insert_bin(olb, olb, 6, 6, index.clock) is UNDER_MAKE_MODEL
+            assert insert_bin(olb, olb, 5, 4, index.clock) is UNDER_MAKE_MODEL
         finally:
             set_cas_hook(None)
-        splices = {(is_list, ok) for step, is_list, ok in seen if step == "splice"}
-        assert splices == {(True, True), (True, False)}
-        assert not any(is_list for step, is_list, _ in seen if step != "splice")
+        splices = {(kind, ok) for step, kind, ok in seen if step == "splice"}
+        assert splices == {("list", True), ("list", False)}
+        assert not any(kind == "list" for step, kind, _ in seen if step != "splice")
+        heads = {(kind, ok) for step, kind, ok in seen if step == "write_head"}
+        assert heads == {("VersionedValue", True), ("OneLevelBin", False)}
+        assert not any(kind == "VersionedValue" for step, kind, _ in seen
+                       if step != "write_head")
 
 
 class TestLink:
@@ -132,7 +140,7 @@ class TestLink:
         assert END.__slots__ == ()
         with pytest.raises(AttributeError):
             END.next = END
-        view = OneLevelBin([7, AtomicRef(VersionedValue(1, 0))]).head
+        view = OneLevelBin([7, VersionedValue(1, 0)]).head
         with pytest.raises(AttributeError):
             view.item = 0
         with pytest.raises(AttributeError):
@@ -141,10 +149,12 @@ class TestLink:
     def test_end_links_nowhere(self):
         # the benchmark's accessors: a view node is its own target, END none
         assert END.target is None and END.load() is END
-        ref = AtomicRef(VersionedValue(1, 0))
-        olb = OneLevelBin([1, 5, ref, AtomicRef(VersionedValue(5, 0))])
+        head = VersionedValue(1, 0)
+        olb = OneLevelBin([1, 5, head, VersionedValue(5, 0)])
         node = olb.head
-        assert (node.item, node.version) == (1, ref) and ref.version is ref
+        # a chain head answers load() and version with itself
+        assert (node.item, node.version) == (1, head)
+        assert head.version is head and head.load() is head
         assert node.target is node and node.load() is node
         assert node.next.item == 5 and node.next.next is END
         assert OneLevelBin([]).head is END
@@ -158,6 +168,7 @@ class Owner:
         self.frozen = None
         self.items = [] if items is None else items
         self.size = size
+        self.writes = 0
 
 
 class TestSplice:
@@ -166,12 +177,12 @@ class TestSplice:
         owner, new = Owner(1, old), ["a", "b", "ref", "ref"]
         equal = list(old)
         assert equal == old and equal is not old
-        assert not splice(owner, owner, equal, new)  # equal is not identical
+        assert not splice(owner, owner, equal, 0, new)  # equal is not identical
         # a lost splice writes nothing: no array, no count
         assert owner.items is old and owner.size == 1
-        assert splice(owner, owner, old, new)
+        assert splice(owner, owner, old, 0, new)
         assert owner.items is new
-        assert not splice(owner, owner, old, ["c"])
+        assert not splice(owner, owner, old, 0, ["c"])
         assert owner.items is new
 
     def test_fails_once_the_owner_is_frozen(self):
@@ -182,7 +193,7 @@ class TestSplice:
         try:
             freeze(tlb, True)
             freeze(tlb, "later")  # terminal: the first job stays
-            assert not splice(tlb, child, old, ["new"])
+            assert not splice(tlb, child, old, 0, ["new"])
         finally:
             set_cas_hook(None)
         assert tlb.frozen is True
@@ -201,8 +212,8 @@ class TestSplice:
         owner = Owner(1, old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            splice(owner, owner, old, first)
-            splice(owner, owner, old, second)
+            splice(owner, owner, old, 0, first)
+            splice(owner, owner, old, 0, second)
         finally:
             set_cas_hook(None)
         assert [(id(t), ok) for t, ok in events] == [(id(first), True), (id(first), False)]
@@ -211,15 +222,59 @@ class TestSplice:
         # a one-level bin is its own list: one count
         old, new = ["a", 1], ["a", "b", 1, 2]
         olb = Owner(1, old)
-        assert splice(olb, olb, old, new)
+        assert splice(olb, olb, old, 0, new)
         assert olb.items is new and old == ["a", 1]
         assert olb.size == 2
         # a child list counts in its own size and in its bin's total
         tlb, child = Owner(5), Owner(2, old)
-        assert splice(tlb, child, old, new)
+        assert splice(tlb, child, old, 0, new)
         assert child.items is new and tlb.items == []
         assert (child.size, tlb.size) == (3, 6)
 
+    def test_fails_once_a_head_write_lands_after_the_copy(self):
+        # the inserter read the write count before it copied: a head write
+        # into the same array since then would be lost in the copy
+        head, newer = VersionedValue(1, 0), VersionedValue(2, 0)
+        old = ["a", head]
+        owner = Owner(1, old)
+        writes = owner.writes
+        new = ["a", "b", head, "ref"]  # copied before the write
+        assert write_head(owner, old, 1, head, newer, owner)
+        assert not splice(owner, owner, old, writes, new)
+        assert owner.items is old and old[1] is newer and owner.size == 1
+        assert splice(owner, owner, old, owner.writes, ["a", "b", newer, "ref"])
+
+
+class TestWriteHead:
+    def test_stores_iff_the_slot_holds_expected_and_the_owner_is_not_frozen(self):
+        first, second, third = (VersionedValue(v, 0) for v in (1, 2, 3))
+        node = SimpleNamespace(frozen=None, versions=[first])
+        events = []
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            assert write_head(node, node.versions, 0, first, second)
+            assert not write_head(node, node.versions, 0, first, third)  # stale
+            freeze(node, "job")
+            assert not write_head(node, node.versions, 0, second, third)
+        finally:
+            set_cas_hook(None)
+        assert node.versions == [second]
+        # the hook sees the head stored or found, or the frozen owner
+        assert events == [(second, True), (second, False), (node, True), (node, False)]
+
+    def test_a_list_store_needs_the_array_bisected_and_counts_itself(self):
+        head, newer = VersionedValue(1, 0), VersionedValue(2, 0)
+        old = ["a", head]
+        tlb, child = Owner(1), Owner(1, old)
+        moved = ["a", "b", head, "ref"]
+        child.items = moved  # a splice replaced the array the writer bisected
+        assert not write_head(tlb, old, 1, head, newer, child)
+        assert old[1] is head and child.writes == 0
+        assert write_head(tlb, moved, 2, head, newer, child)
+        assert moved[2] is newer and (child.writes, tlb.writes) == (1, 0)
+        freeze(tlb, True)  # the bin's word guards its child lists
+        assert not write_head(tlb, moved, 2, newer, head, child)
+        assert moved[2] is newer and child.writes == 1
 
 class TestDcss:
     def test_stores_the_child_iff_the_slot_holds_it(self):
@@ -245,44 +300,44 @@ class TestDcss:
 class TestVersionedReads:
     def test_latest_assigns_head_timestamp(self):
         clock = GlobalClock(0)
-        head = AtomicRef(VersionedValue(42))
-        assert head.load().ts == UNSET_TS
+        head = VersionedValue(42)
+        assert head.ts == UNSET_TS
         assert read_value_latest(head, clock) == 42
-        assert head.load().ts != UNSET_TS
+        assert head.ts != UNSET_TS
 
     def test_latest_returns_absent_payload(self):
         clock = GlobalClock(0)
-        head = AtomicRef(VersionedValue(None, 2))
+        head = VersionedValue(None, 2)
         assert read_value_latest(head, clock) is None
 
     def test_latest_reads_only_the_head(self):
         clock = GlobalClock(9)
         old = VersionedValue(1, 3)
-        head = AtomicRef(VersionedValue(9, 5, old))
+        head = VersionedValue(9, 5, old)
         assert read_value_latest(head, clock) == 9
 
     def test_at_skips_newer_versions(self):
         clock = GlobalClock(9)
         old = VersionedValue(1, 3)
-        head = AtomicRef(VersionedValue(9, 5, old))
+        head = VersionedValue(9, 5, old)
         assert read_value_at(head, 4, clock) == 1
 
     def test_at_sees_absent_as_deleted(self):
         clock = GlobalClock(9)
-        head = AtomicRef(VersionedValue(None, 2))
+        head = VersionedValue(None, 2)
         assert read_value_at(head, 2, clock) is None
 
     def test_at_returns_tombstone_before_first_version(self):
         # no version yet reads as None, as a delete does
         clock = GlobalClock(9)
-        head = AtomicRef(VersionedValue(9, 5))
+        head = VersionedValue(9, 5)
         assert read_value_at(head, 4, clock) is None
 
     def test_at_stamps_an_unstamped_head(self):
         clock = GlobalClock(7)
-        head = AtomicRef(VersionedValue(3))
+        head = VersionedValue(3)
         assert read_value_at(head, 100, clock) == 3
-        assert head.load().ts == 7
+        assert head.ts == 7
 
 
 class TestStamp:
@@ -313,75 +368,93 @@ class TestStamp:
         assert held == [False]
 
 
+def one_head(ver):
+    """A model node's worth of owner: a freeze word and one chain head."""
+    return SimpleNamespace(frozen=None, versions=[ver])
+
+
+def write(owner, val, clock):
+    """``write_version`` retried as the index retries it, on an owner that
+    never freezes."""
+    while True:
+        res = write_version(owner, owner.versions, 0, val, clock)
+        if res is not None:
+            return res
+
+
 class TestWriteValue:
     def test_new_value_prepends_version(self):
         clock = GlobalClock(0)
-        head = AtomicRef(VersionedValue(1, 0))
-        assert write_value(head, 2, clock)
-        vals = chain(head)
+        node = one_head(VersionedValue(1, 0))
+        assert write(node, 2, clock)
+        vals = chain(node.versions[0])
         assert [v for v, _ in vals] == [2, 1]
         assert all(ts != UNSET_TS for _, ts in vals)
 
     def test_equal_value_is_a_no_op(self):
         clock = GlobalClock(0)
         first = VersionedValue(2, 0)
-        head = AtomicRef(first)
-        assert not write_value(head, 2, clock)
-        assert head.load() is first
+        node = one_head(first)
+        assert write(node, 2, clock) is False
+        assert node.versions[0] is first
+        freeze(node, "job")  # on a frozen owner too: nothing to write
+        assert write_version(node, node.versions, 0, 2, clock) is False
+        assert write_version(node, node.versions, 0, 3, clock) is None
+        assert node.versions[0] is first
 
     def test_timestamps_never_increase_toward_the_tail(self):
         clock = GlobalClock(0)
-        head = AtomicRef(VersionedValue(0, 0))
+        node = one_head(VersionedValue(0, 0))
         for i in range(1, 30):
-            write_value(head, i, clock)
+            write(node, i, clock)
             if i % 3 == 0:
                 clock.read_and_bump()
-        stamps = [ts for _, ts in chain(head)]
+        stamps = [ts for _, ts in chain(node.versions[0])]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_racing_writers_keep_both_versions(self):
         clock = GlobalClock(0)
-        head = AtomicRef(VersionedValue(1, 0))
+        node = one_head(VersionedValue(1, 0))
         done = threading.Barrier(2)
 
         def put(v):
             done.wait()
-            assert write_value(head, v, clock)
+            assert write(node, v, clock)
 
         threads = [threading.Thread(target=put, args=(v,)) for v in (7, 8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        vals = [v for v, _ in chain(head)]
+        vals = [v for v, _ in chain(node.versions[0])]
         assert vals[0] in (7, 8)
         assert sorted(vals) == [1, 7, 8]
-        stamps = [ts for _, ts in chain(head)]
+        stamps = [ts for _, ts in chain(node.versions[0])]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_both_sequential_orders(self):
         for first, second in ((7, 8), (8, 7)):
             clock = GlobalClock(0)
-            head = AtomicRef(VersionedValue(1, 0))
-            assert write_value(head, first, clock)
-            assert write_value(head, second, clock)
-            assert [v for v, _ in chain(head)] == [second, first, 1]
+            node = one_head(VersionedValue(1, 0))
+            assert write(node, first, clock)
+            assert write(node, second, clock)
+            assert [v for v, _ in chain(node.versions[0])] == [second, first, 1]
 
     @given(st.lists(st.one_of(st.integers(0, 3), st.none()), max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_matches_changed_oracle(self, writes):
         clock = GlobalClock(0)
-        head = AtomicRef(VersionedValue(100, 0))
+        node = one_head(VersionedValue(100, 0))
         stored = 100
         depth = 1
         for w in writes:
             changed = stored != w
-            assert write_value(head, w, clock) is changed
+            assert write(node, w, clock) is changed
             if changed:
                 stored = w
                 depth += 1
-        assert len(chain(head)) == depth
-        assert head.load().val == stored
+        assert len(chain(node.versions[0])) == depth
+        assert node.versions[0].val == stored
 
 
 class TestGlobalClock:

@@ -6,7 +6,8 @@ or inside the builder of an object no other thread can reach yet.  The
 table below states, once, which function may store which shared field and
 why.  A second table states which functions may take each guarded step,
 and a third which may rebuild a frozen structure or help a compaction.
-A list's array is never changed once loaded: no code mutates one in place.
+A loaded array's keys never change: the one in-place store into a loaded
+array is ``core.write_head``'s store of a chain head.
 The next checks hold the one lock to what the ``core`` docstring claims:
 ``core`` makes it once and no other module names it, every guarded step
 takes it, and no critical section nests another or calls code outside
@@ -20,7 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
 
 #: The fields that threads share once an object is published.
-FIELDS = {"items", "size", "frozen", "children",
+FIELDS = {"items", "size", "writes", "frozen", "children", "versions",
           "value", "ts", "vnext", "now"}
 
 #: function -> (shared fields it may store, why the store is safe)
@@ -35,21 +36,25 @@ WRITERS = {
     "core.splice": (
         {"items", "size"},
         "publishes a list's next array and counts its key under the one lock, only while the bin is not frozen"),
+    "core.write_head": (
+        {"writes"},
+        "stores a chain head in its owner's array and counts a list's head writes under the one lock, only while the owner is not frozen"),
     "core.freeze": (
         {"frozen"}, "the one freeze-word writer: under the one lock, once"),
     "core.VersionedValue.__init__": (
-        {"ts", "vnext"}, "a version is private until a CAS on its chain head publishes it"),
+        {"ts", "vnext"}, "a version is private until a write_head, splice, install or build publishes it"),
     "core.VersionedValue.stamp": (
         {"ts"}, "sets an unset ts once, under the one lock"),
     "core.GlobalClock.__init__": (
         {"now"}, "the clock's cell is made once, with its index"),
     "bins.OneLevelBin.__init__": (
-        {"items", "size", "frozen"},
+        {"items", "size", "writes", "frozen"},
         "a list is private until an install or a split publishes it"),
     "bins.TwoLevelBin.__init__": (
         {"children", "size", "frozen"}, "a split bin is private until its install"),
     "index.ModelNode.__init__": (
-        {"children", "frozen"}, "a model node is private until its install or its build returns"),
+        {"versions", "children", "frozen"},
+        "a model node is private until its install or its build returns"),
     "index.LearnedIndex.__init__": (
         {"children"}, "the header's one slot gets the root before the index is returned"),
 }
@@ -63,13 +68,15 @@ CALLERS = {
     "splice": {
         "bins.insert_bin": "the one way a key enters a list, in a copy of the array it loaded",
     },
+    "write_head": {
+        "core.write_version": "the one chain write: a payload write puts one version on its key's chain",
+    },
     "freeze": {
         "bins.freeze_bin": "a bin's freeze word is True, whoever freezes it",
         "index.LearnedIndex.help_compact":
             "a model node's freeze word is the job of the compaction that froze it",
     },
     "compare_and_swap": {
-        "core.write_value": "a payload write prepends one version to its key's chain",
         "core.GlobalClock.read_and_bump": "a scan moves the clock past the time it reads",
     },
 }
@@ -107,6 +114,8 @@ REBUILDS = {
         "index.LearnedIndex.help_make_model": "a full bin is frozen and its top handed to the job",
         "index.LearnedIndex._install":
             "a move lost to a freeze finishes the compaction that froze the parent",
+        "index.LearnedIndex._write_node_key":
+            "a head write lost to a freeze finishes the compaction that froze the node",
     },
 }
 
@@ -194,7 +203,7 @@ def _found(visitor_class, *args, modules=None):
 
 
 #: The guarded steps of ``core``: the functions that take the one lock.
-GUARDED = ("AtomicRef.compare_and_swap", "dcss", "splice", "freeze",
+GUARDED = ("AtomicRef.compare_and_swap", "dcss", "splice", "write_head", "freeze",
            "VersionedValue.stamp")
 
 #: Names of the constructors of a lock.
@@ -249,34 +258,43 @@ def test_an_array_stored_outside_splice_is_caught():
     # a mutant insert that publishes its copy by a plain store, where a
     # racing splice or a freeze would go unseen
     source = (SRC / "bins.py").read_text()
-    made = "        new.insert(i, key)\n"
+    made = "            new.insert(i, key)\n"
     assert source.count(made) == 1
     modules = _modules()
     for mutant in ("lst.items = new", "setattr(lst, 'items', new)", "bin_.items = new"):
-        modules["bins"] = ast.parse(source.replace(made, made + " " * 8 + mutant + "\n"))
+        modules["bins"] = ast.parse(source.replace(made, made + " " * 12 + mutant + "\n"))
         stray = _stray(_found(_Stores, modules=modules))
         assert [(fn, field) for fn, field, _ in stray] == [
             ("bins.insert_bin", "items")], mutant
 
 
+#: The shared arrays a reader loads: a list's keys and heads, a model
+#: node's heads.  A parameter named ``heads`` takes either.
+ARRAYS = {"items", "versions"}
+ARRAY_PARAMS = {"heads"}
+
+
 class _InPlace(_Scoped):
     """Every in-place change of a loaded array, as (function, line): a
     mutating call, an augmented assignment, or an item or slice store on
-    ``x.items`` or on a name bound to one in the same function."""
+    ``x.items`` or ``x.versions``, on a name bound to one in the same
+    function, or on a parameter named for one."""
 
     def __init__(self, module):
         super().__init__(module)
         self.loaded = set()  # names bound to a loaded array in this function
 
     def _scoped(self, node):
-        saved, self.loaded = self.loaded, set()
+        args = node.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        saved, self.loaded = self.loaded, params & ARRAY_PARAMS
         super()._scoped(node)
         self.loaded = saved
 
     visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
     def _is_loaded(self, node):
-        return ((isinstance(node, ast.Attribute) and node.attr == "items")
+        return ((isinstance(node, ast.Attribute) and node.attr in ARRAYS)
                 or (isinstance(node, ast.Name) and node.id in self.loaded))
 
     def _hit(self, node):
@@ -305,27 +323,58 @@ class _InPlace(_Scoped):
         self.generic_visit(node)
 
 
+def _head_store_line():
+    """The line of ``write_head``'s one store of a chain head."""
+    lines = (SRC / "core.py").read_text().splitlines()
+    store = [n for n, line in enumerate(lines, 1) if "heads[j] = new" in line]
+    assert len(store) == 1
+    return store[0]
+
+
 def test_no_code_changes_a_loaded_array_in_place():
-    # a reader may hold any array a list ever published: a change to one in
-    # place would change what a reader sees mid-bisection
-    assert _found(_InPlace) == []
+    # a reader may hold any array a list or a node ever published: its keys
+    # never change, and the one exception, write_head's store, replaces a
+    # head under the lock, only while the owner is not frozen and the list
+    # still holds the array
+    assert _found(_InPlace) == [("core.write_head", _head_store_line())]
 
 
 def test_an_array_changed_in_place_is_caught():
     source = (SRC / "bins.py").read_text()
-    copied = "        new = items.copy()\n"
+    copied = "            new = items.copy()\n"
     assert source.count(copied) == 1
     modules = _modules()
-    mutants = {line: source.replace(copied, " " * 8 + line + "\n" + copied)
+    mutants = {line: source.replace(copied, " " * 12 + line + "\n" + copied)
                for line in ("items.insert(0, key)", "items.append(key)", "items += [key]",
                             "items[0] = key", "items[0:0] = [key]", "del items[0]",
-                            "lst.items.append(key)", "lst.items[0] = key")}
+                            "lst.items.append(key)", "lst.items[0] = key",
+                            "items[n + i] = fresh")}
     # no copy made: the two inserts that follow change the loaded array
-    mutants["new = items"] = source.replace(copied, "        new = items\n")
+    mutants["new = items"] = source.replace(copied, "            new = items\n")
     for line, mutant in mutants.items():
         modules["bins"] = ast.parse(mutant)
-        found = [fn for fn, _ in _found(_InPlace, modules=modules)]
-        assert found and set(found) == {"bins.insert_bin"}, line
+        found = {fn for fn, _ in _found(_InPlace, modules=modules)}
+        assert found == {"bins.insert_bin", "core.write_head"}, line
+
+
+def test_a_head_stored_outside_write_head_is_caught():
+    # a mutant node-key write that stores its version by a plain store,
+    # where a freeze would go unseen, and one through a helper's parameter
+    source = (SRC / "index.py").read_text()
+    write = "        res = write_version(node, node.versions, i, value, self.clock)\n"
+    assert source.count(write) == 1
+    modules = _modules()
+    modules["index"] = ast.parse(source.replace(
+        write, write + "        node.versions[i] = VersionedValue(value)\n"))
+    assert {fn for fn, _ in _found(_InPlace, modules=modules)} == {
+        "index.LearnedIndex._write_node_key", "core.write_head"}
+    assert [(fn, field) for fn, field, _ in _stray(_found(_Stores, modules=modules))] == [
+        ("index.LearnedIndex._write_node_key", "versions")]
+    modules = _modules()
+    modules["index"] = ast.parse(source + (
+        "\n\ndef put(heads, j, new):\n    heads[j] = new\n"))
+    assert {fn for fn, _ in _found(_InPlace, modules=modules)} == {
+        "index.put", "core.write_head"}
 
 
 def _check_callers(table):

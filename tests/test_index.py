@@ -189,8 +189,8 @@ def gc_state():
 
 
 class TestBuildPausesTheCollector:
-    """``build`` makes its per-key cells with the cyclic collector paused and
-    leaves the collector as it found it on every exit."""
+    """``build`` makes its per-key versions with the cyclic collector paused
+    and leaves the collector as it found it on every exit."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_state_is_restored(self, gc_state, enabled):
@@ -217,11 +217,12 @@ class TestBuildPausesTheCollector:
         with pytest.raises(MemoryError, match="planted"):
             LearnedIndex.build([(k, k) for k in range(100)])
         assert gc.isenabled() is enabled
-        assert seen == [False] * 50  # every cell was made with the collector paused
+        assert seen == [False] * 50  # every version was made with the collector paused
 
     def test_a_large_build_runs_no_older_generation_collection(self, gc_state):
-        # a point_skewed-size build: 500k keys, 1M cells.  Unpaused, the
-        # cells alone trigger hundreds of young and several full collections.
+        # a point_skewed-size build: 500k keys, 500k versions.  Unpaused,
+        # the versions alone trigger hundreds of young and several full
+        # collections.
         pairs = [(2 * k, k) for k in range(500_000)]
         runs = Counter()
 
@@ -261,28 +262,48 @@ def _tracked_types():
 
 
 class TestTrackedObjects:
-    """A bin key is two slots of its list's array and its chain: a splice
-    replaces the array, and a slot holds its child, so no node, cell or
-    link object comes with a key."""
+    """A key is a slot of its owner's array (two for a bin key) and its
+    chain: the head sits in the array itself, a splice replaces the array,
+    and a slot holds its child, so no node, cell or link object comes with
+    a key."""
 
-    def test_a_first_insert_into_an_empty_slot_leaves_four(self):
+    def test_a_first_insert_into_an_empty_slot_leaves_three(self):
         index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
         assert index.insert(150, 1) is True  # warm-up, in another slot
         assert tracked_since(lambda: index.insert(50, 5)) == [
-            "AtomicRef", "OneLevelBin", "VersionedValue", "list"]
+            "OneLevelBin", "VersionedValue", "list"]
         assert audit_structure(index).ok
 
-    def test_a_key_spliced_into_a_one_level_bin_leaves_two(self):
+    def test_a_key_spliced_into_a_one_level_bin_leaves_one(self):
         index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
         for k in (50, 150, 160):
             assert index.insert(k, k) is True
         # after the first key, and before it
         for k in (60, 40):
-            assert tracked_since(lambda: index.insert(k, k)) == [
-                "AtomicRef", "VersionedValue"], k
+            assert tracked_since(lambda: index.insert(k, k)) == ["VersionedValue"], k
         _, _, olb = index.seek(50)
         assert isinstance(olb, OneLevelBin) and olb.size == 3
         assert audit_structure(index).ok
+
+    def test_an_overwrite_leaves_one(self):
+        index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)])
+        for k in (50, 60):
+            assert index.insert(k, k) is True
+        # a model key, a bin key, and a delete of each
+        for k, v in ((100, 1), (60, 61), (100, None), (60, None)):
+            write = (lambda: index.insert(k, v)) if v is not None else (lambda: index.delete(k))
+            assert tracked_since(write) == ["VersionedValue"], (k, v)
+        assert audit_structure(index).ok
+
+    def test_a_build_leaves_one_per_key(self):
+        built, rest = [], []
+        for n in (1_000, 2_000):
+            grew = Counter(tracked_since(
+                lambda: built.append(LearnedIndex.build([(k, k) for k in range(n)]))))
+            assert grew.pop("VersionedValue") == n
+            rest.append(grew)
+        # the rest is the index's own few objects, whatever its size
+        assert rest[0] == rest[1] and sum(rest[0].values()) < 30, rest
 
 
 class TestSeek:
@@ -583,7 +604,7 @@ class TestFirstInsertStamp:
         assert index.insert(50, 5) is True
         _, _, bin_ = index.seek(50)
         assert bin_.items[:2] == [40, 50]
-        assert search_bin(bin_, 50).value.ts != UNSET_TS
+        assert search_bin(bin_, 50).ts != UNSET_TS
 
 
 class TestDelete:
@@ -611,15 +632,18 @@ class TestDelete:
         assert index.search(50) is None
         assert index.delete(50) is False
 
-    def test_writes_through_a_frozen_bin_need_no_help(self, monkeypatch):
-        # a freeze stops splices, not chain writes: a delete and an
-        # overwrite land in the frozen bin's chains; only a new key helps
+    def test_writes_that_meet_a_frozen_bin_help_and_land(self, monkeypatch):
+        # a frozen bin never changes: the delete that meets it helps replace
+        # it and lands in the replacement, and the writes after it land
+        # there with no further help
         index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
         for k in (10, 20, 30):
             index.insert(k, k)
         node, slot, bin_ = index.seek(10)
         assert isinstance(bin_, OneLevelBin)
         freeze_bin(bin_)
+        items = bin_.items
+        heads = items[3:]
         helps = []
         real_help = LearnedIndex.help_make_model
 
@@ -631,13 +655,13 @@ class TestDelete:
         log = []
         index.transition_log = lambda *step: log.append(step)
         assert index.delete(10) is True
+        assert len(helps) == 1 and len(log) == 1
+        assert isinstance(log[0][3], TwoLevelBin) and node.children[slot] is log[0][3]
+        assert bin_.items is items and all(a is b for a, b in zip(items[3:], heads))
         assert index.insert(20, 21) is True
-        assert helps == [] and log == []
-        assert node.children[slot] is bin_
         assert index.search(10) is None and index.search(20) == 21
         assert index.insert(25, 25) is True
         assert len(helps) == 1 and len(log) == 1
-        assert isinstance(log[0][3], TwoLevelBin)
         assert index.search(10) is None
         assert index.search(20) == 21 and index.search(25) == 25
         assert index.range(0, 1000) == [(0, 0), (20, 21), (25, 25), (30, 30), (1000, 0)]
@@ -851,7 +875,7 @@ class TestSlotDiscipline:
         for k in (10, 20, 30, 40, 150):  # slot 1's fifth key splits its bin
             index.insert(k, k)
         assert isinstance(root.children[1], TwoLevelBin)
-        assert olb.frozen is not None and search_bin(olb, 50).value.val == 5
+        assert olb.frozen is not None and search_bin(olb, 50).val == 5
         assert isinstance(root.children[2], OneLevelBin)
         assert empty is core.EMPTY and empty.value is None
 
@@ -975,21 +999,30 @@ class TestCompaction:
 
     def test_racing_deletes_land_through_retrains_and_compactions(self, monkeypatch):
         # four threads delete preloaded keys while four insert new keys
-        # between them, so deletes meet bins and subtrees being frozen and
-        # write their chains there: no delete may be lost to a retrain.
-        # The preload spans every root slot from the start, so bins all
-        # over the key range fill and freeze while the deletes run, not
-        # only the last bin once the inserters reach it.
+        # between them, so deletes meet bins and subtrees being frozen,
+        # help replace them and land in the replacement: no delete may be
+        # lost to a retrain.  The preload spans every root slot from the
+        # start, so bins all over the key range fill and freeze while the
+        # deletes run, not only the last bin once the inserters reach it.
         hook_rnd = random.Random(18)
-        through_frozen = [0]
+        met_freeze = [0]
         real_delete_bin = index_mod.delete_bin
+        real_write_version = index_mod.write_version
 
         def delete_bin(bin_, key, clock):
-            if bin_.frozen is not None:
-                through_frozen[0] += 1
-            return real_delete_bin(bin_, key, clock)
+            res = real_delete_bin(bin_, key, clock)
+            if res is UNDER_MAKE_MODEL:
+                met_freeze[0] += 1
+            return res
+
+        def write_version(owner, *args):  # a model node's key
+            res = real_write_version(owner, *args)
+            if res is None and owner.frozen is not None:
+                met_freeze[0] += 1
+            return res
 
         monkeypatch.setattr(index_mod, "delete_bin", delete_bin)
+        monkeypatch.setattr(index_mod, "write_version", write_version)
         old_interval = sys.getswitchinterval()
         for trial in range(20):
             index = LearnedIndex.build([(k, k) for k in range(0, 1_601, 64)], TINY)
@@ -1028,7 +1061,7 @@ class TestCompaction:
             assert index.range(0, KEY_MAX) == sorted(want.items())
             for share in deletes:
                 assert all(index.search(k) is None for k in share)
-        assert through_frozen[0] > 0  # some delete wrote through a freeze
+        assert met_freeze[0] > 0  # some delete met a freeze and helped
 
     def test_paused_scan_reads_its_snapshot_across_a_compaction(self, monkeypatch):
         # a scan pauses at the first bin inside the root's nested subtree;
@@ -1346,6 +1379,95 @@ class TestCompaction:
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
+
+    @staticmethod
+    def _paused_compaction(monkeypatch, owner, name, write):
+        """Pause a compaction of the root's nested node in its first call of
+        ``owner.name`` and run ``write(index, node, oracle)`` meanwhile;
+        returns the index, the oracle and the node once the compaction
+        has finished."""
+        index = LearnedIndex.build(with_room([(0, 0)]), TINY)
+        oracle = SequentialOracle.from_pairs(with_room([(0, 0)]))
+        for k in list(range(10, 4_000, 10)) + [1, 2, 3]:
+            index.insert(k, k)
+            oracle.insert(k, k)
+        node = index.root.children[1]
+        assert isinstance(node, ModelNode) and isinstance(node.children[0], OneLevelBin)
+        paused, go = threading.Event(), threading.Event()
+        real = getattr(owner, name)
+
+        def pausing(*args):
+            if threading.current_thread() is compactor and not paused.is_set():
+                paused.set()
+                go.wait(10)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, pausing)
+        compactor = threading.Thread(target=index.help_compact, args=(index.root, 1, node))
+        compactor.start()
+        try:
+            assert paused.wait(10)
+            write(index, node, oracle)
+        finally:
+            go.set()
+            compactor.join(timeout=10)
+        assert not compactor.is_alive()
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+        assert report.live_map() == oracle.live_map()
+        return index, oracle, node
+
+    @pytest.mark.parametrize("op", ["overwrite", "delete"])
+    @pytest.mark.parametrize("where", ["node key", "bin key"])
+    def test_a_write_between_the_collect_and_the_install_is_not_lost(
+            self, monkeypatch, where, op):
+        # a compaction pauses in its fit, after it froze and collected the
+        # whole subtree; a write of a collected key meets the freeze, helps
+        # finish the compaction and lands in the result, which the paused
+        # compaction then does not replace
+        def write(index, node, oracle):
+            key = node.keys[5] if where == "node key" else 2
+            assert node.frozen is not None and node.children[0].frozen is not None
+            if op == "overwrite":
+                assert index.insert(key, -key) is True
+                oracle.insert(key, -key)
+            else:
+                assert index.delete(key) is True
+                oracle.delete(key)
+            assert index.root.children[1] is not node  # it helped to the end
+            assert index.search(key) == oracle.search(key)
+            written.append((key, index.root.children[1]))
+
+        written = []
+        index, oracle, node = self._paused_compaction(
+            monkeypatch, index_mod, "segment_root", write)
+        (key, compacted), = written
+        assert index.root.children[1] is compacted
+        assert index.search(key) == oracle.search(key)
+
+    @pytest.mark.parametrize("owner, name, where", [
+        (index_mod, "freeze", "node key"), (index_mod, "freeze_bin", "bin key")],
+        ids=["top node", "first bin"])
+    def test_a_write_before_the_freeze_is_collected(self, monkeypatch, owner, name, where):
+        # a compaction pauses just before it freezes the top node, or the
+        # bin in the top's first slot: nothing of it is frozen or collected
+        # yet, so an overwrite there lands in place, and the compaction,
+        # which collects only what it froze, carries it over
+        def write(index, node, oracle):
+            key = node.keys[5] if where == "node key" else 2
+            if where == "node key":
+                assert node.frozen is None
+            else:
+                assert node.frozen is not None and node.children[0].frozen is None
+            assert index.insert(key, -key) is True
+            oracle.insert(key, -key)
+            assert index.root.children[1] is node  # nothing to help yet
+            written.append(key)
+
+        written = []
+        index, oracle, node = self._paused_compaction(monkeypatch, owner, name, write)
+        assert index.root.children[1] is not node
+        assert index.search(written[0]) == -written[0]
 
     def test_a_help_after_the_install_builds_nothing(self, monkeypatch):
         # a helper that reaches help_compact once the top's replacement is

@@ -265,19 +265,26 @@ class TestScanReads:
         children = subtree(index.root)
         assert {type(child) for child in children} == {
             OneLevelBin, TwoLevelBin, ModelNode}
-        # below its threshold, the frozen bin takes overwrites of its own
-        # keys without a retrain, and deletes never retrain
+        # below its threshold, a frozen bin never changes: the first write
+        # of its own keys helps replace it, and that write and every later
+        # one land in the replacement
         frozen = next(c for c in children
                       if isinstance(c, OneLevelBin) and c.size < TINY.olb_threshold)
         freeze_bin(frozen)
         own = frozen.items[:frozen.size]
+        heads = frozen.items[frozen.size:]
         model_keys = [k for c in children if isinstance(c, ModelNode) for k in c.keys]
         for _ in range(300):
             k = rnd.choice(own) if rnd.random() < 0.5 else rnd.choice(model_keys)
             write(k, rnd.randrange(5) if rnd.random() < 0.6 else None)
         for _ in range(200):
             write(rnd.randrange(420), None)
-        assert index.seek(own[0])[2] is frozen
+        assert index.seek(own[0])[2] is not frozen
+        assert frozen.items[frozen.size:] == heads
+        # a bin frozen with no write after it stays in its slot, for the
+        # scans below to read through
+        frozen = next(c for c in subtree(index.root) if not isinstance(c, ModelNode))
+        freeze_bin(frozen)
 
         calls = Counter()
         where = ["model key"]
@@ -318,20 +325,21 @@ class TestScanReads:
                        for j in range(len(c.keys))
                        if isinstance(c.children[j], OneLevelBin))
         items = node.children[j].items
+        n = len(items) >> 1
         keys = [node.keys[j], items[0]]
-        heads = [node.versions[j], items[len(items) >> 1]]
         clock.read_and_bump()
         now = clock.read()
-        for ref, v in zip(heads, (71, 72)):
-            ref.value = VersionedValue(v, UNSET_TS, ref.load())
+        node.versions[j] = VersionedValue(71, UNSET_TS, node.versions[j])
+        items[n] = VersionedValue(72, UNSET_TS, items[n])
+        heads = [node.versions[j], items[n]]
         before = calls.copy()
         out = []
         rangescan.scan(index.root, 0, 1_000, now - 1, out, clock)
         assert out == replay(history, 0, 1_000, now - 1)
         assert calls["model key"] > before["model key"]
         assert calls["interior bin"] > before["interior bin"]
-        for ref, k, v in zip(heads, keys, (71, 72)):
-            assert ref.load().ts == now
+        for head, k, v in zip(heads, keys, (71, 72)):
+            assert head.ts == now
             history[k].append((now, v))
         out = []
         rangescan.scan(index.root, 0, 1_000, now, out, clock)

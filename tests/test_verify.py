@@ -448,17 +448,17 @@ class TestAuditStructure:
 
     def test_detects_unstamped_interior_version(self):
         index = LearnedIndex.build([(10, 1)])
-        ref = index.root.versions[0]
-        mid = VersionedValue(7, vnext=ref.load())      # never stamped
-        ref.value = VersionedValue(9, ts=5, vnext=mid)
+        heads = index.root.versions
+        mid = VersionedValue(7, vnext=heads[0])      # never stamped
+        heads[0] = VersionedValue(9, ts=5, vnext=mid)
         report = audit_structure(index, check_seek=False)
         assert "unstamped-version" in {f.kind for f in report.findings}
 
     def test_detects_timestamp_order_violation(self):
         index = LearnedIndex.build([(10, 1)])
-        ref = index.root.versions[0]
-        tail = VersionedValue(7, ts=5, vnext=ref.load())
-        ref.value = VersionedValue(9, ts=2, vnext=tail)  # older stamp on top
+        heads = index.root.versions
+        tail = VersionedValue(7, ts=5, vnext=heads[0])
+        heads[0] = VersionedValue(9, ts=2, vnext=tail)  # older stamp on top
         report = audit_structure(index, check_seek=False)
         assert "timestamp-order" in {f.kind for f in report.findings}
 
@@ -605,7 +605,7 @@ class TestAuditStructure:
         olb = index.root.children[1]
         good = olb.items
         assert good[:2] == [10, 20] and len(good) == 4
-        olb.items = good + [AtomicRef(VersionedValue(30, 0))]
+        olb.items = good + [VersionedValue(30, 0)]
         report = audit_structure(index)
         assert [f.kind for f in report.findings] == ["list-shape"]
         olb.items = good
@@ -647,11 +647,25 @@ class TestAuditStructure:
         lst = index.root.children[1].children[1]
         good = lst.items
         assert good[:2] == [30, 40] and len(good) == 6
-        # a key's version where its cell belongs
-        lst.items = good[:3] + [good[3].value] + good[4:]
-        report = audit_structure(index)
-        assert [f.kind for f in report.findings] == ["list-shape"]
+        # a key's payload where its head belongs, and its head in a cell,
+        # as the layout before heads sat in the array held it
+        for stray in (good[3].val, AtomicRef(good[3])):
+            lst.items = good[:3] + [stray] + good[4:]
+            report = audit_structure(index)
+            assert [f.kind for f in report.findings] == ["list-shape"], stray
         lst.items = good
+        assert audit_structure(index).ok
+
+    def test_detects_a_model_node_head_that_is_not_a_version(self):
+        index = LearnedIndex.build([(0, 0), (1_000, 7)])
+        heads = index.root.versions
+        good = heads[1]
+        for stray in (None, good.val, AtomicRef(good)):
+            heads[1] = stray
+            report = audit_structure(index)
+            assert [f.kind for f in report.findings] == ["node-shape"], stray
+            assert report.live_map() == {0: 0}
+        heads[1] = good
         assert audit_structure(index).ok
 
     def test_deep_nesting_is_walked_without_recursion(self):
@@ -661,7 +675,7 @@ class TestAuditStructure:
         depth = 1_200
         parent = index.root
         for k in range(1, depth + 1):
-            node = ModelNode([k], [AtomicRef(VersionedValue(k, 0))],
+            node = ModelNode([k], [VersionedValue(k, 0)],
                              index.config.eps_target)
             parent.children[-1] = node
             parent = node
