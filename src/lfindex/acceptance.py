@@ -259,7 +259,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
             return "a helper was still running after 60 s"
         built.setdefault((root_top, helpers), []).append(len(builders))
         fresh = parent.children[pslot]
-        keys, versions = collect_frozen(bin_, index.clock)
+        keys, versions = collect_frozen(bin_)
         if installs != [fresh] or not isinstance(fresh, ModelNode):
             return f"{len(installs)} installs, slot holds {type(fresh).__name__}"
         if len(keys) != cfg.tlb_threshold:
@@ -490,7 +490,7 @@ def criterion_6_snapshot_ranges(quick: bool = False) -> CriterionResult:
             lo, hi = keys[a], keys[a + 249]
             ts = clock.read_and_bump()
             out: list = []
-            scan(index.root, lo, hi, ts, out, clock)
+            scan(index.root, lo, hi, ts, out)
             mine.append((ts, lo, hi, out))
         scans.extend([mine[i] for i in range(0, len(mine), 2)])  # keep half
 

@@ -8,11 +8,13 @@ n chain heads, so the head of ``items[i]`` is ``items[n + i]``.  The keys of
 an array never change once a list holds it: an insert copies it, adds its
 key and head, and publishes the copy with ``core.splice``, and an
 overwrite or delete stores a new head in place with ``core.write_head``.
-A reader loads ``items`` once and bisects ``items[0:n]``; a key in the
-array it loaded is in every array the list holds later.  Keys are never
-removed: deletion writes an Absent version.  After construction every
-write to a list, its array, its counts and its ``writes``, is inside that
-list's ``core.splice`` or ``core.write_head``.
+A new head carries the clock's reading, which the step that publishes it
+compares (the clock rule, in ``core``).  A reader loads ``items`` once and
+bisects ``items[0:n]``; a key in the array it loaded is in every array the
+list holds later.  Keys are never removed: deletion writes an Absent
+version.  After construction every write to a list, its array, its counts
+and its ``writes``, is inside that list's ``core.splice`` or
+``core.write_head``.
 
 This module is mechanism only: lists, splices, head writes, freeze,
 collect, split and scan.  When a bin is full, and how wide a split is, is
@@ -43,7 +45,6 @@ from .core import (
     read_value_at,
     splice,
     write_version,
-    UNSET_TS,
 )
 
 
@@ -93,13 +94,11 @@ class TwoLevelBin(BenchReads):
         self.frozen = None
 
 
-def bin_new(key: int, value: int) -> tuple[OneLevelBin, VersionedValue]:
-    """Fresh one-level bin holding a single (key, value) pair, and its version.
-
-    The version is left unstamped: whoever publishes the bin stamps it after
-    the publishing CAS, as every other writer does."""
-    ver = VersionedValue(value)
-    return OneLevelBin([key, ver]), ver
+def bin_new(key: int, value: int, t: int) -> OneLevelBin:
+    """Fresh one-level bin holding a single (key, value) pair, whose version
+    carries the clock reading ``t`` that the ``dcss`` publishing the bin
+    compares."""
+    return OneLevelBin([key, VersionedValue(value, t)])
 
 
 def list_for(bin_: Any, key: int) -> OneLevelBin:
@@ -121,10 +120,12 @@ def insert_bin(bin_: Any, lst: OneLevelBin, key: int, value: int,
     it; True/False per the map contract, or UNDER_MAKE_MODEL.
 
     A key already in the list gets a head write; a new key goes into a copy
-    of the array, which ``core.splice`` publishes.  A write that fails on a
-    frozen bin bounces; one that loses to another write or splice reads the
-    newer array and tries again.  The new key's head is made once per call,
-    and only a successful splice publishes it.
+    of the array, with a head stamped with the clock's reading, which
+    ``core.splice`` publishes.  A write that fails on a frozen bin bounces;
+    one that loses to another write or splice, or to a bump of the clock,
+    reads the newer array and the clock again and tries again.  The new
+    key's head is made once per clock reading, and only a successful
+    splice publishes it.
     """
     fresh = None
     while True:
@@ -137,16 +138,13 @@ def insert_bin(bin_: Any, lst: OneLevelBin, key: int, value: int,
             if res is not None:
                 return res
         else:
-            if fresh is None:
-                fresh = VersionedValue(value)
+            t = clock.now.value
+            if fresh is None or fresh.ts is not t:
+                fresh = VersionedValue(value, t)
             new = items.copy()
             new.insert(n + i, fresh)
             new.insert(i, key)
-            if splice(bin_, lst, items, writes, new):
-                # stamp before reporting success: an unstamped splice could be
-                # assigned a too-new time by a later scan and vanish from
-                # snapshots that must include it
-                fresh.stamp(clock)
+            if splice(bin_, lst, items, writes, new, clock, t):
                 return True
         if bin_.frozen is not None:
             return UNDER_MAKE_MODEL
@@ -180,15 +178,15 @@ def search_bin(bin_: Any, key: int) -> Optional[VersionedValue]:
 
 
 def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
-             out: list, clock: GlobalClock) -> None:
+             out: list) -> None:
     """Append (key, value-at-ts) pairs with lo <= key <= hi, ascending.
 
     A bound of None excludes nothing: with ``lo`` None each list is read
     from its first key, with ``hi`` None to its last, and with both the
     whole bin is read, which a range scan does for a bin wholly inside its
     range.  Ignores the freeze word; skips keys deleted at ts or younger
-    than ts.  A stamped head no newer than ts is read inline, as in
-    ``rangescan``, which also applies any result cap."""
+    than ts.  A head no newer than ts is read inline, as in ``rangescan``,
+    which also applies any result cap."""
     if bin_.is_one_level:
         lists = (bin_,)
     else:  # the children owning lo through hi
@@ -203,10 +201,7 @@ def scan_bin(bin_: Any, lo: Optional[int], hi: Optional[int], ts: int,
         end = n if hi is None else bisect_right(items, hi, 0, n)
         while i < end:
             ver = items[n + i]
-            if UNSET_TS < ver.ts <= ts:
-                val = ver.val
-            else:
-                val = read_value_at(ver, ts, clock)
+            val = ver.val if ver.ts <= ts else read_value_at(ver.vnext, ts)
             if val is not None:
                 out.append((items[i], val))
             i += 1
@@ -218,12 +213,10 @@ def freeze_bin(bin_: Any) -> None:
     freeze(bin_, True)
 
 
-def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[VersionedValue]]:
+def collect_frozen(bin_: Any) -> tuple[list[int], list[VersionedValue]]:
     """Keys and version-chain heads of a frozen bin, in key order.
 
-    Deleted keys are retained (their latest payload is Absent); every
-    collected head gets its timestamp assigned so nothing leaves a bin
-    unstamped."""
+    Deleted keys are retained (their latest payload is Absent)."""
     assert bin_.frozen is not None, "collect requires a frozen bin"
     keys: list[int] = []
     versions: list[VersionedValue] = []
@@ -231,10 +224,7 @@ def collect_frozen(bin_: Any, clock: GlobalClock) -> tuple[list[int], list[Versi
         items = lst.items
         n = len(items) >> 1
         keys += items[:n]
-        heads = items[n:]
-        versions += heads
-        for ver in heads:
-            ver.stamp(clock)
+        versions += items[n:]
     return keys, versions
 
 

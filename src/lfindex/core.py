@@ -1,18 +1,29 @@
 """Shared primitives: guarded steps, versioned values, the clock.
 
-Every mutation anywhere in the index funnels through one of six guarded
+Every mutation anywhere in the index funnels through one of five guarded
 steps: ``dcss`` stores a model node's child in its slot, ``splice``
 publishes a bin list's next array, ``write_head`` stores a key's new
 chain head in its owner's array, ``freeze`` sets the freeze word of an
-owner (a bin or a model node), ``VersionedValue.stamp`` sets a version's
-timestamp once, and ``AtomicRef.compare_and_swap`` advances the clock.
-CPython has no native CAS, so the steps emulate it with one module lock,
-``_LOCK``, which every guarded step takes, so each excludes every other.
-Each critical section is a constant-time compare and its stores, never
-nested, and never calls back into user code.  The design assumes the GIL:
-plain attribute loads are atomic under it and serve for all reads, and
-since it lets no two steps run at once anyway, one lock costs no
-parallelism that finer locks would keep.
+owner (a bin or a model node), and ``AtomicRef.compare_and_swap``
+advances the clock.  CPython has no native CAS, so the steps emulate it
+with one module lock, ``_LOCK``, which every guarded step takes, so each
+excludes every other.  Each critical section is a constant-time compare
+and its stores, never nested, and never calls back into user code.  The
+design assumes the GIL: plain attribute loads are atomic under it and
+serve for all reads, and since it lets no two steps run at once anyway,
+one lock costs no parallelism that finer locks would keep.
+
+The clock rule: a version's timestamp is the clock's reading at the step
+that publishes it.  A writer reads the clock, builds its version with
+that reading as ``ts``, and publishes it with ``write_head``, ``splice``
+or, for a key's first bin, ``dcss``; each of these also compares the
+clock's cell with the object the writer read, so the step fails, and the
+writer reads again and retries, if a scan's bump landed in between.  A
+version is complete when it is built and no field of it changes after.
+A scan's ``read_and_bump`` of ``ts`` returns once the clock has left
+``ts``, so it splits all writes in two: those with a timestamp at or
+before ``ts``, published before that moment, and those after it,
+published later.
 
 The freeze rule: once an owner is frozen, nothing in it changes.  A
 key's chain head sits in its owner's array (a model node's ``versions``,
@@ -27,17 +38,16 @@ one the inserter read before it copied, so no write lands in an old
 array or is lost to a copy made before it.  Keys in a published array
 never change; only ``write_head`` changes a head slot.  Every rebuild
 reuses the collected heads, so the frozen original and its replacement
-hold one ``VersionedValue`` per key, and a version has one timestamp
-however many structures hold it.
+hold one ``VersionedValue`` per key.
 
-Readers never loop.  A search or a scan reads through frozen structures
-and replaced arrays: each structure it loads was current at some moment
-after it began, and holds every key's value as of the moment it stopped
-being current, which a read there may answer.  A scan bumps the clock,
-then loads a structure; a write into a replacement lands after the
-install, so after that load, and is stamped at least ``ts + 1``: a scan
-that reads a frozen structure misses no version stamped at or before its
-``ts``.
+Readers never loop and never write.  A search or a scan reads through
+frozen structures and replaced arrays: each structure it loads was
+current at some moment after it began, and holds every key's value as of
+the moment it stopped being current, which a read there may answer.  A
+scan bumps the clock, then loads a structure; a write into a replacement
+lands after the install, so after that load, and so after the clock left
+``ts``: a scan that reads a frozen structure misses no version at or
+before its ``ts``.
 
 Every compare is by identity, and no compared field can take back an
 object it once held (no ABA).  A slot leaves ``EMPTY`` once, and every
@@ -59,7 +69,6 @@ from collections import namedtuple
 from typing import Any, Callable, Iterable, Optional
 
 KEY_MAX = 2**63 - 1  # keys are unsigned 63-bit: [0, 2**63 - 1]
-UNSET_TS = -1
 
 
 # The map's input contract (README, "Input contract"), enforced here alone.
@@ -118,7 +127,7 @@ _LOCK = threading.Lock()
 # Test instrumentation: called as hook(cell, success) from inside ``_LOCK``,
 # so the event order in the hook is the one true order of all guarded steps.
 # ``dcss``, ``splice``, ``write_head`` and ``freeze`` report as described
-# on them.
+# on them; a step that lost to a bump of the clock names the clock's cell.
 _cas_hook: Optional[Callable[[object, bool], None]] = None
 
 
@@ -215,16 +224,22 @@ END = _End()
 EMPTY = AtomicRef()
 
 
-def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
+def dcss(owner: Any, i: int, expected: Any, new: Any,
+         clock: "GlobalClock | None" = None, t: Any = None) -> bool:
     """Store ``new`` in ``owner.children[i]`` iff ``owner.frozen`` is None
-    and the slot holds ``expected``: a double-compare single-swap (Harris,
-    Fraser & Pratt, DISC 2002) in one step under ``_LOCK``.  The hook sees
-    the child stored or found, or a frozen owner: a failure names what a
+    and the slot holds ``expected``, and, for a fresh bin whose version
+    carries timestamp ``t``, the ``clock`` still reads ``t``: a
+    double-compare single-swap (Harris, Fraser & Pratt, DISC 2002) in one
+    step under ``_LOCK``.  A compaction's install carries no new version
+    and passes no clock.  The hook sees the child stored or found, a
+    frozen owner or the clock's cell: a failure on the slot names what a
     success stored."""
     hook = _cas_hook
     with _LOCK:
         if owner.frozen is not None:
             target, ok = owner, False
+        elif clock is not None and clock.now.value is not t:
+            target, ok = clock.now, False
         else:
             target = owner.children[i]
             ok = target is expected
@@ -235,21 +250,26 @@ def dcss(owner: Any, i: int, expected: Any, new: Any) -> bool:
     return ok
 
 
-def splice(owner: Any, lst: Any, expected: list, writes: int, new: list) -> bool:
-    """Publish ``new``, a fresh copy of ``expected`` with one key added, as
-    the ``items`` of the list ``lst`` of the bin ``owner`` iff
-    ``owner.frozen`` is None, ``lst.items`` is ``expected`` and
-    ``lst.writes`` is still ``writes``, read before the copy was made, so
-    no head write to ``expected`` is lost to the copy; and count the key in
-    ``lst.size`` and, for a child list, in ``owner.size``: one step under
-    ``_LOCK``.  A failure writes nothing.  The hook sees the
-    list's array after the step, the one stored or the one found, frozen
-    owner or not, so a hook target that is a ``list`` is always a splice,
-    and a failure on an owner not frozen names what a success stored."""
+def splice(owner: Any, lst: Any, expected: list, writes: int, new: list,
+           clock: "GlobalClock", t: Any) -> bool:
+    """Publish ``new``, a fresh copy of ``expected`` with one key added
+    whose version carries timestamp ``t``, as the ``items`` of the list
+    ``lst`` of the bin ``owner`` iff ``owner.frozen`` is None, ``lst.items``
+    is ``expected``, ``lst.writes`` is still ``writes``, read before the
+    copy was made, so no head write to ``expected`` is lost to the copy,
+    and the ``clock`` still reads ``t``; and count the key in ``lst.size``
+    and, for a child list, in ``owner.size``: one step under ``_LOCK``.  A
+    failure writes nothing.  The hook sees the list's array after the step,
+    the one stored or the one found, frozen owner or not, or the clock's
+    cell when only the clock moved, so a hook target that is a ``list`` is
+    always a splice, and a failure on an owner not frozen names what a
+    success stored."""
     hook = _cas_hook
     with _LOCK:
         target = lst.items
         ok = target is expected and lst.writes == writes and owner.frozen is None
+        if ok and clock.now.value is not t:
+            target, ok = clock.now, False
         if ok:
             target = lst.items = new
             lst.size += 1
@@ -261,25 +281,31 @@ def splice(owner: Any, lst: Any, expected: list, writes: int, new: list) -> bool
 
 
 def write_head(owner: Any, heads: list, j: int, expected: Any, new: Any,
-               lst: Any = None) -> bool:
-    """Store ``new`` in ``heads[j]``, a chain-head slot of ``owner``, iff
-    ``owner.frozen`` is None, the slot holds ``expected`` and, for a slot
-    of the list ``lst`` of the bin ``owner``, ``lst.items`` is still
-    ``heads``, the array the writer bisected; a list store also counts
-    itself in ``lst.writes``.  ``heads`` is a model node's ``versions``,
-    or a list's ``items``, whose heads follow its keys.  One step under
-    ``_LOCK``.  The hook sees the head stored or found, or a frozen owner,
-    so a ``VersionedValue`` target is always a head write."""
+               clock: "GlobalClock", lst: Any = None) -> bool:
+    """Store the version ``new`` in ``heads[j]``, a chain-head slot of
+    ``owner``, iff ``owner.frozen`` is None, the slot holds ``expected``,
+    the ``clock`` still reads ``new.ts`` and, for a slot of the list ``lst``
+    of the bin ``owner``, ``lst.items`` is still ``heads``, the array the
+    writer bisected; a list store also counts itself in ``lst.writes``.
+    ``heads`` is a model node's ``versions``, or a list's ``items``, whose
+    heads follow its keys.  One step under ``_LOCK``.  The hook sees the
+    head stored or found, a frozen owner or the clock's cell, so a
+    ``VersionedValue`` target is always a head write."""
     hook = _cas_hook
     with _LOCK:
-        ok = (owner.frozen is None and heads[j] is expected
-              and (lst is None or lst.items is heads))
-        if ok:
-            heads[j] = new
-            if lst is not None:
-                lst.writes += 1
+        if owner.frozen is not None:
+            target, ok = owner, False
+        elif clock.now.value is not new.ts:
+            target, ok = clock.now, False
+        else:
+            target = heads[j]
+            ok = target is expected and (lst is None or lst.items is heads)
+            if ok:
+                target = heads[j] = new
+                if lst is not None:
+                    lst.writes += 1
         if hook is not None:
-            hook(heads[j] if owner.frozen is None else owner, ok)
+            hook(target, ok)
     return ok
 
 
@@ -300,31 +326,17 @@ class VersionedValue(BenchReads):
     """One version in a per-key chain: payload, write timestamp, older tail.
     The newest version, the chain head, sits in its owner's array.
 
-    ``ts`` starts unset (-1) and is set exactly once, by ``stamp``;
-    ``val`` and ``vnext`` never change after construction.  Only the chain
-    head may have an unset ts: writers stamp the displaced head before
-    publishing a new one on top of it.
+    All three fields are final at construction: ``ts`` is the clock reading
+    that the step publishing the version compares (module docstring), so
+    timestamps never increase toward the tail.
     """
 
     __slots__ = ("val", "ts", "vnext")
 
-    def __init__(self, val: Any, ts: int = UNSET_TS, vnext: "VersionedValue | None" = None):
+    def __init__(self, val: Any, ts: int, vnext: "VersionedValue | None" = None):
         self.val = val
         self.ts = ts
         self.vnext = vnext
-
-    def stamp(self, clock: GlobalClock) -> None:
-        """Set ``ts`` from a fresh clock read unless it is already set.
-
-        The clock is read before ``_LOCK`` is taken, so the critical
-        section is one compare and one store; on a lost race the winner's
-        (also fresh) read stands.  Idempotent."""
-        if self.ts != UNSET_TS:
-            return
-        t = clock.read()
-        with _LOCK:
-            if self.ts == UNSET_TS:
-                self.ts = t
 
     def __repr__(self):
         return f"VersionedValue(val={self.val!r}, ts={self.ts})"
@@ -333,9 +345,10 @@ class VersionedValue(BenchReads):
 class GlobalClock:
     """Logical time shared by the whole index; starts at 0.
 
-    ``now`` is an ``AtomicRef`` holding an int.  Its identity CAS is sound
-    because the clock only rises: the cell never takes back an int object
-    it once held, so a bump from a stale read fails."""
+    ``now`` is an ``AtomicRef`` holding an int.  Its identity compares are
+    sound because the clock only rises: the cell never takes back an int
+    object it once held, so a bump from a stale read fails, and so does a
+    publishing step whose writer read the clock before a bump."""
 
     __slots__ = ("now",)
 
@@ -356,50 +369,35 @@ class GlobalClock:
         return t
 
 
-def read_value_latest(head: VersionedValue, clock: GlobalClock) -> Any:
-    """Latest payload of a version chain; stamps the head if unset."""
-    if head.ts == UNSET_TS:
-        head.stamp(clock)
-    return head.val
-
-
-def read_value_at(head: VersionedValue, ts: int, clock: GlobalClock) -> Any:
+def read_value_at(head: VersionedValue, ts: int, clock: Any = None) -> Any:
     """Payload as of logical time ``ts``.
 
     Walks past versions written after ``ts``; returns the payload of the
-    newest version stamped at or before ``ts``, or None when that version
-    is a delete or the whole chain is newer than ``ts``.  Stamps the head
-    if unset.
+    newest version at or before ``ts``, or None when that version is a
+    delete or the whole chain is newer than ``ts``.  ``clock`` is unused:
+    the benchmark's probe passes one, and keeps it until ROADMAP item 1.
     """
-    if head.ts == UNSET_TS:
-        head.stamp(clock)
     ver = head
     while ver is not None and ver.ts > ts:
         ver = ver.vnext
-        # non-head versions were stamped before being displaced
-        assert ver is None or ver.ts != UNSET_TS
     return None if ver is None else ver.val
 
 
 def write_version(owner: Any, heads: list, j: int, new_val: Any,
                   clock: GlobalClock, lst: Any = None) -> Optional[bool]:
-    """One attempt to put a version of payload ``new_val`` on the chain
-    whose head is ``heads[j]``, through ``write_head`` (same arguments).
+    """One attempt to put a version of payload ``new_val``, stamped with the
+    clock's reading, on the chain whose head is ``heads[j]``, through
+    ``write_head`` (same arguments).
 
     False without a write when the latest payload == new_val (the no-op
-    update / double-delete case), True once the new version is in and
-    stamped, and None when ``write_head`` failed: the owner froze, the
-    array moved or another write won, and the caller retries.  The
-    displaced head is always stamped first so only the chain head can ever
-    be unstamped.
+    update / double-delete case), True once the new version is in, and
+    None when ``write_head`` failed: the owner froze, the array moved,
+    another write won or a scan bumped the clock, and the caller retries.
     """
+    t = clock.now.value
     cur = heads[j]
-    if cur.ts == UNSET_TS:
-        cur.stamp(clock)
     if cur.val == new_val:
         return False
-    nxt = VersionedValue(new_val, UNSET_TS, cur)
-    if write_head(owner, heads, j, cur, nxt, lst):
-        nxt.stamp(clock)
+    if write_head(owner, heads, j, cur, VersionedValue(new_val, t, cur), clock, lst):
         return True
     return None

@@ -22,6 +22,10 @@ Structure invariants the operations below maintain:
   ``versions``.
 - Retrains never copy version chains: replacement structures reuse the
   per-key chain heads, so each key has one chain.
+- Every version carries the clock's reading at the step that publishes
+  it (the clock rule, in ``core``): a first insert's fresh bin is
+  installed by a ``dcss`` that compares the clock, as a splice or a head
+  write does; a rebuild publishes no new version and compares none.
 - Every node's segments are ``segment_root`` under ``eps_target``, made
   by the ``ModelNode`` constructor alone, for every node.
 - The index holds no reference cycle; reference counting frees every
@@ -72,7 +76,6 @@ from .core import (
     check_payload,
     dcss,
     freeze,
-    read_value_latest,
     write_version,
 )
 from .bins import (
@@ -246,11 +249,10 @@ class LearnedIndex:
                     return res
                 continue
             if child is EMPTY:
-                fresh, ver = bin_new(key, value)
-                if self._install(node, i, EMPTY, fresh):
-                    ver.stamp(clock)  # stamped only once published
+                t = clock.now.value
+                if self._install(node, i, EMPTY, bin_new(key, value, t), clock, t):
                     return True
-                continue  # lost to a concurrent first insert or a freeze; retry
+                continue  # lost to a first insert, a freeze or a scan's bump; retry
             lst = list_for(child, key)
             if child.is_one_level:
                 full = child.size >= cfg.olb_threshold
@@ -293,18 +295,15 @@ class LearnedIndex:
 
     def search(self, key: int) -> Optional[int]:
         """Latest payload, or None when absent.  Never helps, never blocks,
-        never retries; its only write is a timestamp assignment on an
-        unstamped head."""
+        never retries, never writes."""
         key = check_key(key)
         node, i, child = self.seek(key)
         if child is FOUND:
-            return read_value_latest(node.versions[i], self.clock)
+            return node.versions[i].val
         if child is EMPTY:
             return None
         head = search_bin(child, key)
-        if head is None:
-            return None
-        return read_value_latest(head, self.clock)
+        return None if head is None else head.val
 
     def range(self, key: int, width: int,
               max_results: Optional[int] = None) -> list[tuple[int, int]]:
@@ -371,7 +370,7 @@ class LearnedIndex:
         elif parent.children[slot] is not top:
             return  # installed already
         if top.__class__ is not ModelNode:
-            keys, versions = collect_frozen(top, self.clock)
+            keys, versions = collect_frozen(top)
         else:
             # the job names top by its keys list, so a replaced subtree
             # holds no reference back to its root: no cycle (module docstring)
@@ -389,7 +388,7 @@ class LearnedIndex:
                     continue
                 if child is not EMPTY:
                     freeze_bin(child)
-                    bin_keys, bin_versions = collect_frozen(child, self.clock)
+                    bin_keys, bin_versions = collect_frozen(child)
                     keys += bin_keys
                     versions += bin_versions
                 while i == len(n.keys) and stack:  # n's last slot is done
@@ -407,13 +406,16 @@ class LearnedIndex:
         else:
             self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))
 
-    def _install(self, parent: ModelNode, slot: int, expected, new) -> bool:
+    def _install(self, parent: ModelNode, slot: int, expected, new,
+                 clock: Optional[GlobalClock] = None, t: Any = None) -> bool:
         """Move ``parent``'s child ``slot`` from ``expected`` to ``new``: the
-        one writer of child slots.  A move lost to a freeze hands the slot
-        to ``help_compact``, which finishes the compaction that froze
+        one writer of child slots.  A fresh bin passes the ``clock`` and the
+        reading ``t`` its version carries, which ``core.dcss`` compares; a
+        rebuild passes neither.  A move lost to a freeze hands the slot to
+        ``help_compact``, which finishes the compaction that froze
         ``parent`` before the caller retries.  The transition log is told
         None for an empty slot's old child."""
-        if dcss(parent, slot, expected, new):
+        if dcss(parent, slot, expected, new, clock, t):
             log = self.transition_log
             if log is not None:
                 log(parent, slot, None if expected is EMPTY else expected, new)

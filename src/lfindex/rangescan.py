@@ -1,18 +1,19 @@
 """Snapshot range scans.
 
-A scan takes one logical timestamp up front (read-and-bump, so later
-writers stamp strictly after it), then walks the structure in key order
-reading each version chain as of that time.  Bins and model nodes, frozen
-or not, are read through whatever reference the walk loaded: a frozen
-structure never changes, and a write into its replacement is stamped after
-the scan's time (the argument is in ``core``).
+A scan takes one logical timestamp up front (read-and-bump, so every
+write published later carries a later timestamp), then walks the
+structure in key order reading each version chain as of that time.  Bins
+and model nodes, frozen or not, are read through whatever reference the
+walk loaded: a frozen structure never changes, and a write into its
+replacement carries a timestamp after the scan's (the argument is in
+``core``).
 
 Two facts let the walk read most pairs without a call:
 
-- A chain head whose ``ts`` is set and ``<= ts`` is what ``read_value_at``
-  would return at its first step, so the scan reads its payload inline and
-  calls ``read_value_at``, the one chain walk, only for an unstamped head or
-  one written after the scan's clock read.
+- A chain head whose ``ts`` is ``<= ts`` is what ``read_value_at`` would
+  return at its first step, so the scan reads its payload inline and calls
+  ``read_value_at``, the one chain walk, only on the tail of a head
+  written after the scan's clock read.
 - Routing puts every key of child slot j strictly between keys j-1 and j,
   so when both lie in ``[lo, hi]`` the whole child does: only the first and
   the last slot of a node's window can hold keys outside it, and a bin or
@@ -29,7 +30,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import EMPTY, UNSET_TS, GlobalClock, range_bounds, read_value_at
+from .core import EMPTY, range_bounds, read_value_at
 from .bins import scan_bin
 
 
@@ -41,12 +42,12 @@ def range_search(index, key: int, width: int,
     key, hi, max_results = range_bounds(key, width, max_results)
     ts = index.clock.read_and_bump()
     out: list[tuple[int, int]] = []
-    scan(index.root, key, hi, ts, out, index.clock, max_results)
+    scan(index.root, key, hi, ts, out, max_results)
     return out
 
 
 def scan(node, lo: int, hi: int, ts: int, out: list,
-         clock: GlobalClock, limit: Optional[int] = None) -> None:
+         limit: Optional[int] = None) -> None:
     """In-order walk of a model node's subtree restricted to [lo, hi].
 
     Children interleave with keys (child i sits below key i), so scanning
@@ -86,16 +87,13 @@ def scan(node, lo: int, hi: int, ts: int, out: list,
                     i = 0 if lo is None else bisect_left(node.keys, lo)
                     b = len(node.keys) if hi is None else bisect_right(node.keys, hi)
                     break
-                scan_bin(child, clo, chi, ts, out, clock)
+                scan_bin(child, clo, chi, ts, out)
                 if len(out) >= cap:  # a bin reads to its end
                     del out[cap:]
                     return
             if j < b:
                 ver = versions[j]
-                if UNSET_TS < ver.ts <= ts:
-                    val = ver.val
-                else:
-                    val = read_value_at(ver, ts, clock)
+                val = ver.val if ver.ts <= ts else read_value_at(ver.vnext, ts)
                 if val is not None:
                     out.append((keys[j], val))
                     if len(out) >= cap:

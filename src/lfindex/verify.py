@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import (EMPTY, UNSET_TS, VersionedValue, check_key, check_pairs, check_payload,
+from .core import (EMPTY, VersionedValue, check_key, check_pairs, check_payload,
                    range_bounds)
 from .bins import OneLevelBin, TwoLevelBin
 from .index import ModelNode
@@ -316,8 +316,9 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     """Walk a quiescent index and verify its structural invariants.
 
     Checks: strict key order and routing-interval containment everywhere,
-    global key uniqueness (one home path per key), version chains stamped
-    except possibly at the head with non-increasing timestamps, every model
+    global key uniqueness (one home path per key), every version, the
+    head included, stamped with a timestamp no newer than the clock's
+    reading, and timestamps non-increasing toward a chain's tail, every model
     node's error within each of its segments' recorded eps, each eps at
     most ``index.config.eps_target`` (every node's segments are
     ``segment_root`` under it), each node's locate table equal to
@@ -339,20 +340,24 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     def note(kind: str, detail: str) -> None:
         findings.append(Finding(kind, detail))
 
+    now = index.clock.read()
+
     def chain_payload(key: int, ver: VersionedValue) -> Any:
         head_val = ver.val
         prev_ts = None
         pos = 0
         while ver is not None:
-            if ver.ts == UNSET_TS:
-                if pos > 0:
-                    note("unstamped-version",
-                         f"key {key}: interior version {pos} has no timestamp")
+            ts = ver.ts
+            if not (isinstance(ts, int) and ts >= 0):
+                note("unstamped-version", f"key {key}: version {pos} has no timestamp ({ts!r})")
             else:
-                if prev_ts is not None and ver.ts > prev_ts:
+                if ts > now:
+                    note("future-version",
+                         f"key {key}: version {pos} ts {ts} newer than the clock's {now}")
+                if prev_ts is not None and ts > prev_ts:
                     note("timestamp-order",
-                         f"key {key}: version {pos} ts {ver.ts} newer than predecessor {prev_ts}")
-                prev_ts = ver.ts
+                         f"key {key}: version {pos} ts {ts} newer than predecessor {prev_ts}")
+                prev_ts = ts
             ver = ver.vnext
             pos += 1
         return head_val

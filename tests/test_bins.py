@@ -24,9 +24,7 @@ from lfindex.bins import (
 )
 from lfindex.core import (
     GlobalClock,
-    UNSET_TS,
     VersionedValue,
-    read_value_latest,
     set_cas_hook,
 )
 from lfindex.index import LearnedIndex
@@ -44,7 +42,7 @@ def put(bin_, key, value, clock):
 def make_olb(pairs, clock):
     it = iter(pairs)
     k, v = next(it)
-    olb, _ = bin_new(k, v)
+    olb = bin_new(k, v, clock.read())
     for k, v in it:
         assert put(olb, k, v, clock) is True
     return olb
@@ -74,26 +72,25 @@ def array_faults(lst):
 
 class TestBinNew:
     def test_single_pair(self):
-        clock = GlobalClock(0)
-        olb, ver = bin_new(5, 100)
+        olb = bin_new(5, 100, 0)
         assert list_keys(olb) == [5]
         assert olb.size == 1
         found = search_bin(olb, 5)
         assert olb.items == [5, found]
-        assert found is ver
-        assert read_value_latest(found, clock) == 100
+        assert found.val == 100 and found.vnext is None
 
     def test_key_zero(self):
-        clock = GlobalClock(0)
-        olb, _ = bin_new(0, 1)
+        olb = bin_new(0, 1, 0)
         assert list_keys(olb) == [0]
         assert search_bin(olb, 0) is not None
 
-    def test_version_is_unstamped(self):
-        # the index stamps it after the CAS that publishes the bin
-        olb, ver = bin_new(9, 9)
-        assert search_bin(olb, 9) is ver
-        assert ver.ts == UNSET_TS
+    def test_version_carries_the_reading_it_was_built_with(self):
+        # the dcss that publishes the bin compares the clock with this very
+        # reading, so the version is complete before anyone can see it
+        clock = GlobalClock(7)
+        t = clock.read()
+        ver = search_bin(bin_new(9, 9, t), 9)
+        assert ver.ts is t and ver.val == 9
 
 
 class TestInsertBin:
@@ -114,7 +111,7 @@ class TestInsertBin:
         clock = GlobalClock(0)
         olb = make_olb([(3, 30)], clock)
         assert put(olb, 3, 99, clock) is True
-        assert read_value_latest(search_bin(olb, 3), clock) == 99
+        assert search_bin(olb, 3).val == 99
         assert olb.size == 1  # update, not a splice
 
     def test_frozen_bin_bounces(self):
@@ -134,7 +131,7 @@ class TestInsertBin:
         assert put(olb, 7, 70, clock) is False
         assert olb.items is items and items[3] is head and head.vnext is None
         assert (olb.size, olb.writes) == (2, writes)
-        assert read_value_latest(search_bin(olb, 7), clock) == 70
+        assert search_bin(olb, 7).val == 70
 
     def test_an_overwrite_stores_its_head_in_place_and_counts_it(self):
         clock = GlobalClock(0)
@@ -154,8 +151,8 @@ class TestInsertBin:
     def test_a_lost_splice_retries_with_the_node_it_made_first(self, monkeypatch):
         # another insert publishes 25 after this insert of 20 copied the
         # list's array, so the first splice fails on an unfrozen bin; the
-        # retry copies the newer array and splices the very chain head and
-        # version made on the first attempt
+        # retry copies the newer array and splices the very chain head made
+        # on the first attempt, as no scan bumped the clock in between
         index = LearnedIndex.build([(0, 0), (100, 9)])
         for k in (10, 30):
             assert index.insert(k, k) is True
@@ -164,14 +161,14 @@ class TestInsertBin:
         attempts = []  # (keys expected, array made, the new key's head)
         real_splice = bins_mod.splice
 
-        def losing_splice(owner, lst, expected, writes, new):
+        def losing_splice(owner, lst, expected, writes, new, *clocked):
             n = len(new) >> 1
             if 20 not in new[:n]:
-                return real_splice(owner, lst, expected, writes, new)
+                return real_splice(owner, lst, expected, writes, new, *clocked)
             attempts.append((expected[:n - 1], new, new[n + new.index(20)]))
             if len(attempts) == 1:
                 assert index.insert(25, 25) is True
-            return real_splice(owner, lst, expected, writes, new)
+            return real_splice(owner, lst, expected, writes, new, *clocked)
 
         monkeypatch.setattr(bins_mod, "splice", losing_splice)
         assert index.insert(20, 20) is True
@@ -181,7 +178,7 @@ class TestInsertBin:
         assert (first_old, second_old) == ([10, 30], [10, 25, 30])
         # the list holds the very array its winning splice made
         assert olb.items is second_new and search_bin(olb, 20) is first
-        assert first.ts != UNSET_TS
+        assert first.ts == index.clock.read() == 0
         assert list_keys(olb) == [10, 20, 25, 30]
         assert olb.size == 4
         report = audit_structure(index)
@@ -198,12 +195,12 @@ class TestInsertBin:
         attempts = []
         real_splice = bins_mod.splice
 
-        def overwritten_splice(owner, lst, expected, writes, new):
+        def overwritten_splice(owner, lst, expected, writes, new, *clocked):
             attempts.append(lst.items is expected)
             if len(attempts) == 1:
                 assert index.insert(30, 31) is True  # in place, same array
                 assert lst.items is expected and lst.writes == writes + 1
-            return real_splice(owner, lst, expected, writes, new)
+            return real_splice(owner, lst, expected, writes, new, *clocked)
 
         monkeypatch.setattr(bins_mod, "splice", overwritten_splice)
         assert index.insert(20, 20) is True
@@ -230,7 +227,7 @@ class TestDeleteBin:
         assert delete_bin(olb, 3, clock) is True
         ref = search_bin(olb, 3)
         assert ref is not None  # never physically removed
-        assert read_value_latest(ref, clock) is None
+        assert ref.val is None
         assert list_keys(olb) == [3, 7]
 
     def test_absent_key(self):
@@ -251,9 +248,9 @@ class TestDeleteBin:
         olb = make_olb([(3, 30)], clock)
         freeze_bin(olb)
         assert delete_bin(olb, 3, clock) is UNDER_MAKE_MODEL
-        keys, versions = collect_frozen(olb, clock)
+        keys, versions = collect_frozen(olb)
         assert keys == [3]
-        assert read_value_latest(versions[0], clock) == 30
+        assert versions[0].val == 30
         assert delete_bin(olb, 4, clock) is False
 
 
@@ -262,7 +259,7 @@ class TestSearchBin:
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         assert search_bin(olb, 7) is olb.items[3]
-        assert read_value_latest(search_bin(olb, 7), clock) == 70
+        assert search_bin(olb, 7).val == 70
         assert search_bin(olb, 4) is None
 
     def test_frozen_list_still_readable(self):
@@ -290,14 +287,14 @@ class TestScanBin:
         clock = GlobalClock(0)
         olb = make_olb([(3, 1), (5, 2), (9, 3)], clock)
         out = []
-        scan_bin(olb, 4, 9, BIG_TS, out, clock)
+        scan_bin(olb, 4, 9, BIG_TS, out)
         assert out == [(5, 2), (9, 3)]
 
     def test_empty_interval(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 1), (5, 2)], clock)
         out = []
-        scan_bin(olb, 6, 7, BIG_TS, out, clock)
+        scan_bin(olb, 6, 7, BIG_TS, out)
         assert out == []
 
     def test_reads_the_version_at_the_scan_time(self):
@@ -306,7 +303,7 @@ class TestScanBin:
         head = VersionedValue(222, 6, old)
         olb = OneLevelBin([5, head])
         out = []
-        scan_bin(olb, 0, 10, 5, out, clock)
+        scan_bin(olb, 0, 10, 5, out)
         assert out == [(5, 111)]
 
     def test_skips_deleted_and_too_new_keys(self):
@@ -314,11 +311,11 @@ class TestScanBin:
         olb = make_olb([(1, 1), (2, 2), (3, 3)], clock)
         delete_bin(olb, 2, clock)
         out = []
-        scan_bin(olb, 0, 9, BIG_TS, out, clock)
+        scan_bin(olb, 0, 9, BIG_TS, out)
         assert out == [(1, 1), (3, 3)]
         # at ts below every write, nothing is visible
         out = []
-        scan_bin(olb, 0, 9, 5, out, clock)
+        scan_bin(olb, 0, 9, 5, out)
         assert out == []
 
 
@@ -339,7 +336,7 @@ def test_a_scan_reads_the_keys_its_bounds_admit(keys, deleted, lo, hi):
     want = [(k, k) for k in sorted(live) if k not in deleted
             and (lo is None or k >= lo) and (hi is None or k <= hi)]
     out = []
-    scan_bin(tlb, lo, hi, BIG_TS, out, clock)
+    scan_bin(tlb, lo, hi, BIG_TS, out)
     assert out == want
 
 
@@ -352,7 +349,7 @@ class TestFreeze:
         assert put(olb, 5, 50, clock) is UNDER_MAKE_MODEL
         assert put(olb, 7, 71, clock) is UNDER_MAKE_MODEL
         assert delete_bin(olb, 3, clock) is UNDER_MAKE_MODEL
-        keys, versions = collect_frozen(olb, clock)
+        keys, versions = collect_frozen(olb)
         assert keys == [3, 7]
         assert [v.val for v in versions] == [30, 70]
 
@@ -362,7 +359,7 @@ class TestFreeze:
         olb = make_olb([(i, i) for i in range(1, 40)], clock)
         split = make_olb([(i, i) for i in range(1, 40)], clock)
         freeze_bin(split)
-        tlb = olb_to_tlb(*collect_frozen(split, clock), fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(split), fanout=4)
         for bin_ in (olb, tlb):
             steps = []
             set_cas_hook(lambda cell, ok: steps.append((cell, ok)))
@@ -388,7 +385,7 @@ class TestFreeze:
         assert steps == [(olb, False)]
         assert olb.frozen is word
         assert olb.items is items
-        assert collect_frozen(olb, clock)[0] == [3, 7]
+        assert collect_frozen(olb)[0] == [3, 7]
 
     def test_two_level_freeze_stops_splices_into_every_list(self):
         # the child lists are reachable only through the bin, so its word
@@ -396,14 +393,14 @@ class TestFreeze:
         clock = GlobalClock(0)
         olb = make_olb([(k, k) for k in range(0, 80, 10)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=4)
         freeze_bin(tlb)
         for lst, sep in zip(tlb.children, tlb.keys + [100]):
             assert lst.frozen is None
             before = list_keys(lst)
             assert put(tlb, sep - 1, 1, clock) is UNDER_MAKE_MODEL
             assert list_keys(lst) == before
-        assert collect_frozen(tlb, clock)[0] == list(range(0, 80, 10))
+        assert collect_frozen(tlb)[0] == list(range(0, 80, 10))
 
     def test_racing_insert_is_either_in_or_bounced(self):
         # never a silently dropped splice: True implies visible after collect
@@ -431,7 +428,7 @@ class TestFreeze:
                     t.start()
                 for t in ts:
                     t.join()
-                keys, _ = collect_frozen(olb, clock)
+                keys, _ = collect_frozen(olb)
                 if result[0] is True:
                     assert key in keys, f"trial {trial}: spliced key dropped"
                 else:
@@ -446,7 +443,7 @@ def split(keys, fanout, clock):
     one-level bin as the index splits one."""
     olb = make_olb([(k, k) for k in keys], clock)
     freeze_bin(olb)
-    return olb_to_tlb(*collect_frozen(olb, clock), fanout=fanout)
+    return olb_to_tlb(*collect_frozen(olb), fanout=fanout)
 
 
 class TestWalkStart:
@@ -464,12 +461,12 @@ class TestWalkStart:
             assert array_faults(last) == []
         assert list_keys(last) == [25, 30, 35, 40, 50]
         for k in (25, 30, 35, 40, 50):
-            assert read_value_latest(search_bin(tlb, k), clock) == k
+            assert search_bin(tlb, k).val == k
         for k in (21, 26, 36, 45, 60):
             assert search_bin(tlb, k) is None
         assert delete_bin(tlb, 35, clock) is True
         out = []
-        scan_bin(tlb, 26, 45, BIG_TS, out, clock)
+        scan_bin(tlb, 26, 45, BIG_TS, out)
         assert out == [(30, 30), (40, 40)]
 
     @given(st.lists(st.integers(0, 400), max_size=80), st.booleans())
@@ -488,7 +485,7 @@ class TestWalkStart:
         for k in range(0, 900):
             ref = search_bin(tlb, k)
             if k in live:
-                assert read_value_latest(ref, clock) == k
+                assert ref.val == k
             else:
                 assert ref is None
         assert [k for lst in tlb.children for k in list_keys(lst)] == sorted(live)
@@ -501,8 +498,8 @@ class TestWalkStart:
         met_frozen = threading.local()
         real_splice = bins_mod.splice
 
-        def watched_splice(owner, lst, expected, writes, new):
-            ok = real_splice(owner, lst, expected, writes, new)
+        def watched_splice(owner, lst, expected, writes, new, *clocked):
+            ok = real_splice(owner, lst, expected, writes, new, *clocked)
             met_frozen.flag = not ok and owner.frozen is not None
             return ok
 
@@ -540,7 +537,7 @@ class TestWalkStart:
                 for t in threads:
                     t.join(timeout=60)
                     assert not t.is_alive(), f"trial {trial}: a thread hung"
-                keys, _ = collect_frozen(olb, clock)
+                keys, _ = collect_frozen(olb)
                 for k, r, met in results:
                     want = UNDER_MAKE_MODEL if met else True
                     assert r is want, f"trial {trial}: key {k} -> {r!r}, met frozen {met}"
@@ -560,7 +557,7 @@ class TestCollectFrozen:
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
-        keys, versions = collect_frozen(olb, clock)
+        keys, versions = collect_frozen(olb)
         assert keys == [3, 7]
         assert [v.val for v in versions] == [30, 70]
         assert all(v.ts != -1 for v in versions)
@@ -571,7 +568,7 @@ class TestCollectFrozen:
         right = make_olb([(9, 90)], clock)
         tlb = TwoLevelBin([4], [left, right], 3)
         freeze_bin(tlb)
-        keys, versions = collect_frozen(tlb, clock)
+        keys, versions = collect_frozen(tlb)
         assert keys == [1, 4, 9]
         assert [v.val for v in versions] == [10, 40, 90]
 
@@ -580,7 +577,7 @@ class TestCollectFrozen:
         olb = make_olb([(2, 20), (4, 40), (6, 60)], clock)
         delete_bin(olb, 4, clock)
         freeze_bin(olb)
-        keys, versions = collect_frozen(olb, clock)
+        keys, versions = collect_frozen(olb)
         assert keys == [2, 4, 6]
         assert versions[1].val is None
 
@@ -590,7 +587,7 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(i, i) for i in range(8)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=4)
         sizes = [len(list_keys(c)) for c in tlb.children]
         assert sizes == [2, 2, 2, 2]
         assert tlb.size == 8
@@ -599,7 +596,7 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(i, i) for i in range(5)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=4)
         sizes = [len(list_keys(c)) for c in tlb.children]
         assert sizes == [2, 1, 1, 1]
 
@@ -607,31 +604,31 @@ class TestOlbToTlb:
         clock = GlobalClock(0)
         olb = make_olb([(i, i) for i in range(10, 90, 10)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=4)
         assert tlb.keys == [20, 40, 60]
         for k in range(10, 90, 10):
-            assert read_value_latest(search_bin(tlb, k), clock) == k
+            assert search_bin(tlb, k).val == k
 
     def test_version_heads_are_shared_not_copied(self):
         clock = GlobalClock(0)
         olb = make_olb([(3, 30), (7, 70)], clock)
         freeze_bin(olb)
         old_head = search_bin(olb, 3)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=2)
         # the new bin holds the retired list's head, and a write into the
         # new bin puts its version on top of it, leaving the retired one be
         assert search_bin(tlb, 3) is old_head
         assert put(tlb, 3, 999, clock) is True
         assert search_bin(tlb, 3).vnext is old_head
         assert search_bin(olb, 3) is old_head
-        assert read_value_latest(search_bin(tlb, 3), clock) == 999
+        assert search_bin(tlb, 3).val == 999
 
     def test_single_key_fanout_two(self):
         clock = GlobalClock(0)
         olb = make_olb([(5, 50)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=2)
-        assert read_value_latest(search_bin(tlb, 5), clock) == 50
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=2)
+        assert search_bin(tlb, 5).val == 50
         assert tlb.size == 1
         assert [c.items for c in tlb.children] == [[5, search_bin(tlb, 5)], []]
 
@@ -667,7 +664,7 @@ class TestConcurrentBinOps:
         clock = GlobalClock(0)
         olb = make_olb([(k, k) for k in range(0, 800, 100)], clock)
         freeze_bin(olb)
-        tlb = olb_to_tlb(*collect_frozen(olb, clock), fanout=4)
+        tlb = olb_to_tlb(*collect_frozen(olb), fanout=4)
         stall_rnd = random.Random(21)
         bad = []
         checked = [0]
@@ -747,7 +744,8 @@ class TestCopyOnWrite:
         steps = []
         set_cas_hook(lambda target, ok: steps.append((target, ok)))
         try:
-            assert not bins_mod.splice(tlb, lst, stale, lst.writes, stale[:2] + [3] + stale[2:])
+            assert not bins_mod.splice(tlb, lst, stale, lst.writes, stale[:2] + [3] + stale[2:],
+                                       clock, clock.read())
         finally:
             set_cas_hook(None)
         assert lst.items is after and (lst.size, tlb.size) == sizes
@@ -767,7 +765,7 @@ def test_random_single_thread_ops_stay_sorted_and_match_a_dict(ops):
         if olb is None:
             if not is_insert:
                 continue
-            olb, _ = bin_new(k, v)
+            olb = bin_new(k, v, clock.read())
             live[k] = v
             everything.add(k)
             continue
@@ -785,5 +783,5 @@ def test_random_single_thread_ops_stay_sorted_and_match_a_dict(ops):
     assert list_keys(olb) == sorted(everything)
     assert olb.size == len(everything)
     out = []
-    scan_bin(olb, 0, 100, BIG_TS, out, clock)
+    scan_bin(olb, 0, 100, BIG_TS, out)
     assert out == sorted(live.items())

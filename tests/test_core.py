@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex import core
-from lfindex.bins import UNDER_MAKE_MODEL, OneLevelBin, bin_new, insert_bin
+from lfindex.bins import UNDER_MAKE_MODEL, OneLevelBin, bin_new, insert_bin, search_bin
 from lfindex.core import (
-    UNSET_TS,
     AtomicRef,
     EMPTY,
     END,
@@ -19,13 +18,12 @@ from lfindex.core import (
     dcss,
     freeze,
     read_value_at,
-    read_value_latest,
     set_cas_hook,
     splice,
     write_head,
     write_version,
 )
-from lfindex.index import IndexConfig, LearnedIndex
+from lfindex.index import FOUND, IndexConfig, LearnedIndex
 
 
 def chain(ver):
@@ -116,7 +114,7 @@ class TestTheOneLock:
             for k in (0, 5, 39):  # a root key, keys in bins and nodes
                 index.insert(k, -k)
                 index.delete(k)
-            olb, _ = bin_new(5, 5)
+            olb = bin_new(5, 5, index.clock.read())
             freeze(olb, True)
             assert insert_bin(olb, olb, 6, 6, index.clock) is UNDER_MAKE_MODEL
             assert insert_bin(olb, olb, 5, 4, index.clock) is UNDER_MAKE_MODEL
@@ -160,6 +158,12 @@ class TestLink:
         assert OneLevelBin([]).head is END
 
 
+#: A clock no test bumps, and its reading: a guarded step that compares
+#: this reading with this clock passes the compare.
+CLOCK = GlobalClock(0)
+T = CLOCK.read()
+
+
 class Owner:
     """A list with a freeze word, its array and a count, as a bin or a child
     list is."""
@@ -177,12 +181,12 @@ class TestSplice:
         owner, new = Owner(1, old), ["a", "b", "ref", "ref"]
         equal = list(old)
         assert equal == old and equal is not old
-        assert not splice(owner, owner, equal, 0, new)  # equal is not identical
+        assert not splice(owner, owner, equal, 0, new, CLOCK, T)  # equal is not identical
         # a lost splice writes nothing: no array, no count
         assert owner.items is old and owner.size == 1
-        assert splice(owner, owner, old, 0, new)
+        assert splice(owner, owner, old, 0, new, CLOCK, T)
         assert owner.items is new
-        assert not splice(owner, owner, old, 0, ["c"])
+        assert not splice(owner, owner, old, 0, ["c"], CLOCK, T)
         assert owner.items is new
 
     def test_fails_once_the_owner_is_frozen(self):
@@ -193,7 +197,7 @@ class TestSplice:
         try:
             freeze(tlb, True)
             freeze(tlb, "later")  # terminal: the first job stays
-            assert not splice(tlb, child, old, 0, ["new"])
+            assert not splice(tlb, child, old, 0, ["new"], CLOCK, T)
         finally:
             set_cas_hook(None)
         assert tlb.frozen is True
@@ -212,8 +216,8 @@ class TestSplice:
         owner = Owner(1, old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            splice(owner, owner, old, 0, first)
-            splice(owner, owner, old, 0, second)
+            splice(owner, owner, old, 0, first, CLOCK, T)
+            splice(owner, owner, old, 0, second, CLOCK, T)
         finally:
             set_cas_hook(None)
         assert [(id(t), ok) for t, ok in events] == [(id(first), True), (id(first), False)]
@@ -222,40 +226,59 @@ class TestSplice:
         # a one-level bin is its own list: one count
         old, new = ["a", 1], ["a", "b", 1, 2]
         olb = Owner(1, old)
-        assert splice(olb, olb, old, 0, new)
+        assert splice(olb, olb, old, 0, new, CLOCK, T)
         assert olb.items is new and old == ["a", 1]
         assert olb.size == 2
         # a child list counts in its own size and in its bin's total
         tlb, child = Owner(5), Owner(2, old)
-        assert splice(tlb, child, old, 0, new)
+        assert splice(tlb, child, old, 0, new, CLOCK, T)
         assert child.items is new and tlb.items == []
         assert (child.size, tlb.size) == (3, 6)
 
     def test_fails_once_a_head_write_lands_after_the_copy(self):
         # the inserter read the write count before it copied: a head write
         # into the same array since then would be lost in the copy
-        head, newer = VersionedValue(1, 0), VersionedValue(2, 0)
+        head, newer = VersionedValue(1, T), VersionedValue(2, T)
         old = ["a", head]
         owner = Owner(1, old)
         writes = owner.writes
         new = ["a", "b", head, "ref"]  # copied before the write
-        assert write_head(owner, old, 1, head, newer, owner)
-        assert not splice(owner, owner, old, writes, new)
+        assert write_head(owner, old, 1, head, newer, CLOCK, owner)
+        assert not splice(owner, owner, old, writes, new, CLOCK, T)
         assert owner.items is old and old[1] is newer and owner.size == 1
-        assert splice(owner, owner, old, owner.writes, ["a", "b", newer, "ref"])
+        assert splice(owner, owner, old, owner.writes, ["a", "b", newer, "ref"], CLOCK, T)
+
+    def test_fails_once_a_bump_moves_the_clock(self):
+        # the new key's version carries the reading t: after a scan's bump
+        # the splice writes nothing and the hook names the clock's cell
+        clock = GlobalClock(3)
+        t = clock.read()
+        old = ["a", "ref"]
+        owner = Owner(1, old)
+        new = ["a", "b", "ref", VersionedValue(2, t)]
+        events = []
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            assert clock.read_and_bump() == t
+            assert not splice(owner, owner, old, 0, new, clock, t)
+            assert owner.items is old and (owner.size, owner.writes) == (1, 0)
+            assert splice(owner, owner, old, 0, new, clock, clock.read())
+        finally:
+            set_cas_hook(None)
+        assert events == [(clock.now, True), (clock.now, False), (new, True)]
 
 
 class TestWriteHead:
     def test_stores_iff_the_slot_holds_expected_and_the_owner_is_not_frozen(self):
-        first, second, third = (VersionedValue(v, 0) for v in (1, 2, 3))
+        first, second, third = (VersionedValue(v, T) for v in (1, 2, 3))
         node = SimpleNamespace(frozen=None, versions=[first])
         events = []
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            assert write_head(node, node.versions, 0, first, second)
-            assert not write_head(node, node.versions, 0, first, third)  # stale
+            assert write_head(node, node.versions, 0, first, second, CLOCK)
+            assert not write_head(node, node.versions, 0, first, third, CLOCK)  # stale
             freeze(node, "job")
-            assert not write_head(node, node.versions, 0, second, third)
+            assert not write_head(node, node.versions, 0, second, third, CLOCK)
         finally:
             set_cas_hook(None)
         assert node.versions == [second]
@@ -263,18 +286,38 @@ class TestWriteHead:
         assert events == [(second, True), (second, False), (node, True), (node, False)]
 
     def test_a_list_store_needs_the_array_bisected_and_counts_itself(self):
-        head, newer = VersionedValue(1, 0), VersionedValue(2, 0)
+        head, newer = VersionedValue(1, T), VersionedValue(2, T)
         old = ["a", head]
         tlb, child = Owner(1), Owner(1, old)
         moved = ["a", "b", head, "ref"]
         child.items = moved  # a splice replaced the array the writer bisected
-        assert not write_head(tlb, old, 1, head, newer, child)
+        assert not write_head(tlb, old, 1, head, newer, CLOCK, child)
         assert old[1] is head and child.writes == 0
-        assert write_head(tlb, moved, 2, head, newer, child)
+        assert write_head(tlb, moved, 2, head, newer, CLOCK, child)
         assert moved[2] is newer and (child.writes, tlb.writes) == (1, 0)
         freeze(tlb, True)  # the bin's word guards its child lists
-        assert not write_head(tlb, moved, 2, newer, head, child)
+        assert not write_head(tlb, moved, 2, newer, head, CLOCK, child)
         assert moved[2] is newer and child.writes == 1
+
+    def test_fails_once_a_bump_moves_the_clock(self):
+        # the clock must still read the new version's ts
+        clock = GlobalClock(3)
+        head = VersionedValue(1, 0)
+        newer = VersionedValue(2, clock.read())
+        node = SimpleNamespace(frozen=None, versions=[head])
+        events = []
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            clock.read_and_bump()
+            assert not write_head(node, node.versions, 0, head, newer, clock)
+            assert node.versions == [head]
+            newest = VersionedValue(2, clock.read())
+            assert write_head(node, node.versions, 0, head, newest, clock)
+        finally:
+            set_cas_hook(None)
+        assert node.versions == [newest] and newest.ts == 4
+        assert events == [(clock.now, True), (clock.now, False), (newest, True)]
+
 
 class TestDcss:
     def test_stores_the_child_iff_the_slot_holds_it(self):
@@ -296,76 +339,118 @@ class TestDcss:
         assert events == [(first, True), (first, False), (second, True),
                           (owner, True), (owner, False)]
 
+    def test_a_fresh_bin_needs_the_clock_unmoved(self):
+        # a first insert passes the clock and its reading; a rebuild passes
+        # neither, so a bump fails only the first
+        clock = GlobalClock(0)
+        t = clock.read()
+        owner = SimpleNamespace(frozen=None, children=[EMPTY, EMPTY])
+        fresh, rebuilt = SimpleNamespace(), SimpleNamespace()
+        events = []
+        set_cas_hook(lambda target, ok: events.append((target, ok)))
+        try:
+            clock.read_and_bump()
+            assert not dcss(owner, 0, EMPTY, fresh, clock, t)
+            assert owner.children == [EMPTY, EMPTY]
+            assert dcss(owner, 0, EMPTY, fresh, clock, clock.read())
+            assert dcss(owner, 0, fresh, rebuilt)
+        finally:
+            set_cas_hook(None)
+        assert owner.children == [rebuilt, EMPTY]
+        assert events == [(clock.now, True), (clock.now, False), (fresh, True),
+                          (rebuilt, True)]
+
 
 class TestVersionedReads:
-    def test_latest_assigns_head_timestamp(self):
-        clock = GlobalClock(0)
-        head = VersionedValue(42)
-        assert head.ts == UNSET_TS
-        assert read_value_latest(head, clock) == 42
-        assert head.ts != UNSET_TS
+    def test_a_published_head_already_carries_its_timestamp(self):
+        # every write, a model key's, a new bin key's and a first insert's,
+        # publishes a version stamped with the clock's reading at its step;
+        # a search only reads, so it changes neither the head nor the clock
+        index = LearnedIndex.build([(10, 1), (20, 2)])
+        for key, value in ((10, 11), (15, 15), (12, 12), (20, None)):
+            index.clock.read_and_bump()
+            now = index.clock.read()
+            if value is None:
+                assert index.delete(key) is True
+            else:
+                assert index.insert(key, value) is True
+            node, i, child = index.seek(key)
+            head = node.versions[i] if child is FOUND else search_bin(child, key)
+            assert head.ts is now and head.val == value
+            assert index.search(key) == value
+            assert index.clock.read() is now and head.ts is now
 
     def test_latest_returns_absent_payload(self):
-        clock = GlobalClock(0)
-        head = VersionedValue(None, 2)
-        assert read_value_latest(head, clock) is None
+        index = LearnedIndex.build([(5, 50)])
+        assert index.delete(5) is True
+        assert index.root.versions[0].val is None
+        assert index.search(5) is None
 
     def test_latest_reads_only_the_head(self):
-        clock = GlobalClock(9)
-        old = VersionedValue(1, 3)
-        head = VersionedValue(9, 5, old)
-        assert read_value_latest(head, clock) == 9
+        index = LearnedIndex.build([(5, 50)])
+        index.clock.read_and_bump()
+        assert index.insert(5, 51) is True
+        head = index.root.versions[0]
+        assert (head.val, head.ts, head.vnext.val, head.vnext.ts) == (51, 1, 50, 0)
+        assert index.search(5) == 51
 
     def test_at_skips_newer_versions(self):
-        clock = GlobalClock(9)
         old = VersionedValue(1, 3)
         head = VersionedValue(9, 5, old)
-        assert read_value_at(head, 4, clock) == 1
+        assert read_value_at(head, 4) == 1
 
     def test_at_sees_absent_as_deleted(self):
-        clock = GlobalClock(9)
         head = VersionedValue(None, 2)
-        assert read_value_at(head, 2, clock) is None
+        assert read_value_at(head, 2) is None
 
     def test_at_returns_tombstone_before_first_version(self):
         # no version yet reads as None, as a delete does
-        clock = GlobalClock(9)
         head = VersionedValue(9, 5)
-        assert read_value_at(head, 4, clock) is None
+        assert read_value_at(head, 4) is None
 
-    def test_at_stamps_an_unstamped_head(self):
+    def test_at_reads_without_a_clock_and_writes_nothing(self):
+        # the third argument is the benchmark's, and the read ignores it
         clock = GlobalClock(7)
-        head = VersionedValue(3)
-        assert read_value_at(head, 100, clock) == 3
-        assert head.ts == 7
+        old = VersionedValue(1, 3)
+        head = VersionedValue(3, 6, old)
+        for args in ((), (clock,), (None,)):
+            assert read_value_at(head, 100, *args) == 3
+            assert read_value_at(head, 5, *args) == 1
+            assert read_value_at(head, 2, *args) is None
+        assert chain(head) == [(3, 6), (1, 3)] and clock.read() == 7
 
 
 class TestStamp:
-    def test_sets_an_unset_ts_once_from_the_clock(self):
+    """A writer stamps its version once, at construction, with the clock's
+    reading, which the step that publishes it compares."""
+
+    def test_a_write_stamps_its_version_once_with_the_clocks_reading(self):
         clock = GlobalClock(5)
-        ver = VersionedValue(1)
-        ver.stamp(clock)
-        assert ver.ts == 5
+        built = VersionedValue(1, 0)
+        node = one_head(built)
+        assert write_version(node, node.versions, 0, 2, clock) is True
+        head = node.versions[0]
+        assert head.ts is clock.read() and head.vnext is built
+        assert built.ts == 0  # the displaced head keeps its own stamp
         clock.read_and_bump()
-        ver.stamp(clock)
-        assert ver.ts == 5
-        built = VersionedValue(2, 0)
-        built.stamp(clock)
-        assert built.ts == 0
+        assert head.ts == 5  # no later step touches it
+        assert not hasattr(head, "stamp")
 
     def test_reads_the_clock_outside_the_lock(self):
-        ver = VersionedValue(1)
+        # the writer's reading is taken outside the lock, and the step's
+        # compare of it inside
         held = []
 
-        class Clock:
-            def read(self):
+        class Cell:
+            @property
+            def value(self):
                 held.append(core._LOCK.locked())
                 return 3
 
-        ver.stamp(Clock())
-        assert held == [False] and ver.ts == 3
-        ver.stamp(Clock())  # a set ts returns before the clock is read
-        assert held == [False]
+        clock = SimpleNamespace(now=Cell())
+        node = one_head(VersionedValue(1, 0))
+        assert write_version(node, node.versions, 0, 2, clock) is True
+        assert held == [False, True] and node.versions[0].ts == 3
 
 
 def one_head(ver):
@@ -389,7 +474,7 @@ class TestWriteValue:
         assert write(node, 2, clock)
         vals = chain(node.versions[0])
         assert [v for v, _ in vals] == [2, 1]
-        assert all(ts != UNSET_TS for _, ts in vals)
+        assert all(ts >= 0 for _, ts in vals)
 
     def test_equal_value_is_a_no_op(self):
         clock = GlobalClock(0)

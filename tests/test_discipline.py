@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
 
 #: The fields that threads share once an object is published.
 FIELDS = {"items", "size", "writes", "frozen", "children", "versions",
-          "value", "ts", "vnext", "now"}
+          "value", "val", "ts", "vnext", "now"}
 
 #: function -> (shared fields it may store, why the store is safe)
 WRITERS = {
@@ -42,9 +42,8 @@ WRITERS = {
     "core.freeze": (
         {"frozen"}, "the one freeze-word writer: under the one lock, once"),
     "core.VersionedValue.__init__": (
-        {"ts", "vnext"}, "a version is private until a write_head, splice, install or build publishes it"),
-    "core.VersionedValue.stamp": (
-        {"ts"}, "sets an unset ts once, under the one lock"),
+        {"val", "ts", "vnext"},
+        "a version is complete and private until a write_head, splice, install or build publishes it"),
     "core.GlobalClock.__init__": (
         {"now"}, "the clock's cell is made once, with its index"),
     "bins.OneLevelBin.__init__": (
@@ -203,8 +202,7 @@ def _found(visitor_class, *args, modules=None):
 
 
 #: The guarded steps of ``core``: the functions that take the one lock.
-GUARDED = ("AtomicRef.compare_and_swap", "dcss", "splice", "write_head", "freeze",
-           "VersionedValue.stamp")
+GUARDED = ("AtomicRef.compare_and_swap", "dcss", "splice", "write_head", "freeze")
 
 #: Names of the constructors of a lock.
 LOCK_MAKERS = {"Lock", "RLock", "allocate_lock"}
@@ -399,9 +397,31 @@ def test_one_job_makes_every_rebuild_and_every_help():
     _check_callers(REBUILDS)
 
 
-def test_only_stamp_sets_a_timestamp_after_construction():
-    writers = {fn for fn, (fields, _) in WRITERS.items() if "ts" in fields}
-    assert writers == {"core.VersionedValue.__init__", "core.VersionedValue.stamp"}
+#: A version's fields, final once it is built.
+VERSION_FIELDS = {"val", "ts", "vnext"}
+
+
+def test_only_the_constructor_stores_a_version_field():
+    # a version is stamped in the step that publishes it, so nothing
+    # stores its payload, its timestamp or its tail after construction
+    writers = {fn for fn, (fields, _) in WRITERS.items() if fields & VERSION_FIELDS}
+    assert writers == {"core.VersionedValue.__init__"}
+    stores = {(fn, field) for fn, field, _ in _found(_Stores) if field in VERSION_FIELDS}
+    assert stores == {("core.VersionedValue.__init__", f) for f in VERSION_FIELDS}
+
+
+def test_a_version_field_stored_after_construction_is_caught():
+    # a mutant writer that stamps its version after the step, as a lazy
+    # stamp would, and one that relinks a displaced version's tail
+    source = (SRC / "core.py").read_text()
+    step = "    if write_head(owner, heads, j, cur, VersionedValue(new_val, t, cur), clock, lst):\n"
+    assert source.count(step) == 1
+    modules = _modules()
+    for mutant, field in (("cur.ts = t", "ts"), ("setattr(cur, 'vnext', None)", "vnext"),
+                          ("cur.val = new_val", "val")):
+        modules["core"] = ast.parse(source.replace(step, f"    {mutant}\n" + step))
+        stray = _stray(_found(_Stores, modules=modules))
+        assert [(fn, f) for fn, f, _ in stray] == [("core.write_version", field)], mutant
 
 
 def test_core_makes_the_one_lock_and_no_other_module_names_it():
@@ -450,7 +470,7 @@ def test_critical_sections_are_flat_and_stay_in_core():
             if not any(_takes_a_lock(n) for n in init):
                 callable_.add(node.name)
     blocks = [n for n in ast.walk(core) if _is_lock_block(n)]
-    assert len(blocks) >= 5  # CAS, dcss, splice, freeze, stamp
+    assert len(blocks) >= 5  # CAS, dcss, splice, write_head, freeze
     for block in blocks:
         for stmt in block.body:
             for node in ast.walk(stmt):

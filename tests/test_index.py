@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lfindex.bins as bins_mod
 import lfindex.index as index_mod
 from lfindex import DatasetSpec, core, generate_dataset, rangescan
 from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_frozen,
                           freeze_bin, insert_bin, search_bin)
-from lfindex.core import EMPTY, KEY_MAX, UNSET_TS, set_cas_hook
+from lfindex.core import EMPTY, KEY_MAX, set_cas_hook
 from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import segment_root
 from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
@@ -503,8 +504,8 @@ class TestInsert:
             index = LearnedIndex.build([(0, 0), (1000, 0)])
             built = threading.Barrier(len(keys))
 
-            def bin_new(key, value):
-                out = real_bin_new(key, value)
+            def bin_new(*args):
+                out = real_bin_new(*args)
                 built.wait(10)
                 return out
 
@@ -551,13 +552,15 @@ class TestInsert:
 
 
 class TestFirstInsertStamp:
-    """A fresh bin's version is stamped only after the CAS that installs it."""
+    """A fresh bin's version carries the clock reading that the ``dcss``
+    installing it compares."""
 
     def test_snapshot_taken_before_the_install_excludes_the_key(self, monkeypatch):
         # insert(15) is preempted between building its bin and installing it;
         # meanwhile a scan takes its snapshot time, insert(10) completes and
-        # search(15) reports the key absent.  Stamped before the install, the
-        # key would fall inside the scan's snapshot and break linearizability.
+        # search(15) reports the key absent.  Installed with the reading it
+        # was built with, the key would fall inside the scan's snapshot and
+        # break linearizability; the install fails and the retry is later.
         index = LearnedIndex.build([(10, 100), (20, 200)])
         rec = HistoryRecorder(index)
         took_ts, go = threading.Event(), threading.Event()
@@ -574,6 +577,8 @@ class TestFirstInsertStamp:
 
         def preempted_bin_new(*args):
             fresh = real_bin_new(*args)
+            if took_ts.is_set():
+                return fresh  # the retry after the scan's bump
             scanner.start()
             assert took_ts.wait(10)
             rec.run("b", "insert", 10, 111)
@@ -592,19 +597,95 @@ class TestFirstInsertStamp:
         assert result.ok, result.failing_prefix
 
     def test_the_inserted_key_is_stamped_not_the_bins_first(self):
-        # a splice that lands ahead of the fresh key between the install and
-        # the stamp must not take the stamp meant for the fresh key
+        # a splice that lands ahead of the fresh key right after the install
+        # brings its own version; the fresh key's was complete before it
         index = LearnedIndex.build([(0, 0), (100, 0)])
+        index.clock.read_and_bump()
+        seen = []
 
         def splice_below(parent, slot, old, new):
             if old is None:
+                seen.append(search_bin(new, 50).ts)
+                index.clock.read_and_bump()
                 assert insert_bin(new, new, 40, 4, index.clock) is True
 
         index.transition_log = splice_below
         assert index.insert(50, 5) is True
         _, _, bin_ = index.seek(50)
         assert bin_.items[:2] == [40, 50]
-        assert search_bin(bin_, 50).ts != UNSET_TS
+        assert seen == [1] and search_bin(bin_, 50).ts == 1
+        assert search_bin(bin_, 40).ts == 2
+        assert index.range(0, 100) == [(0, 0), (40, 4), (50, 5), (100, 0)]
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+
+
+class TestAScanBetweenTheClockReadAndTheStep:
+    """A writer reads the clock, builds its version with that reading and
+    publishes it in one guarded step that compares the clock.  A scan whose
+    bump lands in between fails the step; the retry carries a later
+    timestamp, and the scan's result is the state at its ``ts``."""
+
+    LO, HI = 0, 1_000
+
+    def race(self, monkeypatch, owner, step, index, write):
+        """Run ``write`` with one scan forced in just before its first call
+        of ``owner.step``; (step results, scan ts, scan result)."""
+        real = getattr(owner, step)
+        results, scans = [], []
+
+        def raced(*args):
+            if not results:
+                ts = index.clock.read()
+                scans.append((ts, index.range(self.LO, self.HI - self.LO)))
+                assert index.clock.read() == ts + 1
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(owner, step, raced)
+        assert write() is True
+        monkeypatch.setattr(owner, step, real)
+        (ts, got), = scans
+        return results, ts, got
+
+    def check(self, index, results, ts, got, before, key, value):
+        assert results[0] is False and results[-1] is True
+        assert got == before  # the scan saw the state before the write
+        again = []
+        rangescan.scan(index.root, self.LO, self.HI, ts, again)
+        assert again == before  # and the state at its ts stays that
+        assert index.search(key) == value
+        node, i, child = index.seek(key)
+        head = node.versions[i] if child is FOUND else search_bin(child, key)
+        assert head.val == value and head.ts >= ts + 1
+        report = audit_structure(index)
+        assert report.ok, report.findings[:3]
+
+    def test_a_head_write_fails_and_retries_later(self, monkeypatch):
+        # a model node's key, a bin key's overwrite and a bin key's delete
+        for key, value in ((20, 21), (15, 16), (15, None)):
+            index = LearnedIndex.build([(10, 10), (20, 20), (30, 30)])
+            assert index.insert(15, 15) is True
+            before = index.range(self.LO, self.HI - self.LO)
+            write = ((lambda: index.delete(key)) if value is None
+                     else (lambda: index.insert(key, value)))
+            results, ts, got = self.race(monkeypatch, core, "write_head", index, write)
+            self.check(index, results, ts, got, before, key, value)
+
+    def test_a_splice_fails_and_retries_later(self, monkeypatch):
+        index = LearnedIndex.build([(10, 10), (20, 20), (30, 30)])
+        assert index.insert(15, 15) is True
+        before = index.range(self.LO, self.HI - self.LO)
+        results, ts, got = self.race(monkeypatch, bins_mod, "splice", index,
+                                     lambda: index.insert(17, 17))
+        self.check(index, results, ts, got, before, 17, 17)
+
+    def test_a_first_insert_install_fails_and_retries_later(self, monkeypatch):
+        index = LearnedIndex.build([(10, 10), (20, 20), (30, 30)])
+        before = index.range(self.LO, self.HI - self.LO)
+        results, ts, got = self.race(monkeypatch, index_mod, "dcss", index,
+                                     lambda: index.insert(15, 15))
+        self.check(index, results, ts, got, before, 15, 15)
 
 
 class TestDelete:
@@ -733,7 +814,7 @@ class TestHelpMakeModel:
                     assert installs == [(slot, fresh)], f"trial {trial}: {installs}"
                     assert isinstance(fresh, kind)
                     if kind is ModelNode:
-                        got_keys, versions = collect_frozen(bin_, index.clock)
+                        got_keys, versions = collect_frozen(bin_)
                         assert fresh.keys == got_keys == keys
                         assert all(a is b for a, b in zip(fresh.versions, versions, strict=True))
                         assert (segment_bits(fresh.segments)
@@ -963,8 +1044,8 @@ class TestCompaction:
                 compactions.append(new) if isinstance(old, ModelNode) else None)
             real_install = index._install
 
-            def install(parent, slot, expected, new):
-                ok = real_install(parent, slot, expected, new)
+            def install(parent, slot, expected, new, *clocked):
+                ok = real_install(parent, slot, expected, new, *clocked)
                 if not ok and isinstance(expected, ModelNode):
                     lost[0] += 1  # a helper lost the compaction install CAS
                 return ok
@@ -1260,11 +1341,11 @@ class TestCompaction:
         paused, go = threading.Event(), threading.Event()
         real_collect = index_mod.collect_frozen
 
-        def collect_frozen(bin_, clock):
+        def collect_frozen(bin_):
             if threading.current_thread() is compactor and not paused.is_set():
                 paused.set()
                 go.wait(10)
-            return real_collect(bin_, clock)
+            return real_collect(bin_)
 
         monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
         compactor = threading.Thread(target=index.help_compact, args=(index.root, 1, node))
@@ -1275,8 +1356,8 @@ class TestCompaction:
             lost = []
             real_install = index._install
 
-            def install(parent, slot, expected, new):
-                ok = real_install(parent, slot, expected, new)
+            def install(parent, slot, expected, new, *clocked):
+                ok = real_install(parent, slot, expected, new, *clocked)
                 if not ok:
                     lost.append((parent, slot, expected))
                 return ok
@@ -1320,11 +1401,11 @@ class TestCompaction:
         paused, go = threading.Event(), threading.Event()
         real_collect = index_mod.collect_frozen
 
-        def collect_frozen(bin_, clock):
+        def collect_frozen(bin_):
             if threading.current_thread() is compactor and not paused.is_set():
                 paused.set()
                 go.wait(10)
-            return real_collect(bin_, clock)
+            return real_collect(bin_)
 
         monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
         bounced = []
@@ -1349,8 +1430,8 @@ class TestCompaction:
         lost = []
         real_install = index._install
 
-        def install(parent, slot, expected, new):
-            ok = real_install(parent, slot, expected, new)
+        def install(parent, slot, expected, new, *clocked):
+            ok = real_install(parent, slot, expected, new, *clocked)
             if not ok:
                 lost.append(expected)
             return ok
@@ -1514,11 +1595,11 @@ class TestCompaction:
         real_collect = index_mod.collect_frozen
         racing, builds, installs = [], [], []
 
-        def collect_frozen(bin_, clock):
+        def collect_frozen(bin_):
             if racing:
                 index.help_compact(*racing.pop())  # the racing helper installs
                 builds.clear()
-            return real_collect(bin_, clock)
+            return real_collect(bin_)
 
         monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
         for name in ("olb_to_tlb", "segment_root"):

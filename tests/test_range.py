@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lfindex import bins as bins_mod, rangescan
 from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin
-from lfindex.core import EMPTY, KEY_MAX, UNSET_TS, VersionedValue
+from lfindex.core import EMPTY, KEY_MAX
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.verify import SequentialOracle
 
@@ -290,9 +290,9 @@ class TestScanReads:
         where = ["model key"]
         real_read, real_scan_bin = rangescan.read_value_at, rangescan.scan_bin
 
-        def counted_read(ref, ts, clk):
+        def counted_read(*args):
             calls[where[0]] += 1
-            return real_read(ref, ts, clk)
+            return real_read(*args)
 
         def tagged_scan_bin(bin_, lo, hi, *rest):
             where[0] = "interior bin" if lo is None and hi is None else "edge bin"
@@ -313,41 +313,42 @@ class TestScanReads:
             want = replay(history, lo, hi, ts)
             cap = None if rnd.random() < 0.3 else rnd.randrange(len(want) + 2)
             out = []
-            rangescan.scan(index.root, lo, hi, ts, out, clock, cap)
+            rangescan.scan(index.root, lo, hi, ts, out, cap)
             assert out == want[:cap], (lo, hi, ts, cap)
         assert set(calls) == {"model key", "interior bin", "edge bin", "frozen bin visits"}
         assert all(calls.values()), calls
 
-        # a head published but not yet stamped, on a model key and in an
-        # interior bin of a whole-range scan: a past scan walks both chains,
-        # stamps the heads now and skips them, and a scan at now sees them
+        # a head published after a past scan's time, on a model key and in
+        # an interior bin of a whole-range scan, already carries the reading
+        # of the step that published it: a past scan walks both chains and
+        # skips the heads, and a scan at now sees them
         node, j = next((c, j) for c in children if isinstance(c, ModelNode)
                        for j in range(len(c.keys))
-                       if isinstance(c.children[j], OneLevelBin))
+                       if isinstance(c.children[j], OneLevelBin)
+                       and c.children[j] is not frozen)
         items = node.children[j].items
         n = len(items) >> 1
         keys = [node.keys[j], items[0]]
         clock.read_and_bump()
         now = clock.read()
-        node.versions[j] = VersionedValue(71, UNSET_TS, node.versions[j])
-        items[n] = VersionedValue(72, UNSET_TS, items[n])
+        for k, v in zip(keys, (1_071, 1_072)):
+            assert index.insert(k, v) is True
+            history[k].append((now, v))
         heads = [node.versions[j], items[n]]
+        assert [(h.val, h.ts) for h in heads] == [(1_071, now), (1_072, now)]
         before = calls.copy()
         out = []
-        rangescan.scan(index.root, 0, 1_000, now - 1, out, clock)
+        rangescan.scan(index.root, 0, 1_000, now - 1, out)
         assert out == replay(history, 0, 1_000, now - 1)
         assert calls["model key"] > before["model key"]
         assert calls["interior bin"] > before["interior bin"]
-        for head, k, v in zip(heads, keys, (71, 72)):
-            assert head.ts == now
-            history[k].append((now, v))
         out = []
-        rangescan.scan(index.root, 0, 1_000, now, out, clock)
+        rangescan.scan(index.root, 0, 1_000, now, out)
         assert out == replay(history, 0, 1_000, now)
-        assert (keys[0], 71) in out and (keys[1], 72) in out
+        assert (keys[0], 1_071) in out and (keys[1], 1_072) in out
 
     def test_a_stamped_scan_reads_inline_and_visits_each_bin_once(self, monkeypatch):
-        # on a quiescent index every head is stamped, so no scan walks a
+        # every head is stamped when published, so a scan at now walks no
         # chain, and every bin in the window goes through the module's
         # scan_bin name, which the paused-scan test patches
         index = LearnedIndex.build([(0, 0)], TINY)
@@ -377,7 +378,7 @@ class TestScanReads:
         for lo, hi in ((0, 1_000), (5, 305), (151, 152), (140, 160), (399, 400), (500, 600)):
             visits.clear()
             out = []
-            rangescan.scan(index.root, lo, hi, index.clock.read(), out, index.clock)
+            rangescan.scan(index.root, lo, hi, index.clock.read(), out)
             assert out == [(k, v) for k, v in sorted(live.items()) if lo <= k <= hi]
             assert [v[0] for v in visits] == bins_in_window(index.root, lo, hi), (lo, hi)
             interior += sum(v[1] is None and v[2] is None for v in visits)

@@ -392,6 +392,7 @@ class _SearchLiar:
     def __init__(self, inner):
         self.header = inner.header
         self.config = inner.config
+        self.clock = inner.clock
 
     def search(self, key):
         return None
@@ -449,18 +450,52 @@ class TestAuditStructure:
     def test_detects_unstamped_interior_version(self):
         index = LearnedIndex.build([(10, 1)])
         heads = index.root.versions
-        mid = VersionedValue(7, vnext=heads[0])      # never stamped
-        heads[0] = VersionedValue(9, ts=5, vnext=mid)
+        mid = VersionedValue(7, ts=-1, vnext=heads[0])  # never stamped
+        heads[0] = VersionedValue(9, ts=0, vnext=mid)
         report = audit_structure(index, check_seek=False)
-        assert "unstamped-version" in {f.kind for f in report.findings}
+        assert {f.kind for f in report.findings} == {"unstamped-version"}
+
+    def test_detects_an_unstamped_head(self):
+        # every version is stamped in the step that publishes it, the head
+        # too, in a model node and in a list
+        for ts in (-1, None):
+            index = LearnedIndex.build([(10, 1)])
+            index.insert(20, 2)
+            heads = index.root.versions
+            heads[0] = VersionedValue(9, ts=ts, vnext=heads[0])
+            items = index.root.children[1].items
+            items[1] = VersionedValue(8, ts=ts, vnext=items[1])
+            report = audit_structure(index, check_seek=False)
+            assert [f.kind for f in report.findings] == ["unstamped-version"] * 2, ts
+
+    def test_detects_a_future_version(self):
+        # a version newer than the clock's reading was never published by
+        # a step that compared the clock; a head and an interior version
+        index = LearnedIndex.build([(10, 1)])
+        index.insert(20, 2)
+        index.clock.read_and_bump()
+        now = index.clock.read()
+        heads = index.root.versions
+        heads[0] = VersionedValue(9, ts=now + 1, vnext=heads[0])
+        items = index.root.children[1].items
+        tail = VersionedValue(7, ts=now + 2, vnext=items[1])
+        items[1] = VersionedValue(8, ts=now + 3, vnext=tail)
+        report = audit_structure(index, check_seek=False)
+        assert [f.kind for f in report.findings] == ["future-version"] * 3
+        index.clock.read_and_bump()  # a version at the clock's reading is fine
+        index.root.versions[0] = VersionedValue(9, ts=now + 1, vnext=heads[0].vnext)
+        items[1] = tail.vnext
+        assert audit_structure(index).ok
 
     def test_detects_timestamp_order_violation(self):
         index = LearnedIndex.build([(10, 1)])
+        for _ in range(5):
+            index.clock.read_and_bump()
         heads = index.root.versions
         tail = VersionedValue(7, ts=5, vnext=heads[0])
         heads[0] = VersionedValue(9, ts=2, vnext=tail)  # older stamp on top
         report = audit_structure(index, check_seek=False)
-        assert "timestamp-order" in {f.kind for f in report.findings}
+        assert {f.kind for f in report.findings} == {"timestamp-order"}
 
     def test_detects_overstated_model_precision(self):
         index = LearnedIndex.build([(k, 1) for k in (0, 100, 205, 300, 400)])
