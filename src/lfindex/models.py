@@ -4,8 +4,11 @@ A model approximates the rank of a key within one sorted key array:
 rank ~= a*key + b, with eps the measured worst-case absolute error over the
 fitted keys.  Every node's segments are ``segment_root`` under
 ``eps_target``: a piecewise model, a list of ``Segment``s, each one's eps at
-most the target.  ``search_root`` bisects only a window around its
-segment's rounded, clamped prediction, in every node.
+most the target.  ``search_root`` answers a key above its segment's last
+key with one compare: the segment pick already put the key below the next
+segment's start, so it is absent and belongs right after that last key.
+Any other key it bisects only within a window around its segment's
+rounded, clamped prediction, in every node.
 
 The window is measured, not derived from eps: it is the largest distance
 between a key's index and the prediction ``search_root`` itself computes for
@@ -226,15 +229,19 @@ def search_root(keys: Sequence[int], table: tuple[list, list],
     ``table`` is ``root_table`` over the node's segments; bisecting its
     start keys picks the segment.  Returns (index, True) on an exact hit,
     else (index of the greatest key < ``key``, False), -1 when below all
-    keys.  Only keys in [max(p - w, first), min(p + w + 1, last + 1)) are
-    read, for the clamped prediction p and measured window w.
+    keys.  ``keys[last]`` is read first; a key above it returns (last,
+    False) at once.  Otherwise only keys in [max(p - w, first),
+    min(p + w + 1, last + 1)) are read, for the clamped prediction p and
+    measured window w.
 
     Why the window holds the insertion point r of any key, present or not:
     the segment's start key is <= ``key`` and the next segment's is above
-    it, so first <= r <= last + 1.  The prediction never falls as the key
-    rises (slope >= 0; rounding, floor and clamp are all monotone).  So for
-    r <= last, keys[r] >= key gives p <= pred(keys[r]) <= r + w, and for
-    r > first, keys[r - 1] < key gives p >= pred(keys[r - 1]) >= r - 1 - w.
+    it, so first <= r <= last + 1, and r = last + 1 exactly when
+    ``key > keys[last]``, the case the compare answers without the window.
+    The prediction never falls as the key rises (slope >= 0; rounding,
+    floor and clamp are all monotone).  So for r <= last, keys[r] >= key
+    gives p <= pred(keys[r]) <= r + w, and for r > first, keys[r - 1] < key
+    gives p >= pred(keys[r - 1]) >= r - 1 - w.
     A present key is at r with pred(keys[r]) = p, so r <= p + w: it is
     inside, never at the exclusive end.
     """
@@ -243,6 +250,8 @@ def search_root(keys: Sequence[int], table: tuple[list, list],
     if si < 0:
         return -1, False
     first, last, a, c, w = rows[si]
+    if key > keys[last]:
+        return last, False
     p = first + math.floor(a * key + c)
     if p < first:
         p = first

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import lfindex.bins as bins_mod
 import lfindex.index as index_mod
+import lfindex.models as models_mod
 from lfindex import DatasetSpec, core, generate_dataset, rangescan
 from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_frozen,
                           freeze_bin, insert_bin, search_bin)
@@ -995,6 +996,36 @@ class TestSlotDiscipline:
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
+
+
+class TestRightEdgeLocates:
+    """Ascending inserts nest model nodes down the right edge; a key above
+    a node's last key passes it with one compare and no window bisect."""
+
+    def test_appends_and_recent_reads_bisect_only_where_the_key_is(self, monkeypatch):
+        index = LearnedIndex.build([(0, 0)], TINY)
+        for k in range(1, 2_000):
+            index.insert(k, k)
+            edge, node = [], index.root
+            while isinstance(node, ModelNode):
+                edge.append(node)
+                node = node.children[-1]
+            if len(edge) >= 3:
+                break
+        assert len(edge) >= 3  # the root and two nested model nodes
+        calls, real = [], models_mod.bisect_left
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(models_mod, "bisect_left", counting)
+        _, _, child = index.seek(k + 1)
+        assert child is not FOUND and calls == []
+        deepest = edge[-1]
+        key = deepest.keys[len(deepest.keys) // 2]
+        assert index.search(key) == key
+        assert len(calls) == 1 and calls[0][0] is deepest.keys
 
 
 class TestCompaction:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lfindex.models as models_mod
 from lfindex.core import KEY_MAX
 from lfindex.harness import DatasetSpec, generate_dataset
 from lfindex.models import (
@@ -341,6 +342,34 @@ class TestSearchRoot:
         assert {"below", "above"} <= sides
         for p in probes:
             assert search_root(keys, table, p) == oracle_search(keys, p)
+
+    @pytest.mark.parametrize("source", ["uniform", "lognormal"])
+    def test_a_key_past_its_segments_last_key_takes_no_window_bisect(
+            self, monkeypatch, source):
+        keys = generate_dataset(DatasetSpec(source=source, size=5_000, seed=3)).tolist()
+        segs = segment_root(keys, 2.0)
+        table = root_table(segs, len(keys))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(models_mod, "bisect_left", counting)
+        starts, rows = table
+        past = 0
+        for p in edge_probes(keys, segs):
+            si = bisect_right(starts, p) - 1
+            if si < 0:
+                continue
+            calls.clear()
+            search_root(keys, table, p)
+            # between a segment's last key and the next start, or above
+            # the node's last key: the segment pick already proved absence
+            beyond = p > keys[rows[si][1]]
+            past += beyond
+            assert len(calls) == (0 if beyond else 1), (p, si)
+        assert past >= len(segs)
 
     @given(sorted_keys, st.integers(0, 2**63))
     @settings(max_examples=150, deadline=None)
