@@ -194,7 +194,7 @@ def _segment_bits(segments) -> list:
 
 
 def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
-    """N threads race ``help_make_model`` on one full two-level bin; exactly
+    """N threads race ``help_make_model`` on one full bin; exactly
     one ModelNode is installed, it reuses the keys and version chains of
     the top it replaces, and every one of its segments is bit-identical to
     a sequential ``segment_root`` under ``eps_target``.  Each race runs
@@ -217,17 +217,10 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
     def race(helpers: int, root_top: bool):
         # root keys above the bin's: the top is the root unless they
         # outnumber the bin (``COMPACT_RATIO``)
-        room = 1 if root_top else cfg.tlb_threshold + 1
+        room = 1 if root_top else cfg.olb_threshold + 1
         top_keys = range(KEY_MAX - room + 1, KEY_MAX + 1)
         index = LearnedIndex.build([(0, 0)] + [(k, 0) for k in top_keys], cfg)
-        keys = rng.sample(range(1, top_keys[0]), cfg.tlb_threshold)
-        # the first olb_threshold keys set the separators: take them evenly
-        # from the sorted sample, so every list ends with the same share and
-        # none reaches list_threshold before the bin's total is full
-        step = cfg.tlb_threshold // cfg.olb_threshold
-        first = sorted(keys)[step - 1::step]
-        chosen = set(first)
-        for k in first + [k for k in keys if k not in chosen]:
+        for k in rng.sample(range(1, top_keys[0]), cfg.olb_threshold):
             index.insert(k, k)
         node, slot, bin_ = index.seek(1)
         root = index.root
@@ -262,7 +255,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
         keys, versions = collect_frozen(bin_)
         if installs != [fresh] or not isinstance(fresh, ModelNode):
             return f"{len(installs)} installs, slot holds {type(fresh).__name__}"
-        if len(keys) != cfg.tlb_threshold:
+        if len(keys) != cfg.olb_threshold:
             return f"the frozen bin holds {len(keys)} keys"
         if root_top:
             if root.frozen != (index.header, 0, root.keys) or index.root is not fresh:
@@ -293,7 +286,7 @@ def criterion_3_fit_determinism(quick: bool = False) -> CriterionResult:
             f"top {top}: " + ", ".join(
                 f"{min(built[root_top, h])}-{max(built[root_top, h])} of {h}" for h in (1, 8, 32))
             for root_top, top in ((False, "bin"), (True, "root")))
-        detail = (f"{trials} races each of 1/8/32 helpers on a {cfg.tlb_threshold}-key bin, "
+        detail = (f"{trials} races each of 1/8/32 helpers on a {cfg.olb_threshold}-key bin, "
                   f"topped by the bin and by the root: one install, chains reused, segments "
                   f"bit-identical to a sequential segment_root; helpers that built a node, "
                   f"min-max: {spans}")
@@ -607,16 +600,16 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
     bounces, a frozen bin never changes, and a delete that meets it helps
     complete the replacement losslessly and lands at once."""
     t0 = time.perf_counter()
-    cfg = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
+    cfg = IndexConfig(olb_threshold=4)
     index = LearnedIndex.build([(10, 100), (20, 200)], cfg)
     for k in (12, 14, 16):
         index.insert(k, k * 10)
     index.delete(14)
 
-    node, slot, bin_ = index.seek(12)
+    _, _, bin_ = index.seek(12)
     problems = []
     if not isinstance(bin_, OneLevelBin):
-        problems.append(f"expected a one-level bin, got {bin_!r}")
+        problems.append(f"expected a bin, got {bin_!r}")
     else:
         freeze_bin(bin_)
         if index.search(12) != 120 or index.search(16) != 160:
@@ -625,7 +618,7 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
             problems.append("deleted key visible through a frozen bin")
         if index.range(10, 10) != [(10, 100), (12, 120), (16, 160), (20, 200)]:
             problems.append("range over a frozen bin returned wrong pairs")
-        if insert_bin(bin_, bin_, 13, 130, index.clock) is not UNDER_MAKE_MODEL:
+        if insert_bin(bin_, 13, 130, index.clock) is not UNDER_MAKE_MODEL:
             problems.append("insert into a frozen bin did not bounce")
         items = bin_.items
         n = len(items) >> 1
@@ -634,7 +627,9 @@ def criterion_9_frozen_reads(quick: bool = False) -> CriterionResult:
             problems.append("a delete that met a frozen bin was not visible at once")
         if bin_.items is not items or any(a is not b for a, b in zip(items[n:], heads)):
             problems.append("a delete changed the frozen bin")
-        if node.children[slot] is bin_:
+        # the bin's 3 keys outnumber the root's 2, so the retrain's top is
+        # the root, and no seek meets the bin once it is replaced
+        if index.seek(16)[2] is bin_:
             problems.append("a delete that met a frozen bin did not help replace it")
         if (index.search(12) is not None or index.search(16) != 160
                 or index.search(14) is not None

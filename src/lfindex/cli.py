@@ -72,11 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     defaults = IndexConfig()
     b.add_argument("--olb-threshold", type=int, default=defaults.olb_threshold,
-                   help="one-level bin size that triggers a rebuild")
-    b.add_argument("--tlb-threshold", type=int, default=defaults.tlb_threshold,
-                   help="two-level bin size that triggers retraining")
-    b.add_argument("--fanout", type=int, default=defaults.tlb_fanout,
-                   help="children per two-level bin")
+                   help="bin size that triggers retraining into a model node")
     b.add_argument("--eps", type=float, default=defaults.eps_target,
                    help="segment error bound of every model node")
     b.add_argument("--out", default=None, metavar="PATH",
@@ -113,10 +109,7 @@ def _cmd_bench(ns, parser) -> int:
         keys = generate_dataset(_dataset_spec(ns.dataset, ns.size, ns.seed))
         if len(keys) == 0:
             raise ValueError("dataset is empty")
-        config = IndexConfig(eps_target=ns.eps,
-                             olb_threshold=ns.olb_threshold,
-                             tlb_fanout=ns.fanout,
-                             tlb_threshold=ns.tlb_threshold)
+        config = IndexConfig(eps_target=ns.eps, olb_threshold=ns.olb_threshold)
         overrides = dict(threads=ns.threads, seed=ns.seed, hotspot=ns.hotspot,
                          range_frac=ns.range_frac, range_width=ns.range_width,
                          total_ops=None if ns.duration is not None else ns.ops,

@@ -2,7 +2,7 @@
 
 Every mutation anywhere in the index funnels through one of five guarded
 steps: ``dcss`` stores a model node's child in its slot, ``splice``
-publishes a bin list's next array, ``write_head`` stores a key's new
+publishes a bin's next array, ``write_head`` stores a key's new
 chain head in its owner's array, ``freeze`` sets the freeze word of an
 owner (a bin or a model node), and ``AtomicRef.compare_and_swap``
 advances the clock.  CPython has no native CAS, so the steps emulate it
@@ -27,13 +27,13 @@ published later.
 
 The freeze rule: once an owner is frozen, nothing in it changes.  A
 key's chain head sits in its owner's array (a model node's ``versions``,
-or the heads half of a list's ``items``), and ``dcss``, ``splice`` and
+or the heads half of a bin's ``items``), and ``dcss``, ``splice`` and
 ``write_head`` each fail once the owner's freeze word is set, so a write
 lands before the freeze, and is collected, or fails and helps finish the
 rebuild that froze the owner before it retries in the replacement.  A
-list's array obeys the same rule once a splice replaces it:
+bin's array obeys the same rule once a splice replaces it:
 ``write_head`` also compares ``items`` with the array the writer
-bisected, and ``splice`` compares the list's ``writes`` count with the
+bisected, and ``splice`` compares the bin's ``writes`` count with the
 one the inserter read before it copied, so no write lands in an old
 array or is lost to a copy made before it.  Keys in a published array
 never change; only ``write_head`` changes a head slot.  Every rebuild
@@ -51,7 +51,7 @@ before its ``ts``.
 
 Every compare is by identity, and no compared field can take back an
 object it once held (no ABA).  A slot leaves ``EMPTY`` once, and every
-other child a ``dcss`` stores is fresh.  A list's ``items`` only takes
+other child a ``dcss`` stores is fresh.  A bin's ``items`` only takes
 arrays its splices copied, so each is fresh.  A head slot takes only
 fresh versions, and the clock's cell only rises (``GlobalClock``).
 
@@ -170,7 +170,7 @@ class BenchReads:
     """The structure reads of ``lfbench/layers.py``, their only user, which
     was written when a slot was a cell and a list was linked nodes:
     ``load()`` on a slot's child returns the object itself (``EMPTY``, a
-    cell, answers None), and ``head`` on a list returns a throwaway chain
+    cell, answers None), and ``head`` on a bin returns a throwaway chain
     of view nodes over its array, each with ``item``, ``version`` and
     ``next``, ending at ``END``; ``target`` on a view node returns the
     node, or None on ``END``.  A chain head, which the probes reach
@@ -250,31 +250,26 @@ def dcss(owner: Any, i: int, expected: Any, new: Any,
     return ok
 
 
-def splice(owner: Any, lst: Any, expected: list, writes: int, new: list,
+def splice(owner: Any, expected: list, writes: int, new: list,
            clock: "GlobalClock", t: Any) -> bool:
     """Publish ``new``, a fresh copy of ``expected`` with one key added
-    whose version carries timestamp ``t``, as the ``items`` of the list
-    ``lst`` of the bin ``owner`` iff ``owner.frozen`` is None, ``lst.items``
-    is ``expected``, ``lst.writes`` is still ``writes``, read before the
-    copy was made, so no head write to ``expected`` is lost to the copy,
-    and the ``clock`` still reads ``t``; and count the key in ``lst.size``
-    and, for a child list, in ``owner.size``: one step under ``_LOCK``.  A
-    failure writes nothing.  The hook sees the list's array after the step,
-    the one stored or the one found, frozen owner or not, or the clock's
-    cell when only the clock moved, so a hook target that is a ``list`` is
-    always a splice, and a failure on an owner not frozen names what a
-    success stored."""
+    whose version carries timestamp ``t``, as the ``items`` of the bin
+    ``owner`` iff ``owner.frozen`` is None, ``owner.items`` is ``expected``,
+    ``owner.writes`` is still ``writes``, read before the copy was made, so
+    no head write to ``expected`` is lost to the copy, and the ``clock``
+    still reads ``t``: one step under ``_LOCK``.  A failure writes nothing.
+    The hook sees the bin's array after the step, the one stored or the
+    one found, frozen owner or not, or the clock's cell when only the
+    clock moved, so a hook target that is a ``list`` is always a splice,
+    and a failure on an owner not frozen names what a success stored."""
     hook = _cas_hook
     with _LOCK:
-        target = lst.items
-        ok = target is expected and lst.writes == writes and owner.frozen is None
+        target = owner.items
+        ok = target is expected and owner.writes == writes and owner.frozen is None
         if ok and clock.now.value is not t:
             target, ok = clock.now, False
         if ok:
-            target = lst.items = new
-            lst.size += 1
-            if lst is not owner:
-                owner.size += 1
+            target = owner.items = new
         if hook is not None:
             hook(target, ok)
     return ok
@@ -284,11 +279,11 @@ def write_head(owner: Any, heads: list, j: int, expected: Any, new: Any,
                clock: "GlobalClock", lst: Any = None) -> bool:
     """Store the version ``new`` in ``heads[j]``, a chain-head slot of
     ``owner``, iff ``owner.frozen`` is None, the slot holds ``expected``,
-    the ``clock`` still reads ``new.ts`` and, for a slot of the list ``lst``
-    of the bin ``owner``, ``lst.items`` is still ``heads``, the array the
-    writer bisected; a list store also counts itself in ``lst.writes``.
-    ``heads`` is a model node's ``versions``, or a list's ``items``, whose
-    heads follow its keys.  One step under ``_LOCK``.  The hook sees the
+    the ``clock`` still reads ``new.ts`` and, for a slot of a bin, passed
+    as ``lst`` (the owner itself), ``lst.items`` is still ``heads``, the
+    array the writer bisected; a bin store also counts itself in
+    ``lst.writes``.  ``heads`` is a model node's ``versions``, or a bin's
+    ``items``, whose heads follow its keys.  One step under ``_LOCK``.  The hook sees the
     head stored or found, a frozen owner or the clock's cell, so a
     ``VersionedValue`` target is always a head write."""
     hook = _cas_hook

@@ -5,17 +5,16 @@ Structure invariants the operations below maintain:
 - A slot holds its child: ``core.EMPTY``, a bin or a model node.  A model
   node's keys and model are immutable after construction; only its slots
   and its ``frozen`` word change, and a frozen node's slots never do.  A
-  slot moves forward through empty -> one-level bin -> two-level bin ->
-  model node, and a slot holding a model node may move to a new model
-  node by a compaction install.  ``_install`` makes each move with one
-  ``core.dcss``, which stores the new child unless the node is frozen;
-  every child it stores is fresh, so a slot never takes back a child it
-  held.
+  slot moves forward through empty -> bin -> model node, and a slot
+  holding a model node may move to a new model node by a compaction
+  install.  ``_install`` makes each move with one ``core.dcss``, which
+  stores the new child unless the node is frozen; every child it stores
+  is fresh, so a slot never takes back a child it held.
 - The root sits in the one slot of the header, a keyless model node that
   nothing freezes, so a compaction replaces the root as it does any node.
 - Routing: child slot i of a node covers the open interval between keys
   i-1 and i, so every key has exactly one home path.
-- A bin list is a sorted array whose keys never change once published
+- A bin is a sorted array whose keys never change once published
   (``bins``): a reader loads it once, an insert publishes a copy with
   one ``core.splice``, and an overwrite or delete stores a new head in
   place with one ``core.write_head``, as it does in a model node's
@@ -32,14 +31,14 @@ Structure invariants the operations below maintain:
   replaced structure.
 
 A full bin is frozen and rebuilt by whichever thread meets it, and one
-job, ``help_compact``, makes every rebuild (split, retrain, compaction)
-and installs it with one ``dcss``.  A retrain (``IndexConfig`` says
-when) puts a model node in a full two-level bin's slot, so ascending
-inserts would grow a chain of nested nodes; compaction bounds the depth.
-A retrain is a compaction: before it builds anything it takes as its top
-the highest node on the bin's path, the root included, whose on-path
-descendants, the bin included, hold at least ``COMPACT_RATIO`` times its
-keys, else the bin itself.  A compaction collects the top's keys and
+job, ``help_compact``, makes every rebuild (retrain, compaction) and
+installs it with one ``dcss``.  A retrain (``IndexConfig`` says when)
+puts a model node in a full bin's slot, so ascending inserts would grow
+a chain of nested nodes; compaction bounds the depth.  A retrain is a
+compaction: before it builds anything it takes as its top the highest
+node on the bin's path, the root included, whose on-path descendants,
+the bin included, hold at least ``COMPACT_RATIO`` times its keys, else
+the bin itself.  A compaction collects the top's keys and
 chain heads in order, freezing each model node and bin of a top node's
 subtree, and builds one node.  A frozen node's ``frozen`` word is the job
 ``(parent, slot, keys)`` that froze it, so any thread that meets a frozen
@@ -85,8 +84,6 @@ from .bins import (
     delete_bin,
     freeze_bin,
     insert_bin,
-    list_for,
-    olb_to_tlb,
     search_bin,
 )
 from .models import (
@@ -113,40 +110,28 @@ FOUND = _Found()
 #: bin below it on a new node's path hold this many times its own keys.
 COMPACT_RATIO = 1
 
+#: Nothing calls it: a bin is retrained straight into a model node.  Only
+#: the tracer in ``lfbench/layers.py`` reads the name, until ROADMAP item 1.
+olb_to_tlb = None
+
 
 @dataclass(frozen=True)
 class IndexConfig:
-    """The bin lifecycle: a one-level bin holding ``olb_threshold`` keys is
-    split into ``tlb_fanout`` lists, and a two-level bin holding
-    ``tlb_threshold`` keys, or whose list for an inserted key holds
-    ``list_threshold`` keys, is retrained into a model node.  ``eps_target``
-    bounds every node: every node's segments are ``segment_root`` under it.
-    The sizes are taken through ``operator.index``, as keys are."""
+    """The bin lifecycle: a bin holding ``olb_threshold`` keys is full, and
+    the next insert that meets it retrains it into a model node.
+    ``eps_target`` bounds every node: every node's segments are
+    ``segment_root`` under it.  The threshold is taken through
+    ``operator.index``, as keys are."""
 
     eps_target: float = DEFAULT_EPS_TARGET
-    olb_threshold: int = 64
-    tlb_fanout: int = 8
-    tlb_threshold: int = 1024
+    olb_threshold: int = 256
 
     def __post_init__(self):
-        for field in ("olb_threshold", "tlb_fanout", "tlb_threshold"):
-            object.__setattr__(self, field, operator.index(getattr(self, field)))
+        object.__setattr__(self, "olb_threshold", operator.index(self.olb_threshold))
         if not self.eps_target > 0:
             raise ValueError("eps_target must be positive")
-        if self.olb_threshold < 1 or self.tlb_threshold < 1:
-            raise ValueError("bin thresholds must be >= 1")
-        if self.tlb_fanout < 2:
-            raise ValueError("fanout must be >= 2")
-        if self.olb_threshold >= self.tlb_threshold:
-            raise ValueError("olb_threshold must be below tlb_threshold, or a "
-                             "split bin would be full before its first splice")
-        if 2 * self.tlb_threshold < self.tlb_fanout:
-            raise ValueError("tlb_threshold must be at least half the fanout, "
-                             "or every list would be full before its first key")
-        # keys in one list of a two-level bin that make the bin full: twice
-        # the mean list of a full bin, so key order cannot make lists long;
-        # derived once here, not a field
-        object.__setattr__(self, "list_threshold", 2 * self.tlb_threshold // self.tlb_fanout)
+        if self.olb_threshold < 1:
+            raise ValueError("olb_threshold must be >= 1")
 
 
 class ModelNode(BenchReads):
@@ -240,7 +225,7 @@ class LearnedIndex:
         check_payload(value)
         key = check_key(key)
         clock = self.clock
-        cfg = self.config
+        full_len = 2 * self.config.olb_threshold  # a full bin's keys and heads
         while True:
             node, i, child = self.seek(key)
             if child is FOUND:
@@ -253,14 +238,8 @@ class LearnedIndex:
                 if self._install(node, i, EMPTY, bin_new(key, value, t), clock, t):
                     return True
                 continue  # lost to a first insert, a freeze or a scan's bump; retry
-            lst = list_for(child, key)
-            if child.is_one_level:
-                full = child.size >= cfg.olb_threshold
-            else:
-                full = (child.size >= cfg.tlb_threshold
-                        or lst.size >= cfg.list_threshold)
-            if not full:
-                res = insert_bin(child, lst, key, value, clock)
+            if len(child.items) < full_len:
+                res = insert_bin(child, key, value, clock)
                 if res is not UNDER_MAKE_MODEL:
                     return res
             self.help_make_model(node, i, child)
@@ -315,38 +294,36 @@ class LearnedIndex:
         """Freeze a full or frozen bin, pick the top that replaces it, and
         hand that top to ``help_compact``; build nothing here.
 
-        The bin is frozen first, idempotently.  A one-level bin is its own
-        top.  A two-level bin's top is the one the module docstring names,
-        picked before anything is built, or the bin itself when its path
-        was replaced or frozen since.  No retry: the caller seeks again."""
+        The bin is frozen first, idempotently.  Its top is the one the
+        module docstring names, picked before anything is built, or the bin
+        itself when its path was replaced or frozen since.  No retry: the
+        caller seeks again."""
         freeze_bin(bin_)
         top = (parent, slot, bin_)
-        if not bin_.is_one_level:
-            # a separator is a key of child 0, so it routes to the bin's slot
-            key = bin_.keys[0]
-            path = []  # (parent, slot, node) for each node down to parent
-            node = self.header
-            while node is not parent:
-                i = bisect_left(node.keys, key)
-                child = node.children[i]
-                if child.__class__ is not ModelNode or child.frozen is not None:
-                    path = []  # replaced or frozen since: a compaction got here first
-                    break
-                path.append((node, i, child))
-                node = child
-            below = bin_.size  # final: the bin is frozen
-            for step in reversed(path):
-                size = len(step[2].keys)
-                if below >= COMPACT_RATIO * size:
-                    top = step
-                below += size
+        items = bin_.items  # final: the bin is frozen
+        key = items[0]  # routes to the bin's slot: a bin is never empty
+        path = []  # (parent, slot, node) for each node down to parent
+        node = self.header
+        while node is not parent:
+            i = bisect_left(node.keys, key)
+            child = node.children[i]
+            if child.__class__ is not ModelNode or child.frozen is not None:
+                path = []  # replaced or frozen since: a compaction got here first
+                break
+            path.append((node, i, child))
+            node = child
+        below = len(items) >> 1
+        for step in reversed(path):
+            size = len(step[2].keys)
+            if below >= COMPACT_RATIO * size:
+                top = step
+            below += size
         self.help_compact(*top)
 
     def help_compact(self, parent: ModelNode, slot: int, top: Any) -> None:
-        """Replace ``top``, ``parent``'s child ``slot``: a frozen one-level
-        bin by its split, a frozen two-level bin by one model node, and a
-        model node, the root included, by one model node over its whole
-        subtree.
+        """Replace ``top``, ``parent``'s child ``slot``, by one model node: a
+        frozen bin by a node over its keys, and a model node, the root
+        included, by a node over its whole subtree.
 
         A frozen ``parent`` means a compaction holds ``top``: the job words
         lead to the outermost job, which is finished instead if its top
@@ -400,11 +377,7 @@ class LearnedIndex:
                 i += 1
         if parent.children[slot] is not top:
             return  # installed by a helper that raced this one's collect
-        if top.__class__ is not ModelNode and top.is_one_level:
-            self._install(parent, slot, top,
-                          olb_to_tlb(keys, versions, self.config.tlb_fanout))
-        else:
-            self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))
+        self._install(parent, slot, top, ModelNode(keys, versions, self.config.eps_target))
 
     def _install(self, parent: ModelNode, slot: int, expected, new,
                  clock: Optional[GlobalClock] = None, t: Any = None) -> bool:

@@ -68,15 +68,19 @@ class Segment(NamedTuple):
 def _arrays(keys: Sequence[int]) -> tuple:
     # made once per key array: keys as uint64 and as float64, and a work
     # array whose row 0 takes a probe's offsets and row 1 holds the ranks;
-    # sorted keys are in the domain if the first and the last are, and a
-    # key numpy cannot hold as uint64 is outside it
+    # sorted keys are in the domain if the first and the last are: a key
+    # between them outside it wraps above the last, out of order.  An array
+    # numpy does not hold as integers goes through ``check_key`` key by key,
+    # so a key the map refuses is refused alike, not truncated.
     if len(keys):
         check_key(keys[0])
         check_key(keys[-1])
-    try:
+    keys_u = np.asarray(keys)
+    if keys_u.dtype.kind not in "iu" and len(keys_u):
+        for key in keys:
+            check_key(key)
         keys_u = np.asarray(keys, dtype=np.uint64)
-    except OverflowError:
-        raise ValueError("keys must be in the 63-bit domain [0, 2**63 - 1]") from None
+    keys_u = keys_u.astype(np.uint64, copy=False)
     if not (keys_u[1:] >= keys_u[:-1]).all():
         raise ValueError("keys must be sorted")
     work = np.empty((2, len(keys_u)))

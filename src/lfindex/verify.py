@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional
 
 from .core import (EMPTY, VersionedValue, check_key, check_pairs, check_payload,
                    range_bounds)
-from .bins import OneLevelBin, TwoLevelBin
+from .bins import OneLevelBin
 from .index import ModelNode
 from .models import root_table
 
@@ -324,11 +324,11 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
     ``segment_root`` under it), each node's locate table equal to
     ``root_table`` over its segments, each window holding its keys' indices
     and at most int(eps) + 1 wide, every slot holding ``EMPTY``, a bin or a
-    model node, every list's array of even length, every chain head, in a
-    list or a model node, a ``VersionedValue``, bin size counters equal to
-    their list lengths, no frozen
-    bin or model node, the root included (every retrain and compaction
-    finishes before its op returns; the walk still reads through one), a header that is not frozen, holds no keys and has one
+    model node, every bin's array of even length, every chain head, in a
+    bin or a model node, a ``VersionedValue``, no frozen bin or model
+    node, the root included (every retrain and compaction finishes before
+    its op returns; the walk still reads through one), a header that is
+    not frozen, holds no keys and has one
     slot, which holds a model node, and (optionally) that seek/search
     actually reach every key with the payload the walk extracted.  The walk starts at the header and
     keeps an explicit stack of model nodes, so it does not recurse however
@@ -374,8 +374,10 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             return
         payloads[k] = chain_payload(k, head)
 
-    def walk_olb(olb: OneLevelBin, lo, hi, where: str) -> int:
-        items = olb.items
+    def walk_bin(bin_: OneLevelBin, lo, hi, where: str) -> None:
+        if bin_.frozen is not None:
+            note("frozen-bin", f"{where}: bin still frozen by a retrain")
+        items = bin_.items
         n, odd = divmod(len(items), 2)
         if odd:
             note("list-shape", f"{where}: an array of odd length {len(items)}")
@@ -386,34 +388,6 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             if not in_bounds(k, lo, hi):
                 note("interval", f"{where}: key {k} outside ({lo}, {hi})")
             record_key(k, head, where, "list-shape")
-        return n
-
-    def walk_bin(bin_, lo, hi, where: str) -> None:
-        if bin_.frozen is not None:
-            note("frozen-bin", f"{where}: bin still frozen by a retrain")
-        if bin_.is_one_level:
-            count = walk_olb(bin_, lo, hi, where)
-            if bin_.size != count:
-                note("size-counter",
-                     f"{where}: size {bin_.size} but {count} keys")
-            return
-        seps = bin_.keys
-        for i in range(1, len(seps)):
-            if seps[i] < seps[i - 1]:
-                note("separator-order", f"{where}: separators not ascending")
-        total = 0
-        for i, child in enumerate(bin_.children):
-            clo = seps[i - 1] if i > 0 else lo
-            # child i owns keys up to and including separator i
-            chi_excl = seps[i] + 1 if i < len(seps) else hi
-            c = walk_olb(child, clo, chi_excl, f"{where}/child{i}")
-            if child.size != c:
-                note("size-counter",
-                     f"{where}/child{i}: size {child.size} but {c} keys")
-            total += c
-        if bin_.size != total:
-            note("size-counter",
-                 f"{where}: total size {bin_.size} but {total} keys")
 
     def check_model(node, where: str) -> None:
         segs = node.segments
@@ -497,7 +471,7 @@ def audit_structure(index, check_seek: bool = True) -> AuditReport:
             clo = keys[i - 1] if i > 0 else lo
             chi = keys[i] if i < len(keys) else hi
             cw = f"{where}.{i}"
-            if isinstance(child, (OneLevelBin, TwoLevelBin)):
+            if child.__class__ is OneLevelBin:
                 walk_bin(child, clo, chi, cw)
             elif child.__class__ is ModelNode:
                 stack.append((child, clo, chi, cw))

@@ -81,16 +81,17 @@ class TestBench:
         assert exc.value.code == 2
 
     def test_bin_thresholds_that_leave_lists_no_room(self):
+        # a bin of at most 0 keys would be full before its first key
         with pytest.raises(SystemExit) as exc:
-            main(FAST_BENCH + ["--workload", "read-heavy",
-                               "--olb-threshold", "2", "--tlb-threshold", "3",
-                               "--fanout", "8"])
+            main(FAST_BENCH + ["--workload", "read-heavy", "--olb-threshold", "0"])
         assert exc.value.code == 2
 
     def test_unknown_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            main(FAST_BENCH + ["--workload", "read-heavy", "--frobnicate"])
-        assert exc.value.code == 2
+        # an unknown flag, and flags of knobs the index does not have
+        for flag in (["--frobnicate"], ["--tlb-threshold", "1024"], ["--fanout", "8"]):
+            with pytest.raises(SystemExit) as exc:
+                main(FAST_BENCH + ["--workload", "read-heavy"] + flag)
+            assert exc.value.code == 2, flag
 
 
 class TestVerify:

@@ -71,7 +71,7 @@ class TestAtomicRef:
 
 class TestTheOneLock:
     def test_every_hooked_step_runs_under_the_one_lock(self):
-        tiny = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+        tiny = IndexConfig(olb_threshold=4)
         index = LearnedIndex.build([(0, 0), (10**6, 0)], tiny)
         held = []
 
@@ -83,7 +83,7 @@ class TestTheOneLock:
 
         set_cas_hook(record)
         try:
-            for k in range(1, 40):  # installs, splices, splits and retrains
+            for k in range(1, 40):  # installs, splices, retrains and compactions
                 index.insert(k, k)
             index.insert(0, 1)  # a root key's chain
             index.insert(5, 50)
@@ -100,7 +100,7 @@ class TestTheOneLock:
         # a splice names its list's array, frozen owner or not, and no other
         # step names a list, so a hook tells a splice from an install by
         # its target alone; likewise a version is always a head write's
-        tiny = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+        tiny = IndexConfig(olb_threshold=4)
         index = LearnedIndex.build([(0, 0), (10**6, 0)], tiny)
         seen = []
 
@@ -116,8 +116,8 @@ class TestTheOneLock:
                 index.delete(k)
             olb = bin_new(5, 5, index.clock.read())
             freeze(olb, True)
-            assert insert_bin(olb, olb, 6, 6, index.clock) is UNDER_MAKE_MODEL
-            assert insert_bin(olb, olb, 5, 4, index.clock) is UNDER_MAKE_MODEL
+            assert insert_bin(olb, 6, 6, index.clock) is UNDER_MAKE_MODEL
+            assert insert_bin(olb, 5, 4, index.clock) is UNDER_MAKE_MODEL
         finally:
             set_cas_hook(None)
         splices = {(kind, ok) for step, kind, ok in seen if step == "splice"}
@@ -165,88 +165,81 @@ T = CLOCK.read()
 
 
 class Owner:
-    """A list with a freeze word, its array and a count, as a bin or a child
-    list is."""
+    """A freeze word, an array and a write count, as a bin has."""
 
-    def __init__(self, size=0, items=None):
+    def __init__(self, items=None):
         self.frozen = None
         self.items = [] if items is None else items
-        self.size = size
         self.writes = 0
 
 
 class TestSplice:
     def test_stores_iff_the_cell_holds_expected(self):
         old = ["a", "ref"]
-        owner, new = Owner(1, old), ["a", "b", "ref", "ref"]
+        owner, new = Owner(old), ["a", "b", "ref", "ref"]
         equal = list(old)
         assert equal == old and equal is not old
-        assert not splice(owner, owner, equal, 0, new, CLOCK, T)  # equal is not identical
-        # a lost splice writes nothing: no array, no count
-        assert owner.items is old and owner.size == 1
-        assert splice(owner, owner, old, 0, new, CLOCK, T)
+        assert not splice(owner, equal, 0, new, CLOCK, T)  # equal is not identical
+        # a lost splice writes nothing
+        assert owner.items is old and old == ["a", "ref"]
+        assert splice(owner, old, 0, new, CLOCK, T)
         assert owner.items is new
-        assert not splice(owner, owner, old, 0, ["c"], CLOCK, T)
+        assert not splice(owner, old, 0, ["c"], CLOCK, T)
         assert owner.items is new
 
     def test_fails_once_the_owner_is_frozen(self):
         events = []
         old = ["a", "ref"]
-        tlb, child = Owner(5), Owner(2, old)
+        owner = Owner(old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            freeze(tlb, True)
-            freeze(tlb, "later")  # terminal: the first job stays
-            assert not splice(tlb, child, old, 0, ["new"], CLOCK, T)
+            freeze(owner, True)
+            freeze(owner, "later")  # terminal: the first job stays
+            assert not splice(owner, old, 0, ["new"], CLOCK, T)
         finally:
             set_cas_hook(None)
-        assert tlb.frozen is True
+        assert owner.frozen is True
         # a refused splice writes nothing either
-        assert child.items is old
-        assert (child.size, tlb.size) == (2, 5)
+        assert owner.items is old and old == ["a", "ref"]
         # the hook sees the array the splice found, on a frozen owner too
         assert [(id(t), ok) for t, ok in events] == [
-            (id(tlb), True), (id(tlb), False), (id(old), False)]
+            (id(owner), True), (id(owner), False), (id(old), False)]
 
     def test_hook_sees_the_cell_written_or_found(self):
-        # the list's array after the step: the one a success stored, and
+        # the bin's array after the step: the one a success stored, and
         # the one a failure found, which a success stored
         events = []
         old, first, second = ["a", "ref"], ["a", "b", 1, 2], ["a", "c", 1, 2]
-        owner = Owner(1, old)
+        owner = Owner(old)
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
-            splice(owner, owner, old, 0, first, CLOCK, T)
-            splice(owner, owner, old, 0, second, CLOCK, T)
+            splice(owner, old, 0, first, CLOCK, T)
+            splice(owner, old, 0, second, CLOCK, T)
         finally:
             set_cas_hook(None)
         assert [(id(t), ok) for t, ok in events] == [(id(first), True), (id(first), False)]
 
     def test_a_success_publishes_the_copy_and_counts(self):
-        # a one-level bin is its own list: one count
+        # the array counts the bin's keys: a splice adds one key and its
+        # head, and counts no head write
         old, new = ["a", 1], ["a", "b", 1, 2]
-        olb = Owner(1, old)
-        assert splice(olb, olb, old, 0, new, CLOCK, T)
+        olb = Owner(old)
+        assert splice(olb, old, 0, new, CLOCK, T)
         assert olb.items is new and old == ["a", 1]
-        assert olb.size == 2
-        # a child list counts in its own size and in its bin's total
-        tlb, child = Owner(5), Owner(2, old)
-        assert splice(tlb, child, old, 0, new, CLOCK, T)
-        assert child.items is new and tlb.items == []
-        assert (child.size, tlb.size) == (3, 6)
+        assert (len(olb.items) >> 1, olb.writes) == (2, 0)
 
     def test_fails_once_a_head_write_lands_after_the_copy(self):
         # the inserter read the write count before it copied: a head write
         # into the same array since then would be lost in the copy
         head, newer = VersionedValue(1, T), VersionedValue(2, T)
         old = ["a", head]
-        owner = Owner(1, old)
+        owner = Owner(old)
         writes = owner.writes
         new = ["a", "b", head, "ref"]  # copied before the write
         assert write_head(owner, old, 1, head, newer, CLOCK, owner)
-        assert not splice(owner, owner, old, writes, new, CLOCK, T)
-        assert owner.items is old and old[1] is newer and owner.size == 1
-        assert splice(owner, owner, old, owner.writes, ["a", "b", newer, "ref"], CLOCK, T)
+        assert not splice(owner, old, writes, new, CLOCK, T)
+        assert owner.items is old and old == ["a", newer]
+        assert splice(owner, old, owner.writes, ["a", "b", newer, "ref"], CLOCK, T)
 
     def test_fails_once_a_bump_moves_the_clock(self):
         # the new key's version carries the reading t: after a scan's bump
@@ -254,15 +247,15 @@ class TestSplice:
         clock = GlobalClock(3)
         t = clock.read()
         old = ["a", "ref"]
-        owner = Owner(1, old)
+        owner = Owner(old)
         new = ["a", "b", "ref", VersionedValue(2, t)]
         events = []
         set_cas_hook(lambda target, ok: events.append((target, ok)))
         try:
             assert clock.read_and_bump() == t
-            assert not splice(owner, owner, old, 0, new, clock, t)
-            assert owner.items is old and (owner.size, owner.writes) == (1, 0)
-            assert splice(owner, owner, old, 0, new, clock, clock.read())
+            assert not splice(owner, old, 0, new, clock, t)
+            assert owner.items is old and old == ["a", "ref"] and owner.writes == 0
+            assert splice(owner, old, 0, new, clock, clock.read())
         finally:
             set_cas_hook(None)
         assert events == [(clock.now, True), (clock.now, False), (new, True)]
@@ -288,16 +281,16 @@ class TestWriteHead:
     def test_a_list_store_needs_the_array_bisected_and_counts_itself(self):
         head, newer = VersionedValue(1, T), VersionedValue(2, T)
         old = ["a", head]
-        tlb, child = Owner(1), Owner(1, old)
+        olb = Owner(old)
         moved = ["a", "b", head, "ref"]
-        child.items = moved  # a splice replaced the array the writer bisected
-        assert not write_head(tlb, old, 1, head, newer, CLOCK, child)
-        assert old[1] is head and child.writes == 0
-        assert write_head(tlb, moved, 2, head, newer, CLOCK, child)
-        assert moved[2] is newer and (child.writes, tlb.writes) == (1, 0)
-        freeze(tlb, True)  # the bin's word guards its child lists
-        assert not write_head(tlb, moved, 2, newer, head, CLOCK, child)
-        assert moved[2] is newer and child.writes == 1
+        olb.items = moved  # a splice replaced the array the writer bisected
+        assert not write_head(olb, old, 1, head, newer, CLOCK, olb)
+        assert old[1] is head and olb.writes == 0
+        assert write_head(olb, moved, 2, head, newer, CLOCK, olb)
+        assert moved[2] is newer and olb.writes == 1
+        freeze(olb, True)
+        assert not write_head(olb, moved, 2, newer, head, CLOCK, olb)
+        assert moved[2] is newer and olb.writes == 1
 
     def test_fails_once_a_bump_moves_the_clock(self):
         # the clock must still read the new version's ts

@@ -12,7 +12,8 @@ The next checks hold the one lock to what the ``core`` docstring claims:
 ``core`` makes it once and no other module names it, every guarded step
 takes it, and no critical section nests another or calls code outside
 ``core``, save the test hook.  The last keeps the benchmark's accessors
-(``core.BenchReads``) out of the index's own code.
+(``core.BenchReads``) out of the index's own code, and its three inert
+names out of every module but the one that defines each.
 """
 
 import ast
@@ -21,7 +22,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lfindex"
 
 #: The fields that threads share once an object is published.
-FIELDS = {"items", "size", "writes", "frozen", "children", "versions",
+FIELDS = {"items", "writes", "frozen", "children", "versions",
           "value", "val", "ts", "vnext", "now"}
 
 #: function -> (shared fields it may store, why the store is safe)
@@ -34,11 +35,11 @@ WRITERS = {
         {"children"},
         "the one slot writer: under the one lock, only while the owner is not frozen"),
     "core.splice": (
-        {"items", "size"},
-        "publishes a list's next array and counts its key under the one lock, only while the bin is not frozen"),
+        {"items"},
+        "publishes a bin's next array under the one lock, only while the bin is not frozen"),
     "core.write_head": (
         {"writes"},
-        "stores a chain head in its owner's array and counts a list's head writes under the one lock, only while the owner is not frozen"),
+        "stores a chain head in its owner's array and counts a bin's head writes under the one lock, only while the owner is not frozen"),
     "core.freeze": (
         {"frozen"}, "the one freeze-word writer: under the one lock, once"),
     "core.VersionedValue.__init__": (
@@ -47,10 +48,8 @@ WRITERS = {
     "core.GlobalClock.__init__": (
         {"now"}, "the clock's cell is made once, with its index"),
     "bins.OneLevelBin.__init__": (
-        {"items", "size", "writes", "frozen"},
-        "a list is private until an install or a split publishes it"),
-    "bins.TwoLevelBin.__init__": (
-        {"children", "size", "frozen"}, "a split bin is private until its install"),
+        {"items", "writes", "frozen"},
+        "a bin is private until the install of a first insert publishes it"),
     "index.ModelNode.__init__": (
         {"versions", "children", "frozen"},
         "a model node is private until its install or its build returns"),
@@ -84,9 +83,6 @@ CALLERS = {
 #: frozen structure, and it is the one place that helps a compaction; one
 #: constructor gives every node its segments
 REBUILDS = {
-    "olb_to_tlb": {
-        "index.LearnedIndex.help_compact": "a split is the rebuild of a frozen one-level bin",
-    },
     "ModelNode": {
         "index.LearnedIndex.build": "the first root is built once, with the index",
         "index.LearnedIndex.__init__": "the header is built once, with the index, and never replaced",
@@ -259,7 +255,7 @@ def test_an_array_stored_outside_splice_is_caught():
     made = "            new.insert(i, key)\n"
     assert source.count(made) == 1
     modules = _modules()
-    for mutant in ("lst.items = new", "setattr(lst, 'items', new)", "bin_.items = new"):
+    for mutant in ("bin_.items = new", "setattr(bin_, 'items', new)"):
         modules["bins"] = ast.parse(source.replace(made, made + " " * 12 + mutant + "\n"))
         stray = _stray(_found(_Stores, modules=modules))
         assert [(fn, field) for fn, field, _ in stray] == [
@@ -345,7 +341,7 @@ def test_an_array_changed_in_place_is_caught():
     mutants = {line: source.replace(copied, " " * 12 + line + "\n" + copied)
                for line in ("items.insert(0, key)", "items.append(key)", "items += [key]",
                             "items[0] = key", "items[0:0] = [key]", "del items[0]",
-                            "lst.items.append(key)", "lst.items[0] = key",
+                            "bin_.items.append(key)", "bin_.items[0] = key",
                             "items[n + i] = fresh")}
     # no copy made: the two inserts that follow change the loaded array
     mutants["new = items"] = source.replace(copied, "            new = items\n")
@@ -486,20 +482,56 @@ def test_critical_sections_are_flat_and_stay_in_core():
 #: The accessors ``core.BenchReads`` keeps for ``lfbench/layers.py`` alone.
 BENCH_READS = {"load", "target", "head", "version"}
 
+#: The inert names kept for ``lfbench/layers.py`` alone, each where it is
+#: defined: the one place an ``lfindex`` module may name it.
+BENCH_NAMES = {
+    "TwoLevelBin": "bins",
+    "is_one_level": "bins.OneLevelBin",
+    "olb_to_tlb": "index",
+}
+
 
 class _BenchReads(_Scoped):
-    """Every use of a benchmark accessor, as (function, name, line)."""
+    """Every use of a benchmark accessor, and every mention of a benchmark
+    name (a load, a store, an import or a definition), as (function, name,
+    line)."""
+
+    def _hit(self, name, node):
+        self.found.append((".".join(self.scope), name, node.lineno))
 
     def visit_Attribute(self, node):
-        if node.attr in BENCH_READS:
-            self.found.append((".".join(self.scope), node.attr, node.lineno))
+        if node.attr in BENCH_READS or node.attr in BENCH_NAMES:
+            self._hit(node.attr, node)
         self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id in BENCH_NAMES:
+            self._hit(node.id, node)
+
+    def visit_alias(self, node):
+        for name in (node.name, node.asname):
+            if name in BENCH_NAMES:
+                self._hit(name, node)
+
+    def _defined(self, node):
+        if node.name in BENCH_NAMES:
+            self._hit(node.name, node)
+        self._scoped(node)
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _defined
+
+
+def _stray_bench_uses(modules=None):
+    return [(fn, name) for fn, name, _ in _found(_BenchReads, modules=modules)
+            if BENCH_NAMES.get(name) != fn]
 
 
 def test_no_module_uses_the_benchmarks_accessors():
     # a slot holds its child and a list its array: the index reads those
-    # fields, never through ``load``, ``target``, ``head`` or ``version``
-    assert _found(_BenchReads) == []
+    # fields, never through ``load``, ``target``, ``head`` or ``version``;
+    # and it names each inert benchmark name once, where it defines it
+    assert sorted((fn, name) for fn, name, _ in _found(_BenchReads)) == sorted(
+        (fn, name) for name, fn in BENCH_NAMES.items())
 
 
 def test_an_accessor_read_in_the_index_is_caught():
@@ -508,9 +540,17 @@ def test_an_accessor_read_in_the_index_is_caught():
     assert source.count(read) == 1
     modules = _modules()
     for mutant, name in (("items[n + i].load()", "load"), ("items[n + i].target", "target"),
-                         ("items[n + i].version", "version"),
-                         ("list_for(bin_, key).head", "head")):
+                         ("items[n + i].version", "version"), ("bin_.head", "head"),
+                         ("bin_.is_one_level", "is_one_level"),
+                         ("TwoLevelBin(items[n + i])", "TwoLevelBin"),
+                         ("olb_to_tlb(items)", "olb_to_tlb")):
         modules["bins"] = ast.parse(source.replace(
             read, f"    return {mutant} if i < n and items[i] == key else None\n"))
-        assert [(fn, attr) for fn, attr, _ in _found(_BenchReads, modules=modules)] == [
-            ("bins.search_bin", name)], mutant
+        assert _stray_bench_uses(modules) == [("bins.search_bin", name)], mutant
+    # an import of a benchmark name, or a second definition of one
+    index = (SRC / "index.py").read_text()
+    modules = _modules()
+    for mutant, found in (("from .bins import TwoLevelBin\n", ("index", "TwoLevelBin")),
+                          ("is_one_level = True\n", ("index", "is_one_level"))):
+        modules["index"] = ast.parse(mutant + index)
+        assert _stray_bench_uses(modules) == [found], mutant

@@ -18,15 +18,15 @@ import lfindex.bins as bins_mod
 import lfindex.index as index_mod
 import lfindex.models as models_mod
 from lfindex import DatasetSpec, core, generate_dataset, rangescan
-from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, TwoLevelBin, collect_frozen,
-                          freeze_bin, insert_bin, search_bin)
+from lfindex.bins import (UNDER_MAKE_MODEL, OneLevelBin, collect_frozen, freeze_bin,
+                          insert_bin, search_bin)
 from lfindex.core import EMPTY, KEY_MAX, set_cas_hook
 from lfindex.index import FOUND, IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import segment_root
 from lfindex.verify import (HistoryEvent, HistoryRecorder, SequentialOracle,
                             audit_structure, check_linearizable)
 
-SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
+SMALL = IndexConfig(olb_threshold=4)
 
 
 def segment_bits(segments):
@@ -57,14 +57,13 @@ def model_nodes(index):
 
 
 def list_lengths(index):
-    """The length of every list of every bin."""
+    """The keys of every bin."""
     out = []
     for node, _ in model_nodes(index):
         for child in node.children:
             if child is EMPTY or isinstance(child, ModelNode):
                 continue
-            for lst in (child,) if child.is_one_level else child.children:
-                out.append(len(lst.items) >> 1)
+            out.append(len(child.items) >> 1)
     return out
 
 
@@ -76,8 +75,6 @@ def slot_type(index, key):
         return "empty"
     if isinstance(child, OneLevelBin):
         return "olb"
-    if isinstance(child, TwoLevelBin):
-        return "tlb"
     return "model"
 
 
@@ -137,40 +134,20 @@ class TestBuild:
         with pytest.raises(ValueError):
             IndexConfig(olb_threshold=0)
         with pytest.raises(ValueError):
-            IndexConfig(tlb_fanout=1)
-        with pytest.raises(ValueError):
-            IndexConfig(tlb_threshold=0)
-        with pytest.raises(ValueError):
             IndexConfig(eps_target=0.0)
-        with pytest.raises(ValueError):  # lists would hold 2 * 3 // 8 = 0 keys
-            IndexConfig(olb_threshold=2, tlb_fanout=8, tlb_threshold=3)
-        with pytest.raises(ValueError):  # a split bin would already be full
-            IndexConfig(olb_threshold=16, tlb_fanout=8, tlb_threshold=8)
-
-    def test_the_list_threshold_is_derived_not_set(self):
-        # twice the mean list of a full two-level bin, worked out once from
-        # the fields and never a field of its own
-        cfg = IndexConfig()
-        assert cfg.list_threshold == 2 * 1024 // 8
-        assert "list_threshold" not in {f.name for f in dataclasses.fields(cfg)}
-        with pytest.raises(TypeError):
-            IndexConfig(list_threshold=1)
-        assert dataclasses.replace(cfg, tlb_fanout=4).list_threshold == 512
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.list_threshold = 1
-        assert cfg == IndexConfig()
+        assert [f.name for f in dataclasses.fields(IndexConfig)] == [
+            "eps_target", "olb_threshold"]
 
     def test_config_sizes_are_taken_like_keys(self):
-        # a float size would be accepted and then break the first split
-        for size in ({"olb_threshold": 64.0}, {"tlb_fanout": 2.5},
-                     {"tlb_threshold": 1024.0}):
+        # a float size would be accepted and then compared with every
+        # bin's length
+        for size in (64.0, 2.5):
             with pytest.raises(TypeError):
-                IndexConfig(**size)
-        cfg = IndexConfig(olb_threshold=np.int64(4), tlb_fanout=np.int32(2),
-                          tlb_threshold=np.uint16(8))
-        assert cfg == IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
-        assert {type(cfg.olb_threshold), type(cfg.tlb_fanout),
-                type(cfg.tlb_threshold)} == {int}
+                IndexConfig(olb_threshold=size)
+        for size in (np.int64(4), np.int32(4), np.uint16(4)):
+            cfg = IndexConfig(olb_threshold=size)
+            assert cfg == IndexConfig(olb_threshold=4)
+            assert type(cfg.olb_threshold) is int
         index = LearnedIndex.build([(0, 0)], cfg)
         for k in range(1, 200):
             assert index.insert(k, k) is True
@@ -284,7 +261,7 @@ class TestTrackedObjects:
         for k in (60, 40):
             assert tracked_since(lambda: index.insert(k, k)) == ["VersionedValue"], k
         _, _, olb = index.seek(50)
-        assert isinstance(olb, OneLevelBin) and olb.size == 3
+        assert isinstance(olb, OneLevelBin) and olb.items[:3] == [40, 50, 60]
         assert audit_structure(index).ok
 
     def test_an_overwrite_leaves_one(self):
@@ -444,22 +421,18 @@ class TestInsert:
 
     def test_threshold_trigger_keeps_every_key(self):
         index = LearnedIndex.build([(0, 0), (10_000, 0)])
-        keys = list(range(100, 165))  # 65th distinct insert crosses 64
+        keys = list(range(100, 357))  # 257th distinct insert crosses 256
         for k in keys:
             assert index.insert(k, k) is True
-        assert slot_type(index, 100) in ("tlb", "model-key", "model")
+        assert slot_type(index, 100) in ("model-key", "model")
         for k in keys:
             assert index.search(k) == k
 
     @pytest.mark.parametrize("cfg", [SMALL, IndexConfig()], ids=["small", "default"])
     def test_full_lifecycle_in_one_slot(self, cfg):
         # the transition points are the config's: a new bin at the first
-        # insert, a split at olb_threshold + 1, and a retrain once the bin
-        # holds tlb_threshold keys or its last list, which takes every
-        # ascending key after the split, holds list_threshold
-        after_split = cfg.olb_threshold - cfg.olb_threshold // cfg.tlb_fanout
-        retrain_at = min(cfg.tlb_threshold, after_split + cfg.list_threshold) + 1
-        keys = range(100, 100 + 5 * cfg.tlb_threshold)
+        # insert, and a retrain into a model node at olb_threshold + 1
+        keys = range(100, 100 + 5 * cfg.olb_threshold)
         index = LearnedIndex.build(with_room([(0, 0), (10_000, 0)], len(keys)), cfg)
         seen = []
         done = [0]
@@ -469,26 +442,25 @@ class TestInsert:
         for k in keys:
             index.insert(k, k)
             done[0] += 1
-        steps = [step[:3] for step in seen[:3]]
+        steps = [step[:3] for step in seen[:2]]
         assert steps == [(1, "empty", "OneLevelBin"),
-                         (cfg.olb_threshold + 1, "OneLevelBin", "TwoLevelBin"),
-                         (retrain_at, "TwoLevelBin", "ModelNode")]
-        assert len(seen[1][3].children) == cfg.tlb_fanout
-        legal = {("empty", "OneLevelBin"), ("OneLevelBin", "TwoLevelBin"),
-                 ("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
+                         (cfg.olb_threshold + 1, "OneLevelBin", "ModelNode")]
+        assert seen[1][3].keys == list(keys[:cfg.olb_threshold])
+        legal = {("empty", "OneLevelBin"), ("OneLevelBin", "ModelNode"),
+                 ("ModelNode", "ModelNode")}
         assert {step[1:3] for step in seen} <= legal
         for k in keys:
             assert index.search(k) == k
 
     def test_ascending_inserts_keep_every_list_bounded(self):
-        # ascending keys all route to a two-level bin's last list; the
-        # per-list trigger retrains the bin before that list passes the bound
+        # ascending keys all route to the last bin, which is retrained once
+        # it holds olb_threshold keys, so no array holds more
         cfg = IndexConfig()
         index = LearnedIndex.build([(0, 0), (10_000, 0)], cfg)
         for k in range(100, 3_100):
             assert index.insert(k, k) is True
         lengths = list_lengths(index)
-        assert lengths and max(lengths) <= cfg.list_threshold
+        assert lengths and max(lengths) <= cfg.olb_threshold
         assert all(index.search(k) == k for k in range(100, 3_100))
 
     def test_racing_first_inserts_install_one_bin(self, monkeypatch):
@@ -608,7 +580,7 @@ class TestFirstInsertStamp:
             if old is None:
                 seen.append(search_bin(new, 50).ts)
                 index.clock.read_and_bump()
-                assert insert_bin(new, new, 40, 4, index.clock) is True
+                assert insert_bin(new, 40, 4, index.clock) is True
 
         index.transition_log = splice_below
         assert index.insert(50, 5) is True
@@ -738,12 +710,13 @@ class TestDelete:
         index.transition_log = lambda *step: log.append(step)
         assert index.delete(10) is True
         assert len(helps) == 1 and len(log) == 1
-        assert isinstance(log[0][3], TwoLevelBin) and node.children[slot] is log[0][3]
+        # the bin's 3 keys outnumber the root's 2: the retrain's top is the root
+        assert isinstance(log[0][3], ModelNode) and index.root is log[0][3]
         assert bin_.items is items and all(a is b for a, b in zip(items[3:], heads))
         assert index.insert(20, 21) is True
         assert index.search(10) is None and index.search(20) == 21
-        assert index.insert(25, 25) is True
-        assert len(helps) == 1 and len(log) == 1
+        assert index.insert(25, 25) is True  # a first insert: an install, no help
+        assert len(helps) == 1 and [step[2] for step in log] == [node, None]
         assert index.search(10) is None
         assert index.search(20) == 21 and index.search(25) == 25
         assert index.range(0, 1000) == [(0, 0), (20, 21), (25, 25), (30, 30), (1000, 0)]
@@ -753,77 +726,65 @@ class TestDelete:
 
 
 class TestHelpMakeModel:
-    def test_full_olb_becomes_a_tlb_with_same_keys(self):
-        index = LearnedIndex.build([(0, 0), (1000, 0)], SMALL)
-        for k in (10, 20, 30):
-            index.insert(k, k)
-        node, slot, bin_ = index.seek(10)
-        assert isinstance(bin_, OneLevelBin)
-        index.help_make_model(node, slot, bin_)
-        replaced = node.children[slot]
-        assert isinstance(replaced, TwoLevelBin)
-        for k in (10, 20, 30):
-            assert index.search(k) == k
-
-    def test_full_tlb_becomes_a_model_node(self):
-        cfg = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=1024)
+    def test_full_bin_becomes_a_model_node(self):
+        cfg = IndexConfig(olb_threshold=1024)
         index = LearnedIndex.build(with_room([(0, 0), (10**6, 0)]), cfg)
         keys = random.Random(1).sample(range(100, 10_000), 1024)
         for k in keys:
             index.insert(k, k)
         node, slot, bin_ = index.seek(keys[0])
-        assert isinstance(bin_, TwoLevelBin)
-        assert bin_.size == 1024
+        assert isinstance(bin_, OneLevelBin)
+        heads = bin_.items[1024:]
+        assert len(heads) == 1024
         index.help_make_model(node, slot, bin_)
         fresh = node.children[slot]
         assert isinstance(fresh, ModelNode)
-        assert len(fresh.keys) == 1024
+        assert fresh.keys == sorted(keys)
+        # the node holds the retired bin's chain heads, not copies
+        assert all(a is b for a, b in zip(fresh.versions, heads, strict=True))
         assert len(fresh.children) == 1025
         assert all(c is EMPTY for c in fresh.children)
         for k in keys:
             assert index.search(k) == k
 
     def test_eight_helpers_install_exactly_one_replacement(self):
-        # both retrain steps: a full one-level bin becomes a two-level bin,
-        # and a full two-level bin becomes a model node
+        # the one retrain step: a full bin becomes a model node
         hook_rnd = random.Random(14)
         set_cas_hook(lambda c, ok: time.sleep(1e-5) if hook_rnd.random() < 0.1 else None)
+        keys = [10, 20, 30, 40]
         try:
-            for keys, kind in (([10, 20, 30, 40], TwoLevelBin),
-                               ([10, 20, 30, 40, 50, 60], ModelNode)):
-                for trial in range(20):
-                    index = LearnedIndex.build(with_room([(0, 0), (1000, 0)]), SMALL)
-                    for k in keys:
-                        index.insert(k, k)
-                    node, slot, bin_ = index.seek(10)
-                    installs = []
-                    index.transition_log = (
-                        lambda parent, slot, old, new: installs.append((slot, new)))
-                    barrier = threading.Barrier(8)
+            for trial in range(20):
+                index = LearnedIndex.build(with_room([(0, 0), (1000, 0)]), SMALL)
+                for k in keys:
+                    index.insert(k, k)
+                node, slot, bin_ = index.seek(10)
+                installs = []
+                index.transition_log = (
+                    lambda parent, slot, old, new: installs.append((slot, new)))
+                barrier = threading.Barrier(8)
 
-                    def help_out():
-                        barrier.wait()
-                        index.help_make_model(node, slot, bin_)
+                def help_out():
+                    barrier.wait()
+                    index.help_make_model(node, slot, bin_)
 
-                    threads = [threading.Thread(target=help_out) for _ in range(8)]
-                    for t in threads:
-                        t.start()
-                    for t in threads:
-                        t.join(timeout=30)
-                    assert not any(t.is_alive() for t in threads)
-                    fresh = node.children[slot]
-                    assert installs == [(slot, fresh)], f"trial {trial}: {installs}"
-                    assert isinstance(fresh, kind)
-                    if kind is ModelNode:
-                        got_keys, versions = collect_frozen(bin_)
-                        assert fresh.keys == got_keys == keys
-                        assert all(a is b for a, b in zip(fresh.versions, versions, strict=True))
-                        assert (segment_bits(fresh.segments)
-                                == segment_bits(segment_root(keys, SMALL.eps_target)))
-                    for k in keys:
-                        assert index.search(k) == k
-                    report = audit_structure(index)
-                    assert report.ok, report.findings[:3]
+                threads = [threading.Thread(target=help_out) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                fresh = node.children[slot]
+                assert installs == [(slot, fresh)], f"trial {trial}: {installs}"
+                assert isinstance(fresh, ModelNode)
+                got_keys, versions = collect_frozen(bin_)
+                assert fresh.keys == got_keys == keys
+                assert all(a is b for a, b in zip(fresh.versions, versions, strict=True))
+                assert (segment_bits(fresh.segments)
+                        == segment_bits(segment_root(keys, SMALL.eps_target)))
+                for k in keys:
+                    assert index.search(k) == k
+                report = audit_structure(index)
+                assert report.ok, report.findings[:3]
         finally:
             set_cas_hook(None)
 
@@ -864,7 +825,7 @@ class TestOracleConformance:
                     max_size=80))
     @settings(max_examples=80, deadline=None)
     def test_op_sequences_match_oracle_property(self, ops):
-        cfg = IndexConfig(olb_threshold=3, tlb_fanout=2, tlb_threshold=5)
+        cfg = IndexConfig(olb_threshold=3)
         index = LearnedIndex.build([(5, 0), (25, 0)], cfg)
         oracle = SequentialOracle.from_pairs([(5, 0), (25, 0)])
         for code, k, v in ops:
@@ -887,18 +848,17 @@ class TestLockFreedomProxy:
         # lock-freedom progress argument
         # a seeded stall inside the critical section makes the threads
         # collide on every run, not only when the scheduler happens to.
-        # A splice names the list's array, and one that fails on a frozen
-        # bin names the array its list held when the bin froze, which the
+        # A splice names the bin's array, and one that fails on a frozen
+        # bin names the array it held when it froze, which the
         # freeze's event records here, inside the lock, as that step's
         events = []  # (cell, ok), holding each cell so no id is reused
         hook_rnd = random.Random(15)
 
         def record(cell, ok):
             events.append((cell, ok))
-            if ok and isinstance(cell, (OneLevelBin, TwoLevelBin)) and cell.frozen:
+            if ok and isinstance(cell, OneLevelBin) and cell.frozen:
                 # a freeze, not the install of a fresh bin
-                lists = (cell,) if cell.is_one_level else cell.children
-                events.extend((lst.items, True) for lst in lists)
+                events.append((cell.items, True))
             if hook_rnd.random() < 0.05:
                 time.sleep(1e-5)
 
@@ -935,7 +895,7 @@ class TestLockFreedomProxy:
                 assert index.search(k) == k
 
 
-TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+TINY = IndexConfig(olb_threshold=8)
 
 
 class TestSlotDiscipline:
@@ -943,20 +903,20 @@ class TestSlotDiscipline:
     stores a fresh child in its slot, and a slot holds nothing else."""
 
     def test_build_and_first_inserts_swap_cells(self):
-        index = LearnedIndex.build([(0, 0), (100, 0), (200, 0)], SMALL)
+        index = LearnedIndex.build([(k, 0) for k in range(0, 500, 100)], SMALL)
         root = index.root
         assert all(c is core.EMPTY for c in root.children)
         index.insert(50, 5)
-        assert [c is core.EMPTY for c in root.children] == [True, False, True, True]
+        assert [c is core.EMPTY for c in root.children] == [True, False] + [True] * 4
         assert core.EMPTY.value is None
         olb = root.children[1]
         assert isinstance(olb, OneLevelBin)
         # a child loaded before an install is still the whole old child
         # after it: the install stores a new child, it writes no old one
         empty = root.children[2]
-        for k in (10, 20, 30, 40, 150):  # slot 1's fifth key splits its bin
+        for k in (10, 20, 30, 40, 150):  # slot 1's fifth key retrains its bin
             index.insert(k, k)
-        assert isinstance(root.children[1], TwoLevelBin)
+        assert isinstance(root.children[1], ModelNode)
         assert olb.frozen is not None and search_bin(olb, 50).val == 5
         assert isinstance(root.children[2], OneLevelBin)
         assert empty is core.EMPTY and empty.value is None
@@ -992,7 +952,7 @@ class TestSlotDiscipline:
         assert core.EMPTY.value is None
         for node, _ in model_nodes(index):
             for c in node.children:
-                assert c is core.EMPTY or isinstance(c, (OneLevelBin, TwoLevelBin, ModelNode))
+                assert c is core.EMPTY or isinstance(c, (OneLevelBin, ModelNode))
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == oracle.live_map()
@@ -1295,8 +1255,8 @@ class TestCompaction:
         index.help_compact(index.root, 1, node)
         assert index.root.children[1] is not node
         assert len(index.range(0, 1000)) == 202
-        assert set(kinds) == {("NoneType", "OneLevelBin"), ("OneLevelBin", "TwoLevelBin"),
-                              ("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
+        assert set(kinds) == {("NoneType", "OneLevelBin"), ("OneLevelBin", "ModelNode"),
+                              ("ModelNode", "ModelNode")}
         del node
         assert gc.collect() == 0  # every replaced structure was already freed
         del index
@@ -1316,7 +1276,7 @@ class TestCompaction:
             nodes = [step for step in installs if step[1] == "ModelNode"]
             assert len(nodes) <= 1, (k, installs)
             kinds.update(nodes)
-        assert set(kinds) == {("TwoLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
+        assert set(kinds) == {("OneLevelBin", "ModelNode"), ("ModelNode", "ModelNode")}
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
         assert report.live_map() == {k: k for k in range(2_001)}
@@ -1412,13 +1372,13 @@ class TestCompaction:
         # node and the bin in the top's first slot; an insert of a new key
         # routed to that bin bounces off the frozen bin, finishes the
         # compaction itself, and lands in the result, building nothing for
-        # the bin and losing no install on it; once with keys 1..5 in a
-        # two-level bin, once with keys 1..3 in a one-level bin
-        for low, kind in ((5, TwoLevelBin), (3, OneLevelBin)):
+        # the bin and losing no install on it; once with keys 1..5 in the
+        # bin, once with keys 1..3
+        for low in (5, 3):
             with monkeypatch.context() as mp:
-                self._bounce_off_a_paused_compaction(mp, low, kind)
+                self._bounce_off_a_paused_compaction(mp, low)
 
-    def _bounce_off_a_paused_compaction(self, monkeypatch, low, kind):
+    def _bounce_off_a_paused_compaction(self, monkeypatch, low):
         index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         oracle = SequentialOracle.from_pairs(with_room([(0, 0)]))
         for k in list(range(10, 4_000, 10)) + list(range(1, low + 1)):
@@ -1428,7 +1388,7 @@ class TestCompaction:
         assert isinstance(node, ModelNode)
         parent, slot, bin_ = index.seek(6)
         assert (parent, slot) == (node, 0)
-        assert isinstance(bin_, kind) and bin_.size == low
+        assert isinstance(bin_, OneLevelBin) and bin_.items[:low] == list(range(1, low + 1))
         paused, go = threading.Event(), threading.Event()
         real_collect = index_mod.collect_frozen
 
@@ -1442,8 +1402,8 @@ class TestCompaction:
         bounced = []
         real_insert_bin = index_mod.insert_bin
 
-        def insert_bin(b, lst, key, value, clock):
-            res = real_insert_bin(b, lst, key, value, clock)
+        def insert_bin(b, key, value, clock):
+            res = real_insert_bin(b, key, value, clock)
             if res is UNDER_MAKE_MODEL:
                 bounced.append(b)
             return res
@@ -1451,13 +1411,14 @@ class TestCompaction:
         monkeypatch.setattr(index_mod, "insert_bin", insert_bin)
         builds = []  # (builder, key count) of each build by the inserting thread
         inserter = threading.current_thread()
-        for name in ("olb_to_tlb", "segment_root"):
-            def build(keys, *args, _name=name, _real=getattr(index_mod, name)):
-                if threading.current_thread() is inserter:
-                    builds.append((_name, len(keys)))
-                return _real(keys, *args)
+        real_segment_root = index_mod.segment_root
 
-            monkeypatch.setattr(index_mod, name, build)
+        def segment_root(keys, *args):
+            if threading.current_thread() is inserter:
+                builds.append(("segment_root", len(keys)))
+            return real_segment_root(keys, *args)
+
+        monkeypatch.setattr(index_mod, "segment_root", segment_root)
         lost = []
         real_install = index._install
 
@@ -1486,7 +1447,7 @@ class TestCompaction:
             go.set()
             compactor.join(timeout=10)
         assert not compactor.is_alive()
-        assert not [e for e in lost if isinstance(e, (OneLevelBin, TwoLevelBin))]
+        assert not [e for e in lost if isinstance(e, OneLevelBin)]
         assert index.search(6) == 6
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
@@ -1584,7 +1545,7 @@ class TestCompaction:
     def test_a_help_after_the_install_builds_nothing(self, monkeypatch):
         # a helper that reaches help_compact once the top's replacement is
         # installed, under a parent that is not frozen, finds its top gone
-        # and builds nothing: once for a model node, once for a split bin
+        # and builds nothing: once for a model node, once for a retrained bin
         index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
@@ -1598,20 +1559,21 @@ class TestCompaction:
         assert isinstance(olb, OneLevelBin)
         freeze_bin(olb)
         index.help_compact(parent, slot, olb)
-        split = parent.children[slot]
-        assert isinstance(split, TwoLevelBin)
+        retrained = parent.children[slot]
+        assert isinstance(retrained, ModelNode)
         builds = []
-        for name in ("olb_to_tlb", "segment_root"):
-            def build(*args, _name=name, _real=getattr(index_mod, name)):
-                builds.append(_name)
-                return _real(*args)
+        real_segment_root = index_mod.segment_root
 
-            monkeypatch.setattr(index_mod, name, build)
+        def segment_root(*args):
+            builds.append("segment_root")
+            return real_segment_root(*args)
+
+        monkeypatch.setattr(index_mod, "segment_root", segment_root)
         index.help_compact(index.root, 1, node)
         index.help_compact(parent, slot, olb)
         assert builds == []
         assert index.root.children[1] is compacted
-        assert parent.children[slot] is split
+        assert parent.children[slot] is retrained
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
 
@@ -1619,7 +1581,7 @@ class TestCompaction:
         # a helper that passed the slot check on entry, and whose top is
         # replaced while it collects, builds nothing once its collect ends:
         # the replacement lands from inside its first collect; once for a
-        # model node, a one-level bin and a two-level bin
+        # model node and once for a bin
         index = LearnedIndex.build(with_room([(0, 0)]), TINY)
         for k in list(range(2, 400, 2)) + [3, 151, 301]:
             index.insert(k, k)
@@ -1633,12 +1595,13 @@ class TestCompaction:
             return real_collect(bin_)
 
         monkeypatch.setattr(index_mod, "collect_frozen", collect_frozen)
-        for name in ("olb_to_tlb", "segment_root"):
-            def build(*args, _name=name, _real=getattr(index_mod, name)):
-                builds.append(_name)
-                return _real(*args)
+        real_segment_root = index_mod.segment_root
 
-            monkeypatch.setattr(index_mod, name, build)
+        def segment_root(*args):
+            builds.append("segment_root")
+            return real_segment_root(*args)
+
+        monkeypatch.setattr(index_mod, "segment_root", segment_root)
         index.transition_log = lambda parent, slot, old, new: installs.append(new)
 
         def race(parent, slot, top):
@@ -1655,10 +1618,7 @@ class TestCompaction:
         parent, slot, olb = index.seek(1)
         assert isinstance(olb, OneLevelBin)
         freeze_bin(olb)
-        tlb = race(parent, slot, olb)
-        assert isinstance(tlb, TwoLevelBin)
-        freeze_bin(tlb)
-        assert isinstance(race(parent, slot, tlb), ModelNode)
+        assert isinstance(race(parent, slot, olb), ModelNode)
         report = audit_structure(index)
         assert report.ok, report.findings[:3]
 
@@ -1676,7 +1636,7 @@ class TestCompaction:
                  if child is not EMPTY]
         assert any(isinstance(child, ModelNode) for _, child in stale)
         builds = []
-        for name in ("olb_to_tlb", "segment_root", "collect_frozen"):
+        for name in ("segment_root", "collect_frozen"):
             def build(*args, _name=name, _real=getattr(index_mod, name)):
                 builds.append(_name)
                 return _real(*args)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import lfindex.models as models_mod
 from lfindex.core import KEY_MAX
 from lfindex.harness import DatasetSpec, generate_dataset
+from lfindex.index import LearnedIndex
 from lfindex.models import (
     Model,
     Segment,
@@ -100,6 +101,19 @@ class TestFitLinear:
             fit_linear(keys)
         with pytest.raises(ValueError):
             segment_root(keys, 32.0)
+
+    @pytest.mark.parametrize("keys", [[1, 2.5, 3], [1, "2", 3], [0, 2.0, 5], [0, None, 5]])
+    def test_keys_that_are_not_integers_are_rejected(self, keys):
+        # numpy would truncate 2.5 and parse "2"; the map refuses each
+        # through operator.index, and the models refuse alike
+        with pytest.raises(TypeError):
+            LearnedIndex.build((k, 0) for k in keys)
+        with pytest.raises(TypeError):
+            fit_linear(keys)
+        with pytest.raises(TypeError):
+            segment_root(keys, 32.0)
+        with pytest.raises(TypeError):
+            measure_segments(keys, [(0, Model(0.0, 0.0, 0.0))])
 
     def test_domain_edges_fit(self):
         keys = [0, 2**62, KEY_MAX]

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfindex import bins as bins_mod, rangescan
-from lfindex.bins import OneLevelBin, TwoLevelBin, freeze_bin
+from lfindex.bins import OneLevelBin, freeze_bin
 from lfindex.core import EMPTY, KEY_MAX
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.verify import SequentialOracle
 
-SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
-TINY = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=8)
+SMALL = IndexConfig(olb_threshold=4)
+TINY = IndexConfig(olb_threshold=8)
 
 #: Inserted into a TINY index built over key 0, these keys leave nested
 #: model nodes and one- and two-level bins.
@@ -104,11 +104,10 @@ class TestBounds:
             node = stack.pop()
             for child in node.children:
                 if isinstance(child, ModelNode):
-                    kinds.add(2)
                     stack.append(child)
-                elif child is not EMPTY:
-                    kinds.add(child.is_one_level)
-        assert kinds == {True, False, 2}  # both kinds of bins, nested nodes
+                if child is not EMPTY:
+                    kinds.add(type(child))
+        assert kinds == {OneLevelBin, ModelNode}  # bins and nested nodes
         for lo, width in ((0, 1_000), (5, 300)):
             full = index.range(lo, width)
             assert len(full) > 100 and (150, 150) not in full
@@ -116,20 +115,18 @@ class TestBounds:
                 assert index.range(lo, width, cap) == full[:cap], (lo, cap)
 
     def test_a_cap_inside_a_bin_keeps_the_oracle_prefix(self):
-        # slot 1 holds a one-level bin {10, 11, 12}, slot 2 a two-level
-        # bin with child lists {110, 111} and {112, 113, 114}
+        # slot 1 holds a bin {10, 11, 12}, slot 2 a bin {110, 111, 112, 113}
         pairs = [(0, 0), (100, 100), (200, 200)]
         index = LearnedIndex.build(pairs, SMALL)
         oracle = SequentialOracle.from_pairs(pairs)
-        for k in (10, 11, 12, 110, 111, 112, 113, 114):
+        for k in (10, 11, 12, 110, 111, 112, 113):
             assert index.insert(k, k) is oracle.insert(k, k) is True
-        olb, tlb = (index.root.children[j] for j in (1, 2))
-        assert olb.is_one_level and olb.size == 3
-        assert not tlb.is_one_level and [c.size for c in tlb.children] == [2, 3]
-        # cap -> the last key it keeps: inside the one-level bin, on its
-        # last key, on a child list's last key, inside the second child
-        # list, on the two-level bin's last key
-        for cap, last in ((2, 10), (4, 12), (7, 111), (8, 112), (10, 114)):
+        first, second = (index.root.children[j] for j in (1, 2))
+        assert first.items[:3] == [10, 11, 12]
+        assert second.items[:4] == [110, 111, 112, 113]
+        # cap -> the last key it keeps: inside the first bin, on its last
+        # key, on the second bin's first key, inside it, on its last key
+        for cap, last in ((2, 10), (4, 12), (6, 110), (7, 111), (9, 113)):
             got = index.range(0, 300, max_results=cap)
             assert got == oracle.range(0, 300, cap)
             assert len(got) == cap and got[-1] == (last, last)
@@ -226,8 +223,7 @@ class TestVisibility:
        st.integers(0, 400), st.integers(0, 120))
 @settings(max_examples=120, deadline=None)
 def test_scan_equals_sorted_live_slice(keys, lo, width):
-    index = LearnedIndex.build([], IndexConfig(olb_threshold=3, tlb_fanout=2,
-                                               tlb_threshold=5))
+    index = LearnedIndex.build([], IndexConfig(olb_threshold=3))
     for k in keys:
         index.insert(k, k * 2)
     got = index.range(lo, width)
@@ -260,19 +256,19 @@ class TestScanReads:
         for _ in range(1_500):  # mostly overwrites and deletes, a few new keys
             k = rnd.choice(NESTING_KEYS) if rnd.random() < 0.9 else rnd.randrange(420)
             write(k, rnd.randrange(5) if rnd.random() < 0.6 else None)
-        for k in range(501, 511, 2):  # five keys split a one-level bin
+        for k in range(501, 511, 2):  # five keys in a bin below its threshold
             write(k, k)
         children = subtree(index.root)
-        assert {type(child) for child in children} == {
-            OneLevelBin, TwoLevelBin, ModelNode}
+        assert {type(child) for child in children} == {OneLevelBin, ModelNode}
         # below its threshold, a frozen bin never changes: the first write
         # of its own keys helps replace it, and that write and every later
         # one land in the replacement
         frozen = next(c for c in children
-                      if isinstance(c, OneLevelBin) and c.size < TINY.olb_threshold)
+                      if isinstance(c, OneLevelBin) and len(c.items) >> 1 < TINY.olb_threshold)
         freeze_bin(frozen)
-        own = frozen.items[:frozen.size]
-        heads = frozen.items[frozen.size:]
+        n = len(frozen.items) >> 1
+        own = frozen.items[:n]
+        heads = frozen.items[n:]
         model_keys = [k for c in children if isinstance(c, ModelNode) for k in c.keys]
         for _ in range(300):
             k = rnd.choice(own) if rnd.random() < 0.5 else rnd.choice(model_keys)
@@ -280,7 +276,7 @@ class TestScanReads:
         for _ in range(200):
             write(rnd.randrange(420), None)
         assert index.seek(own[0])[2] is not frozen
-        assert frozen.items[frozen.size:] == heads
+        assert frozen.items[n:] == heads
         # a bin frozen with no write after it stays in its slot, for the
         # scans below to read through
         frozen = next(c for c in subtree(index.root) if not isinstance(c, ModelNode))

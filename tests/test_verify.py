@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfindex.bins import freeze_bin
+from lfindex.bins import OneLevelBin, freeze_bin
 from lfindex.core import EMPTY, KEY_MAX, AtomicRef, VersionedValue
 from lfindex.index import IndexConfig, LearnedIndex, ModelNode
 from lfindex.models import Model, fit_linear, root_table, segment_root
@@ -26,7 +26,7 @@ from lfindex.verify import (
     write_history,
 )
 
-SMALL = IndexConfig(olb_threshold=4, tlb_fanout=2, tlb_threshold=6)
+SMALL = IndexConfig(olb_threshold=4)
 
 #: Root keys above a scenario's keys: more than it puts below the root, so
 #: no retrain takes the root as its top and its nested node stays put.
@@ -439,14 +439,6 @@ class TestAuditStructure:
         kinds = {f.kind for f in report.findings}
         assert "interval" in kinds and "duplicate-key" in kinds
 
-    def test_detects_size_counter_drift(self):
-        index = LearnedIndex.build([(0, 0), (100, 0)])
-        index.insert(50, 5)
-        olb = index.root.children[1]
-        olb.size += 1
-        report = audit_structure(index)
-        assert {f.kind for f in report.findings} == {"size-counter"}
-
     def test_detects_unstamped_interior_version(self):
         index = LearnedIndex.build([(10, 1)])
         heads = index.root.versions
@@ -663,29 +655,29 @@ class TestAuditStructure:
         # every retrain finishes before its op returns, so a quiescent
         # index has no frozen bin; the walk still reads through one
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
-        for k in range(10, 60, 10):  # the fifth insert splits the bin
+        for k in range(10, 50, 10):  # four keys fill the bin
             index.insert(k, k)
         index.insert(1_010, 1)
-        tlb = index.root.children[1]
-        assert not tlb.is_one_level and index.root.children[2].is_one_level
+        bin_ = index.root.children[1]
+        assert isinstance(bin_, OneLevelBin) and isinstance(index.root.children[2], OneLevelBin)
         assert audit_structure(index).ok
-        freeze_bin(tlb)
+        freeze_bin(bin_)
         report = audit_structure(index)
         assert {f.kind for f in report.findings} == {"frozen-bin"}
         assert report.live_map() == {0: 0, 1_000: 0, 1_010: 1} | {
-            k: k for k in range(10, 60, 10)}
+            k: k for k in range(10, 50, 10)}
 
     def test_detects_a_chain_head_that_is_not_a_cell(self):
         index = LearnedIndex.build([(0, 0), (1_000, 0)], SMALL)
-        for k in range(10, 60, 10):  # the fifth insert splits the bin
+        for k in range(10, 50, 10):
             index.insert(k, k)
-        lst = index.root.children[1].children[1]
+        lst = index.root.children[1]
         good = lst.items
-        assert good[:2] == [30, 40] and len(good) == 6
+        assert good[:4] == [10, 20, 30, 40] and len(good) == 8
         # a key's payload where its head belongs, and its head in a cell,
         # as the layout before heads sat in the array held it
-        for stray in (good[3].val, AtomicRef(good[3])):
-            lst.items = good[:3] + [stray] + good[4:]
+        for stray in (good[5].val, AtomicRef(good[5])):
+            lst.items = good[:5] + [stray] + good[6:]
             report = audit_structure(index)
             assert [f.kind for f in report.findings] == ["list-shape"], stray
         lst.items = good
